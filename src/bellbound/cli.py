@@ -42,7 +42,6 @@ from .io import (
     filter_result_to_json,
     format_float,
     load_state,
-    write_csv,
     write_json,
     write_manifest,
 )
@@ -174,7 +173,6 @@ def _noise_params() -> dict[str, tuple]:
         "duration": (float, DEFAULT_DURATION),
         "dark_rate": (float, 0.0),
         "seed": (int, 0),
-        "threads": (int, 1),
     }
 
 
@@ -203,7 +201,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             params["p"],
             [(theta, params["signal"]) for theta in thetas],
             config,
-            threads=params["threads"],
         )
         for point in points:
             rows.append(
@@ -281,13 +278,7 @@ def cmd_surface(ns: argparse.Namespace) -> int:
     # (each analyzer setting is measured once, as in the real sweep).
     tasks = [(theta, pi_hv, 2 * i) for i, theta in enumerate(thetas)]
     tasks += [(tp, pi_xy, 2 * j + 1) for j, tp in enumerate(theta_primes)]
-    if params["threads"] > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=params["threads"]) as pool:
-            values = list(pool.map(lambda t: excess(*t), tasks))
-    else:
-        values = [excess(*task) for task in tasks]
+    values = [excess(*task) for task in tasks]
     dk = values[: len(thetas)]
     dk_prime = values[len(thetas):]
     rows = []
@@ -377,7 +368,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         seed=params["seed"],
     )
     angles = [(theta, "hv") for theta in thetas] + [(theta, "xy") for theta in thetas]
-    points = run_sweep_experiment(p, angles, config, threads=params["threads"])
+    points = run_sweep_experiment(p, angles, config)
     records = simulate_bell_records(werner(p), config)
     b_hat = estimate_bell_max(records)
     stderr = bell_estimate_stderr(records)
@@ -442,7 +433,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     param_spec = {
         "trials": (int, 10_000),
         "seed": (int, 1),
-        "threads": (int, 1),
     }
     params = _resolve(ns, param_spec)
     if ns.replay is not None:
@@ -458,7 +448,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         return 0 if check.slack >= SLACK_FLOOR and same.slack >= SLACK_FLOOR else 2
     if params["trials"] < 1:
         raise ValueError("trials must be >= 1")
-    summary = fuzz_bounds(params["trials"], params["seed"], threads=params["threads"])
+    summary = fuzz_bounds(params["trials"], params["seed"])
     report = {
         "trials": summary.trials,
         "seed": summary.seed,
@@ -533,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="RNG seed")
     common.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
     common.add_argument("--config", type=Path, default=None, help="flat key=value config file")
-    common.add_argument("--threads", type=int, default=None, help="worker threads")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

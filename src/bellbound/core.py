@@ -160,7 +160,9 @@ def decompose(state: TwoQubitState) -> BlochForm:
     m = np.einsum("kij,ji->k", _MET_OPS, rho)
     t = np.einsum("klij,ji->kl", _CORR_OPS, rho)
     # Imaginary residues are pure floating noise for a validated (Hermitian) state.
-    assert max(np.max(np.abs(n.imag)), np.max(np.abs(m.imag)), np.max(np.abs(t.imag))) < 1e-10
+    residue = max(np.max(np.abs(n.imag)), np.max(np.abs(m.imag)), np.max(np.abs(t.imag)))
+    if residue >= VALIDATION_TOL:
+        raise NotHermitian(residue)
     return BlochForm(n.real, m.real, t.real)
 
 

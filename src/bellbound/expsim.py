@@ -4,20 +4,26 @@ Count sign convention: in ``C^{ab}`` the first sign is the meter outcome and
 the second the signal outcome.  Shot noise is modeled as an independent
 Poisson draw per outcome channel with a flat accidental-coincidence term; the
 generator is counter-based (Philox) with one stream per (point, channel), so
-fixed seeds give bit-identical counts on every platform and for any degree of
-parallelism over points.
+fixed seeds give bit-identical counts on every platform, and each point's
+counts depend only on the seed and the point's stream index.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QubitMeasurement, TwoQubitState, measurement_from_polarization_angle, projectors, validate_state
-from .errors import EmptyRecord, OutOfRange
+from .core import (
+    VALIDATION_TOL,
+    QubitMeasurement,
+    TwoQubitState,
+    measurement_from_polarization_angle,
+    projectors,
+    validate_state,
+)
+from .errors import EmptyRecord, OutOfRange, TraceNotOne
 from .factories import BELL_KETS, KET_HH, KET_HV, KET_VH, KET_VV, werner, werner_prediction
 
 # Meter/signal analyzer angle pairs (degrees) used for the Bell-factor estimate.
@@ -128,7 +134,9 @@ def coincidence_probs(
             for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))
         ]
     )
-    assert abs(probs.sum() - 1.0) < 1e-12
+    total = float(probs.sum())
+    if abs(total - 1.0) >= VALIDATION_TOL:
+        raise TraceNotOne(total)
     return probs
 
 
@@ -269,17 +277,11 @@ def werner_mixing_model(p: float) -> MixingModel:
     )
 
 
-def run_sweep_experiment(
-    p: float,
-    angles,
-    config: ExperimentConfig,
-    threads: int = 1,
-) -> list[SweepPoint]:
+def run_sweep_experiment(p: float, angles, config: ExperimentConfig) -> list[SweepPoint]:
     """Simulate a sweep over meter analyzer angles for a Werner state.
 
     ``angles`` is a sequence of ``(theta_deg, basis)`` pairs with basis "hv"
-    or "xy".  Point ``i`` uses RNG stream ``i``, so output is identical
-    whether points run serially or in parallel.
+    or "xy".  Point ``i`` uses RNG stream ``i``.
     """
     state = werner(p)
 
@@ -294,11 +296,7 @@ def run_sweep_experiment(
         theory = prediction.K if basis == "hv" else prediction.K_prime
         return SweepPoint(float(theta_deg), basis, counts, k_hat, p_hat, k_hat - p_hat, theory)
 
-    items = list(enumerate(angles))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_point, items))
-    return [run_point(item) for item in items]
+    return [run_point(item) for item in enumerate(angles)]
 
 
 def simulate_bell_records(

@@ -61,14 +61,6 @@ def write_json(path, obj) -> None:
     Path(path).write_text(dumps_json(obj), encoding="utf-8", newline="\n")
 
 
-def write_csv(path, header, rows) -> None:
-    """CSV with the exact header given, 17-significant-digit floats, LF endings."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def complex_matrix_to_json(matrix) -> list[list[dict]]:
     m = np.asarray(matrix, dtype=complex)
     return [[{"re": float(cell.real), "im": float(cell.imag)} for cell in row] for row in m]
@@ -107,16 +99,27 @@ def load_state(path) -> TwoQubitState:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("state file must contain a JSON object")
+
+    def field(key: str, convert, default=None):
+        if key not in data:
+            if default is None:
+                raise ValueError(f"state file is missing key {key!r}")
+            return default
+        try:
+            return convert(data[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"state file key {key!r} is malformed: {exc}") from exc
+
     if "matrix" in data:
-        return validate_state(complex_matrix_from_json(data["matrix"]))
+        return validate_state(field("matrix", complex_matrix_from_json))
     if "factory" in data:
         name = data["factory"]
         if name == "werner":
-            return werner(float(data["p"]))
+            return werner(field("p", float))
         if name == "bell_diagonal":
-            return bell_diagonal(data["lambdas"])
+            return bell_diagonal(field("lambdas", lambda v: np.asarray(v, dtype=float)))
         if name == "random":
-            return random_state(int(data["seed"]), int(data.get("ancilla_dim", 4)))
+            return random_state(field("seed", int), field("ancilla_dim", int, 4))
         raise ValueError(f"unknown state factory {name!r}")
     raise ValueError("state file must contain either 'matrix' or 'factory'")
 

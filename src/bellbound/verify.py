@@ -1,13 +1,12 @@
 """Fuzz verification of the knowledge-excess bounds on random instances.
 
 Each trial owns a counter-based RNG stream keyed by (seed, trial index), so
-summaries are reproducible bit for bit regardless of how trials are split
-across worker threads.
+summaries are reproducible bit for bit and any single trial can be rerun on
+its own.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,22 +69,11 @@ def run_trial(seed: int, trial: int) -> FuzzInstance:
     )
 
 
-def fuzz_bounds(trials: int, seed: int, threads: int = 1) -> FuzzSummary:
+def fuzz_bounds(trials: int, seed: int) -> FuzzSummary:
     """Run ``trials`` independent draws and report the minimum slacks."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-    def run_chunk(chunk: range) -> list[FuzzInstance]:
-        return [run_trial(seed, i) for i in chunk]
-
-    if threads > 1:
-        step = max(1, trials // (threads * 8))
-        chunks = [range(start, min(start + step, trials)) for start in range(0, trials, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            instances = [inst for part in pool.map(run_chunk, chunks) for inst in part]
-    else:
-        instances = run_chunk(range(trials))
-
+    instances = [run_trial(seed, i) for i in range(trials)]
     worst = min(instances, key=lambda inst: inst.check.slack)
     worst_same = min(instances, key=lambda inst: inst.same_meter_check.slack)
     return FuzzSummary(

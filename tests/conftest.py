@@ -33,6 +33,17 @@ def partial_trace_signal(rho):
     return rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
 
 
+def trace_oracle(rho, s_axis, m_axis):
+    """(K, P, D) by the raw trace path, gamma = tr_S[((S+ - S-) x 1) rho]."""
+    s_plus, s_minus = axis_projectors(s_axis)
+    gamma = partial_trace_signal((np.kron(s_plus, I2) - np.kron(s_minus, I2)) @ rho)
+    m_plus, m_minus = axis_projectors(m_axis)
+    k = abs(np.trace(m_plus @ gamma).real) + abs(np.trace(m_minus @ gamma).real)
+    p = abs(np.trace(gamma).real)
+    d = float(np.sum(np.abs(np.linalg.eigvalsh(gamma))))
+    return k, p, d
+
+
 def random_unit_vector(rng, dim=3):
     v = rng.normal(size=dim)
     return v / np.linalg.norm(v)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bellbound as bb
-from conftest import axis_projectors, partial_trace_meter, partial_trace_signal, random_unit_vector
+from conftest import partial_trace_meter, partial_trace_signal, random_unit_vector, trace_oracle
 
 SQRT2 = np.sqrt(2.0)
 HV = bb.measurement_from_polarization_angle(0.0)
@@ -81,7 +81,6 @@ def test_criterion_4_inequality_fuzzing_10k_instances():
 def test_criterion_5_dual_path_oracle_1000_instances():
     with criterion(5, "trace and Bloch paths agree to 1e-12 on 10^3 instances", 5.0):
         rng = np.random.default_rng(5)
-        eye2 = np.eye(2, dtype=complex)
         for seed in range(1000):
             state = bb.random_state(seed, 1 + seed % 4)
             s_axis = random_unit_vector(rng)
@@ -89,13 +88,7 @@ def test_criterion_5_dual_path_oracle_1000_instances():
             pi_s = bb.QubitMeasurement(s_axis)
             pi_m = bb.QubitMeasurement(m_axis)
             # raw trace-path oracle, independent of the library internals
-            s_plus, s_minus = axis_projectors(s_axis)
-            gamma4 = (np.kron(s_plus, eye2) - np.kron(s_minus, eye2)) @ state.matrix
-            gamma = gamma4.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-            m_plus, m_minus = axis_projectors(m_axis)
-            k_trace = abs(np.trace(m_plus @ gamma).real) + abs(np.trace(m_minus @ gamma).real)
-            p_trace = abs(np.trace(gamma).real)
-            d_trace = float(np.sum(np.abs(np.linalg.eigvalsh(gamma))))
+            k_trace, p_trace, d_trace = trace_oracle(state.matrix, s_axis, m_axis)
             assert abs(bb.knowledge(state, pi_m, pi_s) - k_trace) < 1e-12
             assert abs(bb.apriori(state, pi_s) - p_trace) < 1e-12
             assert abs(bb.distinguishability(state, pi_s) - d_trace) < 1e-12

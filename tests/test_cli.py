@@ -46,11 +46,22 @@ class TestAnalyze:
         assert np.allclose(report["bloch"]["T"], np.zeros((3, 3)), atol=1e-12)
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
+        # one diagnostic line that names the bad key, never a traceback
+        documents = [
+            ("{not json", None),
+            ('{"matrix": 5}', "matrix"),
+            ('{"factory": "werner", "p": null}', "p"),
+            ('{"factory": "werner"}', "p"),
+        ]
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, _, err = run_cli(["analyze", path], capsys)
-        assert code == 1
-        assert "error:" in err
+        for text, key in documents:
+            path.write_text(text)
+            for command in ("analyze", "filter"):
+                code, _, err = run_cli([command, path], capsys)
+                assert code == 1
+                assert err.startswith("error:") and err.count("\n") == 1
+                if key is not None:
+                    assert repr(key) in err
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(["analyze", tmp_path / "nope.json"], capsys)

@@ -84,6 +84,12 @@ class TestBlochDecomposition:
         with pytest.raises(bb.NotPositive):
             bb.recompose(bb.BlochForm(np.zeros(3), np.zeros(3), -1.2 * np.eye(3)))
 
+    def test_unvalidated_non_hermitian_matrix_is_rejected(self):
+        matrix = np.eye(4, dtype=complex) / 4
+        matrix[0, 0] += 0.1j
+        with pytest.raises(bb.NotHermitian):
+            bb.decompose(bb.TwoQubitState(matrix))
+
     def test_round_trip_1000_random_states(self):
         for seed in range(1000):
             state = bb.random_state(seed, 1 + seed % 4)

@@ -44,6 +44,11 @@ class TestCoincidenceProbs:
         probs = bb.coincidence_probs(state, HV, HV)
         np.testing.assert_allclose(probs, [0.0, 0.0, 1.0, 0.0], atol=1e-14)
 
+    def test_unnormalized_matrix_raises_trace_not_one(self):
+        state = bb.TwoQubitState(2.0 * bb.werner(0.82).matrix)
+        with pytest.raises(bb.TraceNotOne):
+            bb.coincidence_probs(state, HV, HV)
+
     def test_normalization_on_random_instances(self, rng):
         for seed in range(25):
             state = bb.random_state(seed, 1 + seed % 4)
@@ -65,6 +70,12 @@ class TestSimulateCounts:
             config = bb.ExperimentConfig(pair_rate=500.0, duration=1.0, seed=seed)
             counts = bb.simulate_counts(state, HV, HV, config)
             assert counts.c_pp == 0 and counts.c_mm == 0
+
+    def test_state_at_trace_tolerance_gives_counts(self):
+        # validate_state accepts |tr - 1| < 1e-10; such a state must stay usable
+        state = bb.validate_state(bb.werner(0.82).matrix * (1 + 5e-11))
+        config = bb.ExperimentConfig(pair_rate=455.0, duration=22.0, seed=7)
+        assert bb.simulate_counts(state, XY, HV, config).total > 0
 
     def test_fixed_seed_is_bit_identical(self):
         config = bb.ExperimentConfig(pair_rate=455.0, duration=22.0, seed=7)
@@ -292,13 +303,6 @@ class TestRunSweepExperiment:
         points = bb.run_sweep_experiment(0.0, [(float(t), "hv") for t in (0, 30, 60)], config)
         for point in points:
             assert abs(point.dk_hat) < 4 * 2.0 / np.sqrt(10**6)
-
-    def test_thread_count_does_not_change_results(self):
-        config = bb.ExperimentConfig(pair_rate=1000.0, duration=1.0, seed=5)
-        angles = [(float(t), "xy") for t in range(0, 91, 15)]
-        serial = bb.run_sweep_experiment(0.45, angles, config, threads=1)
-        threaded = bb.run_sweep_experiment(0.45, angles, config, threads=4)
-        assert [p.counts for p in serial] == [p.counts for p in threaded]
 
     def test_rejects_unknown_basis(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bellbound as bb
+from bellbound.cli import _csv_text
 from bellbound.io import (
     RunManifest,
     bloch_to_json,
@@ -16,7 +17,6 @@ from bellbound.io import (
     load_state,
     manifest_path,
     state_to_json,
-    write_csv,
     write_json,
     write_manifest,
 )
@@ -99,13 +99,11 @@ class TestBlochExport:
 
 
 class TestCsv:
-    def test_lf_endings_and_header(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b"], [(1.5, 2), (0.1, 3)])
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        assert raw.startswith(b"a,b\n")
-        assert raw.decode().splitlines()[1].startswith("1.5,")
+    def test_lf_endings_and_header(self):
+        text = _csv_text(["a", "b"], [(1.5, 2), (0.1, 3)])
+        assert "\r" not in text
+        assert text.startswith("a,b\n")
+        assert text.splitlines()[1].startswith("1.5,")
 
 
 class TestManifest:
