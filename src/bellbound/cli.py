@@ -96,7 +96,10 @@ def _resolve(ns: argparse.Namespace, param_spec: dict[str, tuple]) -> dict:
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
-            resolved[key] = caster(config[key])
+            try:
+                resolved[key] = caster(config[key])
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r} is malformed: {exc}") from exc
         else:
             resolved[key] = default
     return resolved

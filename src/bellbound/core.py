@@ -137,19 +137,32 @@ def validate_state(matrix) -> TwoQubitState:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    return TwoQubitState(_validate_stack(m[np.newaxis])[0])
+
+
+def _validate_stack(m: np.ndarray) -> np.ndarray:
+    """:func:`validate_state` on a stack of shape (N, 4, 4).
+
+    Returns the symmetrized stack, or raises the error that
+    :func:`validate_state` raises for the first invalid matrix.
+    """
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
-    asym = float(np.max(np.abs(m - m.conj().T)))
-    if asym >= VALIDATION_TOL:
-        raise NotHermitian(asym)
-    m = (m + m.conj().T) / 2.0
-    trace = float(m.trace().real)
-    if abs(trace - 1.0) >= VALIDATION_TOL:
-        raise TraceNotOne(trace)
-    eigenvalues = np.linalg.eigvalsh(m)
-    if eigenvalues[0] < -VALIDATION_TOL:
-        raise NotPositive(float(eigenvalues[0]))
-    return TwoQubitState(m)
+    adjoint = m.conj().swapaxes(1, 2)
+    asym = np.max(np.abs(m - adjoint), axis=(1, 2))
+    m = (m + adjoint) / 2.0
+    trace = np.trace(m, axis1=1, axis2=2).real
+    min_eigenvalue = np.linalg.eigvalsh(m)[:, 0]
+    bad = (asym >= VALIDATION_TOL) | (np.abs(trace - 1.0) >= VALIDATION_TOL)
+    bad |= min_eigenvalue < -VALIDATION_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        if asym[i] >= VALIDATION_TOL:
+            raise NotHermitian(float(asym[i]))
+        if abs(trace[i] - 1.0) >= VALIDATION_TOL:
+            raise TraceNotOne(float(trace[i]))
+        raise NotPositive(float(min_eigenvalue[i]))
+    return m
 
 
 def decompose(state: TwoQubitState) -> BlochForm:
@@ -164,6 +177,21 @@ def decompose(state: TwoQubitState) -> BlochForm:
     if residue >= VALIDATION_TOL:
         raise NotHermitian(residue)
     return BlochForm(n.real, m.real, t.real)
+
+
+# The Bloch observables of n and T in one stack: sigma_k x 1, then sigma_k x sigma_l.
+_N_T_OPS = np.concatenate([_SIG_OPS, _CORR_OPS.reshape(9, 4, 4)])
+
+
+def _decompose_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` (N, 3) and ``T`` (N, 3, 3) of :func:`decompose` for a stack
+    of validated states of shape (N, 4, 4)."""
+    coefficients = np.einsum("aij,Nji->Na", _N_T_OPS, rho)
+    residue = float(np.max(np.abs(coefficients.imag)))
+    if residue >= VALIDATION_TOL:
+        raise NotHermitian(residue)
+    coefficients = coefficients.real
+    return coefficients[:, :3], coefficients[:, 3:].reshape(-1, 3, 3)
 
 
 def recompose(form: BlochForm) -> TwoQubitState:

@@ -67,11 +67,12 @@ def bell_diagonal(lambdas) -> TwoQubitState:
     return validate_state(rho)
 
 
-def _random_state_from_rng(rng: np.random.Generator, ancilla_dim: int) -> TwoQubitState:
-    """Mixed state induced from a Gaussian-random pure state on a 4 x d system."""
+def _random_density_matrix(rng: np.random.Generator, ancilla_dim: int) -> np.ndarray:
+    """Unvalidated mixed state induced from a Gaussian-random pure state on a
+    4 x d system; draws the real, then the imaginary amplitudes."""
     amplitudes = rng.normal(size=(4, ancilla_dim)) + 1j * rng.normal(size=(4, ancilla_dim))
     amplitudes /= np.linalg.norm(amplitudes)
-    return validate_state(amplitudes @ amplitudes.conj().T)
+    return amplitudes @ amplitudes.conj().T
 
 
 def random_state(seed: int, ancilla_dim: int) -> TwoQubitState:
@@ -85,7 +86,7 @@ def random_state(seed: int, ancilla_dim: int) -> TwoQubitState:
         raise ValueError(f"ancilla_dim must be in 1..4, got {ancilla_dim}")
     key = np.array([int(seed) % 2**64, ancilla_dim], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    return _random_state_from_rng(rng, ancilla_dim)
+    return validate_state(_random_density_matrix(rng, ancilla_dim))
 
 
 def werner_prediction(p: float, theta_deg: float, theta_prime_deg: float) -> WernerPrediction:

@@ -85,6 +85,23 @@ def complex_matrix_from_json(data, shape=(4, 4)) -> np.ndarray:
     return matrix
 
 
+def _read_key(data: dict, key: str, convert, document: str, default=None):
+    """``convert(data[key])`` for a key of a JSON object read from a file.
+
+    An absent key gives ``default`` when one is set.  A missing required key,
+    or a value that ``convert`` rejects with TypeError or ValueError, raises
+    ValueError naming ``document`` and the key.
+    """
+    if key not in data:
+        if default is None:
+            raise ValueError(f"{document} is missing key {key!r}")
+        return default
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{document} key {key!r} is malformed: {exc}") from exc
+
+
 def load_state(path) -> TwoQubitState:
     """Read a state file: either an explicit matrix or a named factory.
 
@@ -99,27 +116,19 @@ def load_state(path) -> TwoQubitState:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("state file must contain a JSON object")
-
-    def field(key: str, convert, default=None):
-        if key not in data:
-            if default is None:
-                raise ValueError(f"state file is missing key {key!r}")
-            return default
-        try:
-            return convert(data[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"state file key {key!r} is malformed: {exc}") from exc
-
+    document = "state file"
     if "matrix" in data:
-        return validate_state(field("matrix", complex_matrix_from_json))
+        return validate_state(_read_key(data, "matrix", complex_matrix_from_json, document))
     if "factory" in data:
         name = data["factory"]
         if name == "werner":
-            return werner(field("p", float))
+            return werner(_read_key(data, "p", float, document))
         if name == "bell_diagonal":
-            return bell_diagonal(field("lambdas", lambda v: np.asarray(v, dtype=float)))
+            lambdas = _read_key(data, "lambdas", lambda v: np.asarray(v, dtype=float), document)
+            return bell_diagonal(lambdas)
         if name == "random":
-            return random_state(field("seed", int), field("ancilla_dim", int, 4))
+            seed = _read_key(data, "seed", int, document)
+            return random_state(seed, _read_key(data, "ancilla_dim", int, document, 4))
         raise ValueError(f"unknown state factory {name!r}")
     raise ValueError("state file must contain either 'matrix' or 'factory'")
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial.transform import Rotation
 
 from .core import (
+    COMPLEMENTARITY_TOL,
+    UNIT_AXIS_TOL,
     BlochForm,
     QubitMeasurement,
     TwoQubitState,
@@ -65,6 +65,10 @@ def _knowledge(form: BlochForm, m: np.ndarray, s: np.ndarray) -> float:
     return max(_apriori(form, s), abs(float((form.T.T @ s) @ m)))
 
 
+def _knowledge_excess(form: BlochForm, m: np.ndarray, s: np.ndarray) -> float:
+    return _knowledge(form, m, s) - _apriori(form, s)
+
+
 def knowledge(state: TwoQubitState, pi_meter: QubitMeasurement, pi_signal: QubitMeasurement) -> float:
     """Fractional excess of right over wrong guesses of the signal outcome,
     given the meter outcome: K = sum_i |tr Pi_Mi (w rho_M - w_perp rho_M_perp)|
@@ -85,9 +89,7 @@ def knowledge_excess(
     K = max(P, ...) >= P holds exactly in floating point, so the excess is
     never negative and needs no clamping.
     """
-    form = decompose(state)
-    s = pi_signal.axis
-    return _knowledge(form, pi_meter.axis, s) - _apriori(form, s)
+    return _knowledge_excess(decompose(state), pi_meter.axis, pi_signal.axis)
 
 
 def distinguishability(state: TwoQubitState, pi_signal: QubitMeasurement) -> float:
@@ -129,12 +131,16 @@ def optimal_meter(state: TwoQubitState, pi_signal: QubitMeasurement) -> QubitMea
     return QubitMeasurement(direction / norm)
 
 
+def _bell_max(form: BlochForm) -> float:
+    t = form.T
+    eigenvalues = np.linalg.eigvalsh(t.T @ t)
+    return 2.0 * float(np.sqrt(max(eigenvalues[-1], 0.0) + max(eigenvalues[-2], 0.0)))
+
+
 def bell_max(state: TwoQubitState) -> float:
     """Maximal CHSH Bell factor: 2 sqrt of the sum of the two largest
     eigenvalues of T^T T (invariant under local unitaries)."""
-    t = decompose(state).T
-    eigenvalues = np.linalg.eigvalsh(t.T @ t)
-    return 2.0 * float(np.sqrt(max(eigenvalues[-1], 0.0) + max(eigenvalues[-2], 0.0)))
+    return _bell_max(decompose(state))
 
 
 def _require_complementary(pi_s: QubitMeasurement, pi_s_prime: QubitMeasurement) -> None:
@@ -152,9 +158,10 @@ def check_bound(
     """Test the central inequality: for complementary signal measurements,
     deltaK^2 + deltaK'^2 <= (B_max / 2)^2 for any pair of meter measurements."""
     _require_complementary(pi_s, pi_s_prime)
-    dk = knowledge_excess(state, pi_m, pi_s)
-    dk_prime = knowledge_excess(state, pi_m_prime, pi_s_prime)
-    b = bell_max(state)
+    form = decompose(state)
+    dk = _knowledge_excess(form, pi_m.axis, pi_s.axis)
+    dk_prime = _knowledge_excess(form, pi_m_prime.axis, pi_s_prime.axis)
+    b = _bell_max(form)
     total = dk * dk + dk_prime * dk_prime
     bound = (b / 2.0) ** 2
     return BoundCheck(sum_of_squares=total, bound=bound, slack=bound - total, b_max=b)
@@ -172,10 +179,50 @@ def check_same_meter_bound(
     this check always compares against 1 (``b_max`` is reported for context).
     """
     _require_complementary(pi_s, pi_s_prime)
-    dk = knowledge_excess(state, pi_m, pi_s)
-    dk_prime = knowledge_excess(state, pi_m, pi_s_prime)
+    form = decompose(state)
+    dk = _knowledge_excess(form, pi_m.axis, pi_s.axis)
+    dk_prime = _knowledge_excess(form, pi_m.axis, pi_s_prime.axis)
     total = dk * dk + dk_prime * dk_prime
-    return BoundCheck(sum_of_squares=total, bound=1.0, slack=1.0 - total, b_max=bell_max(state))
+    return BoundCheck(sum_of_squares=total, bound=1.0, slack=1.0 - total, b_max=_bell_max(form))
+
+
+def _bound_slacks(
+    n: np.ndarray,
+    t: np.ndarray,
+    s: np.ndarray,
+    s_prime: np.ndarray,
+    m: np.ndarray,
+    m_prime: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slacks of :func:`check_bound` and :func:`check_same_meter_bound` for a
+    stack of N instances: ``n``, the axes (N, 3) and ``t`` (N, 3, 3).
+
+    The axes are checked as :class:`QubitMeasurement` and
+    :func:`check_bound` check them, with the same errors and tolerances.
+    The closed forms are those of the scalar functions, but numpy sums in
+    another order, so a slack can differ from theirs in the last bits.
+    """
+    for axes in (s, s_prime, m, m_prime):
+        deviation = np.abs(np.linalg.norm(axes, axis=1) - 1.0)
+        if np.any(deviation > UNIT_AXIS_TOL):
+            raise ValueError(
+                f"measurement axis must be a unit vector: | |a| - 1 | = {deviation.max():.3e}"
+                f" (limit {UNIT_AXIS_TOL})"
+            )
+    dot = np.einsum("Nk,Nk->N", s, s_prime)
+    overlapping = np.flatnonzero(np.abs(dot) > COMPLEMENTARITY_TOL)
+    if overlapping.size:
+        raise NotComplementary(float(dot[overlapping[0]]))
+
+    def excess(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+        p = np.abs(np.einsum("Nk,Nk->N", n, s))
+        return np.maximum(p, np.abs(np.einsum("Nk,Nkl,Nl->N", s, t, m))) - p
+
+    eigenvalues = np.linalg.eigvalsh(np.swapaxes(t, 1, 2) @ t)
+    b = 2.0 * np.sqrt(np.maximum(eigenvalues[:, -1], 0.0) + np.maximum(eigenvalues[:, -2], 0.0))
+    dk, dk_prime, dk_same = excess(m, s), excess(m_prime, s_prime), excess(m, s_prime)
+    slack = (b / 2.0) ** 2 - (dk * dk + dk_prime * dk_prime)
+    return slack, 1.0 - (dk * dk + dk_same * dk_same)
 
 
 def _proper_rotation_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,6 +244,13 @@ def _proper_rotation_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return o_s, d, o_m
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use: only the optimizer needs scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
     """Maximize deltaK^2 + deltaK'^2 over complementary signal pairs and meters.
 
@@ -206,6 +260,8 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
     the correlation matrix; a Nelder-Mead direct search with three restarts
     then refines the frame (improvement threshold 1e-10).
     """
+    from scipy.spatial.transform import Rotation
+
     form = decompose(state)
     t = form.T
     n = form.n

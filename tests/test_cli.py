@@ -128,6 +128,18 @@ class TestSweep:
         first_row = out.splitlines()[1].split(",")
         assert abs(float(first_row[1]) - 0.82) < 1e-12
 
+    def test_malformed_config_value_names_its_key(self, tmp_path, capsys):
+        config = tmp_path / "conf.txt"
+        for command, text, key in (
+            (["verify", "--trials", 3], "seed = 1.5\n", "seed"),
+            (["sweep"], "noise = maybe\n", "noise"),
+        ):
+            config.write_text(text)
+            code, _, err = run_cli([*command, "--config", config], capsys)
+            assert code == 1
+            assert err.startswith(f"error: config key {key!r} is malformed")
+            assert err.count("\n") == 1
+
     def test_invalid_params_exit_1(self, capsys):
         assert run_cli(["sweep", "--p", 3.0], capsys)[0] == 1
         assert run_cli(["sweep", "--theta-step", -1], capsys)[0] == 1
@@ -203,6 +215,36 @@ class TestVerify:
         report = json.loads(out)
         assert report["check"]["slack"] == 0.0
         assert report["check"]["bound"] == 0.0
+
+    def test_malformed_replay_exits_1(self, tmp_path, capsys):
+        # one diagnostic line that names the bad key, never a traceback
+        from bellbound.io import complex_matrix_to_json
+
+        valid = {
+            "matrix": complex_matrix_to_json(np.eye(4) / 4),
+            "signal_axis": [1.0, 0.0, 0.0],
+            "signal_axis_prime": [0.0, 1.0, 0.0],
+            "meter_axis": [0.0, 0.0, 1.0],
+            "meter_axis_prime": [1.0, 0.0, 0.0],
+        }
+        documents = [
+            ("[1, 2]", None),
+            ('{"matrix": 5}', "matrix"),
+            ("{}", "matrix"),
+            (json.dumps({**valid, "signal_axis": [1.0, 0.0]}), "signal_axis"),
+            (json.dumps({**valid, "meter_axis": None}), "meter_axis"),
+            (json.dumps({**valid, "meter_axis_prime": [2.0, 0.0, 0.0]}), "meter_axis_prime"),
+            (json.dumps({k: v for k, v in valid.items() if k != "signal_axis_prime"}),
+             "signal_axis_prime"),
+        ]
+        path = tmp_path / "broken_instance.json"
+        for text, key in documents:
+            path.write_text(text)
+            code, _, err = run_cli(["verify", "--replay", path], capsys)
+            assert code == 1
+            assert err.startswith("error:") and err.count("\n") == 1
+            if key is not None:
+                assert repr(key) in err
 
     def test_violation_exits_2_and_dumps_instance(self, tmp_path, capsys, monkeypatch):
         # the bound is a theorem, so a violation can only be injected

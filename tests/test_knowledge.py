@@ -1,5 +1,8 @@
 """Tests for knowledge quantities, the Bell factor, and the excess-sum bounds."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -244,6 +247,19 @@ class TestOptimizeExcessSum:
         state = bb.validate_state(np.outer(ket, ket))
         optimum = bb.optimize_excess_sum(state)
         assert optimum.check.sum_of_squares < 1e-12
+
+    def test_scipy_is_imported_only_by_the_optimizer(self):
+        script = (
+            "import sys\n"
+            "import bellbound.cli\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+            "import bellbound as bb\n"
+            "print(bb.optimize_excess_sum(bb.werner(0.82)).check.slack)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert abs(float(proc.stdout)) < 1e-10
 
     def test_random_bell_diagonal_states_saturate(self, rng):
         for _ in range(30):
