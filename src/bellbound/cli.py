@@ -510,6 +510,7 @@ def cmd_filter(ns: argparse.Namespace) -> int:
         replay_argv=["filter", str(ns.state_file)]
         + _replay_argv("filter", params)[1:],
         duration_s=watch.elapsed(),
+        stats={"filter_iterations": result.iterations, "deviation_log": list(result.deviation_log)},
     )
     _emit(ns, dumps_json(report), manifest)
     return 0

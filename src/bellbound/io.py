@@ -66,13 +66,34 @@ def complex_matrix_to_json(matrix) -> list[list[dict]]:
     return [[{"re": float(cell.real), "im": float(cell.imag)} for cell in row] for row in m]
 
 
+def _json_float(value) -> float:
+    """A JSON number as a float; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_int(value) -> int:
+    """A JSON integer; floats are not truncated and booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_floats(value) -> np.ndarray:
+    """A JSON list of numbers as a float array."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return np.array([_json_float(v) for v in value], dtype=float)
+
+
 def _cell_to_complex(cell) -> complex:
     if isinstance(cell, dict):
         unknown = set(cell) - {"re", "im"}
         if unknown:
             raise ValueError(f"matrix cell has unknown keys {sorted(unknown)}")
-        return complex(float(cell.get("re", 0.0)), float(cell.get("im", 0.0)))
-    if isinstance(cell, (int, float)):
+        return complex(_json_float(cell.get("re", 0.0)), _json_float(cell.get("im", 0.0)))
+    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
         return complex(float(cell), 0.0)
     raise ValueError(f"matrix cell must be a number or {{'re':..,'im':..}}, got {cell!r}")
 
@@ -122,13 +143,12 @@ def load_state(path) -> TwoQubitState:
     if "factory" in data:
         name = data["factory"]
         if name == "werner":
-            return werner(_read_key(data, "p", float, document))
+            return werner(_read_key(data, "p", _json_float, document))
         if name == "bell_diagonal":
-            lambdas = _read_key(data, "lambdas", lambda v: np.asarray(v, dtype=float), document)
-            return bell_diagonal(lambdas)
+            return bell_diagonal(_read_key(data, "lambdas", _json_floats, document))
         if name == "random":
-            seed = _read_key(data, "seed", int, document)
-            return random_state(seed, _read_key(data, "ancilla_dim", int, document, 4))
+            seed = _read_key(data, "seed", _json_int, document)
+            return random_state(seed, _read_key(data, "ancilla_dim", _json_int, document, 4))
         raise ValueError(f"unknown state factory {name!r}")
     raise ValueError("state file must contain either 'matrix' or 'factory'")
 
@@ -166,6 +186,7 @@ class RunManifest:
     """Provenance record written beside every data output.
 
     Re-running ``replay_argv`` regenerates the recorded outputs byte for byte.
+    ``stats`` records how the run went (it is left out when empty).
     """
 
     command: str
@@ -175,9 +196,10 @@ class RunManifest:
     replay_argv: list[str]
     duration_s: float = 0.0
     version: str = field(default=__version__)
+    stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "command": self.command,
             "version": self.version,
             "seed": self.seed,
@@ -186,6 +208,9 @@ class RunManifest:
             "replay_argv": list(self.replay_argv),
             "duration_s": self.duration_s,
         }
+        if self.stats:
+            doc["stats"] = self.stats
+        return doc
 
 
 def manifest_path(output_path) -> Path:

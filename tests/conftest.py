@@ -44,6 +44,37 @@ def trace_oracle(rho, s_axis, m_axis):
     return k, p, d
 
 
+def reference_excess_sum(state, frames=20000, confirmed=4):
+    """Best ``check_bound`` sum, with Helstrom meters, over a fixed set of
+    signal frames: a fixed-seed uniform draw on SO(3) plus the six ordered
+    pairs of singular directions of T.  Frames are ranked by the closed form
+    ``(D - P)^2 + (D' - P')^2`` and the best ``confirmed`` are checked, so
+    the result is a sum the library certifies as attainable."""
+    import bellbound as bb
+
+    q = np.random.default_rng(19950706).normal(size=(frames, 4))
+    w, x, y, z = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
+    s = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)], axis=1)
+    s_prime = np.stack([2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x)], axis=1)
+    form = bb.decompose(state)
+    u = np.linalg.svd(form.T)[0]
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+    s = np.vstack([s, [u[:, i] for i, _ in pairs]])
+    s_prime = np.vstack([s_prime, [u[:, j] for _, j in pairs]])
+
+    def excess(axes):
+        return np.maximum(0.0, np.linalg.norm(axes @ form.T, axis=1) - np.abs(axes @ form.n))
+
+    best = -np.inf
+    for index in np.argsort(-(excess(s) ** 2 + excess(s_prime) ** 2))[:confirmed]:
+        pi_s, pi_s_prime = bb.QubitMeasurement(s[index]), bb.QubitMeasurement(s_prime[index])
+        check = bb.check_bound(
+            state, pi_s, pi_s_prime, bb.optimal_meter(state, pi_s), bb.optimal_meter(state, pi_s_prime)
+        )
+        best = max(best, check.sum_of_squares)
+    return best
+
+
 def random_unit_vector(rng, dim=3):
     v = rng.normal(size=dim)
     return v / np.linalg.norm(v)

@@ -52,6 +52,14 @@ class TestAnalyze:
             ('{"matrix": 5}', "matrix"),
             ('{"factory": "werner", "p": null}', "p"),
             ('{"factory": "werner"}', "p"),
+            # integer keys are not truncated, and booleans are not numbers
+            ('{"factory": "random", "seed": 1.7, "ancilla_dim": 2.9}', "seed"),
+            ('{"factory": "random", "seed": 1, "ancilla_dim": 2.9}', "ancilla_dim"),
+            ('{"factory": "random", "seed": true}', "seed"),
+            ('{"factory": "werner", "p": true}', "p"),
+            ('{"factory": "bell_diagonal", "lambdas": [true, false, false, false]}', "lambdas"),
+            ('{"matrix": [[true, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}', "matrix"),
+            ('{"matrix": [[{"re": true}, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}', "matrix"),
         ]
         path = tmp_path / "broken.json"
         for text, key in documents:
@@ -351,6 +359,20 @@ class TestFilter:
         report = json.loads(out)
         assert report["b_max_out"] >= report["b_max_in"] - 1e-9
         assert abs(report["post_filter_check"]["slack"]) < 1e-6
+
+    def test_manifest_records_filter_convergence(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"factory": "random", "seed": 12, "ancilla_dim": 4}))
+        out_file = tmp_path / "filter.json"
+        code, _, _ = run_cli(["filter", path, "--out", out_file], capsys)
+        assert code == 0
+        report = json.loads(out_file.read_text())
+        assert "stats" not in report and "deviation_log" not in report
+        stats = json.loads((tmp_path / "filter.json.manifest.json").read_text())["stats"]
+        assert stats["filter_iterations"] == report["iterations"] > 0
+        log = stats["deviation_log"]
+        assert len(log) == report["iterations"]
+        assert log[-1] <= 1e-10 < log[0]
 
     def test_pure_product_exits_1(self, tmp_path, capsys):
         matrix = np.zeros((4, 4))

@@ -125,3 +125,12 @@ class TestManifest:
         assert doc["command"] == "sweep"
         assert doc["version"] == bb.__version__
         assert doc["replay_argv"] == ["sweep", "--p", "0.82"]
+        assert list(doc) == [
+            "command", "version", "seed", "parameters", "outputs", "replay_argv", "duration_s"
+        ]
+
+    def test_stats_are_recorded_only_when_present(self):
+        manifest = RunManifest(command="filter", parameters={}, seed=None, outputs=[], replay_argv=[])
+        assert "stats" not in manifest.to_json()
+        manifest.stats = {"filter_iterations": 3}
+        assert manifest.to_json()["stats"] == {"filter_iterations": 3}

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import bellbound as bb
-from conftest import axis_projectors, random_unit_vector, random_unitary, trace_oracle
+from conftest import (
+    axis_projectors,
+    random_unit_vector,
+    random_unitary,
+    reference_excess_sum,
+    trace_oracle,
+)
 
 HV = bb.measurement_from_polarization_angle(0.0)
 XY = bb.measurement_from_polarization_angle(45.0)
@@ -266,3 +272,30 @@ class TestOptimizeExcessSum:
             lams = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
             optimum = bb.optimize_excess_sum(bb.bell_diagonal(lams))
             assert abs(optimum.check.slack) < 1e-6
+
+    @pytest.mark.parametrize(
+        "seed, rank", [(8, 1), (1, 2), (12, 1), (13, 2), (16, 1), (28, 1), (33, 2), (20, 3), (0, 4)]
+    )
+    def test_reaches_the_independent_reference(self, seed, rank):
+        # Each of these states once stalled a seed-only Nelder-Mead search.
+        state = bb.random_state(seed, rank)
+        optimum = bb.optimize_excess_sum(state)
+        assert optimum.check.sum_of_squares >= reference_excess_sum(state) - 1e-9
+        assert optimum.check.slack >= -1e-12
+        assert bb.are_complementary(optimum.pi_s, optimum.pi_s_prime)
+
+    def test_states_that_attain_the_bound_need_no_search(self, monkeypatch, rng):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the seed frame attains the bound; no search is needed")
+
+        monkeypatch.setattr(sys.modules["bellbound.knowledge"], "minimize", no_search)
+        exact = [bb.werner(0.82)]
+        exact += [bb.bell_diagonal(rng.dirichlet([1.0, 1.0, 1.0, 1.0])) for _ in range(30)]
+        for state in exact:
+            assert abs(bb.optimize_excess_sum(state).check.slack) < 1e-12
+        # The filter stops with |n| ~ 1e-10, so even the optimum of its output
+        # falls short of the bound by about that; the seed is certified to 1e-9.
+        for seed in range(10):
+            filtered = bb.filter_normal_form(bb.random_state(seed, 4)).state_out
+            slack = bb.optimize_excess_sum(filtered).check.slack
+            assert -1e-12 < slack < 1e-9
