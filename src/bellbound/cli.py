@@ -21,16 +21,21 @@ from .canonical import canonical_form, filter_normal_form
 from .core import QubitMeasurement, decompose, measurement_from_polarization_angle
 from .errors import BellboundError
 from .expsim import (
+    BELL_ANGLE_PAIRS,
+    BELL_STREAM_OFFSET,
     ExperimentConfig,
+    _polarization_axes,
+    _simulate_stack,
     bell_estimate_stderr,
+    estimate_apriori,
     estimate_bell_max,
     estimate_correlation,
+    estimate_knowledge,
     mixed_state_from_model,
     mixing_model_from_schedule,
     run_sweep_experiment,
     signal_measurement,
     simulate_bell_records,
-    BELL_ANGLE_PAIRS,
 )
 from .factories import werner, werner_prediction
 from .io import (
@@ -46,10 +51,11 @@ from .io import (
     write_manifest,
 )
 from .knowledge import (
-    apriori,
+    _apriori,
+    _bell_max,
+    _knowledge,
     bell_max,
     distinguishability_excess,
-    knowledge,
     optimize_excess_sum,
 )
 from .verify import SLACK_FLOOR, evaluate_instance_json, fuzz_bounds, instance_to_json
@@ -158,6 +164,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         "b_max": bell_max(state),
         "delta_d_canonical_pair": [distinguishability_excess(state, pi) for pi in pair],
     }
+    text = dumps_json(report)
     manifest = RunManifest(
         command="analyze",
         parameters={"state_file": str(ns.state_file)},
@@ -166,7 +173,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         replay_argv=["analyze", str(ns.state_file)],
         duration_s=watch.elapsed(),
     )
-    _emit(ns, dumps_json(report), manifest)
+    _emit(ns, text, manifest)
     return 0
 
 
@@ -210,16 +217,15 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                 (point.theta_deg, point.k_hat, point.p_hat, point.dk_hat, point.dk_theory)
             )
     else:
-        state = werner(params["p"])
-        pi_s = signal_measurement(params["signal"])
+        form = decompose(werner(params["p"]))
+        s = signal_measurement(params["signal"]).axis
+        p_hat = _apriori(form, s)
         for theta in thetas:
-            pi_m = measurement_from_polarization_angle(theta)
-            k = knowledge(state, pi_m, pi_s)
-            p_hat = apriori(state, pi_s)
+            k = _knowledge(form, measurement_from_polarization_angle(theta).axis, s)
             prediction = werner_prediction(params["p"], theta, theta)
             theory = prediction.K if params["signal"] == "hv" else prediction.K_prime
             rows.append((float(theta), k, p_hat, k - p_hat, theory))
-    text = _csv_text(SWEEP_HEADER, rows)
+    text, stats = _render(_csv_text, SWEEP_HEADER, rows, points=len(thetas))
     manifest = RunManifest(
         command="sweep",
         parameters=params,
@@ -227,6 +233,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         outputs=[],
         replay_argv=_replay_argv("sweep", params),
         duration_s=watch.elapsed(),
+        stats=stats,
     )
     _emit(ns, text, manifest)
     return 0
@@ -237,6 +244,14 @@ def _csv_text(header, rows) -> str:
     for row in rows:
         lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _render(render, *args, points: int) -> tuple[str, dict]:
+    """``render(*args)`` and the run stats: the number of analyzer settings
+    evaluated and the seconds spent rendering."""
+    watch = Stopwatch()
+    text = render(*args)
+    return text, {"points": points, "render_s": watch.elapsed()}
 
 
 def cmd_surface(ns: argparse.Namespace) -> int:
@@ -258,38 +273,39 @@ def cmd_surface(ns: argparse.Namespace) -> int:
         params["theta_prime_start"], params["theta_prime_stop"], params["theta_prime_step"]
     )
     state = werner(params["p"])
-    bound = (bell_max(state) / 2.0) ** 2
-    pi_hv = signal_measurement("hv")
-    pi_xy = signal_measurement("xy")
+    form = decompose(state)
+    pi_hv = signal_measurement("hv").axis
+    pi_xy = signal_measurement("xy").axis
+    # The two 1-D excess profiles are computed once per axis and combined
+    # (each analyzer setting is measured once, as in the real sweep).
+    meters = _polarization_axes(thetas + theta_primes)
+    signals = np.array([pi_hv] * len(thetas) + [pi_xy] * len(theta_primes))
     config = ExperimentConfig(
         pair_rate=params["pair_rate"],
         duration=params["duration"],
         dark_coincidence_rate=params["dark_rate"],
         seed=params["seed"],
     )
-
-    def excess(theta: float, pi_s, stream: int) -> float:
-        pi_m = measurement_from_polarization_angle(theta)
-        if params["noise"]:
-            from .expsim import estimate_apriori, estimate_knowledge, simulate_counts
-
-            counts = simulate_counts(state, pi_m, pi_s, config, stream=stream)
-            return estimate_knowledge(counts) - estimate_apriori(counts)
-        return knowledge(state, pi_m, pi_s) - apriori(state, pi_s)
-
-    # The two 1-D excess profiles are computed once per axis and combined
-    # (each analyzer setting is measured once, as in the real sweep).
-    tasks = [(theta, pi_hv, 2 * i) for i, theta in enumerate(thetas)]
-    tasks += [(tp, pi_xy, 2 * j + 1) for j, tp in enumerate(theta_primes)]
-    values = [excess(*task) for task in tasks]
-    dk = values[: len(thetas)]
-    dk_prime = values[len(thetas):]
-    rows = []
-    for theta, dk_value in zip(thetas, dk):
-        for theta_prime, dkp_value in zip(theta_primes, dk_prime):
-            dk2 = dk_value * dk_value
-            dkp2 = dkp_value * dkp_value
-            rows.append((float(theta), float(theta_prime), dk2, dkp2, dk2 + dkp2, bound))
+    if params["noise"]:
+        streams = [2 * i for i in range(len(thetas))]
+        streams += [2 * j + 1 for j in range(len(theta_primes))]
+        records = _simulate_stack(state, meters, signals, config, streams)
+        values = [estimate_knowledge(c) - estimate_apriori(c) for c in records]
+    else:
+        values = [_knowledge(form, m, s) - _apriori(form, s) for m, s in zip(meters, signals)]
+    dk2 = [v * v for v in values[: len(thetas)]]
+    dkp2 = [v * v for v in values[len(thetas):]]
+    # Every column but the sum repeats along one axis, so each of its values
+    # is formatted once and the strings pass through _csv_text as they are.
+    bound = format_float((_bell_max(form) / 2.0) ** 2)
+    left = [(format_float(t), format_float(v)) for t, v in zip(thetas, dk2)]
+    right = [(format_float(t), format_float(v)) for t, v in zip(theta_primes, dkp2)]
+    rows = [
+        (theta, theta_prime, a_text, b_text, a + b, bound)
+        for (theta, a_text), a in zip(left, dk2)
+        for (theta_prime, b_text), b in zip(right, dkp2)
+    ]
+    text, stats = _render(_csv_text, SURFACE_HEADER, rows, points=len(values))
     manifest = RunManifest(
         command="surface",
         parameters=params,
@@ -297,8 +313,9 @@ def cmd_surface(ns: argparse.Namespace) -> int:
         outputs=[],
         replay_argv=_replay_argv("surface", params),
         duration_s=watch.elapsed(),
+        stats=stats,
     )
-    _emit(ns, _csv_text(SURFACE_HEADER, rows), manifest)
+    _emit(ns, text, manifest)
     return 0
 
 
@@ -371,6 +388,12 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         seed=params["seed"],
     )
     angles = [(theta, "hv") for theta in thetas] + [(theta, "xy") for theta in thetas]
+    if len(angles) > BELL_STREAM_OFFSET:
+        raise ValueError(
+            f"{len(thetas)} angles give {len(angles)} sweep points, whose RNG streams would"
+            f" reach the Bell records' streams from {BELL_STREAM_OFFSET}; use at most"
+            f" {BELL_STREAM_OFFSET // 2} angles"
+        )
     points = run_sweep_experiment(p, angles, config)
     records = simulate_bell_records(werner(p), config)
     b_hat = estimate_bell_max(records)
@@ -419,6 +442,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
                 f"reference measurement at p~{reference_p}: {value} +/- {uncertainty}",
                 file=sys.stderr,
             )
+    text, stats = _render(dumps_json, report, points=len(points) + len(records))
     manifest = RunManifest(
         command="simulate",
         parameters=params,
@@ -426,8 +450,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         outputs=[],
         replay_argv=_replay_argv("simulate", params),
         duration_s=watch.elapsed(),
+        stats=stats,
     )
-    _emit(ns, dumps_json(report), manifest)
+    _emit(ns, text, manifest)
     return 0
 
 
@@ -461,6 +486,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "worst_same_meter_trial": summary.worst_same_meter.trial,
         "passed": summary.passed,
     }
+    text = dumps_json(report)
     manifest = RunManifest(
         command="verify",
         parameters=params,
@@ -469,7 +495,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         replay_argv=_replay_argv("verify", params),
         duration_s=watch.elapsed(),
     )
-    _emit(ns, dumps_json(report), manifest)
+    _emit(ns, text, manifest)
     if not summary.passed:
         worst = (
             summary.worst
@@ -502,6 +528,7 @@ def cmd_filter(ns: argparse.Namespace) -> int:
         f"post-filter slack = {optimum.check.slack:.3e}",
         file=sys.stderr,
     )
+    text = dumps_json(report)
     manifest = RunManifest(
         command="filter",
         parameters={**params, "state_file": str(ns.state_file)},
@@ -512,7 +539,7 @@ def cmd_filter(ns: argparse.Namespace) -> int:
         duration_s=watch.elapsed(),
         stats={"filter_iterations": result.iterations, "deviation_log": list(result.deviation_log)},
     )
-    _emit(ns, dumps_json(report), manifest)
+    _emit(ns, text, manifest)
     return 0
 
 

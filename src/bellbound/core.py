@@ -315,12 +315,6 @@ def are_complementary(a: QubitMeasurement, b: QubitMeasurement) -> bool:
     return abs(float(a.axis @ b.axis)) <= COMPLEMENTARITY_TOL
 
 
-def projectors(measurement: QubitMeasurement) -> tuple[np.ndarray, np.ndarray]:
-    """The (+, -) projector pair of a measurement."""
-    a_sigma = np.einsum("k,kij->ij", measurement.axis, PAULI)
-    return _readonly(0.5 * (ID2 + a_sigma)), _readonly(0.5 * (ID2 - a_sigma))
-
-
 def measurement_kets(measurement: QubitMeasurement) -> tuple[np.ndarray, np.ndarray]:
     """Normalized (+, -) eigenvectors of ``a.sigma`` (phase convention internal)."""
     x, y, z = measurement.axis

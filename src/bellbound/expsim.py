@@ -6,6 +6,13 @@ Poisson draw per outcome channel with a flat accidental-coincidence term; the
 generator is counter-based (Philox) with one stream per (point, channel), so
 fixed seeds give bit-identical counts on every platform, and each point's
 counts depend only on the seed and the point's stream index.
+
+Every simulation path evaluates its points as one stack: the Born-rule
+probabilities of up to ``BLOCK`` points come from one broadcast Kronecker
+product, one stacked matrix product and one stacked trace, with the same
+floating-point operations per point as :func:`coincidence_probs` on its own.
+One Philox generator is then reset to each (point, channel) stream in turn,
+so the counts are those of a generator built fresh for that stream.
 """
 
 from __future__ import annotations
@@ -16,20 +23,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ID2,
+    PAULI,
     VALIDATION_TOL,
     QubitMeasurement,
     TwoQubitState,
     measurement_from_polarization_angle,
-    projectors,
     validate_state,
 )
 from .errors import EmptyRecord, OutOfRange, TraceNotOne
-from .factories import BELL_KETS, KET_HH, KET_HV, KET_VH, KET_VV, werner, werner_prediction
+from .factories import (
+    BELL_KETS,
+    KET_HH,
+    KET_HV,
+    KET_VH,
+    KET_VV,
+    _philox_streams,
+    werner,
+    werner_prediction,
+)
 
 # Meter/signal analyzer angle pairs (degrees) used for the Bell-factor estimate.
 BELL_ANGLE_PAIRS = ((22.5, 45.0), (67.5, 45.0), (22.5, 0.0), (67.5, 0.0))
 
 SIGNAL_BASES = ("hv", "xy")
+
+# Points evaluated together; transient memory is O(BLOCK), not O(points).
+BLOCK = 1024
+# Bell records draw from the four streams from here on, above the streams of
+# the sweep points that share their seed.
+BELL_STREAM_OFFSET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -119,6 +142,41 @@ def signal_measurement(basis: str) -> QubitMeasurement:
     raise ValueError(f"unknown signal basis {basis!r}, expected one of {SIGNAL_BASES}")
 
 
+def _polarization_axes(thetas_deg) -> np.ndarray:
+    """Bloch axes of linear-polarization analyzers, shape (N, 3)."""
+    axes = [measurement_from_polarization_angle(theta).axis for theta in thetas_deg]
+    return np.array(axes).reshape(-1, 3)
+
+
+def _projector_stack(axes: np.ndarray) -> np.ndarray:
+    """The (+, -) projectors ``(1 +- a.sigma)/2`` of N axes, shape (N, 2, 2, 2)."""
+    a_sigma = np.einsum("Nk,kij->Nij", axes, PAULI)
+    return np.stack([0.5 * (ID2 + a_sigma), 0.5 * (ID2 - a_sigma)], axis=1)
+
+
+def _coincidence_stack(
+    state: TwoQubitState, meter_axes: np.ndarray, signal_axes: np.ndarray
+) -> np.ndarray:
+    """:func:`coincidence_probs` for N (meter, signal) axis pairs, shape (N, 4).
+
+    Raises TraceNotOne for the first point whose probabilities do not sum to 1.
+    """
+    probs = np.empty((len(meter_axes), 4))
+    for start in range(0, len(probs), BLOCK):
+        block = slice(start, start + BLOCK)
+        met = _projector_stack(meter_axes[block])
+        sig = _projector_stack(signal_axes[block])
+        # np.kron(sig[b], met[a]) for channel 2a + b, broadcast as np.kron does:
+        # axes (point, a, b, signal row, meter row, signal col, meter col).
+        ops = sig[:, None, :, :, None, :, None] * met[:, :, None, None, :, None, :]
+        probs[block] = np.trace(ops.reshape(-1, 4, 4, 4) @ state.matrix, axis1=2, axis2=3).real
+        totals = probs[block].sum(axis=1)
+        bad = np.abs(totals - 1.0) >= VALIDATION_TOL
+        if bad.any():
+            raise TraceNotOne(float(totals[np.argmax(bad)]))
+    return probs
+
+
 def coincidence_probs(
     state: TwoQubitState, pi_meter: QubitMeasurement, pi_signal: QubitMeasurement
 ) -> np.ndarray:
@@ -126,23 +184,26 @@ def coincidence_probs(
 
     Index order matches :class:`CountRecord`: first sign meter, second signal.
     """
-    sig = projectors(pi_signal)
-    met = projectors(pi_meter)
-    probs = np.array(
-        [
-            float(np.trace(np.kron(sig[b], met[a]) @ state.matrix).real)
-            for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))
-        ]
-    )
-    total = float(probs.sum())
-    if abs(total - 1.0) >= VALIDATION_TOL:
-        raise TraceNotOne(total)
-    return probs
+    return _coincidence_stack(state, pi_meter.axis[np.newaxis], pi_signal.axis[np.newaxis])[0]
 
 
-def _channel_rng(seed: int, stream: int, channel: int) -> np.random.Generator:
-    key = np.array([int(seed) % 2**64, (int(stream) << 2) | channel], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _simulate_stack(
+    state: TwoQubitState,
+    meter_axes: np.ndarray,
+    signal_axes: np.ndarray,
+    config: ExperimentConfig,
+    streams,
+) -> list[CountRecord]:
+    """:func:`simulate_counts` for N points; point ``i`` draws from RNG stream
+    ``streams[i]``, channel ``c`` of it from Philox key ``(seed, stream << 2 | c)``."""
+    probs = _coincidence_stack(state, meter_axes, signal_axes)
+    means = probs * config.pair_rate * config.duration + config.dark_coincidence_rate * config.duration
+    words = ((int(stream) << 2) | channel for stream in streams for channel in range(4))
+    counts = [
+        int(rng.poisson(max(mean, 0.0)))
+        for rng, mean in zip(_philox_streams(config.seed, words), means.ravel().tolist())
+    ]
+    return [CountRecord(*counts[i : i + 4]) for i in range(0, len(counts), 4)]
 
 
 def simulate_counts(
@@ -157,13 +218,9 @@ def simulate_counts(
     Channel means are ``p_ab * pair_rate * duration + dark_rate * duration``;
     ``stream`` selects the RNG stream so distinct points stay independent.
     """
-    probs = coincidence_probs(state, pi_meter, pi_signal)
-    means = probs * config.pair_rate * config.duration + config.dark_coincidence_rate * config.duration
-    counts = [
-        int(_channel_rng(config.seed, stream, channel).poisson(max(mean, 0.0)))
-        for channel, mean in enumerate(means)
-    ]
-    return CountRecord(*counts)
+    return _simulate_stack(
+        state, pi_meter.axis[np.newaxis], pi_signal.axis[np.newaxis], config, [stream]
+    )[0]
 
 
 def exact_counts(
@@ -284,32 +341,39 @@ def run_sweep_experiment(p: float, angles, config: ExperimentConfig) -> list[Swe
     or "xy".  Point ``i`` uses RNG stream ``i``.
     """
     state = werner(p)
-
-    def run_point(item) -> SweepPoint:
-        index, (theta_deg, basis) = item
-        pi_s = signal_measurement(basis)
-        pi_m = measurement_from_polarization_angle(theta_deg)
-        counts = simulate_counts(state, pi_m, pi_s, config, stream=index)
+    angles = list(angles)
+    signal_axes = {basis: signal_measurement(basis).axis for basis in {b for _, b in angles}}
+    records = _simulate_stack(
+        state,
+        _polarization_axes([theta for theta, _ in angles]),
+        np.array([signal_axes[basis] for _, basis in angles]).reshape(-1, 3),
+        config,
+        range(len(angles)),
+    )
+    points = []
+    for (theta_deg, basis), counts in zip(angles, records):
         k_hat = estimate_knowledge(counts)
         p_hat = estimate_apriori(counts)
         prediction = werner_prediction(p, theta_deg, theta_deg)
         theory = prediction.K if basis == "hv" else prediction.K_prime
-        return SweepPoint(float(theta_deg), basis, counts, k_hat, p_hat, k_hat - p_hat, theory)
-
-    return [run_point(item) for item in enumerate(angles)]
+        points.append(
+            SweepPoint(float(theta_deg), basis, counts, k_hat, p_hat, k_hat - p_hat, theory)
+        )
+    return points
 
 
 def simulate_bell_records(
-    state: TwoQubitState, config: ExperimentConfig, stream_offset: int = 1_000_000
+    state: TwoQubitState, config: ExperimentConfig, stream_offset: int = BELL_STREAM_OFFSET
 ) -> tuple[CountRecord, ...]:
     """Simulated counts at the four Bell-angle pairs (streams offset to avoid
     colliding with sweep points)."""
-    records = []
-    for index, (meter_deg, signal_deg) in enumerate(BELL_ANGLE_PAIRS):
-        pi_m = measurement_from_polarization_angle(meter_deg)
-        pi_s = measurement_from_polarization_angle(signal_deg)
-        records.append(simulate_counts(state, pi_m, pi_s, config, stream=stream_offset + index))
-    return tuple(records)
+    meter_degs, signal_degs = zip(*BELL_ANGLE_PAIRS)
+    streams = range(stream_offset, stream_offset + len(BELL_ANGLE_PAIRS))
+    return tuple(
+        _simulate_stack(
+            state, _polarization_axes(meter_degs), _polarization_axes(signal_degs), config, streams
+        )
+    )
 
 
 def bell_estimate_stderr(records) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,21 @@ def _random_density_matrix(rng: np.random.Generator, ancilla_dim: int) -> np.nda
     amplitudes = rng.normal(size=(4, ancilla_dim)) + 1j * rng.normal(size=(4, ancilla_dim))
     amplitudes /= np.linalg.norm(amplitudes)
     return amplitudes @ amplitudes.conj().T
+
+
+def _philox_streams(seed: int, words) -> Iterator[np.random.Generator]:
+    """A generator for each stream word in turn: Philox keyed by
+    ``(seed % 2**64, word)``, at counter 0.  One Philox is reset for every
+    word, because building a new one (which also reads OS entropy) costs
+    about as much as a few draws.  Each generator is valid until the next one
+    is taken."""
+    philox = np.random.Philox(key=0)
+    rng = np.random.Generator(philox)
+    fresh = philox.state
+    for word in words:
+        fresh["state"]["key"][:] = (int(seed) % 2**64, word)
+        philox.state = fresh
+        yield rng
 
 
 def random_state(seed: int, ancilla_dim: int) -> TwoQubitState:

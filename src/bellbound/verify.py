@@ -10,7 +10,6 @@ reports only the scalar results.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .core import (
     rotation_from_quaternion,
     validate_state,
 )
-from .factories import _random_density_matrix
+from .factories import _philox_streams, _random_density_matrix
 from .knowledge import BoundCheck, _bound_slacks, check_bound, check_same_meter_bound
 
 SLACK_FLOOR = -1e-9
@@ -68,19 +67,6 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _trial_rngs(seed: int, trials) -> Iterator[np.random.Generator]:
-    """Each trial's generator in turn: Philox keyed by (seed, trial), at
-    counter 0.  One Philox is reset for every trial, because building a new
-    one (which also reads OS entropy) costs about as much as the draws."""
-    philox = np.random.Philox(key=0)
-    rng = np.random.Generator(philox)
-    fresh = philox.state
-    for trial in trials:
-        fresh["state"]["key"][:] = (int(seed) % 2**64, trial)
-        philox.state = fresh
-        yield rng
-
-
 def _draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One trial's draws in stream order: the ancilla dimension and the
     unvalidated state, the signal-frame quaternion, then the two meter
@@ -92,7 +78,7 @@ def _draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 def run_trial(seed: int, trial: int) -> FuzzInstance:
     """One fuzz draw: random mixed state, random complementary signal pair,
     two random meter axes; checks both bounds."""
-    rho, quaternion, m, m_prime = _draw(next(_trial_rngs(seed, [trial])))
+    rho, quaternion, m, m_prime = _draw(next(_philox_streams(seed, [trial])))
     state = validate_state(rho)
     frame = rotation_from_quaternion(_unit(quaternion))
     pi_s = QubitMeasurement(frame[:, 0])
@@ -109,7 +95,7 @@ def run_trial(seed: int, trial: int) -> FuzzInstance:
 def _draw_block(seed: int, trials: np.ndarray) -> tuple[np.ndarray, ...]:
     """The draws of ``trials`` stacked: states (N, 4, 4), then the signal
     axes s, s' and the meter axes m, m' (N, 3 each)."""
-    rho, q, m, m_prime = (np.stack(c) for c in zip(*map(_draw, _trial_rngs(seed, trials))))
+    rho, q, m, m_prime = (np.stack(c) for c in zip(*map(_draw, _philox_streams(seed, trials))))
     w, x, y, z = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
     # Columns 0 and 1 of rotation_from_quaternion.
     s = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)], axis=1)

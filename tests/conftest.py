@@ -44,6 +44,15 @@ def trace_oracle(rho, s_axis, m_axis):
     return k, p, d
 
 
+def coincidence_oracle(rho, m_axis, s_axis):
+    """Channel probabilities (++, +-, -+, --), meter sign first, one
+    ``tr[(S_b x M_a) rho]`` at a time."""
+    sig, met = axis_projectors(s_axis), axis_projectors(m_axis)
+    return np.array(
+        [np.trace(np.kron(sig[b], met[a]) @ rho).real for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    )
+
+
 def reference_excess_sum(state, frames=20000, confirmed=4):
     """Best ``check_bound`` sum, with Helstrom meters, over a fixed set of
     signal frames: a fixed-seed uniform draw on SO(3) plus the six ordered

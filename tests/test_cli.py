@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import bellbound as bb
+from bellbound import cli
 from bellbound.cli import SURFACE_HEADER, SWEEP_HEADER, main
+from bellbound.io import format_float
 
 
 def write_werner_file(tmp_path, p=0.82):
@@ -171,6 +173,38 @@ class TestSurface:
         assert best[2] == pytest.approx(1.3448, abs=1e-10)
         assert (best[0], best[1]) == (0.0, 45.0)
 
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_rows_equal_row_wise_format_oracle(self, capsys, noise):
+        # every cell formatted on its own, from the public one-point functions
+        thetas = [-7.5 + 2.5 * i for i in range(9)]
+        theta_primes = [10.0 + 4.0 * j for j in range(6)]
+        args = ["surface", "--p", 0.7, "--theta-start", -7.5, "--theta-stop", 12.5,
+                "--theta-step", 2.5, "--theta-prime-start", 10, "--theta-prime-stop", 30,
+                "--theta-prime-step", 4]
+        state = bb.werner(0.7)
+        config = bb.ExperimentConfig(pair_rate=455.0, duration=22.0, seed=6)
+        hv = bb.measurement_from_polarization_angle(0.0)
+        xy = bb.measurement_from_polarization_angle(45.0)
+
+        def excess(theta, pi_s, stream):
+            pi_m = bb.measurement_from_polarization_angle(theta)
+            if noise:
+                counts = bb.simulate_counts(state, pi_m, pi_s, config, stream=stream)
+                return bb.estimate_knowledge(counts) - bb.estimate_apriori(counts)
+            return bb.knowledge(state, pi_m, pi_s) - bb.apriori(state, pi_s)
+
+        dk = [excess(t, hv, 2 * i) for i, t in enumerate(thetas)]
+        dkp = [excess(t, xy, 2 * j + 1) for j, t in enumerate(theta_primes)]
+        bound = (bb.bell_max(state) / 2.0) ** 2
+        expected = [",".join(SURFACE_HEADER)] + [
+            ",".join(format_float(v) for v in (t, tp, a * a, b * b, a * a + b * b, bound))
+            for t, a in zip(thetas, dk)
+            for tp, b in zip(theta_primes, dkp)
+        ]
+        code, out, _ = run_cli(args + (["--noise", "--seed", 6] if noise else []), capsys)
+        assert code == 0
+        assert out == "\n".join(expected) + "\n"
+
     def test_p045_bound_matches_theory(self, capsys):
         code, out, _ = run_cli(
             ["surface", "--p", 0.45, "--theta-step", 45, "--theta-prime-step", 45], capsys
@@ -179,6 +213,27 @@ class TestSurface:
         bound = float(out.splitlines()[1].split(",")[5])
         assert bound == pytest.approx(2 * 0.45**2, abs=1e-12)
         assert bound == pytest.approx((1.273 / 2) ** 2, abs=2e-4)
+
+
+class TestManifestStats:
+    @pytest.mark.parametrize(
+        "args,points",
+        [
+            (["sweep", "--theta-step", 10], 10),
+            (["sweep", "--noise", "--theta-step", 10], 10),
+            (["surface", "--theta-step", 10, "--theta-prime-step", 15], 10 + 7),
+            (["surface", "--noise", "--theta-step", 10, "--theta-prime-step", 15], 10 + 7),
+            (["simulate", "--theta-step", 10], 2 * 10 + 4),
+        ],
+    )
+    def test_points_and_render_time(self, tmp_path, capsys, args, points):
+        out_file = tmp_path / "data"
+        assert run_cli(args + ["--out", out_file], capsys)[0] == 0
+        manifest = json.loads((tmp_path / "data.manifest.json").read_text())
+        stats = manifest["stats"]
+        assert set(stats) == {"points", "render_s"}
+        assert stats["points"] == points
+        assert 0.0 <= stats["render_s"] <= manifest["duration_s"]
 
 
 class TestVerify:
@@ -302,6 +357,25 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--p", 0.82, "--duration", 0], capsys)
         assert code == 1
         assert "zero total" in err
+
+    def test_grid_reaching_bell_streams_exits_1_before_drawing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 500,001 angles give sweep streams 0..1,000,001, which would include
+        # the Bell records' streams from 1,000,000
+        def no_draws(*args, **kwargs):
+            raise AssertionError("counts were drawn")
+
+        monkeypatch.setattr(cli, "run_sweep_experiment", no_draws)
+        monkeypatch.setattr(cli, "simulate_bell_records", no_draws)
+        out_file = tmp_path / "sim.json"
+        code, out, err = run_cli(
+            ["simulate", "--theta-step", 1.8e-4, "--out", out_file], capsys
+        )
+        assert code == 1
+        assert out == "" and not out_file.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "500001 angles" in err
 
     def test_is_bit_reproducible(self, capsys):
         args = ["simulate", "--p", 0.45, "--theta-step", 45, "--seed", 13]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellbound as bb
-from conftest import random_unit_vector
+from bellbound.expsim import BELL_STREAM_OFFSET, BLOCK, _coincidence_stack, _simulate_stack
+from conftest import coincidence_oracle, random_unit_vector
 
 HV = bb.measurement_from_polarization_angle(0.0)
 XY = bb.measurement_from_polarization_angle(45.0)
@@ -19,6 +20,11 @@ counts_strategy = st.tuples(*[st.integers(min_value=0, max_value=10**6)] * 4).fi
 
 def random_measurement(rng):
     return bb.QubitMeasurement(random_unit_vector(rng))
+
+
+def random_axes(rng, n):
+    axes = rng.normal(size=(n, 3))
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True)
 
 
 class TestCoincidenceProbs:
@@ -55,6 +61,69 @@ class TestCoincidenceProbs:
             probs = bb.coincidence_probs(state, random_measurement(rng), random_measurement(rng))
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs >= -1e-12)
+
+
+class TestCoincidenceStack:
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_equals_kron_trace_oracle_bit_for_bit(self, rng, n):
+        for rank in (1, 2, 3, 4):
+            state = bb.random_state(n + rank, rank)
+            meters, signals = random_axes(rng, n), random_axes(rng, n)
+            probs = _coincidence_stack(state, meters, signals)
+            assert probs.shape == (n, 4)
+            for i in range(n):
+                assert np.array_equal(
+                    probs[i], coincidence_oracle(state.matrix, meters[i], signals[i])
+                )
+
+    def test_single_point_is_coincidence_probs(self, rng):
+        state = bb.random_state(5, 3)
+        pi_m, pi_s = random_measurement(rng), random_measurement(rng)
+        stacked = _coincidence_stack(state, pi_m.axis[np.newaxis], pi_s.axis[np.newaxis])
+        assert np.array_equal(stacked[0], bb.coincidence_probs(state, pi_m, pi_s))
+
+    def test_unnormalized_state_raises_trace_not_one(self, rng):
+        state = bb.TwoQubitState(1.5 * bb.random_state(3, 4).matrix)
+        with pytest.raises(bb.TraceNotOne):
+            _coincidence_stack(state, random_axes(rng, BLOCK + 1), random_axes(rng, BLOCK + 1))
+
+    def test_empty_stack(self):
+        empty = np.empty((0, 3))
+        assert _coincidence_stack(bb.werner(0.82), empty, empty).shape == (0, 4)
+
+
+class TestSimulateStack:
+    def test_each_channel_is_a_fresh_philox_draw(self, rng):
+        state = bb.random_state(11, 4)
+        streams = [0, 1, 5, BLOCK + 2, BELL_STREAM_OFFSET + 3]
+        meters, signals = random_axes(rng, len(streams)), random_axes(rng, len(streams))
+        for seed in (0, 7, -5, 2**64 + 3):
+            config = bb.ExperimentConfig(
+                pair_rate=455.0, duration=22.0, dark_coincidence_rate=2.0, seed=seed
+            )
+            records = _simulate_stack(state, meters, signals, config, streams)
+            means = _coincidence_stack(state, meters, signals) * 455.0 * 22.0 + 2.0 * 22.0
+            for stream, record, mean in zip(streams, records, means):
+                keys = [
+                    np.array([seed % 2**64, stream << 2 | channel], dtype=np.uint64)
+                    for channel in range(4)
+                ]
+                expected = [
+                    np.random.Generator(np.random.Philox(key=key)).poisson(channel_mean)
+                    for key, channel_mean in zip(keys, mean)
+                ]
+                assert [record.c_pp, record.c_pm, record.c_mp, record.c_mm] == expected
+
+    def test_points_are_simulate_counts(self, rng):
+        state = bb.random_state(2, 2)
+        config = bb.ExperimentConfig(pair_rate=455.0, duration=22.0, seed=4)
+        meters, signals = random_axes(rng, 3), random_axes(rng, 3)
+        records = _simulate_stack(state, meters, signals, config, [9, 3, 0])
+        for stream, record, m, s in zip([9, 3, 0], records, meters, signals):
+            single = bb.simulate_counts(
+                state, bb.QubitMeasurement(m), bb.QubitMeasurement(s), config, stream=stream
+            )
+            assert record == single
 
 
 class TestSimulateCounts:

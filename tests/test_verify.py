@@ -5,12 +5,12 @@ import pytest
 
 import bellbound as bb
 from bellbound import verify
+from bellbound.factories import _philox_streams
 from bellbound.io import dumps_json
 from bellbound.verify import (
     BLOCK,
     _draw_block,
     _screen,
-    _trial_rngs,
     fuzz_bounds,
     instance_to_json,
     run_trial,
@@ -34,7 +34,7 @@ class TestFuzzBounds:
     def test_trial_streams_are_philox_keyed_by_seed_and_trial(self):
         trials = [0, 1, BLOCK, 10**6]
         for seed in (0, 7, -5, 2**64 + 3):
-            draws = [rng.random(8) for rng in _trial_rngs(seed, trials)]
+            draws = [rng.random(8) for rng in _philox_streams(seed, trials)]
             for trial, values in zip(trials, draws):
                 key = np.array([seed % 2**64, trial], dtype=np.uint64)
                 expected = np.random.Generator(np.random.Philox(key=key)).random(8)
