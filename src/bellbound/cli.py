@@ -240,9 +240,17 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def _csv_text(header, rows) -> str:
+    """CSV text of ``rows``: a ``str`` cell is taken as already formatted (it
+    may hold several joined cells), a float is formatted by ``format_float``,
+    anything else by ``str``."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(
+            ",".join([
+                v if isinstance(v, str) else format_float(v) if isinstance(v, float) else str(v)
+                for v in row
+            ])
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -296,15 +304,17 @@ def cmd_surface(ns: argparse.Namespace) -> int:
     dk2 = [v * v for v in values[: len(thetas)]]
     dkp2 = [v * v for v in values[len(thetas):]]
     # Every column but the sum repeats along one axis, so each of its values
-    # is formatted once and the strings pass through _csv_text as they are.
+    # is formatted once, and each row passes _csv_text its first four cells
+    # pre-joined, the sum as a float and the bound's string.  The rows are
+    # generated as _csv_text reads them, so they are never all held at once.
     bound = format_float((_bell_max(form) / 2.0) ** 2)
     left = [(format_float(t), format_float(v)) for t, v in zip(thetas, dk2)]
     right = [(format_float(t), format_float(v)) for t, v in zip(theta_primes, dkp2)]
-    rows = [
-        (theta, theta_prime, a_text, b_text, a + b, bound)
+    rows = (
+        (f"{theta},{theta_prime},{a_text},{b_text}", a + b, bound)
         for (theta, a_text), a in zip(left, dk2)
         for (theta_prime, b_text), b in zip(right, dkp2)
-    ]
+    )
     text, stats = _render(_csv_text, SURFACE_HEADER, rows, points=len(values))
     manifest = RunManifest(
         command="surface",
@@ -537,7 +547,12 @@ def cmd_filter(ns: argparse.Namespace) -> int:
         replay_argv=["filter", str(ns.state_file)]
         + _replay_argv("filter", params)[1:],
         duration_s=watch.elapsed(),
-        stats={"filter_iterations": result.iterations, "deviation_log": list(result.deviation_log)},
+        stats={
+            "filter_iterations": result.iterations,
+            "deviation_log": list(result.deviation_log),
+            "optimizer_path": optimum.path,
+            "optimizer_evaluations": optimum.evaluations,
+        },
     )
     _emit(ns, text, manifest)
     return 0

@@ -7,8 +7,6 @@ direct trace over the conditional meter states.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,7 +19,6 @@ from .core import (
     BlochForm,
     QubitMeasurement,
     TwoQubitState,
-    _readonly,
     are_complementary,
     decompose,
 )
@@ -52,13 +49,17 @@ class BoundCheck:
 
 
 class ExcessOptimum(NamedTuple):
-    """Measurement quadruple maximizing the excess sum, plus the bound check."""
+    """Measurement quadruple maximizing the excess sum, plus the bound check,
+    the step of :func:`optimize_excess_sum` that returned it (``path``) and
+    the number of frames its polish evaluated (``evaluations``)."""
 
     pi_s: QubitMeasurement
     pi_s_prime: QubitMeasurement
     pi_m: QubitMeasurement
     pi_m_prime: QubitMeasurement
     check: BoundCheck
+    path: str = "certified"
+    evaluations: int = 0
 
 
 def _apriori(form: BlochForm, s: np.ndarray) -> float:
@@ -248,30 +249,24 @@ def _proper_rotation_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return o_s, d, o_m
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use: only the optimizer needs scipy."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
-# The fixed screening grid: GRID_DIRECTIONS Fibonacci points s on the upper
-# hemisphere, each with GRID_TURNS axes s' spread over half a turn of the plane
-# perpendicular to s (s -> -s and s' -> -s' leave the objective unchanged).
-GRID_DIRECTIONS = 128
-GRID_TURNS = 16
 # The ridge grid: RIDGE_TURNS x RIDGE_TURNS frames with s' perpendicular to n.
 RIDGE_TURNS = 32
 # Frames are polished from the best POLISH_STARTS screened candidates that are
 # pairwise further apart than DISTINCT_COSINE allows, up to the symmetries.
 POLISH_STARTS = 3
 DISTINCT_COSINE = 0.98
-# Nelder-Mead's first simplex spans about half the grid spacing, in radians.
-POLISH_STEP = 0.1
-# (xatol, fatol) of the polish from each start, and of the restarts.
-SCREEN_POLISH_TOL = (1e-6, 1e-10)
-FINAL_POLISH_TOL = (1e-10, 1e-12)
-MAX_RESTARTS = 5
+# Each Newton iteration tries the step scaled by 1, 1/2, ..., 2**(1 - STEP_TRIALS)
+# at once and keeps the best trial.  A lane stops once its best trial gains no
+# more than GAIN_TOL; the polish stops when every lane has stopped, or after
+# MAX_ITERATIONS.
+STEP_TRIALS = 12
+GAIN_TOL = 1e-15
+MAX_ITERATIONS = 60
+# No rotation angle of a step exceeds MAX_STEP radians, and curvatures are
+# floored at CURVATURE_FLOOR times the largest, so a flat direction cannot
+# send a step off.
+MAX_STEP = 0.5
+CURVATURE_FLOOR = 1e-9
 # A frame whose sum is within CERTIFY_TOL of the bound is within CERTIFY_TOL of
 # the optimum, the accuracy the library promises (slacks are floored at -1e-9).
 # It covers filtered states: the filter's tolerance leaves |n| ~ 1e-10, which
@@ -279,29 +274,16 @@ MAX_RESTARTS = 5
 CERTIFY_TOL = 1e-9
 
 
-@functools.cache
-def _frame_grid() -> tuple[np.ndarray, np.ndarray]:
-    """Fixed screening frames ``(s, s')``, two (N, 3) arrays, built on first use."""
-    k = np.arange(GRID_DIRECTIONS)
-    cos_theta = (k + 0.5) / GRID_DIRECTIONS
-    sin_theta = np.sqrt(1.0 - cos_theta**2)
-    phi = k * math.pi * (3.0 - math.sqrt(5.0))
-    s = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=1)
-    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
-    e_theta = np.cross(e_phi, s)
-    psi = (np.arange(GRID_TURNS) * math.pi / GRID_TURNS)[None, :, None]
-    s_prime = np.cos(psi) * e_phi[:, None, :] + np.sin(psi) * e_theta[:, None, :]
-    return _readonly(np.repeat(s, GRID_TURNS, axis=0)), _readonly(s_prime.reshape(-1, 3))
-
-
-def _ridge_frames(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frames ``(s, s')`` with ``n.s' = 0``, where the objective has a kink.
+def _ridge_frames(
+    n_hat: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frames ``(s, s')`` with ``n.s' = 0``, where the objective has a kink,
+    for an orthonormal basis ``(n_hat, a, b)`` with ``n_hat`` along ``n``.
 
     ``s'`` turns by the angle alpha in the plane perpendicular to ``n``, and
     ``s`` by beta from ``n`` towards that plane; beta = pi/2 gives the
     double-ridge frames, where ``n.s = 0`` too.
     """
-    n_hat, a, b = np.linalg.svd(n[None, :])[2]
     angles = np.arange(RIDGE_TURNS) * math.pi / RIDGE_TURNS
     alpha, beta = (g.reshape(-1, 1) for g in np.meshgrid(angles, angles))
     s_prime = np.cos(alpha) * a + np.sin(alpha) * b
@@ -309,36 +291,24 @@ def _ridge_frames(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, s_prime
 
 
-def _rotation(rotvec: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a rotation vector, by Rodrigues' formula."""
-    x, y, z = rotvec.tolist()
-    angle = math.sqrt(x * x + y * y + z * z)
-    if angle == 0.0:
-        return np.eye(3)
-    a = math.sin(angle) / angle
-    b = 2.0 * (math.sin(0.5 * angle) / angle) ** 2
-    return np.array(
-        [
-            [1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y],
-            [b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x],
-            [b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y)],
-        ]
-    )
+def _excess_sums(form: BlochForm, frames: np.ndarray) -> np.ndarray:
+    """``(D - P)^2 + (D' - P')^2`` of each frame of a stack (..., 2, 3) of
+    signal axes ``(s, s')``."""
+    projected = frames @ form.T
+    excess = np.maximum(0.0, np.sqrt((projected**2).sum(axis=-1)) - np.abs(frames @ form.n))
+    return (excess**2).sum(axis=-1)
 
 
-def _excess_sums(form: BlochForm, s: np.ndarray, s_prime: np.ndarray) -> np.ndarray:
-    """``(D - P)^2 + (D' - P')^2`` for stacks of signal axes, shape (N, 3)."""
-
-    def excess(axes: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, np.linalg.norm(axes @ form.T, axis=1) - np.abs(axes @ form.n))
-
-    return excess(s) ** 2 + excess(s_prime) ** 2
+def _cross_matrices(axes: np.ndarray) -> np.ndarray:
+    """Cross-product matrices ``K a = axis x a`` of a stack of axes (..., 3)."""
+    return np.cross(axes[..., None, :], np.eye(3)).swapaxes(-1, -2)
 
 
-def _distinct_best(scores: np.ndarray, s: np.ndarray, s_prime: np.ndarray) -> list[int]:
-    """Indices of the best POLISH_STARTS frames, no two of them alike up to
-    ``s -> -s``, ``s' -> -s'`` and ``s <-> s'``."""
-    scores = scores.copy()
+def _distinct_best(form: BlochForm, frames: np.ndarray) -> np.ndarray:
+    """The best POLISH_STARTS frames of a stack (N, 2, 3), no two of them
+    alike up to ``s -> -s``, ``s' -> -s'`` and ``s <-> s'``."""
+    scores = _excess_sums(form, frames)
+    s, s_prime = frames[:, 0], frames[:, 1]
     picks = []
     while len(picks) < POLISH_STARTS and np.isfinite(scores).any():
         i = int(np.argmax(scores))
@@ -346,56 +316,114 @@ def _distinct_best(scores: np.ndarray, s: np.ndarray, s_prime: np.ndarray) -> li
         same = np.minimum(np.abs(s @ s[i]), np.abs(s_prime @ s_prime[i]))
         swapped = np.minimum(np.abs(s @ s_prime[i]), np.abs(s_prime @ s[i]))
         scores[np.maximum(same, swapped) > DISTINCT_COSINE] = -np.inf
-    return picks
+    return frames[picks]
 
 
-def _polish(
-    projection: np.ndarray, start: np.ndarray, tol: tuple[float, float]
-) -> tuple[np.ndarray, float]:
-    """Nelder-Mead over rotation vectors applied to the frame ``start`` (3, 2),
-    with ``projection`` = ``[T^T; n]``: the best frame and its negated sum."""
+def _newton_step(form: BlochForm, frames: np.ndarray, skews: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton step of every lane, in the angles of its chart.
 
-    def negated_objective(rotvec: np.ndarray) -> float:
-        projected = projection @ (_rotation(rotvec) @ start)
-        excess = np.maximum(0.0, np.sqrt((projected[:3] ** 2).sum(axis=0)) - np.abs(projected[3]))
-        return -float(excess @ excess)
+    Lane ``k`` moves its frame ``frames[k]`` (2, 3) by the rotations
+    ``exp(w_0 K_0) exp(w_1 K_1) ...``, ``K_i = skews[k, i]`` the
+    cross-product matrix of the chart's i-th axis.  On the chart the excess
+    sum has gradient ``sum_x J_i . g(x)`` and Hessian
+    ``sum_x J_i^T H(x) J_j + g(x) . K_i K_j x`` (i <= j), where
+    ``J_i = K_i x`` and ``g``, ``H`` are the gradient and Hessian of
+    ``h(x) = max(0, |T^T x| - |n.x|)^2``:
 
-    result = minimize(
-        negated_objective,
-        np.zeros(3),
-        method="Nelder-Mead",
-        options={
-            "xatol": tol[0],
-            "fatol": tol[1],
-            "maxiter": 4000,
-            "initial_simplex": np.vstack([np.zeros(3), POLISH_STEP * np.eye(3)]),
-        },
+        g = 2e (T T^T x / |T^T x| - sign(n.x) n),
+        H = 2 grad e grad e^T + 2e (T T^T - u u^T) / |T^T x|,  u = T T^T x / |T^T x|.
+
+    Where ``e = 0`` both vanish, so no lane divides by ``|T^T x| = 0``.  The
+    step takes each curvature by its absolute value, floored, so it always
+    ascends.
+    """
+    n, t = form.n, form.T
+    y = frames @ t
+    r = np.sqrt((y * y).sum(axis=-1))
+    c = frames @ n
+    e = r - np.abs(c)
+    active = e > 0.0
+    e = np.where(active, e, 0.0)
+    r = np.where(active, r, 1.0)
+    u = (y @ t.T) / r[..., None]
+    de = u - np.sign(c)[..., None] * n
+    grad = (2.0 * e)[..., None] * de
+    hess = 2.0 * (
+        active[..., None, None] * (de[..., :, None] * de[..., None, :])
+        + (e / r)[..., None, None] * (t @ t.T - u[..., :, None] * u[..., None, :])
     )
-    return _rotation(result.x) @ start, float(result.fun)
+    jac = np.einsum("kimn,kan->kaim", skews, frames)
+    gradient = np.einsum("kam,kaim->ki", grad, jac)
+    second = np.einsum("kam,kimn,kjnp,kap->kij", grad, skews, skews, frames)
+    second = np.triu(second) + np.triu(second, 1).swapaxes(1, 2)
+    hessian = np.einsum("kaim,kamn,kajn->kij", jac, hess, jac) + second
+    curvature, basis = np.linalg.eigh(hessian)
+    curvature = np.abs(curvature)
+    floor = CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True)
+    curvature = np.maximum(curvature, np.maximum(floor, np.finfo(float).tiny))
+    step = np.einsum("kij,kj->ki", basis, np.einsum("kji,kj->ki", basis, gradient) / curvature)
+    return step * (MAX_STEP / np.maximum(np.abs(step).max(axis=1, keepdims=True), MAX_STEP))
 
 
-def _search(form: BlochForm, u: np.ndarray) -> np.ndarray:
-    """Screen candidate frames, polish the best distinct ones: the frame (3, 2)."""
-    i, j = np.array(list(itertools.permutations(range(3), 2))).T
-    grid_s, grid_s_prime = _frame_grid()
-    ridge_s, ridge_s_prime = _ridge_frames(form.n)
-    s = np.vstack([u[:, i].T, ridge_s, grid_s])
-    s_prime = np.vstack([u[:, j].T, ridge_s_prime, grid_s_prime])
-    projection = np.vstack([form.T.T, form.n])
-    polished = [
-        _polish(projection, np.stack([s[k], s_prime[k]], axis=1), SCREEN_POLISH_TOL)
-        for k in _distinct_best(_excess_sums(form, s, s_prime), s, s_prime)
-    ]
-    frame, value = min(polished, key=lambda result: result[1])
-    # Nelder-Mead stalls on a kink; a fresh simplex moves it on.
-    for _ in range(MAX_RESTARTS):
-        restarted, restarted_value = _polish(projection, frame, FINAL_POLISH_TOL)
-        gain = value - restarted_value
-        if gain > 0.0:
-            frame, value = restarted, restarted_value
-        if gain <= FINAL_POLISH_TOL[1]:
+def _rotate(frames: np.ndarray, skews: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Frames (k, 2, 3) rotated by ``exp(a_0 K_0) exp(a_1 K_1)`` for each row
+    of ``angles`` (k, m, 2): the trial frames, shape (k, m, 2, 3)."""
+    rotation = np.eye(3)
+    for i in range(skews.shape[1]):
+        skew = skews[:, None, i]
+        angle = angles[..., i, None, None]
+        factor = np.eye(3) + np.sin(angle) * skew + (1.0 - np.cos(angle)) * (skew @ skew)
+        rotation = rotation @ factor
+    return frames[:, None] @ rotation.swapaxes(-1, -2)
+
+
+def _polish(form: BlochForm, n_hat: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, int]:
+    """Newton ascent on the ridge ``n.s' = 0`` from every start frame at once.
+
+    ``frames`` (k, 2, 3) holds the starts as ``(s, s')`` rows, each with
+    ``n.s' = 0``.  Every lane turns its frame about ``n_hat`` (the unit
+    ``n``) and about its own ``s'``, the alpha and beta of
+    :func:`_ridge_frames`, so it stays on the ridge.  Each iteration tries
+    STEP_TRIALS scalings of every lane's Newton step at once and keeps a
+    lane's best trial when it gains.  Returns the best polished frame (2, 3)
+    and the number of frames evaluated.
+    """
+    turn_about_n = np.broadcast_to(_cross_matrices(n_hat), (len(frames), 3, 3))
+    scales = 0.5 ** np.arange(STEP_TRIALS)
+    values = _excess_sums(form, frames)
+    running = np.ones(len(frames), dtype=bool)
+    evaluations = len(frames)
+    lanes = np.arange(len(frames))
+    for _ in range(MAX_ITERATIONS):
+        skews = np.stack([turn_about_n, _cross_matrices(frames[:, 1])], axis=1)
+        step = _newton_step(form, frames, skews)
+        trials = _rotate(frames, skews, scales[None, :, None] * step[:, None, :])
+        trial_values = _excess_sums(form, trials)
+        evaluations += trial_values.size
+        best = trial_values.argmax(axis=1)
+        gain = trial_values[lanes, best] - values
+        moved = running & (gain > 0.0)
+        frames = np.where(moved[:, None, None], trials[lanes, best], frames)
+        values = np.where(moved, trial_values[lanes, best], values)
+        running &= gain > GAIN_TOL
+        if not running.any():
             break
-    return frame
+    return frames[int(np.argmax(values))], evaluations
+
+
+def _search(form: BlochForm) -> tuple[np.ndarray, int]:
+    """Screen the ridge frames, polish the best distinct ones: the frame
+    (2, 3) and the number of frames the polish evaluated."""
+    n_hat, a, b = np.linalg.svd(form.n[None, :])[2]
+    ridge = np.stack(_ridge_frames(n_hat, a, b), axis=1).reshape(RIDGE_TURNS, RIDGE_TURNS, 2, 3)
+    # Row beta = pi/2 is the double ridge, where every frame has the same sum:
+    # left in the screen, its frames would all tie and crowd out the rest.
+    double = ridge[RIDGE_TURNS // 2, 0]
+    single = np.delete(ridge, RIDGE_TURNS // 2, axis=0).reshape(-1, 2, 3)
+    frame, evaluations = _polish(form, n_hat, _distinct_best(form, single))
+    if _excess_sums(form, double) > _excess_sums(form, frame):
+        frame = double
+    return frame, evaluations
 
 
 def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
@@ -411,30 +439,39 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
        so the seed is then optimal to that accuracy.  This covers every state
        with ``n = 0`` (Werner, Bell-diagonal), where the seed attains the
        bound, and the output of ``canonical.filter_normal_form``.
-    2. Screen: otherwise the closed-form sum is evaluated in one numpy pass
-       over the six ordered pairs of singular directions, the ridge frames
-       where ``n.s' = 0`` (among them the double-ridge frames, where also
-       ``n.s = 0``), and a fixed grid of 2048 frames built on first use.
-    3. Polish: Nelder-Mead (scipy, imported on first use) refines each of
-       the best three screened frames that are distinct up to the symmetries
-       ``s -> -s``, ``s' -> -s'`` and ``s <-> s'``, over a rotation vector
-       applied to the start frame.  Nelder-Mead stalls on the kinks, so the
-       best result is restarted from a fresh simplex, at tighter tolerances,
-       while that gains more than 1e-12 (at most ``MAX_RESTARTS`` times).
+    2. Screen: otherwise the search runs on the ridge ``n.s' = 0`` alone,
+       which holds an optimum.  Where both excesses of a frame are positive,
+       turning the frame in its own plane until one axis is perpendicular to
+       ``n`` does not lower the sum; where one excess is 0, turning that
+       axis about the other until it is perpendicular to ``n`` does not
+       either.  The closed-form sum is evaluated in one numpy pass over a
+       32 x 32 grid of ridge frames.
+    3. Polish: on the ridge the sum is smooth except where it meets the
+       other kink ``n.s = 0``, the double ridge.  Every double-ridge frame
+       has the same sum ``tr(T T^T) - n^T T T^T n / |n|^2``, so those frames
+       are screened apart: left in, they would all tie.  The best three
+       other ridge frames that are distinct up to ``s -> -s``, ``s' -> -s'``
+       and ``s <-> s'`` are polished by Newton steps over the two angles
+       that keep ``n.s' = 0``, all at once (numpy only).  The best polished
+       frame is returned, or a double-ridge frame if its sum is higher.
 
     The result's ``check`` is :func:`check_bound` with :func:`optimal_meter`
-    meters on the returned signal pair.
+    meters on the returned signal pair; ``path`` says which step returned it
+    (``"certified"`` or ``"searched"``) and ``evaluations`` counts the frames
+    the polish evaluated (0 when certified).
     """
     form = decompose(state)
     u = np.linalg.svd(form.T)[0]
     bound = (_bell_max(form) / 2.0) ** 2
-    if _excess_sums(form, u[:, :1].T, u[:, 1:2].T)[0] >= bound - CERTIFY_TOL:
+    if _excess_sums(form, u[:, :2].T) >= bound - CERTIFY_TOL:
         s, s_prime = u[:, 0], u[:, 1]
+        path, evaluations = "certified", 0
     else:
-        s, s_prime = _search(form, u).T
+        (s, s_prime), evaluations = _search(form)
+        path = "searched"
     pi_s = QubitMeasurement(s)
     pi_s_prime = QubitMeasurement(s_prime)
     pi_m = optimal_meter(state, pi_s)
     pi_m_prime = optimal_meter(state, pi_s_prime)
     check = check_bound(state, pi_s, pi_s_prime, pi_m, pi_m_prime)
-    return ExcessOptimum(pi_s, pi_s_prime, pi_m, pi_m_prime, check)
+    return ExcessOptimum(pi_s, pi_s_prime, pi_m, pi_m_prime, check, path, evaluations)

@@ -447,6 +447,21 @@ class TestFilter:
         log = stats["deviation_log"]
         assert len(log) == report["iterations"]
         assert log[-1] <= 1e-10 < log[0]
+        # The filtered state attains its bound, so the optimizer needs no search.
+        assert (stats["optimizer_path"], stats["optimizer_evaluations"]) == ("certified", 0)
+
+    def test_manifest_records_a_searched_optimum(self, tmp_path, capsys):
+        # A loose filter tolerance leaves the state short of its bound.
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"factory": "random", "seed": 12, "ancilla_dim": 4}))
+        out_file = tmp_path / "filter.json"
+        code, _, _ = run_cli(["filter", path, "--tol", "1e-2", "--out", out_file], capsys)
+        assert code == 0
+        report = json.loads(out_file.read_text())
+        assert "optimizer_path" not in report and "optimizer_evaluations" not in report
+        stats = json.loads((tmp_path / "filter.json.manifest.json").read_text())["stats"]
+        assert stats["optimizer_path"] == "searched"
+        assert stats["optimizer_evaluations"] > 0
 
     def test_pure_product_exits_1(self, tmp_path, capsys):
         matrix = np.zeros((4, 4))
