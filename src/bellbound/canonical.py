@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +128,13 @@ def filter_normal_form(
     ``(2 rho_M)^(-1/2)`` on the meter side, renormalizing after each, until
     both reductions are within ``tol`` of 1/2.  A final canonical rotation
     (skipped when T is already diagonal) brings the state to Bell-diagonal
-    form with a Bell factor at least as large as the input's.
+    form with a Bell factor at least as large as the input's.  ``tol`` must
+    be a finite number > 0 and ``max_iter`` at least 1 (ValueError).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"filter tol must be a finite number > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"filter max_iter must be >= 1, got {max_iter}")
     rho = np.array(state.matrix)
     f_signal = np.array(ID2)
     f_meter = np.array(ID2)

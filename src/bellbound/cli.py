@@ -10,55 +10,16 @@ over config file over built-in defaults; the config file is a flat
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .canonical import canonical_form, filter_normal_form
-from .core import QubitMeasurement, decompose, measurement_from_polarization_angle
 from .errors import BellboundError
-from .expsim import (
-    BELL_ANGLE_PAIRS,
-    BELL_STREAM_OFFSET,
-    ExperimentConfig,
-    _polarization_axes,
-    _simulate_stack,
-    bell_estimate_stderr,
-    estimate_apriori,
-    estimate_bell_max,
-    estimate_correlation,
-    estimate_knowledge,
-    mixed_state_from_model,
-    mixing_model_from_schedule,
-    run_sweep_experiment,
-    signal_measurement,
-    simulate_bell_records,
-)
-from .factories import werner, werner_prediction
-from .io import (
-    RunManifest,
-    Stopwatch,
-    bloch_to_json,
-    bound_check_to_json,
-    dumps_json,
-    filter_result_to_json,
-    format_float,
-    load_state,
-    write_json,
-    write_manifest,
-)
-from .knowledge import (
-    _apriori,
-    _bell_max,
-    _knowledge,
-    bell_max,
-    distinguishability_excess,
-    optimize_excess_sum,
-)
-from .verify import SLACK_FLOOR, evaluate_instance_json, fuzz_bounds, instance_to_json
+
+# Each command imports the library modules it uses in its own body, so that
+# --version, --help and usage errors load no numpy and every subcommand loads
+# only what it needs.
 
 SWEEP_HEADER = ["theta_deg", "K_hat", "P_hat", "dK_hat", "dK_theory"]
 SURFACE_HEADER = ["theta_deg", "theta_prime_deg", "dK2", "dKp2", "sum", "bound"]
@@ -71,17 +32,12 @@ DEFAULT_DURATION = 22.0
 REFERENCE_MEASUREMENTS = {0.82: (2.36, 0.02), 0.45: (1.32, 0.02)}
 
 
-def _load_config_file(path: Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
+_NOISE_PARAMS = {
+    "pair_rate": (float, DEFAULT_PAIR_RATE),
+    "duration": (float, DEFAULT_DURATION),
+    "dark_rate": (float, 0.0),
+    "seed": (int, 0),
+}
 
 
 def _parse_bool(text: str) -> bool:
@@ -93,11 +49,70 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _resolve(ns: argparse.Namespace, param_spec: dict[str, tuple]) -> dict:
-    """Merge flags > config file > defaults for the keys in ``param_spec``."""
+# Each subcommand's parameters, (caster, default) by config key, in the order
+# of the manifest and of replay_argv.  analyze takes none.
+PARAM_SPECS = {
+    "sweep": {
+        "p": (float, 0.82),
+        "theta_start": (float, 0.0),
+        "theta_stop": (float, 90.0),
+        "theta_step": (float, 1.0),
+        "signal": (str, "hv"),
+        "noise": (_parse_bool, False),
+        **_NOISE_PARAMS,
+    },
+    "surface": {
+        "p": (float, 0.82),
+        "theta_start": (float, 0.0),
+        "theta_stop": (float, 90.0),
+        "theta_step": (float, 1.0),
+        "theta_prime_start": (float, 0.0),
+        "theta_prime_stop": (float, 90.0),
+        "theta_prime_step": (float, 1.0),
+        "noise": (_parse_bool, False),
+        **_NOISE_PARAMS,
+    },
+    "simulate": {
+        "p": (float, 0.82),
+        "theta_start": (float, 0.0),
+        "theta_stop": (float, 90.0),
+        "theta_step": (float, 5.0),
+        "visibility": (float, None),
+        "schedule_durations": (str, None),
+        "schedule_rates": (str, None),
+        **_NOISE_PARAMS,
+    },
+    "verify": {"trials": (int, 10_000), "seed": (int, 1)},
+    "filter": {"tol": (float, 1e-10), "max_iter": (int, 10_000)},
+}
+# A config file may serve several subcommands, so a key that any of them
+# takes is accepted by all; any other key is an error.
+CONFIG_KEYS = frozenset(key for spec in PARAM_SPECS.values() for key in spec)
+
+
+def _load_config_file(path: Path) -> dict[str, str]:
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ValueError(
+                f"{path}:{lineno}: config key {key!r} is not a parameter of any subcommand"
+            )
+        values[key] = value.strip()
+    return values
+
+
+def _resolve(ns: argparse.Namespace, command: str) -> dict:
+    """Merge flags > config file > defaults for the parameters of ``command``."""
     config = _load_config_file(ns.config) if ns.config else {}
     resolved = {}
-    for key, (caster, default) in param_spec.items():
+    for key, (caster, default) in PARAM_SPECS.get(command, {}).items():
         flag_value = getattr(ns, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
@@ -111,10 +126,12 @@ def _resolve(ns: argparse.Namespace, param_spec: dict[str, tuple]) -> dict:
     return resolved
 
 
-def _emit(ns: argparse.Namespace, text: str, manifest: RunManifest) -> None:
+def _emit(ns: argparse.Namespace, text: str, manifest) -> None:
     if ns.out is None:
         sys.stdout.write(text)
         return
+    from .io import write_manifest
+
     ns.out.parent.mkdir(parents=True, exist_ok=True)
     ns.out.write_text(text, encoding="utf-8", newline="\n")
     manifest.outputs = [str(ns.out)]
@@ -122,9 +139,15 @@ def _emit(ns: argparse.Namespace, text: str, manifest: RunManifest) -> None:
     write_manifest(ns.out, manifest)
 
 
-def _grid(start: float, stop: float, step: float) -> list[float]:
+def _grid(params: dict, axis: str) -> list[float]:
+    """The angle grid of ``axis`` (``theta`` or ``theta_prime``) from its
+    ``_start``, ``_stop`` and ``_step`` parameters."""
+    start, stop, step = (params[f"{axis}_{part}"] for part in ("start", "stop", "step"))
+    for part, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{axis}_{part} must be a finite number, got {value}")
     if step <= 0:
-        raise ValueError(f"grid step must be positive, got {step}")
+        raise ValueError(f"{axis}_step must be positive, got {step}")
     values = []
     k = 0
     while True:
@@ -139,6 +162,8 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 
 
 def _replay_argv(command: str, params: dict, skip=()) -> list[str]:
+    from .io import format_float
+
     argv = [command]
     for key, value in params.items():
         if key in skip or value is None:
@@ -152,8 +177,25 @@ def _replay_argv(command: str, params: dict, skip=()) -> list[str]:
     return argv
 
 
+def _experiment_config(params: dict):
+    from .expsim import ExperimentConfig
+
+    return ExperimentConfig(
+        pair_rate=params["pair_rate"],
+        duration=params["duration"],
+        dark_coincidence_rate=params["dark_rate"],
+        seed=params["seed"],
+    )
+
+
 def cmd_analyze(ns: argparse.Namespace) -> int:
+    from .canonical import canonical_form
+    from .core import QubitMeasurement, decompose
+    from .io import RunManifest, Stopwatch, bloch_to_json, dumps_json, load_state
+    from .knowledge import bell_max, distinguishability_excess
+
     watch = Stopwatch()
+    _resolve(ns, "analyze")
     state = load_state(ns.state_file)
     form = decompose(state)
     cf = canonical_form(state)
@@ -177,46 +219,31 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _noise_params() -> dict[str, tuple]:
-    return {
-        "pair_rate": (float, DEFAULT_PAIR_RATE),
-        "duration": (float, DEFAULT_DURATION),
-        "dark_rate": (float, 0.0),
-        "seed": (int, 0),
-    }
-
-
 def cmd_sweep(ns: argparse.Namespace) -> int:
+    from .io import RunManifest, Stopwatch
+
     watch = Stopwatch()
-    param_spec = {
-        "p": (float, 0.82),
-        "theta_start": (float, 0.0),
-        "theta_stop": (float, 90.0),
-        "theta_step": (float, 1.0),
-        "signal": (str, "hv"),
-        "noise": (_parse_bool, False),
-        **_noise_params(),
-    }
-    params = _resolve(ns, param_spec)
-    thetas = _grid(params["theta_start"], params["theta_stop"], params["theta_step"])
+    params = _resolve(ns, "sweep")
+    thetas = _grid(params, "theta")
     rows = []
     if params["noise"]:
-        config = ExperimentConfig(
-            pair_rate=params["pair_rate"],
-            duration=params["duration"],
-            dark_coincidence_rate=params["dark_rate"],
-            seed=params["seed"],
-        )
+        from .expsim import run_sweep_experiment
+
         points = run_sweep_experiment(
             params["p"],
             [(theta, params["signal"]) for theta in thetas],
-            config,
+            _experiment_config(params),
         )
         for point in points:
             rows.append(
                 (point.theta_deg, point.k_hat, point.p_hat, point.dk_hat, point.dk_theory)
             )
     else:
+        from .core import decompose, measurement_from_polarization_angle
+        from .expsim import signal_measurement
+        from .factories import werner, werner_prediction
+        from .knowledge import _apriori, _knowledge
+
         form = decompose(werner(params["p"]))
         s = signal_measurement(params["signal"]).axis
         p_hat = _apriori(form, s)
@@ -241,8 +268,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 def _csv_text(header, rows) -> str:
     """CSV text of ``rows``: a ``str`` cell is taken as already formatted (it
-    may hold several joined cells), a float is formatted by ``format_float``,
-    anything else by ``str``."""
+    may hold several joined cells, or several whole rows), a float is
+    formatted by ``format_float``, anything else by ``str``."""
+    from .io import format_float
+
     lines = [",".join(header)]
     for row in rows:
         lines.append(
@@ -257,29 +286,51 @@ def _csv_text(header, rows) -> str:
 def _render(render, *args, points: int) -> tuple[str, dict]:
     """``render(*args)`` and the run stats: the number of analyzer settings
     evaluated and the seconds spent rendering."""
+    from .io import Stopwatch
+
     watch = Stopwatch()
     text = render(*args)
     return text, {"points": points, "render_s": watch.elapsed()}
 
 
-def cmd_surface(ns: argparse.Namespace) -> int:
-    watch = Stopwatch()
-    param_spec = {
-        "p": (float, 0.82),
-        "theta_start": (float, 0.0),
-        "theta_stop": (float, 90.0),
-        "theta_step": (float, 1.0),
-        "theta_prime_start": (float, 0.0),
-        "theta_prime_stop": (float, 90.0),
-        "theta_prime_step": (float, 1.0),
-        "noise": (_parse_bool, False),
-        **_noise_params(),
-    }
-    params = _resolve(ns, param_spec)
-    thetas = _grid(params["theta_start"], params["theta_stop"], params["theta_step"])
-    theta_primes = _grid(
-        params["theta_prime_start"], params["theta_prime_stop"], params["theta_prime_step"]
+def _surface_blocks(thetas, theta_primes, dk2, dkp2, bound: str):
+    """The surface rows of each theta as one pre-formatted text block.
+
+    Only the sum differs from row to row, so one template of the theta'
+    rows, with ``%.17g`` (``format_float``'s format) for the sum, is filled
+    in per theta: first with theta's two cells, then with its row of sums.
+    The blocks are generated as ``_csv_text`` reads them.
+    """
+    from .io import format_float
+
+    template = "\n".join(
+        f"%(theta)s,{format_float(theta_prime)},%(dk2)s,{format_float(b)},%%.17g,{bound}"
+        for theta_prime, b in zip(theta_primes, dkp2)
     )
+    for theta, a in zip(thetas, dk2):
+        cells = {"theta": format_float(theta), "dk2": format_float(a)}
+        yield ((template % cells) % tuple([a + b for b in dkp2]),)
+
+
+def cmd_surface(ns: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .core import decompose
+    from .expsim import (
+        _polarization_axes,
+        _simulate_stack,
+        estimate_apriori,
+        estimate_knowledge,
+        signal_measurement,
+    )
+    from .factories import werner
+    from .io import RunManifest, Stopwatch, format_float
+    from .knowledge import _apriori, _bell_max, _knowledge
+
+    watch = Stopwatch()
+    params = _resolve(ns, "surface")
+    thetas = _grid(params, "theta")
+    theta_primes = _grid(params, "theta_prime")
     state = werner(params["p"])
     form = decompose(state)
     pi_hv = signal_measurement("hv").axis
@@ -288,12 +339,7 @@ def cmd_surface(ns: argparse.Namespace) -> int:
     # (each analyzer setting is measured once, as in the real sweep).
     meters = _polarization_axes(thetas + theta_primes)
     signals = np.array([pi_hv] * len(thetas) + [pi_xy] * len(theta_primes))
-    config = ExperimentConfig(
-        pair_rate=params["pair_rate"],
-        duration=params["duration"],
-        dark_coincidence_rate=params["dark_rate"],
-        seed=params["seed"],
-    )
+    config = _experiment_config(params)
     if params["noise"]:
         streams = [2 * i for i in range(len(thetas))]
         streams += [2 * j + 1 for j in range(len(theta_primes))]
@@ -303,18 +349,8 @@ def cmd_surface(ns: argparse.Namespace) -> int:
         values = [_knowledge(form, m, s) - _apriori(form, s) for m, s in zip(meters, signals)]
     dk2 = [v * v for v in values[: len(thetas)]]
     dkp2 = [v * v for v in values[len(thetas):]]
-    # Every column but the sum repeats along one axis, so each of its values
-    # is formatted once, and each row passes _csv_text its first four cells
-    # pre-joined, the sum as a float and the bound's string.  The rows are
-    # generated as _csv_text reads them, so they are never all held at once.
     bound = format_float((_bell_max(form) / 2.0) ** 2)
-    left = [(format_float(t), format_float(v)) for t, v in zip(thetas, dk2)]
-    right = [(format_float(t), format_float(v)) for t, v in zip(theta_primes, dkp2)]
-    rows = (
-        (f"{theta},{theta_prime},{a_text},{b_text}", a + b, bound)
-        for (theta, a_text), a in zip(left, dk2)
-        for (theta_prime, b_text), b in zip(right, dkp2)
-    )
+    rows = _surface_blocks(thetas, theta_primes, dk2, dkp2, bound)
     text, stats = _render(_csv_text, SURFACE_HEADER, rows, points=len(values))
     manifest = RunManifest(
         command="surface",
@@ -347,6 +383,11 @@ def _resolve_simulated_state(params) -> tuple[float, dict | None]:
             "schedule preparation needs all of --visibility, --schedule-durations,"
             " --schedule-rates"
         )
+    import numpy as np
+
+    from .core import decompose
+    from .expsim import mixed_state_from_model, mixing_model_from_schedule
+
     model = mixing_model_from_schedule(
         params["visibility"],
         _parse_float_list(params["schedule_durations"], 3),
@@ -377,26 +418,23 @@ def _resolve_simulated_state(params) -> tuple[float, dict | None]:
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
-    watch = Stopwatch()
-    param_spec = {
-        "p": (float, 0.82),
-        "theta_start": (float, 0.0),
-        "theta_stop": (float, 90.0),
-        "theta_step": (float, 5.0),
-        "visibility": (float, None),
-        "schedule_durations": (str, None),
-        "schedule_rates": (str, None),
-        **_noise_params(),
-    }
-    params = _resolve(ns, param_spec)
-    p, model_doc = _resolve_simulated_state(params)
-    thetas = _grid(params["theta_start"], params["theta_stop"], params["theta_step"])
-    config = ExperimentConfig(
-        pair_rate=params["pair_rate"],
-        duration=params["duration"],
-        dark_coincidence_rate=params["dark_rate"],
-        seed=params["seed"],
+    from .expsim import (
+        BELL_ANGLE_PAIRS,
+        BELL_STREAM_OFFSET,
+        bell_estimate_stderr,
+        estimate_bell_max,
+        estimate_correlation,
+        run_sweep_experiment,
+        simulate_bell_records,
     )
+    from .factories import werner, werner_prediction
+    from .io import RunManifest, Stopwatch, dumps_json
+
+    watch = Stopwatch()
+    params = _resolve(ns, "simulate")
+    p, model_doc = _resolve_simulated_state(params)
+    thetas = _grid(params, "theta")
+    config = _experiment_config(params)
     angles = [(theta, "hv") for theta in thetas] + [(theta, "xy") for theta in thetas]
     if len(angles) > BELL_STREAM_OFFSET:
         raise ValueError(
@@ -467,12 +505,13 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    import json
+
+    from .io import RunManifest, Stopwatch, bound_check_to_json, dumps_json, write_json
+    from .verify import SLACK_FLOOR, evaluate_instance_json, fuzz_bounds, instance_to_json
+
     watch = Stopwatch()
-    param_spec = {
-        "trials": (int, 10_000),
-        "seed": (int, 1),
-    }
-    params = _resolve(ns, param_spec)
+    params = _resolve(ns, "verify")
     if ns.replay is not None:
         with open(ns.replay, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -525,9 +564,19 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_filter(ns: argparse.Namespace) -> int:
+    from .canonical import filter_normal_form
+    from .io import (
+        RunManifest,
+        Stopwatch,
+        bound_check_to_json,
+        dumps_json,
+        filter_result_to_json,
+        load_state,
+    )
+    from .knowledge import optimize_excess_sum
+
     watch = Stopwatch()
-    param_spec = {"tol": (float, 1e-10), "max_iter": (int, 10_000)}
-    params = _resolve(ns, param_spec)
+    params = _resolve(ns, "filter")
     state = load_state(ns.state_file)
     result = filter_normal_form(state, tol=params["tol"], max_iter=params["max_iter"])
     optimum = optimize_excess_sum(result.state_out)

@@ -11,34 +11,58 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .core import BlochForm, TwoQubitState, validate_state
 from .factories import bell_diagonal, random_state, werner
-from .knowledge import BoundCheck
-from .canonical import FilterResult
+
+if TYPE_CHECKING:  # annotations only: io loads neither module
+    from .canonical import FilterResult
+    from .knowledge import BoundCheck
 
 
 def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
+def _render_json(obj, indent: int, keys: dict) -> str:
+    """``obj`` as pretty JSON at ``indent``; ``keys`` memoizes each rendered
+    ``"key": `` prefix.  The exact builtin types are tested first, in the
+    order of how often they occur; numpy scalars and arrays, subclasses,
+    ``None`` and booleans take the ``isinstance`` chain after them."""
+    kind = type(obj)
+    if kind is float:
+        return format(obj, ".17g")
+    if kind is dict:
         if not obj:
             return "{}"
-        items = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_render_json(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
+        pad = "  " * indent
+        items = []
+        for k, v in obj.items():
+            name = (str(k), indent)
+            prefix = keys.get(name)
+            if prefix is None:
+                prefix = keys[name] = f"{pad}  {json.dumps(name[0])}: "
+            items.append(prefix + _render_json(v, indent + 1, keys))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if kind is int:
+        return str(obj)
+    if kind is list or kind is tuple:
+        if not obj:
             return "[]"
-        items = ",\n".join(f"{pad}  {_render_json(v, indent + 1)}" for v in obj)
+        pad = "  " * indent
+        inner = pad + "  "
+        items = ",\n".join([inner + _render_json(v, indent + 1, keys) for v in obj])
         return "[\n" + items + "\n" + pad + "]"
+    if kind is str:
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        return _render_json(dict(obj), indent, keys)
+    if isinstance(obj, (list, tuple)):
+        return _render_json(list(obj), indent, keys)
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -46,7 +70,7 @@ def _render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(obj)
     if isinstance(obj, np.ndarray):
-        return _render_json(obj.tolist(), indent)
+        return _render_json(obj.tolist(), indent, keys)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -54,7 +78,7 @@ def _render_json(obj, indent: int = 0) -> str:
 
 def dumps_json(obj) -> str:
     """Deterministic pretty JSON with 17-significant-digit floats."""
-    return _render_json(obj) + "\n"
+    return _render_json(obj, 0, {}) + "\n"
 
 
 def write_json(path, obj) -> None:

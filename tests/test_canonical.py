@@ -96,6 +96,23 @@ class TestFilterNormalForm:
         with pytest.raises(bb.NoConvergence):
             bb.filter_normal_form(state, max_iter=1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": 0.0},
+            {"tol": -1.0},
+            {"max_iter": 0},
+            {"max_iter": -1},
+        ],
+    )
+    def test_invalid_tol_or_max_iter_raises(self, kwargs):
+        # applies even where no iteration is needed
+        for state in (bb.random_state(3, 4), bb.werner(0.5)):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                bb.filter_normal_form(state, **kwargs)
+
     def test_random_states_filter_properties(self):
         for seed in range(30):
             state = bb.random_state(seed, 4)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import bellbound as bb
-from bellbound import cli
 from bellbound.cli import SURFACE_HEADER, SWEEP_HEADER, main
 from bellbound.io import format_float
 
@@ -153,6 +152,57 @@ class TestSweep:
     def test_invalid_params_exit_1(self, capsys):
         assert run_cli(["sweep", "--p", 3.0], capsys)[0] == 1
         assert run_cli(["sweep", "--theta-step", -1], capsys)[0] == 1
+
+    def test_unknown_config_key_exits_1_and_names_it(self, tmp_path, capsys):
+        config = tmp_path / "conf.txt"
+        config.write_text("theta_step = 45\nbogus_key = 3\n")
+        for command in (["sweep"], ["surface"], ["simulate"], ["verify", "--trials", 3],
+                        ["analyze", write_werner_file(tmp_path)]):
+            code, out, err = run_cli([*command, "--config", config], capsys)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "'bogus_key'" in err
+
+    def test_config_key_of_another_subcommand_is_allowed(self, tmp_path, capsys):
+        # one config file may serve several subcommands
+        config = tmp_path / "conf.txt"
+        config.write_text("theta_step = 45\ntheta_prime_step = 45\ntrials = 3\ntol = 1e-3\n")
+        code, out, _ = run_cli(["sweep", "--config", config], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3
+        code, out, _ = run_cli(["surface", "--config", config], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3 * 3
+
+
+# Before the grid was checked, each of these appended grid points forever.
+NON_FINITE_GRIDS = [
+    (["sweep", "--theta-step", "nan"], "theta_step"),
+    (["sweep", "--theta-stop", "inf"], "theta_stop"),
+    (["sweep", "--noise", "--theta-start=-inf"], "theta_start"),
+    (["surface", "--theta-start", "nan"], "theta_start"),
+    (["surface", "--theta-prime-step", "inf"], "theta_prime_step"),
+    (["surface", "--noise", "--theta-prime-stop", "nan"], "theta_prime_stop"),
+    (["simulate", "--theta-step", "inf"], "theta_step"),
+    (["simulate", "--theta-stop", "nan"], "theta_stop"),
+]
+
+
+class TestNonFiniteGrid:
+    @pytest.mark.parametrize("args, key", NON_FINITE_GRIDS)
+    def test_flag_exits_1_and_names_the_parameter(self, capsys, args, key):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {key} must be a finite number")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["sweep", "surface", "simulate"])
+    def test_config_value_exits_1_and_names_the_parameter(self, tmp_path, capsys, command):
+        config = tmp_path / "conf.txt"
+        config.write_text("theta_step = nan\n")
+        code, out, err = run_cli([command, "--config", config], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: theta_step must be a finite number, got nan\n"
 
 
 class TestSurface:
@@ -310,8 +360,9 @@ class TestVerify:
                 assert repr(key) in err
 
     def test_violation_exits_2_and_dumps_instance(self, tmp_path, capsys, monkeypatch):
-        # the bound is a theorem, so a violation can only be injected
-        import bellbound.cli as cli_module
+        # the bound is a theorem, so a violation can only be injected; the
+        # command looks fuzz_bounds up in bellbound.verify when it runs
+        import bellbound.verify as verify_module
         from bellbound.verify import FuzzSummary, run_trial
 
         instance = run_trial(seed=1, trial=0)
@@ -323,7 +374,7 @@ class TestVerify:
             min_same_meter_slack=0.2,
             worst_same_meter=instance,
         )
-        monkeypatch.setattr(cli_module, "fuzz_bounds", lambda *a, **k: fake)
+        monkeypatch.setattr(verify_module, "fuzz_bounds", lambda *a, **k: fake)
         dump = tmp_path / "violation.json"
         code, out, err = run_cli(["verify", "--trials", 1, "--dump", dump], capsys)
         assert code == 2
@@ -366,8 +417,11 @@ class TestSimulate:
         def no_draws(*args, **kwargs):
             raise AssertionError("counts were drawn")
 
-        monkeypatch.setattr(cli, "run_sweep_experiment", no_draws)
-        monkeypatch.setattr(cli, "simulate_bell_records", no_draws)
+        # the command looks both up in bellbound.expsim when it runs
+        import bellbound.expsim as expsim_module
+
+        monkeypatch.setattr(expsim_module, "run_sweep_experiment", no_draws)
+        monkeypatch.setattr(expsim_module, "simulate_bell_records", no_draws)
         out_file = tmp_path / "sim.json"
         code, out, err = run_cli(
             ["simulate", "--theta-step", 1.8e-4, "--out", out_file], capsys
@@ -462,6 +516,27 @@ class TestFilter:
         stats = json.loads((tmp_path / "filter.json.manifest.json").read_text())["stats"]
         assert stats["optimizer_path"] == "searched"
         assert stats["optimizer_evaluations"] > 0
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--tol", "nan"], "tol must be a finite number > 0, got nan"),
+            (["--tol", "inf"], "tol must be a finite number > 0, got inf"),
+            (["--tol", "-1"], "tol must be a finite number > 0, got -1.0"),
+            (["--tol", "0"], "tol must be a finite number > 0, got 0.0"),
+            (["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+            (["--max-iter", "-5"], "max_iter must be >= 1, got -5"),
+        ],
+    )
+    def test_invalid_filter_parameters_exit_1(self, tmp_path, capsys, args, message):
+        # --tol nan once returned the state unfiltered, --max-iter 0 crashed
+        # with an IndexError and --tol -1 ran every iteration before failing
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"factory": "random", "seed": 3, "ancilla_dim": 4}))
+        out_file = tmp_path / "filter.json"
+        code, out, err = run_cli(["filter", path, *args, "--out", out_file], capsys)
+        assert code == 1 and out == "" and not out_file.exists()
+        assert err == f"error: filter {message}\n"
 
     def test_pure_product_exits_1(self, tmp_path, capsys):
         matrix = np.zeros((4, 4))

@@ -1,0 +1,144 @@
+"""Which modules each entry point loads, and the lazy package's name binding.
+
+``import bellbound`` loads nothing, and each CLI subcommand imports only the
+modules it uses, so these tests run each entry point in a fresh interpreter
+and pin the set of ``bellbound`` modules (and whether numpy) it loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bellbound as bb
+
+# Runs ``python -m bellbound ARGV`` in this interpreter, then reports its exit
+# code, the bellbound submodules it loaded and whether it loaded numpy.
+ENTRY_POINT = (
+    "import json, runpy, sys\n"
+    "sys.argv = ['bellbound', *json.loads(sys.argv[1])]\n"
+    "try:\n"
+    "    runpy.run_module('bellbound', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "loaded = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('bellbound.'))\n"
+    "sys.__stderr__.write(json.dumps([code, loaded, 'numpy' in sys.modules]) + '\\n')\n"
+)
+
+CLI = {"cli", "errors"}
+BASE = CLI | {"core", "factories", "io"}
+
+
+def loaded_by(args, cwd):
+    # run from ``cwd``, with the package found where this process found it
+    source = str(Path(bb.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_POINT, json.dumps([str(a) for a in args])],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    code, loaded, numpy = json.loads(proc.stderr.splitlines()[-1])
+    return code, set(loaded), numpy
+
+
+@pytest.mark.parametrize("args", [["--version"], ["--help"], ["--no-such-flag"], ["sweep", "-h"]])
+def test_version_help_and_usage_errors_load_no_numpy(tmp_path, args):
+    code, loaded, numpy = loaded_by(args, tmp_path)
+    assert code in (0, 2)
+    assert loaded == CLI
+    assert not numpy
+
+
+@pytest.mark.parametrize(
+    "args, modules",
+    [
+        (["sweep", "--noise", "--theta-step", 30], BASE | {"expsim"}),
+        (["simulate", "--theta-step", 30], BASE | {"expsim"}),
+        (["sweep", "--theta-step", 30], BASE | {"expsim", "knowledge"}),
+        (["surface", "--theta-step", 30, "--theta-prime-step", 30], BASE | {"expsim", "knowledge"}),
+        (["verify", "--trials", 10], BASE | {"knowledge", "verify"}),
+        (["analyze", "state.json"], BASE | {"knowledge", "canonical"}),
+        (["filter", "state.json"], BASE | {"knowledge", "canonical"}),
+    ],
+)
+def test_each_subcommand_loads_only_its_modules(tmp_path, args, modules):
+    (tmp_path / "state.json").write_text('{"factory": "werner", "p": 0.82}')
+    code, loaded, numpy = loaded_by([*args, "--out", "out"], tmp_path)
+    assert code == 0
+    assert loaded == modules
+    assert numpy
+
+
+def test_import_bellbound_loads_no_submodule_and_no_numpy():
+    script = (
+        "import sys\n"
+        "import bellbound\n"
+        "print(sorted(m for m in sys.modules if m.startswith('bellbound') or m == 'numpy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['bellbound']"
+
+
+@pytest.mark.parametrize(
+    "imports",
+    [
+        "import bellbound",
+        "import bellbound.knowledge",
+        "import bellbound.knowledge as k; assert k is bellbound.knowledge",
+        "from bellbound import knowledge as k; assert k is bellbound.knowledge",
+        "from bellbound.knowledge import knowledge as k; assert k is bellbound.knowledge",
+        "import bellbound.canonical",
+        "import bellbound.verify",
+        "import bellbound.cli; bellbound.cli.main(['verify', '--trials', '3'])",
+        "from bellbound import *",
+        "import importlib; importlib.reload(importlib.import_module('bellbound.knowledge'))",
+    ],
+)
+def test_knowledge_is_the_function_after_any_import_order(imports):
+    script = (
+        "import bellbound\n"
+        f"{imports}\n"
+        "import bellbound.knowledge\n"
+        "import sys, types\n"
+        "assert isinstance(bellbound.knowledge, types.FunctionType), bellbound.knowledge\n"
+        "assert bellbound.knowledge is sys.modules['bellbound.knowledge'].knowledge\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_exports_are_resolved_on_every_access(monkeypatch):
+    # A patch of the defining module (or a tracer's wrapper) is seen through
+    # the package, because the package caches nothing.
+    import bellbound.factories as factories
+
+    original = bb.werner
+
+    def fake(p):
+        return p
+
+    monkeypatch.setattr(factories, "werner", fake)
+    assert bb.werner is fake
+    monkeypatch.undo()
+    assert bb.werner is original
+    assert "werner" not in vars(bb)
+
+
+def test_all_keeps_its_names():
+    assert len(bb.__all__) == 75
+    assert bb.__all__ == sorted(bb.__all__)
+    for name in bb.__all__:
+        assert getattr(bb, name) is not None
+    assert {"core", "canonical", "errors", "expsim", "factories"} <= set(bb.__all__)
+    assert set(bb.__all__) <= set(dir(bb))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bb.no_such_name
