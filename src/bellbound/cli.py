@@ -1,6 +1,6 @@
 """Command-line front end: analyze, sweep, surface, simulate, verify, filter.
 
-Exit codes: 0 success, 1 input/validation error, 2 verified-property
+Exit codes: 0 success, 1 usage, input or validation error, 2 verified-property
 violation.  Data goes to --out (with a sibling run manifest) or to standard
 output; diagnostics go to standard error.  Parameter precedence is CLI flags
 over config file over built-in defaults; the config file is a flat
@@ -31,13 +31,8 @@ DEFAULT_DURATION = 22.0
 # Reference measured Bell factors for the two Werner settings this tool reproduces.
 REFERENCE_MEASUREMENTS = {0.82: (2.36, 0.02), 0.45: (1.32, 0.02)}
 
-
-_NOISE_PARAMS = {
-    "pair_rate": (float, DEFAULT_PAIR_RATE),
-    "duration": (float, DEFAULT_DURATION),
-    "dark_rate": (float, 0.0),
-    "seed": (int, 0),
-}
+# Largest number of points of one angle-grid axis.
+MAX_GRID_POINTS = 1_000_000
 
 
 def _parse_bool(text: str) -> bool:
@@ -49,45 +44,74 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# Each subcommand's parameters, (caster, default) by config key, in the order
-# of the manifest and of replay_argv.  analyze takes none.
-PARAM_SPECS = {
-    "sweep": {
-        "p": (float, 0.82),
-        "theta_start": (float, 0.0),
-        "theta_stop": (float, 90.0),
-        "theta_step": (float, 1.0),
-        "signal": (str, "hv"),
-        "noise": (_parse_bool, False),
-        **_NOISE_PARAMS,
-    },
-    "surface": {
-        "p": (float, 0.82),
-        "theta_start": (float, 0.0),
-        "theta_stop": (float, 90.0),
-        "theta_step": (float, 1.0),
-        "theta_prime_start": (float, 0.0),
-        "theta_prime_stop": (float, 90.0),
-        "theta_prime_step": (float, 1.0),
-        "noise": (_parse_bool, False),
-        **_NOISE_PARAMS,
-    },
-    "simulate": {
-        "p": (float, 0.82),
-        "theta_start": (float, 0.0),
-        "theta_stop": (float, 90.0),
-        "theta_step": (float, 5.0),
-        "visibility": (float, None),
-        "schedule_durations": (str, None),
-        "schedule_rates": (str, None),
-        **_NOISE_PARAMS,
-    },
-    "verify": {"trials": (int, 10_000), "seed": (int, 1)},
-    "filter": {"tol": (float, 1e-10), "max_iter": (int, 10_000)},
+def _parse_signal(text: str) -> str:
+    if text not in ("hv", "xy"):
+        raise ValueError(f"expected hv or xy, got {text!r}")
+    return text
+
+
+def _angle_grid(axis: str, step: float) -> dict:
+    return {
+        f"{axis}_start": (float, 0.0, f"first {axis} angle in degrees"),
+        f"{axis}_stop": (float, 90.0, f"last {axis} angle in degrees"),
+        f"{axis}_step": (float, step, f"{axis} grid step in degrees"),
+    }
+
+
+_WERNER_P = {"p": (float, 0.82, "Werner parameter")}
+_NOISE = {"noise": (_parse_bool, False, "simulate shot noise")}
+_EXPERIMENT = {
+    "pair_rate": (float, DEFAULT_PAIR_RATE, "photon-pair rate in 1/s"),
+    "duration": (float, DEFAULT_DURATION, "measurement seconds per analyzer setting"),
+    "dark_rate": (float, 0.0, "dark coincidence rate in 1/s"),
+    "seed": (int, 0, "RNG seed"),
 }
+
+# Each subcommand's summary and parameters, (caster, default, help) by config
+# key, in the order of the manifest and of replay_argv.  Every flag, config
+# value and replay_argv entry is derived from this table.
+COMMANDS = {
+    "analyze": ("Bloch form, canonical diagonal, B_max", {}),
+    "sweep": ("1-D knowledge-excess sweep CSV", {
+        **_WERNER_P,
+        **_angle_grid("theta", 1.0),
+        "signal": (_parse_signal, "hv", "signal measurement: hv or xy"),
+        **_NOISE,
+        **_EXPERIMENT,
+    }),
+    "surface": ("(theta, theta') excess-sum surface CSV", {
+        **_WERNER_P,
+        **_angle_grid("theta", 1.0),
+        **_angle_grid("theta_prime", 1.0),
+        **_NOISE,
+        **_EXPERIMENT,
+    }),
+    "simulate": ("full experiment simulation JSON", {
+        **_WERNER_P,
+        **_angle_grid("theta", 5.0),
+        "visibility": (float, None, "interference visibility of a mixing schedule"),
+        "schedule_durations": (str, None, "schedule durations in s: interferometric,HH,VV"),
+        "schedule_rates": (str, None, "schedule coincidence rates in 1/s: interferometric,HH,VV"),
+        **_EXPERIMENT,
+    }),
+    "verify": ("fuzz the excess-sum bounds", {
+        "trials": (int, 10_000, "number of random instances"),
+        "seed": (int, 1, "RNG seed"),
+    }),
+    "filter": ("local-filtering normal form JSON", {
+        "tol": (float, 1e-10, "convergence tolerance of the reduced states"),
+        "max_iter": (int, 10_000, "most filtering iterations"),
+    }),
+}
+# The subcommands that read a state file, named by a positional argument.
+STATE_FILE_COMMANDS = ("analyze", "filter")
 # A config file may serve several subcommands, so a key that any of them
 # takes is accepted by all; any other key is an error.
-CONFIG_KEYS = frozenset(key for spec in PARAM_SPECS.values() for key in spec)
+CONFIG_KEYS = frozenset(key for _, params in COMMANDS.values() for key in params)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _load_config_file(path: Path) -> dict[str, str]:
@@ -108,34 +132,49 @@ def _load_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _resolve(ns: argparse.Namespace, command: str) -> dict:
-    """Merge flags > config file > defaults for the parameters of ``command``."""
+def _resolve(ns: argparse.Namespace) -> dict:
+    """Merge flags > config file > defaults for the parameters of the command;
+    flag text and config text are cast by the same caster."""
     config = _load_config_file(ns.config) if ns.config else {}
     resolved = {}
-    for key, (caster, default) in PARAM_SPECS.get(command, {}).items():
-        flag_value = getattr(ns, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
+    for key, (caster, default, _) in COMMANDS[ns.command][1].items():
+        if getattr(ns, key) is not None:
+            text, source = getattr(ns, key), f"flag {_flag(key)}"
         elif key in config:
-            try:
-                resolved[key] = caster(config[key])
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r} is malformed: {exc}") from exc
+            text, source = config[key], f"config key {key!r}"
         else:
             resolved[key] = default
+            continue
+        try:
+            resolved[key] = caster(text)
+        except ValueError as exc:
+            raise ValueError(f"{source} is malformed: {exc}") from exc
     return resolved
 
 
-def _emit(ns: argparse.Namespace, text: str, manifest) -> None:
+def _emit(ns: argparse.Namespace, watch, params: dict, text: str, stats=None) -> None:
+    """Write ``text`` to standard output, or to --out with its run manifest."""
     if ns.out is None:
         sys.stdout.write(text)
         return
-    from .io import write_manifest
+    from .io import RunManifest, write_manifest
 
+    parameters = dict(params)
+    replay_argv = _replay_argv(ns.command, params)
+    if ns.command in STATE_FILE_COMMANDS:
+        parameters["state_file"] = str(ns.state_file)
+        replay_argv.insert(1, str(ns.state_file))
+    manifest = RunManifest(
+        command=ns.command,
+        parameters=parameters,
+        seed=params.get("seed"),
+        outputs=[str(ns.out)],
+        replay_argv=replay_argv + ["--out", str(ns.out)],
+        duration_s=watch.elapsed(),
+        stats=stats or {},
+    )
     ns.out.parent.mkdir(parents=True, exist_ok=True)
     ns.out.write_text(text, encoding="utf-8", newline="\n")
-    manifest.outputs = [str(ns.out)]
-    manifest.replay_argv += ["--out", str(ns.out)]
     write_manifest(ns.out, manifest)
 
 
@@ -148,6 +187,13 @@ def _grid(params: dict, axis: str) -> list[float]:
             raise ValueError(f"{axis}_{part} must be a finite number, got {value}")
     if step <= 0:
         raise ValueError(f"{axis}_step must be positive, got {step}")
+    # counted before the list is built; the loop below may end one point off
+    count = (stop + 1e-9 - start) / step + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"the {axis} grid would have about {count:.4g} points; at most"
+            f" {MAX_GRID_POINTS} are allowed per axis"
+        )
     values = []
     k = 0
     while True:
@@ -161,19 +207,18 @@ def _grid(params: dict, axis: str) -> list[float]:
     return values
 
 
-def _replay_argv(command: str, params: dict, skip=()) -> list[str]:
+def _replay_argv(command: str, params: dict) -> list[str]:
     from .io import format_float
 
     argv = [command]
     for key, value in params.items():
-        if key in skip or value is None:
+        if value is None:
             continue
-        flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if value:
-                argv.append(flag)
+                argv.append(_flag(key))
         else:
-            argv += [flag, format_float(value) if isinstance(value, float) else str(value)]
+            argv += [_flag(key), format_float(value) if isinstance(value, float) else str(value)]
     return argv
 
 
@@ -191,11 +236,11 @@ def _experiment_config(params: dict):
 def cmd_analyze(ns: argparse.Namespace) -> int:
     from .canonical import canonical_form
     from .core import QubitMeasurement, decompose
-    from .io import RunManifest, Stopwatch, bloch_to_json, dumps_json, load_state
+    from .io import Stopwatch, bloch_to_json, dumps_json, load_state
     from .knowledge import bell_max, distinguishability_excess
 
     watch = Stopwatch()
-    _resolve(ns, "analyze")
+    params = _resolve(ns)
     state = load_state(ns.state_file)
     form = decompose(state)
     cf = canonical_form(state)
@@ -206,38 +251,23 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         "b_max": bell_max(state),
         "delta_d_canonical_pair": [distinguishability_excess(state, pi) for pi in pair],
     }
-    text = dumps_json(report)
-    manifest = RunManifest(
-        command="analyze",
-        parameters={"state_file": str(ns.state_file)},
-        seed=None,
-        outputs=[],
-        replay_argv=["analyze", str(ns.state_file)],
-        duration_s=watch.elapsed(),
-    )
-    _emit(ns, text, manifest)
+    _emit(ns, watch, params, dumps_json(report))
     return 0
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    from .io import RunManifest, Stopwatch
+    from .io import Stopwatch
 
     watch = Stopwatch()
-    params = _resolve(ns, "sweep")
+    params = _resolve(ns)
     thetas = _grid(params, "theta")
     rows = []
     if params["noise"]:
         from .expsim import run_sweep_experiment
 
-        points = run_sweep_experiment(
-            params["p"],
-            [(theta, params["signal"]) for theta in thetas],
-            _experiment_config(params),
-        )
-        for point in points:
-            rows.append(
-                (point.theta_deg, point.k_hat, point.p_hat, point.dk_hat, point.dk_theory)
-            )
+        angles = [(theta, params["signal"]) for theta in thetas]
+        for point in run_sweep_experiment(params["p"], angles, _experiment_config(params)):
+            rows.append((point.theta_deg, point.k_hat, point.p_hat, point.dk_hat, point.dk_theory))
     else:
         from .core import decompose, measurement_from_polarization_angle
         from .expsim import signal_measurement
@@ -253,16 +283,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             theory = prediction.K if params["signal"] == "hv" else prediction.K_prime
             rows.append((float(theta), k, p_hat, k - p_hat, theory))
     text, stats = _render(_csv_text, SWEEP_HEADER, rows, points=len(thetas))
-    manifest = RunManifest(
-        command="sweep",
-        parameters=params,
-        seed=params["seed"],
-        outputs=[],
-        replay_argv=_replay_argv("sweep", params),
-        duration_s=watch.elapsed(),
-        stats=stats,
-    )
-    _emit(ns, text, manifest)
+    _emit(ns, watch, params, text, stats)
     return 0
 
 
@@ -324,11 +345,11 @@ def cmd_surface(ns: argparse.Namespace) -> int:
         signal_measurement,
     )
     from .factories import werner
-    from .io import RunManifest, Stopwatch, format_float
+    from .io import Stopwatch, format_float
     from .knowledge import _apriori, _bell_max, _knowledge
 
     watch = Stopwatch()
-    params = _resolve(ns, "surface")
+    params = _resolve(ns)
     thetas = _grid(params, "theta")
     theta_primes = _grid(params, "theta_prime")
     state = werner(params["p"])
@@ -352,16 +373,7 @@ def cmd_surface(ns: argparse.Namespace) -> int:
     bound = format_float((_bell_max(form) / 2.0) ** 2)
     rows = _surface_blocks(thetas, theta_primes, dk2, dkp2, bound)
     text, stats = _render(_csv_text, SURFACE_HEADER, rows, points=len(values))
-    manifest = RunManifest(
-        command="surface",
-        parameters=params,
-        seed=params["seed"],
-        outputs=[],
-        replay_argv=_replay_argv("surface", params),
-        duration_s=watch.elapsed(),
-        stats=stats,
-    )
-    _emit(ns, text, manifest)
+    _emit(ns, watch, params, text, stats)
     return 0
 
 
@@ -379,10 +391,10 @@ def _resolve_simulated_state(params) -> tuple[float, dict | None]:
     if not given:
         return params["p"], None
     if len(given) != len(schedule_keys):
-        raise ValueError(
-            "schedule preparation needs all of --visibility, --schedule-durations,"
-            " --schedule-rates"
-        )
+        flags = ", ".join(map(_flag, schedule_keys))
+        raise ValueError(f"schedule preparation needs all of {flags}")
+    from dataclasses import asdict
+
     import numpy as np
 
     from .core import decompose
@@ -407,17 +419,12 @@ def _resolve_simulated_state(params) -> tuple[float, dict | None]:
             " adjust durations/rates so the HH and VV weights match the"
             " distinguishable-photon weight"
         )
-    model_doc = {
-        "visibility": model.visibility,
-        "w_singlet": model.w_singlet,
-        "w_hh": model.w_hh,
-        "w_vv": model.w_vv,
-        "derived_p": p,
-    }
-    return p, model_doc
+    return p, {**asdict(model), "derived_p": p}
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from .expsim import (
         BELL_ANGLE_PAIRS,
         BELL_STREAM_OFFSET,
@@ -428,10 +435,10 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         simulate_bell_records,
     )
     from .factories import werner, werner_prediction
-    from .io import RunManifest, Stopwatch, dumps_json
+    from .io import Stopwatch, dumps_json
 
     watch = Stopwatch()
-    params = _resolve(ns, "simulate")
+    params = _resolve(ns)
     p, model_doc = _resolve_simulated_state(params)
     thetas = _grid(params, "theta")
     config = _experiment_config(params)
@@ -449,12 +456,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     theory = werner_prediction(p, 0.0, 0.0).b_max
     report = {
         "p": p,
-        "config": {
-            "pair_rate": config.pair_rate,
-            "duration": config.duration,
-            "dark_coincidence_rate": config.dark_coincidence_rate,
-            "seed": config.seed,
-        },
+        "config": asdict(config),
         "sweep": [
             {
                 "theta_deg": point.theta_deg,
@@ -491,28 +493,23 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     text, stats = _render(dumps_json, report, points=len(points) + len(records))
-    manifest = RunManifest(
-        command="simulate",
-        parameters=params,
-        seed=params["seed"],
-        outputs=[],
-        replay_argv=_replay_argv("simulate", params),
-        duration_s=watch.elapsed(),
-        stats=stats,
-    )
-    _emit(ns, text, manifest)
+    _emit(ns, watch, params, text, stats)
     return 0
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     import json
 
-    from .io import RunManifest, Stopwatch, bound_check_to_json, dumps_json, write_json
+    from .io import Stopwatch, bound_check_to_json, dumps_json, write_json
     from .verify import SLACK_FLOOR, evaluate_instance_json, fuzz_bounds, instance_to_json
 
     watch = Stopwatch()
-    params = _resolve(ns, "verify")
+    params = _resolve(ns)
     if ns.replay is not None:
+        # a replay reports one dumped instance on standard output
+        given = [key for key in ("out", "trials", "seed", "dump") if getattr(ns, key) is not None]
+        if given:
+            raise ValueError(f"--replay cannot be combined with {', '.join(map(_flag, given))}")
         with open(ns.replay, encoding="utf-8") as handle:
             data = json.load(handle)
         check, same = evaluate_instance_json(data)
@@ -535,16 +532,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "worst_same_meter_trial": summary.worst_same_meter.trial,
         "passed": summary.passed,
     }
-    text = dumps_json(report)
-    manifest = RunManifest(
-        command="verify",
-        parameters=params,
-        seed=params["seed"],
-        outputs=[],
-        replay_argv=_replay_argv("verify", params),
-        duration_s=watch.elapsed(),
-    )
-    _emit(ns, text, manifest)
+    _emit(ns, watch, params, dumps_json(report))
     if not summary.passed:
         worst = (
             summary.worst
@@ -565,18 +553,11 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_filter(ns: argparse.Namespace) -> int:
     from .canonical import filter_normal_form
-    from .io import (
-        RunManifest,
-        Stopwatch,
-        bound_check_to_json,
-        dumps_json,
-        filter_result_to_json,
-        load_state,
-    )
+    from .io import Stopwatch, bound_check_to_json, dumps_json, filter_result_to_json, load_state
     from .knowledge import optimize_excess_sum
 
     watch = Stopwatch()
-    params = _resolve(ns, "filter")
+    params = _resolve(ns)
     state = load_state(ns.state_file)
     result = filter_normal_form(state, tol=params["tol"], max_iter=params["max_iter"])
     optimum = optimize_excess_sum(result.state_out)
@@ -587,115 +568,54 @@ def cmd_filter(ns: argparse.Namespace) -> int:
         f"post-filter slack = {optimum.check.slack:.3e}",
         file=sys.stderr,
     )
-    text = dumps_json(report)
-    manifest = RunManifest(
-        command="filter",
-        parameters={**params, "state_file": str(ns.state_file)},
-        seed=None,
-        outputs=[],
-        replay_argv=["filter", str(ns.state_file)]
-        + _replay_argv("filter", params)[1:],
-        duration_s=watch.elapsed(),
-        stats={
-            "filter_iterations": result.iterations,
-            "deviation_log": list(result.deviation_log),
-            "optimizer_path": optimum.path,
-            "optimizer_evaluations": optimum.evaluations,
-        },
-    )
-    _emit(ns, text, manifest)
+    stats = {
+        "filter_iterations": result.iterations,
+        "deviation_log": list(result.deviation_log),
+        "optimizer_path": optimum.path,
+        "optimizer_evaluations": optimum.evaluations,
+    }
+    _emit(ns, watch, params, dumps_json(report), stats)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError, so that it exits 1 with one line
+    and exit 2 stays a verified-property violation."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellbound",
         description="Knowledge excesses of complementary qubit measurements, "
         "their Bell-factor bound, and a coincidence-counting experiment simulator.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed")
-    common.add_argument("--out", type=Path, default=None, help="output file (default: stdout)")
-    common.add_argument("--config", type=Path, default=None, help="flat key=value config file")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_analyze = sub.add_parser("analyze", parents=[common], help="Bloch form, canonical diagonal, B_max")
-    p_analyze.add_argument("state_file", type=Path)
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_sweep = sub.add_parser("sweep", parents=[common], help="1-D knowledge-excess sweep CSV")
-    p_sweep.add_argument("--p", type=float, default=None, help="Werner parameter")
-    p_sweep.add_argument("--theta-start", type=float, default=None)
-    p_sweep.add_argument("--theta-stop", type=float, default=None)
-    p_sweep.add_argument("--theta-step", type=float, default=None)
-    p_sweep.add_argument("--signal", choices=["hv", "xy"], default=None)
-    p_sweep.add_argument("--noise", action="store_true", default=None, help="simulate shot noise")
-    p_sweep.add_argument("--pair-rate", type=float, default=None)
-    p_sweep.add_argument("--duration", type=float, default=None)
-    p_sweep.add_argument("--dark-rate", type=float, default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_surface = sub.add_parser("surface", parents=[common], help="(theta, theta') excess-sum surface CSV")
-    p_surface.add_argument("--p", type=float, default=None)
-    p_surface.add_argument("--theta-start", type=float, default=None)
-    p_surface.add_argument("--theta-stop", type=float, default=None)
-    p_surface.add_argument("--theta-step", type=float, default=None)
-    p_surface.add_argument("--theta-prime-start", type=float, default=None)
-    p_surface.add_argument("--theta-prime-stop", type=float, default=None)
-    p_surface.add_argument("--theta-prime-step", type=float, default=None)
-    p_surface.add_argument("--noise", action="store_true", default=None)
-    p_surface.add_argument("--pair-rate", type=float, default=None)
-    p_surface.add_argument("--duration", type=float, default=None)
-    p_surface.add_argument("--dark-rate", type=float, default=None)
-    p_surface.set_defaults(func=cmd_surface)
-
-    p_simulate = sub.add_parser("simulate", parents=[common], help="full experiment simulation JSON")
-    p_simulate.add_argument("--p", type=float, default=None)
-    p_simulate.add_argument("--theta-start", type=float, default=None)
-    p_simulate.add_argument("--theta-stop", type=float, default=None)
-    p_simulate.add_argument("--theta-step", type=float, default=None)
-    p_simulate.add_argument("--pair-rate", type=float, default=None)
-    p_simulate.add_argument("--duration", type=float, default=None)
-    p_simulate.add_argument("--dark-rate", type=float, default=None)
-    p_simulate.add_argument(
-        "--visibility", type=float, default=None,
-        help="interference visibility of the mixing schedule (with --schedule-*)",
-    )
-    p_simulate.add_argument(
-        "--schedule-durations", default=None,
-        help="comma list: interferometric,HH,VV measurement durations in seconds",
-    )
-    p_simulate.add_argument(
-        "--schedule-rates", default=None,
-        help="comma list: per-configuration coincidence rates in 1/s",
-    )
-    p_simulate.set_defaults(func=cmd_simulate)
-
-    p_verify = sub.add_parser("verify", parents=[common], help="fuzz the excess-sum bounds")
-    p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--replay", type=Path, default=None, help="re-evaluate a dumped instance")
-    p_verify.add_argument("--dump", type=Path, default=None, help="violation dump path")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_filter = sub.add_parser("filter", parents=[common], help="local-filtering normal form JSON")
-    p_filter.add_argument("state_file", type=Path)
-    p_filter.add_argument("--tol", type=float, default=None)
-    p_filter.add_argument("--max-iter", type=int, default=None)
-    p_filter.set_defaults(func=cmd_filter)
-
+    for command, (summary, params) in COMMANDS.items():
+        p_command = sub.add_parser(command, help=summary)
+        p_command.set_defaults(func=globals()[f"cmd_{command}"])
+        if command in STATE_FILE_COMMANDS:
+            p_command.add_argument("state_file", type=Path, help="JSON state file")
+        # flags take text; _resolve casts it as it casts config values
+        for key, (caster, _, help_text) in params.items():
+            switch = {"action": "store_const", "const": "true"} if caster is _parse_bool else {}
+            p_command.add_argument(_flag(key), help=help_text, **switch)
+        if command == "verify":
+            p_command.add_argument("--replay", type=Path, help="re-evaluate a dumped instance")
+            p_command.add_argument("--dump", type=Path, help="violation dump path")
+        p_command.add_argument("--out", type=Path, help="output file (default: stdout)")
+        p_command.add_argument("--config", type=Path, help="flat key=value config file")
     return parser
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         return ns.func(ns)
-    except BellboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (BellboundError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

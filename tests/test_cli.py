@@ -5,15 +5,20 @@ Most tests call ``main`` in-process for speed; one subprocess test covers the
 """
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bellbound as bb
-from bellbound.cli import SURFACE_HEADER, SWEEP_HEADER, main
+from bellbound.cli import SURFACE_HEADER, SWEEP_HEADER, _grid, main
 from bellbound.io import format_float
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_werner_file(tmp_path, p=0.82):
@@ -115,13 +120,29 @@ class TestSweep:
         assert run_cli(args, capsys)[0] == 0
         assert out_file.read_bytes() == first
 
-    def test_manifest_replay_reproduces_output(self, tmp_path, capsys):
-        out_file = tmp_path / "replay.csv"
-        args = ["sweep", "--p", 0.45, "--noise", "--seed", 11, "--theta-step", 30,
-                "--signal", "xy", "--out", out_file]
+    @pytest.mark.parametrize(
+        "args, config",
+        [
+            (["sweep", "--noise", "--seed", 11, "--signal", "xy"], "p = 0.45\ntheta_step = 30\n"),
+            (["surface", "--noise", "--theta-step", 30], "theta_prime_step = 45\nseed = -4\n"),
+            (["simulate", "--theta-step", 45], "p = 0.45\nseed = 9\nduration = 3\n"),
+            (["verify", "--trials", 20], "seed = 5\n"),
+            (["filter", "state.json"], "tol = 1e-4\nmax_iter = 500\n"),
+        ],
+        ids=["sweep", "surface", "simulate", "verify", "filter"],
+    )
+    def test_manifest_replay_reproduces_output(self, tmp_path, capsys, args, config):
+        # replay_argv spells out as flags what the config file supplied
+        (tmp_path / "state.json").write_text('{"factory": "random", "seed": 12, "ancilla_dim": 4}')
+        (tmp_path / "conf.txt").write_text(config)
+        args = [tmp_path / a if a == "state.json" else a for a in args]
+        out_file = tmp_path / "replay.dat"
+        args += ["--config", tmp_path / "conf.txt", "--out", out_file]
         assert run_cli(args, capsys)[0] == 0
         original = out_file.read_bytes()
-        manifest = json.loads((tmp_path / "replay.csv.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "replay.dat.manifest.json").read_text())
+        assert "--config" not in manifest["replay_argv"]
+        out_file.unlink()
         assert run_cli(manifest["replay_argv"], capsys)[0] == 0
         assert out_file.read_bytes() == original
 
@@ -203,6 +224,73 @@ class TestNonFiniteGrid:
         code, out, err = run_cli([command, "--config", config], capsys)
         assert code == 1 and out == ""
         assert err == "error: theta_step must be a finite number, got nan\n"
+
+
+class TestGridSize:
+    def test_grid_is_bounded_before_it_is_built(self):
+        # 1,800,001 points, counted before the list is built
+        params = {"theta_prime_start": 0.0, "theta_prime_stop": 90.0, "theta_prime_step": 5e-5}
+        with pytest.raises(ValueError, match="theta_prime grid .* 1000000"):
+            _grid(params, "theta_prime")
+
+    @pytest.mark.parametrize(
+        "args, axis",
+        [(["sweep", "--theta-step", "0.5"], "theta"),
+         (["surface", "--theta-prime-step", "0.5"], "theta_prime")],
+    )
+    def test_grid_above_the_bound_exits_1(self, capsys, monkeypatch, args, axis):
+        # 181 points against a lowered bound, so no large grid is ever built
+        monkeypatch.setattr("bellbound.cli.MAX_GRID_POINTS", 100)
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: the {axis} grid") and err.count("\n") == 1
+
+
+_GRID_FLAGS = ["--theta-start", "--theta-stop", "--theta-step"]
+_EXPERIMENT_FLAGS = ["--pair-rate", "--duration", "--dark-rate", "--seed"]
+NUMERIC_FLAGS = {
+    "sweep": ["--p", *_GRID_FLAGS, *_EXPERIMENT_FLAGS],
+    "surface": ["--p", *_GRID_FLAGS, "--theta-prime-start", "--theta-prime-stop",
+                "--theta-prime-step", *_EXPERIMENT_FLAGS],
+    "simulate": ["--p", *_GRID_FLAGS, "--visibility", *_EXPERIMENT_FLAGS],
+    "verify": ["--trials", "--seed"],
+    "filter": ["--tol", "--max-iter"],
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, flags in NUMERIC_FLAGS.items() for flag in flags],
+    )
+    def test_malformed_numeric_flag_exits_1_and_names_it(self, tmp_path, capsys, command, flag):
+        state = [write_werner_file(tmp_path)] if command == "filter" else []
+        code, out, err = run_cli([command, *state, flag, "abc"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: flag {flag} is malformed:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["sweep", "--signal", "ab"], "flag --signal is malformed: expected hv or xy"),
+            (["sweep", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+            (["analyze", "state.json", "--seed", "9"], "unrecognized arguments: --seed 9"),
+            (["filter", "state.json", "--seed", "9"], "unrecognized arguments: --seed 9"),
+            (["no-such-command"], "invalid choice: 'no-such-command'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_exits_1_with_one_line(self, capsys, args, text):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and text in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["filter", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert "bellbound" in capsys.readouterr().out
 
 
 class TestSurface:
@@ -328,6 +416,22 @@ class TestVerify:
         report = json.loads(out)
         assert report["check"]["slack"] == 0.0
         assert report["check"]["bound"] == 0.0
+
+    @pytest.mark.parametrize("flag", ["--out", "--trials", "--seed", "--dump"])
+    def test_replay_rejects_the_flags_it_cannot_use(self, tmp_path, capsys, flag):
+        from bellbound.io import write_json
+        from bellbound.verify import instance_to_json, run_trial
+
+        path = tmp_path / "instance.json"
+        write_json(path, instance_to_json(run_trial(seed=1, trial=17)))
+        code, out, err = run_cli(["verify", "--replay", path, flag, tmp_path / "3"], capsys)
+        assert code == 1 and out == "" and not (tmp_path / "3").exists()
+        assert err.startswith("error:") and flag in err and err.count("\n") == 1
+        # a shared config file may still set trials and seed
+        (tmp_path / "conf.txt").write_text("trials = 3\nseed = 4\n")
+        code, out, _ = run_cli(["verify", "--replay", path, "--config", tmp_path / "conf.txt"],
+                               capsys)
+        assert code == 0 and json.loads(out)["replayed"] == str(path)
 
     def test_malformed_replay_exits_1(self, tmp_path, capsys):
         # one diagnostic line that names the bad key, never a traceback
@@ -546,6 +650,27 @@ class TestFilter:
         code, _, err = run_cli(["filter", path], capsys)
         assert code == 1
         assert "rank deficient" in err
+
+
+def readme_commands():
+    """Every ``bellbound`` command of the README's ``sh`` blocks, as an argv."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line.split("#", 1)[0])
+            if argv[:1] == ["bellbound"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_every_readme_command_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.json").write_text(json.dumps({"factory": "werner", "p": 0.82}))
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, (argv, err)
 
 
 class TestEntryPoint:
