@@ -499,6 +499,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     import json
+    import time
 
     from .io import Stopwatch, bound_check_to_json, dumps_json, write_json
     from .verify import SLACK_FLOOR, evaluate_instance_json, fuzz_bounds, instance_to_json
@@ -522,7 +523,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         return 0 if check.slack >= SLACK_FLOOR and same.slack >= SLACK_FLOOR else 2
     if params["trials"] < 1:
         raise ValueError("trials must be >= 1")
+    clock = time.perf_counter()
     summary = fuzz_bounds(params["trials"], params["seed"])
+    fuzz_s = time.perf_counter() - clock
     report = {
         "trials": summary.trials,
         "seed": summary.seed,
@@ -532,7 +535,13 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "worst_same_meter_trial": summary.worst_same_meter.trial,
         "passed": summary.passed,
     }
-    _emit(ns, watch, params, dumps_json(report))
+    stats = {
+        "reruns": summary.reruns,
+        "draw_s": summary.draw_s,
+        "screen_s": summary.screen_s,
+        "instances_per_s": summary.trials / fuzz_s,
+    }
+    _emit(ns, watch, params, dumps_json(report), stats)
     if not summary.passed:
         worst = (
             summary.worst

@@ -90,13 +90,14 @@ class QubitMeasurement:
 
     def __post_init__(self):
         a = np.asarray(self.axis, dtype=float).reshape(3)
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > UNIT_AXIS_TOL:
+        # math.hypot neither overflows nor warns, and a NaN fails the test
+        deviation = abs(math.hypot(*a.tolist()) - 1.0)
+        if not deviation <= UNIT_AXIS_TOL:
             raise ValueError(
-                f"measurement axis must be a unit vector: | |a| - 1 | = {abs(norm - 1.0):.3e}"
+                f"measurement axis must be a unit vector: | |a| - 1 | = {deviation:.3e}"
                 f" (limit {UNIT_AXIS_TOL})"
             )
-        object.__setattr__(self, "axis", _readonly(a / norm))
+        object.__setattr__(self, "axis", _readonly(a / float(np.linalg.norm(a))))
 
     def flipped(self) -> "QubitMeasurement":
         """Same measurement with the outcome labels swapped."""
@@ -148,18 +149,30 @@ def _validate_stack(m: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
-    adjoint = m.conj().swapaxes(1, 2)
-    asym = np.max(np.abs(m - adjoint), axis=(1, 2))
-    m = (m + adjoint) / 2.0
-    trace = np.trace(m, axis1=1, axis2=2).real
-    min_eigenvalue = np.linalg.eigvalsh(m)[:, 0]
-    bad = (asym >= VALIDATION_TOL) | (np.abs(trace - 1.0) >= VALIDATION_TOL)
-    bad |= min_eigenvalue < -VALIDATION_TOL
+    # Entries near the float limit overflow to inf (and a trace to NaN) here.
+    # Each check below is written so that a NaN fails it, so the overflow
+    # needs no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjoint = m.conj().swapaxes(1, 2)
+        asym = np.max(np.abs(m - adjoint), axis=(1, 2))
+        m = (m + adjoint) / 2.0
+        trace = np.trace(m, axis1=1, axis2=2).real
+        try:
+            min_eigenvalue = np.linalg.eigvalsh(m)[:, 0]
+        except np.linalg.LinAlgError:
+            # A matrix with an entry that overflowed lies far outside the
+            # unit disc, where no entry of a state can be: not positive.
+            overflowed = ~np.isfinite(m).all(axis=(1, 2))
+            min_eigenvalue = np.linalg.eigvalsh(np.where(overflowed[:, None, None], 0, m))[:, 0]
+            min_eigenvalue[overflowed] = -np.inf
+    hermitian = asym < VALIDATION_TOL
+    unit_trace = np.abs(trace - 1.0) < VALIDATION_TOL
+    bad = ~(hermitian & unit_trace & (min_eigenvalue >= -VALIDATION_TOL))
     if bad.any():
         i = int(np.argmax(bad))
-        if asym[i] >= VALIDATION_TOL:
+        if not hermitian[i]:
             raise NotHermitian(float(asym[i]))
-        if abs(trace[i] - 1.0) >= VALIDATION_TOL:
+        if not unit_trace[i]:
             raise TraceNotOne(float(trace[i]))
         raise NotPositive(float(min_eigenvalue[i]))
     return m

@@ -68,10 +68,11 @@ def bell_diagonal(lambdas) -> TwoQubitState:
     return validate_state(rho)
 
 
-def _random_density_matrix(rng: np.random.Generator, ancilla_dim: int) -> np.ndarray:
+def _density_matrix(normals: np.ndarray) -> np.ndarray:
     """Unvalidated mixed state induced from a Gaussian-random pure state on a
-    4 x d system; draws the real, then the imaginary amplitudes."""
-    amplitudes = rng.normal(size=(4, ancilla_dim)) + 1j * rng.normal(size=(4, ancilla_dim))
+    4 x d system, from ``normals`` of shape (2, 4, d): the real, then the
+    imaginary amplitudes."""
+    amplitudes = normals[0] + 1j * normals[1]
     amplitudes /= np.linalg.norm(amplitudes)
     return amplitudes @ amplitudes.conj().T
 
@@ -102,7 +103,7 @@ def random_state(seed: int, ancilla_dim: int) -> TwoQubitState:
         raise ValueError(f"ancilla_dim must be in 1..4, got {ancilla_dim}")
     key = np.array([int(seed) % 2**64, ancilla_dim], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    return validate_state(_random_density_matrix(rng, ancilla_dim))
+    return validate_state(_density_matrix(rng.normal(size=(2, 4, ancilla_dim))))
 
 
 def werner_prediction(p: float, theta_deg: float, theta_prime_deg: float) -> WernerPrediction:

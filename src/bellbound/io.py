@@ -94,7 +94,10 @@ def _json_float(value) -> float:
     """A JSON number as a float; booleans are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError("integer too large for a float") from exc
 
 
 def _json_int(value) -> int:
@@ -118,7 +121,7 @@ def _cell_to_complex(cell) -> complex:
             raise ValueError(f"matrix cell has unknown keys {sorted(unknown)}")
         return complex(_json_float(cell.get("re", 0.0)), _json_float(cell.get("im", 0.0)))
     if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-        return complex(float(cell), 0.0)
+        return complex(_json_float(cell), 0.0)
     raise ValueError(f"matrix cell must be a number or {{'re':..,'im':..}}, got {cell!r}")
 
 

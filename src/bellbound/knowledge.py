@@ -207,15 +207,16 @@ def _bound_slacks(
     The closed forms are those of the scalar functions, but numpy sums in
     another order, so a slack can differ from theirs in the last bits.
     """
+    # Written so that a NaN fails each check, as in the scalar checks.
     for axes in (s, s_prime, m, m_prime):
         deviation = np.abs(np.linalg.norm(axes, axis=1) - 1.0)
-        if np.any(deviation > UNIT_AXIS_TOL):
+        if not np.all(deviation <= UNIT_AXIS_TOL):
             raise ValueError(
                 f"measurement axis must be a unit vector: | |a| - 1 | = {deviation.max():.3e}"
                 f" (limit {UNIT_AXIS_TOL})"
             )
     dot = np.einsum("Nk,Nk->N", s, s_prime)
-    overlapping = np.flatnonzero(np.abs(dot) > COMPLEMENTARITY_TOL)
+    overlapping = np.flatnonzero(~(np.abs(dot) <= COMPLEMENTARITY_TOL))
     if overlapping.size:
         raise NotComplementary(float(dot[overlapping[0]]))
 

@@ -2,14 +2,22 @@
 
 Each trial owns a counter-based RNG stream keyed by (seed, trial index), so
 summaries are reproducible bit for bit and any single trial can be rerun on
-its own.  ``fuzz_bounds`` draws the trials in blocks and screens each block
-with the stacked Bloch-form kernel; it then reruns the few trials whose
-screened slack lies near the minimum on the scalar path (``run_trial``), and
-reports only the scalar results.
+its own.  A trial reads its stream in two calls: the ancilla dimension d in
+1..4, then one draw of 8d + 10 normals that hold, in order, the real and the
+imaginary amplitudes of a pure state on 4 x d (its reduction is the trial's
+mixed state), the signal-frame quaternion and the two meter directions.
+
+``fuzz_bounds`` draws the trials in blocks.  Per trial it only resets the
+stream and makes those two calls; it then builds the block's states as one
+stack per ancilla dimension and screens the block with the stacked
+Bloch-form kernel.  Finally it reruns the few trials whose screened slack
+lies near the minimum on the scalar path (``run_trial``), and reports only
+the scalar results.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +30,7 @@ from .core import (
     rotation_from_quaternion,
     validate_state,
 )
-from .factories import _philox_streams, _random_density_matrix
+from .factories import _density_matrix, _philox_streams
 from .knowledge import BoundCheck, _bound_slacks, check_bound, check_same_meter_bound
 
 SLACK_FLOOR = -1e-9
@@ -51,12 +59,20 @@ class FuzzInstance:
 
 @dataclass(frozen=True)
 class FuzzSummary:
+    """The minimum slacks of a fuzz run and the scalar instances that reach
+    them.  ``reruns`` counts the trials rerun on the scalar path;
+    ``draw_s`` and ``screen_s`` are the seconds spent drawing and screening
+    the blocks."""
+
     trials: int
     seed: int
     min_slack: float
     worst: FuzzInstance
     min_same_meter_slack: float
     worst_same_meter: FuzzInstance
+    reruns: int = 0
+    draw_s: float = 0.0
+    screen_s: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -68,11 +84,14 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One trial's draws in stream order: the ancilla dimension and the
-    unvalidated state, the signal-frame quaternion, then the two meter
-    directions (none normalized)."""
-    rho = _random_density_matrix(rng, int(rng.integers(1, 5)))
-    return rho, rng.normal(size=4), rng.normal(size=3), rng.normal(size=3)
+    """One trial's draws in stream order: the unvalidated state, the
+    signal-frame quaternion, then the two meter directions (none
+    normalized).  The stream is read in two calls, the ancilla dimension d
+    and then all 8d + 10 normals."""
+    d = int(rng.integers(1, 5))
+    normals = rng.normal(size=8 * d + 10)
+    rho = _density_matrix(normals[: 8 * d].reshape(2, 4, d))
+    return rho, normals[-10:-6], normals[-6:-3], normals[-3:]
 
 
 def run_trial(seed: int, trial: int) -> FuzzInstance:
@@ -94,8 +113,30 @@ def run_trial(seed: int, trial: int) -> FuzzInstance:
 
 def _draw_block(seed: int, trials: np.ndarray) -> tuple[np.ndarray, ...]:
     """The draws of ``trials`` stacked: states (N, 4, 4), then the signal
-    axes s, s' and the meter axes m, m' (N, 3 each)."""
-    rho, q, m, m_prime = (np.stack(c) for c in zip(*map(_draw, _philox_streams(seed, trials))))
+    axes s, s' and the meter axes m, m' (N, 3 each).
+
+    Each stream is read as :func:`_draw` reads it, but the states are built
+    as one stack per ancilla dimension, so they may differ from the scalar
+    ones in the last bits.
+    """
+    dims, draws = [], []
+    for rng in _philox_streams(seed, trials):
+        d = int(rng.integers(1, 5))
+        dims.append(d)
+        draws.append(rng.normal(size=8 * d + 10))
+    dims = np.array(dims)
+    normals = np.concatenate(draws)
+    tail_start = np.cumsum(8 * dims + 10) - 10
+    rho = np.empty((len(dims), 4, 4), dtype=complex)
+    for d in range(1, 5):
+        rows = np.flatnonzero(dims == d)
+        parts = normals[(tail_start[rows] - 8 * d)[:, None] + np.arange(8 * d)]
+        amplitudes = parts[:, : 4 * d] + 1j * parts[:, 4 * d :]
+        amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
+        amplitudes = amplitudes.reshape(-1, 4, d)
+        rho[rows] = amplitudes @ amplitudes.conj().swapaxes(1, 2)
+    tail = normals[tail_start[:, None] + np.arange(10)]
+    q, m, m_prime = tail[:, :4], tail[:, 4:7], tail[:, 7:]
     w, x, y, z = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
     # Columns 0 and 1 of rotation_from_quaternion.
     s = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)], axis=1)
@@ -130,16 +171,20 @@ def fuzz_bounds(trials: int, seed: int) -> FuzzSummary:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     kept = [(np.empty(0), np.empty(0, dtype=np.int64))] * 2
+    draw_s = screen_s = 0.0
     for start in range(0, trials, BLOCK):
         block = np.arange(start, min(start + BLOCK, trials))
-        slacks = _screen(*_draw_block(seed, block))
+        clock = time.perf_counter()
+        draws = _draw_block(seed, block)
+        drawn = time.perf_counter()
+        slacks = _screen(*draws)
         kept = [_keep_near_minimum(k, slack, block) for k, slack in zip(kept, slacks)]
-    (_, near), (_, near_same) = kept
-    rerun = {int(t): run_trial(seed, int(t)) for t in np.union1d(near, near_same)}
-    worst = min((rerun[int(t)] for t in near), key=lambda inst: inst.check.slack)
-    worst_same = min(
-        (rerun[int(t)] for t in near_same), key=lambda inst: inst.same_meter_check.slack
-    )
+        draw_s += drawn - clock
+        screen_s += time.perf_counter() - drawn
+    near, near_same = (kept_trials.tolist() for _, kept_trials in kept)
+    rerun = {t: run_trial(seed, t) for t in sorted({*near, *near_same})}
+    worst = min((rerun[t] for t in near), key=lambda inst: inst.check.slack)
+    worst_same = min((rerun[t] for t in near_same), key=lambda inst: inst.same_meter_check.slack)
     return FuzzSummary(
         trials=trials,
         seed=seed,
@@ -147,6 +192,9 @@ def fuzz_bounds(trials: int, seed: int) -> FuzzSummary:
         worst=worst,
         min_same_meter_slack=worst_same.same_meter_check.slack,
         worst_same_meter=worst_same,
+        reruns=len(rerun),
+        draw_s=draw_s,
+        screen_s=screen_s,
     )
 
 
@@ -167,13 +215,13 @@ def instance_to_json(instance: FuzzInstance) -> dict:
 
 def evaluate_instance_json(data) -> tuple[BoundCheck, BoundCheck]:
     """Recompute both bound checks for a dumped instance (replay path)."""
-    from .io import _read_key, complex_matrix_from_json
+    from .io import _json_floats, _read_key, complex_matrix_from_json
 
     if not isinstance(data, dict):
         raise ValueError("replay file must contain a JSON object")
     state = validate_state(_read_key(data, "matrix", complex_matrix_from_json, "replay file"))
     pi_s, pi_s_prime, pi_m, pi_m_prime = (
-        _read_key(data, key, QubitMeasurement, "replay file")
+        _read_key(data, key, lambda axis: QubitMeasurement(_json_floats(axis)), "replay file")
         for key in ("signal_axis", "signal_axis_prime", "meter_axis", "meter_axis_prime")
     )
     check = check_bound(state, pi_s, pi_s_prime, pi_m, pi_m_prime)

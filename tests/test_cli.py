@@ -4,15 +4,20 @@ Most tests call ``main`` in-process for speed; one subprocess test covers the
 ``python -m bellbound`` entry point.
 """
 
+import io
 import json
 import re
 import shlex
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellbound as bb
 from bellbound.cli import SURFACE_HEADER, SWEEP_HEADER, _grid, main
@@ -31,6 +36,43 @@ def run_cli(args, capsys):
     code = main([str(a) for a in args])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def replay_documents():
+    """Any JSON value as Python reads it (NaN, infinities and integers too
+    large for a float included), and objects shaped like a dumped instance
+    whose entries are drawn from those values, a valid state or unit axes."""
+    numbers = (
+        st.integers()
+        | st.sampled_from([10**400, -(10**400)])
+        | st.floats()
+        | st.floats(min_value=-1.0, max_value=1.0)
+    )
+    scalars = st.none() | st.booleans() | numbers | st.text(max_size=4)
+    values = st.recursive(
+        scalars,
+        lambda inner: (
+            st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=5)
+        ),
+        max_leaves=12,
+    )
+    cells = numbers | st.fixed_dictionaries({"re": numbers, "im": numbers}) | values
+    mixed = [[{"re": 0.25 if i == j else 0.0, "im": 0.0} for j in range(4)] for i in range(4)]
+    matrices = (
+        st.just(mixed)
+        | st.lists(st.lists(cells, min_size=4, max_size=4), min_size=4, max_size=4)
+        | values
+    )
+    units = st.sampled_from([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    axes = units | st.lists(numbers, min_size=3, max_size=3) | values
+    instances = st.fixed_dictionaries(
+        {"matrix": matrices},
+        optional={
+            key: axes
+            for key in ("signal_axis", "signal_axis_prime", "meter_axis", "meter_axis_prime")
+        },
+    )
+    return values | instances
 
 
 class TestAnalyze:
@@ -373,6 +415,19 @@ class TestManifestStats:
         assert stats["points"] == points
         assert 0.0 <= stats["render_s"] <= manifest["duration_s"]
 
+    def test_verify_records_reruns_stage_times_and_throughput(self, tmp_path, capsys):
+        out_file = tmp_path / "verify.json"
+        args = ["verify", "--trials", 1500, "--seed", 2]
+        assert run_cli(args + ["--out", out_file], capsys)[0] == 0
+        manifest = json.loads((tmp_path / "verify.json.manifest.json").read_text())
+        stats = manifest["stats"]
+        assert list(stats) == ["reruns", "draw_s", "screen_s", "instances_per_s"]
+        assert stats["reruns"] >= 1
+        assert 0.0 < stats["draw_s"] + stats["screen_s"] <= manifest["duration_s"]
+        assert stats["instances_per_s"] >= 1500 / manifest["duration_s"]
+        # the data file is the one written without --out
+        assert out_file.read_text() == run_cli(args, capsys)[1]
+
 
 class TestVerify:
     def test_small_fuzz_passes(self, capsys):
@@ -462,6 +517,55 @@ class TestVerify:
             assert err.startswith("error:") and err.count("\n") == 1
             if key is not None:
                 assert repr(key) in err
+
+    @pytest.mark.parametrize(
+        "key, axis",
+        [
+            ("meter_axis", [float("nan"), 0.0, 0.0]),
+            ("signal_axis_prime", [0.0, float("nan"), 0.0]),
+            ("meter_axis", [1e308, 1e308, 0.0]),
+            ("meter_axis_prime", [float("inf"), 0.0, 0.0]),
+            ("signal_axis", [True, False, False]),
+            ("signal_axis", [[1.0, 0.0, 0.0]]),
+        ],
+    )
+    def test_replay_axis_must_be_a_finite_list_of_numbers(self, tmp_path, capsys, key, axis):
+        # on the maximally mixed state a NaN axis once gave a report of zeros
+        # and exit 0, and booleans or a nested list were read as (1, 0, 0)
+        from bellbound.io import complex_matrix_to_json
+
+        instance = {
+            "matrix": complex_matrix_to_json(np.eye(4) / 4),
+            "signal_axis": [1.0, 0.0, 0.0],
+            "signal_axis_prime": [0.0, 1.0, 0.0],
+            "meter_axis": [0.0, 0.0, 1.0],
+            "meter_axis_prime": [1.0, 0.0, 0.0],
+            key: axis,
+        }
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["verify", "--replay", path], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(key) in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(document=replay_documents())
+    def test_any_json_replay_file_exits_0_or_1_with_one_line(self, tmp_path_factory, document):
+        path = tmp_path_factory.mktemp("replay") / "instance.json"
+        path.write_text(json.dumps(document))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["verify", "--replay", str(path)])
+        assert code in (0, 1)
+        if code == 0:
+            assert err.getvalue() == "" and json.loads(out.getvalue())["replayed"] == str(path)
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
     def test_violation_exits_2_and_dumps_instance(self, tmp_path, capsys, monkeypatch):
         # the bound is a theorem, so a violation can only be injected; the

@@ -1,5 +1,7 @@
 """Tests for state validation, Bloch decomposition, unitary maps, and measurements."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,26 @@ class TestValidateState:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             bb.validate_state(np.eye(2) / 2)
+
+    @pytest.mark.parametrize(
+        "entries, error",
+        [
+            # the symmetrized off-diagonal entry overflows to inf
+            ({(0, 0): 0.5, (1, 1): 0.5, (0, 1): 1e308, (1, 0): 1e308}, bb.NotPositive),
+            # the difference from the adjoint overflows
+            ({(0, 0): 0.5, (1, 1): 0.5, (0, 1): 1e308, (1, 0): -1e308}, bb.NotHermitian),
+            # the trace overflows to NaN
+            ({(0, 0): 1e308, (1, 1): 1e308, (2, 2): -1e308, (3, 3): -1e308}, bb.TraceNotOne),
+        ],
+    )
+    def test_entries_near_the_float_limit_fail_without_warning(self, entries, error):
+        m = np.zeros((4, 4), dtype=complex)
+        for index, value in entries.items():
+            m[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                bb.validate_state(m)
 
 
 class TestBlochDecomposition:
@@ -224,6 +246,23 @@ class TestMeasurements:
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValueError):
             bb.QubitMeasurement(np.array([0.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            [np.nan, 0.0, 0.0],
+            [0.0, 0.6, np.nan],
+            [np.inf, 0.0, 0.0],
+            [1e308, 1e308, 0.0],
+            [1e200, 0.0, 0.0],
+        ],
+    )
+    def test_rejects_non_finite_and_overflowing_axes_without_warning(self, axis):
+        # a NaN axis was once accepted as [nan, nan, nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="unit vector"):
+                bb.QubitMeasurement(np.array(axis))
 
 
 class TestComplementarity:

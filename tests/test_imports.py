@@ -2,7 +2,9 @@
 
 ``import bellbound`` loads nothing, and each CLI subcommand imports only the
 modules it uses, so these tests run each entry point in a fresh interpreter
-and pin the set of ``bellbound`` modules (and whether numpy) it loaded.
+and pin the set of ``bellbound`` modules it loaded, whether it loaded numpy,
+and whether it loaded ``numpy.ma`` (which ``np.unique`` and everything built on
+it import on first use, at about 12 ms per process).
 """
 
 import json
@@ -16,7 +18,8 @@ import pytest
 import bellbound as bb
 
 # Runs ``python -m bellbound ARGV`` in this interpreter, then reports its exit
-# code, the bellbound submodules it loaded and whether it loaded numpy.
+# code, the bellbound submodules it loaded and whether it loaded numpy and
+# numpy.ma.
 ENTRY_POINT = (
     "import json, runpy, sys\n"
     "sys.argv = ['bellbound', *json.loads(sys.argv[1])]\n"
@@ -25,7 +28,8 @@ ENTRY_POINT = (
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
     "loaded = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('bellbound.'))\n"
-    "sys.__stderr__.write(json.dumps([code, loaded, 'numpy' in sys.modules]) + '\\n')\n"
+    "modules = [code, loaded, 'numpy' in sys.modules, 'numpy.ma' in sys.modules]\n"
+    "sys.__stderr__.write(json.dumps(modules) + '\\n')\n"
 )
 
 CLI = {"cli", "errors"}
@@ -43,13 +47,13 @@ def loaded_by(args, cwd):
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
-    code, loaded, numpy = json.loads(proc.stderr.splitlines()[-1])
-    return code, set(loaded), numpy
+    code, loaded, numpy, numpy_ma = json.loads(proc.stderr.splitlines()[-1])
+    return code, set(loaded), numpy, numpy_ma
 
 
 @pytest.mark.parametrize("args", [["--version"], ["--help"], ["--no-such-flag"], ["sweep", "-h"]])
 def test_version_help_and_usage_errors_load_no_numpy(tmp_path, args):
-    code, loaded, numpy = loaded_by(args, tmp_path)
+    code, loaded, numpy, _ = loaded_by(args, tmp_path)
     assert code in (0, 1)
     assert loaded == CLI
     assert not numpy
@@ -69,10 +73,12 @@ def test_version_help_and_usage_errors_load_no_numpy(tmp_path, args):
 )
 def test_each_subcommand_loads_only_its_modules(tmp_path, args, modules):
     (tmp_path / "state.json").write_text('{"factory": "werner", "p": 0.82}')
-    code, loaded, numpy = loaded_by([*args, "--out", "out"], tmp_path)
+    code, loaded, numpy, numpy_ma = loaded_by([*args, "--out", "out"], tmp_path)
     assert code == 0
     assert loaded == modules
     assert numpy
+    # verify once reached numpy.ma through np.union1d
+    assert not numpy_ma
 
 
 def test_import_bellbound_loads_no_submodule_and_no_numpy():

@@ -80,6 +80,21 @@ class TestStateFiles:
         with pytest.raises(ValueError, match="matrix.*factory|factory.*matrix"):
             load_state(path)
 
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ('{"factory": "werner", "p": 1%s}', "p"),
+            ('{"matrix": [[1%s, 0, 0, 0], [0,0,0,0], [0,0,0,0], [0,0,0,0]]}', "matrix"),
+            ('{"factory": "bell_diagonal", "lambdas": [1%s, 0, 0, 0]}', "lambdas"),
+        ],
+    )
+    def test_integer_too_large_for_a_float_names_its_key(self, tmp_path, document, key):
+        # float() of such an integer raised OverflowError, which escaped as a traceback
+        path = tmp_path / "huge.json"
+        path.write_text(document % ("0" * 400))
+        with pytest.raises(ValueError, match=f"key '{key}' is malformed: integer too large"):
+            load_state(path)
+
     def test_bad_cell_rejected(self, tmp_path):
         path = tmp_path / "cell.json"
         path.write_text('{"matrix": [[{"real": 1}, 0, 0, 0], [0,0,0,0], [0,0,0,0], [0,0,0,0]]}')

@@ -1,20 +1,32 @@
 """Tests for the batched fuzz screen: it must report what a scalar run reports."""
 
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import bellbound as bb
 from bellbound import verify
+from bellbound.cli import main
 from bellbound.factories import _philox_streams
 from bellbound.io import dumps_json
 from bellbound.verify import (
     BLOCK,
+    _draw,
     _draw_block,
     _screen,
     fuzz_bounds,
     instance_to_json,
     run_trial,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 SEED = 31
 AGREEMENT_TRIALS = 5000
@@ -28,6 +40,57 @@ def scalar_trials():
 
 def rendered(instance):
     return dumps_json(instance_to_json(instance))
+
+
+def legacy_density_matrix(rng, ancilla_dim):
+    """The state as it was drawn before one call read all the normals."""
+    amplitudes = rng.normal(size=(4, ancilla_dim)) + 1j * rng.normal(size=(4, ancilla_dim))
+    amplitudes /= np.linalg.norm(amplitudes)
+    return amplitudes @ amplitudes.conj().T
+
+
+def legacy_draw(rng):
+    """A trial's stream read in its former five calls after the dimension:
+    real and imaginary amplitudes, quaternion, m, m'."""
+    rho = legacy_density_matrix(rng, int(rng.integers(1, 5)))
+    return rho, rng.normal(size=4), rng.normal(size=3), rng.normal(size=3)
+
+
+class TestDraw:
+    @pytest.mark.parametrize("seed", [0, 31, -5, 2**64 + 3])
+    def test_one_call_draw_equals_the_five_call_sequence(self, seed):
+        trials = list(range(40)) + [BLOCK, 10**6]
+        dims = set()
+        for trial, rng in zip(trials, _philox_streams(seed, trials)):
+            draws = _draw(rng)
+            after = rng.random(4)
+            (legacy_rng,) = _philox_streams(seed, [trial])
+            expected = legacy_draw(legacy_rng)
+            for value, reference in zip(draws, expected):
+                assert value.shape == reference.shape
+                assert value.tobytes() == reference.tobytes()
+            # both reads end at the same point of the stream
+            assert np.array_equal(after, legacy_rng.random(4))
+            dims.add(np.linalg.matrix_rank(draws[0]))
+        assert dims == {1, 2, 3, 4}
+
+    def test_random_state_is_unchanged(self):
+        for seed in range(8):
+            for rank in range(1, 5):
+                key = np.array([seed, rank], dtype=np.uint64)
+                rng = np.random.Generator(np.random.Philox(key=key))
+                expected = bb.validate_state(legacy_density_matrix(rng, rank)).matrix
+                assert bb.random_state(seed, rank).matrix.tobytes() == expected.tobytes()
+
+    def test_block_reads_the_streams_as_the_scalar_draw(self):
+        trials = np.arange(300)
+        rho, s, s_prime, m, m_prime = _draw_block(SEED, trials)
+        for i, instance in enumerate(run_trial(SEED, int(t)) for t in trials):
+            np.testing.assert_allclose(rho[i], instance.state.matrix, rtol=0, atol=1e-15)
+            for block, axis in zip((s, s_prime, m, m_prime), (
+                instance.s_axis, instance.s_prime_axis, instance.m_axis, instance.m_prime_axis
+            )):
+                np.testing.assert_allclose(block[i], axis, rtol=0, atol=1e-15)
 
 
 class TestFuzzBounds:
@@ -91,9 +154,34 @@ class TestFuzzBounds:
             screen_with(6, s[6], 2)()
         with pytest.raises(ValueError, match="unit vector"):
             screen_with(2, 2.0 * m[2], 3)()
+        # a NaN fails every check instead of passing it
+        for target in (1, 2, 3, 4):
+            with pytest.raises(ValueError, match="unit vector"):
+                screen_with(4, [np.nan, 0.0, 0.0], target)()
         # the first invalid state decides the error, as in a trial-by-trial run
         corrupted = rho.copy()
         corrupted[2] = 1.1 * rho[2]
         corrupted[1] = not_positive
         with pytest.raises(bb.NotPositive):
             _screen(corrupted, s, s_prime, m, m_prime)
+
+    def test_summary_counts_its_reruns(self):
+        summary = fuzz_bounds(300, SEED)
+        assert 1 <= summary.reruns <= 2
+        assert summary.draw_s > 0 and summary.screen_s > 0
+
+
+def test_seeded_verify_outputs_match_the_recorded_digests(tmp_path, monkeypatch):
+    # the benchmark's own step list and digests, read but not changed
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    references = json.loads((PERFBENCH / "references.json").read_text())
+    steps = [s for s in workloads.seeded_cli_steps() if s.args[0] == "verify"]
+    assert len(steps) == 16
+    for step in steps:
+        out = tmp_path / step.out
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main([*step.args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == references[step.key], step.key
