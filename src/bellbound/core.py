@@ -181,30 +181,24 @@ def _validate_stack(m: np.ndarray) -> np.ndarray:
 def decompose(state: TwoQubitState) -> BlochForm:
     """Bloch expansion: n_k = tr[rho (sigma_k x 1)], m_l = tr[rho (1 x sigma_l)],
     T_kl = tr[rho (sigma_k x sigma_l)]."""
-    rho = state.matrix
-    n = np.einsum("kij,ji->k", _SIG_OPS, rho)
-    m = np.einsum("kij,ji->k", _MET_OPS, rho)
-    t = np.einsum("klij,ji->kl", _CORR_OPS, rho)
+    n, m, t = (part[0] for part in _decompose_stack(state.matrix[np.newaxis]))
+    return BlochForm(n, m, t)
+
+
+# The 15 Bloch observables in one stack: sigma_k x 1, 1 x sigma_l, sigma_k x sigma_l.
+_BLOCH_OPS = np.concatenate([_SIG_OPS, _MET_OPS, _CORR_OPS.reshape(9, 4, 4)])
+
+
+def _decompose_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``n`` (N, 3), ``m`` (N, 3) and ``T`` (N, 3, 3) of :func:`decompose`
+    for a stack of validated states of shape (N, 4, 4)."""
+    coefficients = np.einsum("aij,Nji->Na", _BLOCH_OPS, rho)
     # Imaginary residues are pure floating noise for a validated (Hermitian) state.
-    residue = max(np.max(np.abs(n.imag)), np.max(np.abs(m.imag)), np.max(np.abs(t.imag)))
-    if residue >= VALIDATION_TOL:
-        raise NotHermitian(residue)
-    return BlochForm(n.real, m.real, t.real)
-
-
-# The Bloch observables of n and T in one stack: sigma_k x 1, then sigma_k x sigma_l.
-_N_T_OPS = np.concatenate([_SIG_OPS, _CORR_OPS.reshape(9, 4, 4)])
-
-
-def _decompose_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``n`` (N, 3) and ``T`` (N, 3, 3) of :func:`decompose` for a stack
-    of validated states of shape (N, 4, 4)."""
-    coefficients = np.einsum("aij,Nji->Na", _N_T_OPS, rho)
     residue = float(np.max(np.abs(coefficients.imag)))
     if residue >= VALIDATION_TOL:
         raise NotHermitian(residue)
     coefficients = coefficients.real
-    return coefficients[:, :3], coefficients[:, 3:].reshape(-1, 3, 3)
+    return coefficients[:, :3], coefficients[:, 3:6], coefficients[:, 6:].reshape(-1, 3, 3)
 
 
 def recompose(form: BlochForm) -> TwoQubitState:

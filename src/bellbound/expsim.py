@@ -91,8 +91,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pair_rate < 0 or self.duration < 0 or self.dark_coincidence_rate < 0:
-            raise ValueError("rates and duration must be non-negative")
+        # Written so that a NaN fails each check.
+        for name in ("pair_rate", "duration", "dark_coincidence_rate"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -114,9 +117,9 @@ class MixingModel:
         if not -1e-12 <= self.visibility <= 1.0 + 1e-12:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
         weights = (self.w_singlet, self.w_hh, self.w_vv)
-        if min(weights) < -1e-12:
+        if not all(weight >= -1e-12 for weight in weights):
             raise ValueError(f"mixing weights must be non-negative, got {weights}")
-        if abs(sum(weights) - 1.0) > 1e-10:
+        if not abs(sum(weights) - 1.0) <= 1e-10:
             raise ValueError(f"mixing weights must sum to 1, got {sum(weights)!r}")
 
 
@@ -305,12 +308,15 @@ def mixing_model_from_schedule(visibility: float, durations, rates) -> MixingMod
     rates = np.asarray(rates, dtype=float).reshape(-1)
     if durations.shape != (3,) or rates.shape != (3,):
         raise ValueError("expected 3 durations and 3 rates (interferometric, HH, VV)")
-    if np.any(durations < 0) or np.any(rates < 0):
-        raise ValueError("durations and rates must be non-negative")
-    weights = durations * rates
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("schedule yields zero total weight")
+    for name, values in (("durations", durations), ("rates", rates)):
+        if not np.all(values >= 0):
+            raise ValueError(f"schedule {name} must be non-negative, got {values.tolist()}")
+    # An overflow or inf * 0 leaves a total that fails the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = durations * rates
+        total = weights.sum()
+    if not 0 < total < math.inf:
+        raise ValueError(f"schedule yields total weight {total}, expected a positive finite number")
     weights = weights / total
     return MixingModel(
         visibility=float(visibility), w_singlet=weights[0], w_hh=weights[1], w_vv=weights[2]

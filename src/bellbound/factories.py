@@ -58,10 +58,13 @@ def bell_diagonal(lambdas) -> TwoQubitState:
     lams = np.asarray(lambdas, dtype=float).reshape(-1)
     if lams.shape != (4,):
         raise NotAProbabilityVector(f"expected 4 weights, got {lams.shape[0]}")
-    if np.any(lams < 0.0):
-        raise NotAProbabilityVector(f"negative weight: min = {lams.min():.6e}")
-    if abs(lams.sum() - 1.0) > 1e-10:
-        raise NotAProbabilityVector(f"weights sum to {lams.sum():.12f}, expected 1 (limit 1e-10)")
+    # Written so that a NaN fails each check; a sum that overflows is inf.
+    if not np.all(lams >= 0.0):
+        raise NotAProbabilityVector(f"weights must be non-negative, got {lams.tolist()}")
+    with np.errstate(over="ignore"):
+        total = lams.sum()
+    if not abs(total - 1.0) <= 1e-10:
+        raise NotAProbabilityVector(f"weights sum to {total:.12f}, expected 1 (limit 1e-10)")
     rho = np.zeros((4, 4), dtype=complex)
     for lam, ket in zip(lams, BELL_KETS):
         rho += lam * np.outer(ket, ket.conj())

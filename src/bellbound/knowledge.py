@@ -275,21 +275,17 @@ CURVATURE_FLOOR = 1e-9
 CERTIFY_TOL = 1e-9
 
 
-def _ridge_frames(
-    n_hat: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frames ``(s, s')`` with ``n.s' = 0``, where the objective has a kink,
-    for an orthonormal basis ``(n_hat, a, b)`` with ``n_hat`` along ``n``.
-
-    ``s'`` turns by the angle alpha in the plane perpendicular to ``n``, and
-    ``s`` by beta from ``n`` towards that plane; beta = pi/2 gives the
-    double-ridge frames, where ``n.s = 0`` too.
-    """
-    angles = np.arange(RIDGE_TURNS) * math.pi / RIDGE_TURNS
-    alpha, beta = (g.reshape(-1, 1) for g in np.meshgrid(angles, angles))
+def _ridge_frames(basis: np.ndarray, alpha, beta) -> np.ndarray:
+    """Frames ``(s, s')`` (..., 2, 3) on the kink ``n.s' = 0`` at angle arrays of
+    one shape: ``s' = cos(alpha) a + sin(alpha) b``, ``s = cos(beta) n_hat +
+    sin(beta) w``, ``w = cos(alpha) b - sin(alpha) a``, for an orthonormal
+    ``basis = (n_hat, a, b)``, ``n_hat`` along ``n``.  beta = pi/2 gives the
+    double ridge, where ``n.s = 0`` too."""
+    n_hat, a, b = basis
+    alpha, beta = np.asarray(alpha)[..., None], np.asarray(beta)[..., None]
     s_prime = np.cos(alpha) * a + np.sin(alpha) * b
     s = np.cos(beta) * n_hat + np.sin(beta) * (np.cos(alpha) * b - np.sin(alpha) * a)
-    return s, s_prime
+    return np.stack([s, s_prime], axis=-2)
 
 
 def _excess_sums(form: BlochForm, frames: np.ndarray) -> np.ndarray:
@@ -300,14 +296,9 @@ def _excess_sums(form: BlochForm, frames: np.ndarray) -> np.ndarray:
     return (excess**2).sum(axis=-1)
 
 
-def _cross_matrices(axes: np.ndarray) -> np.ndarray:
-    """Cross-product matrices ``K a = axis x a`` of a stack of axes (..., 3)."""
-    return np.cross(axes[..., None, :], np.eye(3)).swapaxes(-1, -2)
-
-
-def _distinct_best(form: BlochForm, frames: np.ndarray) -> np.ndarray:
-    """The best POLISH_STARTS frames of a stack (N, 2, 3), no two of them
-    alike up to ``s -> -s``, ``s' -> -s'`` and ``s <-> s'``."""
+def _distinct_best(form: BlochForm, frames: np.ndarray) -> list[int]:
+    """Indices of the best POLISH_STARTS frames of a stack (N, 2, 3), no two
+    of them alike up to ``s -> -s``, ``s' -> -s'`` and ``s <-> s'``."""
     scores = _excess_sums(form, frames)
     s, s_prime = frames[:, 0], frames[:, 1]
     picks = []
@@ -317,28 +308,23 @@ def _distinct_best(form: BlochForm, frames: np.ndarray) -> np.ndarray:
         same = np.minimum(np.abs(s @ s[i]), np.abs(s_prime @ s_prime[i]))
         swapped = np.minimum(np.abs(s @ s_prime[i]), np.abs(s_prime @ s[i]))
         scores[np.maximum(same, swapped) > DISTINCT_COSINE] = -np.inf
-    return frames[picks]
+    return picks
 
 
-def _newton_step(form: BlochForm, frames: np.ndarray, skews: np.ndarray) -> np.ndarray:
-    """Safeguarded Newton step of every lane, in the angles of its chart.
+def _ridge_derivatives(form: BlochForm, basis: np.ndarray, angles: np.ndarray):
+    """Gradient (k, 2) and Hessian (k, 2, 2) of the excess sum in the angles,
+    at the rows ``(alpha, beta)`` of ``angles``: ``sum_x g(x) . x_i`` and
+    ``sum_x x_i^T H(x) x_j + g(x) . x_ij`` over the axes ``x`` of the frame,
+    ``x_i`` and ``x_ij`` their derivatives by the angles, where ``g`` and
+    ``H`` are the gradient and Hessian of ``h(x) = max(0, e)^2``, ``e = |T^T x| - |n.x|``:
 
-    Lane ``k`` moves its frame ``frames[k]`` (2, 3) by the rotations
-    ``exp(w_0 K_0) exp(w_1 K_1) ...``, ``K_i = skews[k, i]`` the
-    cross-product matrix of the chart's i-th axis.  On the chart the excess
-    sum has gradient ``sum_x J_i . g(x)`` and Hessian
-    ``sum_x J_i^T H(x) J_j + g(x) . K_i K_j x`` (i <= j), where
-    ``J_i = K_i x`` and ``g``, ``H`` are the gradient and Hessian of
-    ``h(x) = max(0, |T^T x| - |n.x|)^2``:
+        g = 2e (u - sign(n.x) n),  u = T T^T x / |T^T x|,
+        H = 2 grad e grad e^T + 2e (T T^T - u u^T) / |T^T x|.
 
-        g = 2e (T T^T x / |T^T x| - sign(n.x) n),
-        H = 2 grad e grad e^T + 2e (T T^T - u u^T) / |T^T x|,  u = T T^T x / |T^T x|.
-
-    Where ``e = 0`` both vanish, so no lane divides by ``|T^T x| = 0``.  The
-    step takes each curvature by its absolute value, floored, so it always
-    ascends.
-    """
+    Both vanish where ``e = 0``, so no lane divides by ``|T^T x| = 0``."""
     n, t = form.n, form.T
+    alpha, beta = angles.T
+    frames = _ridge_frames(basis, alpha, beta)
     y = frames @ t
     r = np.sqrt((y * y).sum(axis=-1))
     c = frames @ n
@@ -348,83 +334,67 @@ def _newton_step(form: BlochForm, frames: np.ndarray, skews: np.ndarray) -> np.n
     r = np.where(active, r, 1.0)
     u = (y @ t.T) / r[..., None]
     de = u - np.sign(c)[..., None] * n
-    grad = (2.0 * e)[..., None] * de
+    g = (2.0 * e)[..., None] * de
     hess = 2.0 * (
         active[..., None, None] * (de[..., :, None] * de[..., None, :])
         + (e / r)[..., None, None] * (t @ t.T - u[..., :, None] * u[..., None, :])
     )
-    jac = np.einsum("kimn,kan->kaim", skews, frames)
-    gradient = np.einsum("kam,kaim->ki", grad, jac)
-    second = np.einsum("kam,kimn,kjnp,kap->kij", grad, skews, skews, frames)
-    second = np.triu(second) + np.triu(second, 1).swapaxes(1, 2)
-    hessian = np.einsum("kaim,kamn,kajn->kij", jac, hess, jac) + second
-    curvature, basis = np.linalg.eigh(hessian)
-    curvature = np.abs(curvature)
-    floor = CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True)
-    curvature = np.maximum(curvature, np.maximum(floor, np.finfo(float).tiny))
-    step = np.einsum("kij,kj->ki", basis, np.einsum("kji,kj->ki", basis, gradient) / curvature)
-    return step * (MAX_STEP / np.maximum(np.abs(step).max(axis=1, keepdims=True), MAX_STEP))
+    s, s_prime = frames[:, 0], frames[:, 1]
+    w = np.cos(alpha)[:, None] * basis[2] - np.sin(alpha)[:, None] * basis[1]
+    cos_b, sin_b, zero = np.cos(beta)[:, None], np.sin(beta)[:, None], np.zeros_like(w)
+    # x_i as first[k, x, i] and x_ij as second[k, x, i, j], x = (s, s'), i = (alpha, beta).
+    first = np.stack([-sin_b * s_prime, cos_b * w - sin_b * basis[0], w, zero], axis=1)
+    second = [-sin_b * w, -cos_b * s_prime, -cos_b * s_prime, -s, -s_prime, zero, zero, zero]
+    first, second = first.reshape(-1, 2, 2, 3), np.stack(second, axis=1).reshape(-1, 2, 2, 2, 3)
+    hessian = np.einsum("kxim,kxmn,kxjn->kij", first, hess, first)
+    return np.einsum("kxm,kxim->ki", g, first), hessian + np.einsum("kxm,kxijm->kij", g, second)
 
 
-def _rotate(frames: np.ndarray, skews: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Frames (k, 2, 3) rotated by ``exp(a_0 K_0) exp(a_1 K_1)`` for each row
-    of ``angles`` (k, m, 2): the trial frames, shape (k, m, 2, 3)."""
-    rotation = np.eye(3)
-    for i in range(skews.shape[1]):
-        skew = skews[:, None, i]
-        angle = angles[..., i, None, None]
-        factor = np.eye(3) + np.sin(angle) * skew + (1.0 - np.cos(angle)) * (skew @ skew)
-        rotation = rotation @ factor
-    return frames[:, None] @ rotation.swapaxes(-1, -2)
-
-
-def _polish(form: BlochForm, n_hat: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, int]:
-    """Newton ascent on the ridge ``n.s' = 0`` from every start frame at once.
-
-    ``frames`` (k, 2, 3) holds the starts as ``(s, s')`` rows, each with
-    ``n.s' = 0``.  Every lane turns its frame about ``n_hat`` (the unit
-    ``n``) and about its own ``s'``, the alpha and beta of
-    :func:`_ridge_frames`, so it stays on the ridge.  Each iteration tries
-    STEP_TRIALS scalings of every lane's Newton step at once and keeps a
-    lane's best trial when it gains.  Returns the best polished frame (2, 3)
-    and the number of frames evaluated.
-    """
-    turn_about_n = np.broadcast_to(_cross_matrices(n_hat), (len(frames), 3, 3))
-    scales = 0.5 ** np.arange(STEP_TRIALS)
-    values = _excess_sums(form, frames)
-    running = np.ones(len(frames), dtype=bool)
-    evaluations = len(frames)
-    lanes = np.arange(len(frames))
+def _polish(form: BlochForm, basis: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, int]:
+    """Newton ascent on the ridge from all starts ``angles`` (k, 2), rows
+    ``(alpha, beta)`` of :func:`_ridge_frames`, at once.  A step takes every
+    curvature by its absolute value, floored, so it ascends; an iteration tries
+    STEP_TRIALS scalings of it and keeps a lane's best trial when it gains.
+    Returns the best polished frame (2, 3) and the number of frames evaluated."""
+    scales = 0.5 ** np.arange(STEP_TRIALS)[:, None]
+    values = _excess_sums(form, _ridge_frames(basis, *angles.T))
+    running = np.ones(len(angles), dtype=bool)
+    evaluations, lanes = len(angles), np.arange(len(angles))
     for _ in range(MAX_ITERATIONS):
-        skews = np.stack([turn_about_n, _cross_matrices(frames[:, 1])], axis=1)
-        step = _newton_step(form, frames, skews)
-        trials = _rotate(frames, skews, scales[None, :, None] * step[:, None, :])
-        trial_values = _excess_sums(form, trials)
+        gradient, hessian = _ridge_derivatives(form, basis, angles)
+        curvature, vectors = np.linalg.eigh(hessian)
+        curvature = np.abs(curvature)
+        floor = CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True)
+        curvature = np.maximum(curvature, np.maximum(floor, np.finfo(float).tiny))
+        along = np.einsum("kji,kj->ki", vectors, gradient) / curvature
+        step = np.einsum("kij,kj->ki", vectors, along)
+        step *= MAX_STEP / np.maximum(np.abs(step).max(axis=1, keepdims=True), MAX_STEP)
+        trials = angles[:, None] + scales * step[:, None]
+        trial_values = _excess_sums(form, _ridge_frames(basis, trials[..., 0], trials[..., 1]))
         evaluations += trial_values.size
         best = trial_values.argmax(axis=1)
         gain = trial_values[lanes, best] - values
         moved = running & (gain > 0.0)
-        frames = np.where(moved[:, None, None], trials[lanes, best], frames)
+        angles = np.where(moved[:, None], trials[lanes, best], angles)
         values = np.where(moved, trial_values[lanes, best], values)
         running &= gain > GAIN_TOL
         if not running.any():
             break
-    return frames[int(np.argmax(values))], evaluations
+    return _ridge_frames(basis, *angles[int(np.argmax(values))]), evaluations
 
 
 def _search(form: BlochForm) -> tuple[np.ndarray, int]:
     """Screen the ridge frames, polish the best distinct ones: the frame
     (2, 3) and the number of frames the polish evaluated."""
-    n_hat, a, b = np.linalg.svd(form.n[None, :])[2]
-    ridge = np.stack(_ridge_frames(n_hat, a, b), axis=1).reshape(RIDGE_TURNS, RIDGE_TURNS, 2, 3)
+    basis = np.linalg.svd(form.n[None, :])[2]
+    turns = np.arange(RIDGE_TURNS) * math.pi / RIDGE_TURNS
     # Row beta = pi/2 is the double ridge, where every frame has the same sum:
     # left in the screen, its frames would all tie and crowd out the rest.
-    double = ridge[RIDGE_TURNS // 2, 0]
-    single = np.delete(ridge, RIDGE_TURNS // 2, axis=0).reshape(-1, 2, 3)
-    frame, evaluations = _polish(form, n_hat, _distinct_best(form, single))
-    if _excess_sums(form, double) > _excess_sums(form, frame):
-        frame = double
-    return frame, evaluations
+    alpha, beta = (g.ravel() for g in np.meshgrid(turns, np.delete(turns, RIDGE_TURNS // 2)))
+    picks = _distinct_best(form, _ridge_frames(basis, alpha, beta))
+    frame, evaluations = _polish(form, basis, np.stack([alpha, beta], axis=1)[picks])
+    double = _ridge_frames(basis, 0.0, math.pi / 2)
+    return max((frame, double), key=lambda f: _excess_sums(form, f)), evaluations
 
 
 def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
@@ -452,9 +422,9 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
        has the same sum ``tr(T T^T) - n^T T T^T n / |n|^2``, so those frames
        are screened apart: left in, they would all tie.  The best three
        other ridge frames that are distinct up to ``s -> -s``, ``s' -> -s'``
-       and ``s <-> s'`` are polished by Newton steps over the two angles
-       that keep ``n.s' = 0``, all at once (numpy only).  The best polished
-       frame is returned, or a double-ridge frame if its sum is higher.
+       and ``s <-> s'`` are polished by Newton steps in the screen's own
+       ridge angles, all at once (numpy only).  The best polished frame is
+       returned, or a double-ridge frame if its sum is higher.
 
     The result's ``check`` is :func:`check_bound` with :func:`optimal_meter`
     meters on the returned signal pair; ``path`` says which step returned it

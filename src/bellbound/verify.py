@@ -149,7 +149,7 @@ def _draw_block(seed: int, trials: np.ndarray) -> tuple[np.ndarray, ...]:
 def _screen(rho, s, s_prime, m, m_prime) -> tuple[np.ndarray, np.ndarray]:
     """Screened bound and same-meter slacks of a block of draws, after the
     checks that ``run_trial`` makes on each of them."""
-    n, t = _decompose_stack(_validate_stack(rho))
+    n, _, t = _decompose_stack(_validate_stack(rho))
     return _bound_slacks(n, t, s, s_prime, m, m_prime)
 
 

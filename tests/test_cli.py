@@ -38,41 +38,86 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def replay_documents():
-    """Any JSON value as Python reads it (NaN, infinities and integers too
-    large for a float included), and objects shaped like a dumped instance
-    whose entries are drawn from those values, a valid state or unit axes."""
-    numbers = (
-        st.integers()
-        | st.sampled_from([10**400, -(10**400)])
-        | st.floats()
-        | st.floats(min_value=-1.0, max_value=1.0)
-    )
-    scalars = st.none() | st.booleans() | numbers | st.text(max_size=4)
-    values = st.recursive(
-        scalars,
-        lambda inner: (
-            st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=5)
-        ),
-        max_leaves=12,
-    )
-    cells = numbers | st.fixed_dictionaries({"re": numbers, "im": numbers}) | values
+# Any JSON number as Python reads it: NaN, infinities and integers too large
+# for a float included.
+NUMBERS = (
+    st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.floats(min_value=-1.0, max_value=1.0)
+)
+# Any JSON value.
+VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=5)
+    ),
+    max_leaves=12,
+)
+
+
+def matrices():
+    """The maximally mixed state, 4 x 4 grids of cells drawn from numbers,
+    ``{"re", "im"}`` objects and JSON values, or any JSON value."""
+    cells = NUMBERS | st.fixed_dictionaries({"re": NUMBERS, "im": NUMBERS}) | VALUES
     mixed = [[{"re": 0.25 if i == j else 0.0, "im": 0.0} for j in range(4)] for i in range(4)]
-    matrices = (
+    return (
         st.just(mixed)
         | st.lists(st.lists(cells, min_size=4, max_size=4), min_size=4, max_size=4)
-        | values
+        | VALUES
     )
+
+
+def replay_documents():
+    """Any JSON value, and objects shaped like a dumped instance whose entries
+    are drawn from JSON values, a valid state or unit axes."""
     units = st.sampled_from([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    axes = units | st.lists(numbers, min_size=3, max_size=3) | values
+    axes = units | st.lists(NUMBERS, min_size=3, max_size=3) | VALUES
     instances = st.fixed_dictionaries(
-        {"matrix": matrices},
+        {"matrix": matrices()},
         optional={
             key: axes
             for key in ("signal_axis", "signal_axis_prime", "meter_axis", "meter_axis_prime")
         },
     )
-    return values | instances
+    return VALUES | instances
+
+
+def state_documents():
+    """Any JSON value, and objects shaped like a state file: a matrix, or a
+    factory whose arguments are drawn from JSON values, from numbers and from
+    values in and near their valid ranges (probability vectors included)."""
+    probabilities = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4)
+    lambdas = (
+        probabilities.filter(lambda v: sum(v) > 0).map(lambda v: [x / sum(v) for x in v])
+        | st.lists(NUMBERS | st.just(1e308), min_size=4, max_size=4)
+        | st.lists(st.floats(min_value=-0.1, max_value=1.0), max_size=5)
+        | VALUES
+    )
+    p = st.floats(min_value=-0.4, max_value=1.1) | NUMBERS | VALUES
+    ancilla_dim = st.integers(min_value=-1, max_value=6) | VALUES
+    factories = (
+        st.fixed_dictionaries({"factory": st.just("werner"), "p": p})
+        | st.fixed_dictionaries({"factory": st.just("bell_diagonal"), "lambdas": lambdas})
+        | st.fixed_dictionaries(
+            {"factory": st.just("random"), "seed": st.integers() | VALUES},
+            optional={"ancilla_dim": ancilla_dim},
+        )
+        | st.fixed_dictionaries(
+            {"factory": VALUES},
+            optional={"p": p, "lambdas": lambdas, "seed": VALUES, "ancilla_dim": ancilla_dim},
+        )
+    )
+    return VALUES | st.fixed_dictionaries({"matrix": matrices()}) | factories
+
+
+def run_in_process(args):
+    """``main(args)`` with warnings as errors: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([str(a) for a in args])
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestAnalyze:
@@ -129,6 +174,23 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", path], capsys)
         assert code == 1
         assert "trace" in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(document=state_documents())
+    def test_any_json_state_file_exits_0_or_1_with_one_line(self, tmp_path_factory, document):
+        # filter's iteration cap keeps each example fast; a state it cannot
+        # filter within the cap exits 1
+        path = tmp_path_factory.mktemp("state") / "state.json"
+        path.write_text(json.dumps(document))
+        for args in (["analyze", path], ["filter", path, "--max-iter", 50]):
+            code, out, err = run_in_process(args)
+            assert code in (0, 1)
+            if code == 0:
+                assert "error:" not in err
+                json.loads(out)
+            else:
+                assert out == ""
+                assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSweep:
@@ -556,16 +618,13 @@ class TestVerify:
     def test_any_json_replay_file_exits_0_or_1_with_one_line(self, tmp_path_factory, document):
         path = tmp_path_factory.mktemp("replay") / "instance.json"
         path.write_text(json.dumps(document))
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = main(["verify", "--replay", str(path)])
+        code, out, err = run_in_process(["verify", "--replay", path])
         assert code in (0, 1)
         if code == 0:
-            assert err.getvalue() == "" and json.loads(out.getvalue())["replayed"] == str(path)
+            assert err == "" and json.loads(out)["replayed"] == str(path)
         else:
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_violation_exits_2_and_dumps_instance(self, tmp_path, capsys, monkeypatch):
         # the bound is a theorem, so a violation can only be injected; the
@@ -668,6 +727,23 @@ class TestSimulate:
         )
         assert code == 1
         assert "Werner" in err
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--pair-rate", "nan"], "pair_rate"),
+            (["--duration", "nan"], "duration"),
+            (["--dark-rate", "nan"], "dark_coincidence_rate"),
+            (["--visibility", 0.9, "--schedule-durations", "nan,10,8",
+              "--schedule-rates", "1,1,1"], "durations"),
+        ],
+    )
+    def test_nan_noise_parameter_exits_1_naming_it(self, capsys, flags, name):
+        # a NaN once reached numpy's Poisson draw, or a model with NaN weights
+        code, out, err = run_cli(["simulate", "--theta-step", 45, *flags], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err
 
     def test_incomplete_schedule_flags_exit_1(self, capsys):
         code, _, err = run_cli(["simulate", "--visibility", 0.9], capsys)

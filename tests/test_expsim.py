@@ -1,5 +1,7 @@
 """Tests for the coincidence-counting simulator and the count-based estimators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,13 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             bb.ExperimentConfig(pair_rate=-1.0, duration=1.0)
 
+    @pytest.mark.parametrize("field", ["pair_rate", "duration", "dark_coincidence_rate"])
+    def test_config_rejects_nan_and_names_the_field(self, field):
+        # a NaN once passed the check and failed later, in numpy's Poisson draw
+        values = {"pair_rate": 1.0, "duration": 1.0, "dark_coincidence_rate": 0.0, field: math.nan}
+        with pytest.raises(ValueError, match=field):
+            bb.ExperimentConfig(**values)
+
 
 class TestEstimators:
     def test_knowledge_examples(self):
@@ -326,6 +335,13 @@ class TestMixingModel:
         with pytest.raises(ValueError):
             bb.MixingModel(visibility=0.5, w_singlet=0.6, w_hh=0.3, w_vv=0.3)
 
+    @pytest.mark.parametrize(
+        "weights", [(math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (1.0, 0.0, math.nan)]
+    )
+    def test_model_rejects_nan_weights(self, weights):
+        with pytest.raises(ValueError, match="mixing weights"):
+            bb.MixingModel(0.9, *weights)
+
     def test_schedule_weights_proportional_to_rate_times_duration(self):
         model = bb.mixing_model_from_schedule(0.9, [22.0, 10.0, 13.0], [1.0, 1.0, 1.0])
         np.testing.assert_allclose(
@@ -350,6 +366,13 @@ class TestMixingModel:
             bb.mixing_model_from_schedule(0.9, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             bb.mixing_model_from_schedule(0.9, [1.0, -1.0, 1.0], [1.0, 1.0, 1.0])
+
+    def test_schedule_rejects_nan_and_names_the_entries(self):
+        # a NaN duration once built a model with NaN weights
+        with pytest.raises(ValueError, match="durations"):
+            bb.mixing_model_from_schedule(0.9, [math.nan, 10.0, 8.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="rates"):
+            bb.mixing_model_from_schedule(0.9, [22.0, 10.0, 8.0], [1.0, math.nan, 1.0])
 
 
 class TestRunSweepExperiment:

@@ -61,6 +61,11 @@ class TestBellDiagonal:
         with pytest.raises(bb.NotAProbabilityVector):
             bb.bell_diagonal([1.0, 0.0, 0.0])
 
+    def test_rejects_nan_weights(self):
+        # a NaN once passed both checks and failed later, in validate_state
+        with pytest.raises(bb.NotAProbabilityVector, match="weights"):
+            bb.bell_diagonal([np.nan, 0.0, 0.0, 1.0])
+
 
 class TestRandomState:
     def test_same_seed_is_bit_identical(self):

@@ -1,5 +1,6 @@
 """Tests for knowledge quantities, the Bell factor, and the excess-sum bounds."""
 
+import importlib
 import subprocess
 import sys
 
@@ -294,7 +295,7 @@ class TestOptimizeExcessSum:
         def no_search(*args, **kwargs):
             raise AssertionError("the seed frame attains the bound; no search is needed")
 
-        monkeypatch.setattr(sys.modules["bellbound.knowledge"], "_polish", no_search)
+        monkeypatch.setattr(importlib.import_module("bellbound.knowledge"), "_polish", no_search)
         exact = [bb.werner(0.82)]
         exact += [bb.bell_diagonal(rng.dirichlet([1.0, 1.0, 1.0, 1.0])) for _ in range(30)]
         for state in exact:
@@ -374,12 +375,15 @@ class TestOptimizeExcessSum:
     def test_double_ridge_frames_share_one_sum(self):
         # Where n.s = n.s' = 0 the frame spans the plane perpendicular to n, so
         # the sum is tr(T T^T) - n^T T T^T n / |n|^2 for every such frame.
-        knowledge_module = sys.modules["bellbound.knowledge"]
+        knowledge_module = importlib.import_module("bellbound.knowledge")
         for seed, rank in [(1, 1), (4, 2), (65, 3), (88, 4)]:
             state = bb.random_state(seed, rank)
             form = bb.decompose(state)
-            n_hat, a, b = np.linalg.svd(form.n[None, :])[2]
-            s, s_prime = knowledge_module._ridge_frames(n_hat, a, b)
+            basis = np.linalg.svd(form.n[None, :])[2]
+            n_hat = basis[0]
+            turns = np.arange(knowledge_module.RIDGE_TURNS) * np.pi / knowledge_module.RIDGE_TURNS
+            frames = knowledge_module._ridge_frames(basis, *np.meshgrid(turns, turns))
+            s, s_prime = frames.reshape(-1, 2, 3).swapaxes(0, 1)
             double = np.abs(s @ form.n) < 1e-12
             assert double.sum() == knowledge_module.RIDGE_TURNS
             m = form.T @ form.T.T
@@ -389,6 +393,53 @@ class TestOptimizeExcessSum:
             assert np.allclose(sums, expected, rtol=0.0, atol=1e-12)
             # The optimizer never returns less than the double-ridge sum.
             assert bb.optimize_excess_sum(state).check.sum_of_squares >= expected - 1e-12
+
+    def test_ridge_derivatives_match_central_differences(self, rng):
+        # The safeguarded line search can hide a wrong derivative term from
+        # the end-result tests.  Away from the kinks (n.s = 0, where beta =
+        # pi/2, and a vanishing excess) the excess sum is smooth in the ridge
+        # angles, so the closed-form gradient and Hessian must match central
+        # differences of the sum (Richardson-extrapolated for the Hessian).
+        knowledge_module = importlib.import_module("bellbound.knowledge")
+        eye = np.eye(2)
+        checked = 0
+        for seed in range(40):
+            form = bb.decompose(bb.random_state(seed, 1 + seed % 4))
+            basis = np.linalg.svd(form.n[None, :])[2]
+            angles = rng.uniform(0.0, np.pi, size=(400, 2))
+            frames = knowledge_module._ridge_frames(basis, *angles.T)
+            excess = np.linalg.norm(frames @ form.T, axis=-1) - np.abs(frames @ form.n)
+            away = (np.abs(np.cos(angles[:, 1])) > 0.1) & np.all(excess > 2e-2, axis=1)
+            angles = angles[away][:8]
+            if not len(angles):
+                continue
+
+            def sums(shift):
+                frames = knowledge_module._ridge_frames(basis, *(angles + shift).T)
+                return knowledge_module._excess_sums(form, frames)
+
+            def differences(h):
+                gradient = np.stack(
+                    [(sums(h * eye[i]) - sums(-h * eye[i])) / (2 * h) for i in range(2)], axis=1
+                )
+                hessian = np.empty((len(angles), 2, 2))
+                for i, j in np.ndindex(2, 2):
+                    a, b = h * eye[i], h * eye[j]
+                    hessian[:, i, j] = sums(a + b) - sums(a - b) - sums(b - a) + sums(-a - b)
+                return gradient, hessian / (4 * h * h)
+
+            gradient, hessian = knowledge_module._ridge_derivatives(form, basis, angles)
+            numeric_gradient = differences(1e-5)[0]
+            coarse, fine = differences(2e-3)[1], differences(1e-3)[1]
+            numeric_hessian = (4 * fine - coarse) / 3
+            np.testing.assert_allclose(gradient, numeric_gradient, rtol=1e-6, atol=1e-9)
+            # The differences round to about 1e-7 of each lane's largest entry.
+            scale = np.abs(numeric_hessian).max(axis=(1, 2), keepdims=True)
+            np.testing.assert_allclose(
+                hessian / scale, numeric_hessian / scale, rtol=1e-6, atol=1e-7
+            )
+            checked += len(angles)
+        assert checked >= 100
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_edge_states(self):

@@ -171,15 +171,16 @@ class TestFuzzBounds:
         assert summary.draw_s > 0 and summary.screen_s > 0
 
 
-def test_seeded_verify_outputs_match_the_recorded_digests(tmp_path, monkeypatch):
-    # the benchmark's own step list and digests, read but not changed
+def test_seeded_outputs_match_the_recorded_digests(tmp_path, monkeypatch):
+    # the benchmark's own step list and digests, read but not changed: every
+    # seeded verify, simulate, sweep and surface output, run in-process
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     references = json.loads((PERFBENCH / "references.json").read_text())
-    steps = [s for s in workloads.seeded_cli_steps() if s.args[0] == "verify"]
-    assert len(steps) == 16
+    steps = list(workloads.seeded_cli_steps())
+    assert len(steps) == len(references) == 81
     for step in steps:
         out = tmp_path / step.out
         with contextlib.redirect_stderr(io.StringIO()):
