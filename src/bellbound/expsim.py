@@ -53,6 +53,8 @@ BLOCK = 1024
 # Bell records draw from the four streams from here on, above the streams of
 # the sweep points that share their seed.
 BELL_STREAM_OFFSET = 1_000_000
+# numpy's Generator.poisson refuses a larger mean (about 9.2e18).
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,15 @@ def _simulate_stack(
     """:func:`simulate_counts` for N points; point ``i`` draws from RNG stream
     ``streams[i]``, channel ``c`` of it from Philox key ``(seed, stream << 2 | c)``."""
     probs = _coincidence_stack(state, meter_axes, signal_axes)
-    means = probs * config.pair_rate * config.duration + config.dark_coincidence_rate * config.duration
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = probs * config.pair_rate * config.duration + config.dark_coincidence_rate * config.duration
+    # Written so that an overflow to inf or a NaN fails the check.
+    if not np.all(means <= POISSON_MEAN_MAX):
+        raise ValueError(
+            "coincidence means (pair_rate * p + dark_coincidence_rate) * duration must be at most"
+            f" {POISSON_MEAN_MAX:.3g}, the Poisson draw's limit: lower --pair-rate, --duration"
+            " or --dark-rate"
+        )
     words = ((int(stream) << 2) | channel for stream in streams for channel in range(4))
     counts = [
         int(rng.poisson(max(mean, 0.0)))

@@ -51,7 +51,8 @@ class BoundCheck:
 class ExcessOptimum(NamedTuple):
     """Measurement quadruple maximizing the excess sum, plus the bound check,
     the step of :func:`optimize_excess_sum` that returned it (``path``) and
-    the number of frames its polish evaluated (``evaluations``)."""
+    the number of ridge angles alpha its search profiled (``evaluations``;
+    each profile maximizes over the other angle exactly, 0 when certified)."""
 
     pi_s: QubitMeasurement
     pi_s_prime: QubitMeasurement
@@ -250,24 +251,13 @@ def _proper_rotation_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return o_s, d, o_m
 
 
-# The ridge grid: RIDGE_TURNS x RIDGE_TURNS frames with s' perpendicular to n.
+# The screen profiles RIDGE_TURNS angles alpha in [0, pi), a period of the profile.
 RIDGE_TURNS = 32
-# Frames are polished from the best POLISH_STARTS screened candidates that are
-# pairwise further apart than DISTINCT_COSINE allows, up to the symmetries.
-POLISH_STARTS = 3
-DISTINCT_COSINE = 0.98
-# Each Newton iteration tries the step scaled by 1, 1/2, ..., 2**(1 - STEP_TRIALS)
-# at once and keeps the best trial.  A lane stops once its best trial gains no
-# more than GAIN_TOL; the polish stops when every lane has stopped, or after
-# MAX_ITERATIONS.
-STEP_TRIALS = 12
-GAIN_TOL = 1e-15
-MAX_ITERATIONS = 60
-# No rotation angle of a step exceeds MAX_STEP radians, and curvatures are
-# floored at CURVATURE_FLOOR times the largest, so a flat direction cannot
-# send a step off.
-MAX_STEP = 0.5
-CURVATURE_FLOOR = 1e-9
+# A slope of the profile no larger than FLAT_SLOPE times the double-ridge sum
+# is rounding.  The refinement stops at such a slope, when its bracket stops
+# shrinking or after REFINE_STEPS profiles.
+FLAT_SLOPE = 1e-10
+REFINE_STEPS = 60
 # A frame whose sum is within CERTIFY_TOL of the bound is within CERTIFY_TOL of
 # the optimum, the accuracy the library promises (slacks are floored at -1e-9).
 # It covers filtered states: the filter's tolerance leaves |n| ~ 1e-10, which
@@ -296,105 +286,108 @@ def _excess_sums(form: BlochForm, frames: np.ndarray) -> np.ndarray:
     return (excess**2).sum(axis=-1)
 
 
-def _distinct_best(form: BlochForm, frames: np.ndarray) -> list[int]:
-    """Indices of the best POLISH_STARTS frames of a stack (N, 2, 3), no two
-    of them alike up to ``s -> -s``, ``s' -> -s'`` and ``s <-> s'``."""
-    scores = _excess_sums(form, frames)
-    s, s_prime = frames[:, 0], frames[:, 1]
-    picks = []
-    while len(picks) < POLISH_STARTS and np.isfinite(scores).any():
-        i = int(np.argmax(scores))
-        picks.append(i)
-        same = np.minimum(np.abs(s @ s[i]), np.abs(s_prime @ s_prime[i]))
-        swapped = np.minimum(np.abs(s @ s_prime[i]), np.abs(s_prime @ s[i]))
-        scores[np.maximum(same, swapped) > DISTINCT_COSINE] = -np.inf
-    return picks
+def _profile(form: BlochForm, basis: np.ndarray, alpha: np.ndarray):
+    """The ridge profile ``F(alpha) = max_beta G(alpha, beta)``, ``G`` the excess
+    sum of ``_ridge_frames(basis, alpha, beta)``, with ``dF/dalpha`` and the
+    maximizing beta, at each angle of the 1-D array ``alpha``.
 
+    With ``M = T T^T``, ``nu = |n|``, ``A = n_hat^T M n_hat``, ``B = n_hat^T M w``
+    and ``C = w^T M w``, ``|T^T s'|^2 = tr M - A - C`` and ``|T^T s|^2 = q =
+    A cos^2 beta + 2B cos beta sin beta + C sin^2 beta``, so for beta in
+    [-pi/2, pi/2] (``s -> -s`` covers the rest)
 
-def _ridge_derivatives(form: BlochForm, basis: np.ndarray, angles: np.ndarray):
-    """Gradient (k, 2) and Hessian (k, 2, 2) of the excess sum in the angles,
-    at the rows ``(alpha, beta)`` of ``angles``: ``sum_x g(x) . x_i`` and
-    ``sum_x x_i^T H(x) x_j + g(x) . x_ij`` over the axes ``x`` of the frame,
-    ``x_i`` and ``x_ij`` their derivatives by the angles, where ``g`` and
-    ``H`` are the gradient and Hessian of ``h(x) = max(0, e)^2``, ``e = |T^T x| - |n.x|``:
+        G = tr M - A - C + max(0, sqrt(q) - nu cos beta)^2.
 
-        g = 2e (u - sign(n.x) n),  u = T T^T x / |T^T x|,
-        H = 2 grad e grad e^T + 2e (T T^T - u u^T) / |T^T x|.
-
-    Both vanish where ``e = 0``, so no lane divides by ``|T^T x| = 0``."""
-    n, t = form.n, form.T
-    alpha, beta = angles.T
-    frames = _ridge_frames(basis, alpha, beta)
-    y = frames @ t
-    r = np.sqrt((y * y).sum(axis=-1))
-    c = frames @ n
-    e = r - np.abs(c)
-    active = e > 0.0
-    e = np.where(active, e, 0.0)
-    r = np.where(active, r, 1.0)
-    u = (y @ t.T) / r[..., None]
-    de = u - np.sign(c)[..., None] * n
-    g = (2.0 * e)[..., None] * de
-    hess = 2.0 * (
-        active[..., None, None] * (de[..., :, None] * de[..., None, :])
-        + (e / r)[..., None, None] * (t @ t.T - u[..., :, None] * u[..., None, :])
+    Where the excess of ``s`` is positive, every stationary point of G in beta
+    has ``u = tan beta`` a root of the quartic ``(B (1 - u^2) + (C - A) u)^2 =
+    nu^2 u^2 (A + 2B u + C u^2)``.  Its roots, from companion eigenvalues, and
+    beta = pi/2 (the double ridge, where ``G = tr M - A``) hold the maximum.  At
+    the maximizing beta, ``dF/dalpha = dG/dalpha = -C' + e (2B' cos beta sin
+    beta + C' sin^2 beta) / sqrt(q)``, ``e`` the excess of ``s`` and ``'`` the
+    derivative by alpha (``w' = -s'``)."""
+    m = basis @ form.T @ form.T.T @ basis.T
+    nu2 = float(form.n @ form.n)
+    c, plane = m[0, 1:], m[1:, 1:]
+    w = np.stack([-np.sin(alpha), np.cos(alpha)], axis=-1)
+    s_prime = np.stack([w[:, 1], -w[:, 0]], axis=-1)
+    a_, b_, c_ = m[0, 0], w @ c, np.einsum("ki,ij,kj->k", w, plane, w)
+    db, dc = -(s_prime @ c), -2.0 * np.einsum("ki,ij,kj->k", w, plane, s_prime)
+    d = c_ - a_
+    coefficients = np.stack(
+        [b_**2 - nu2 * c_, -2.0 * b_ * (d + nu2), d**2 - 2.0 * b_**2 - nu2 * a_, 2.0 * b_ * d, b_**2],
+        axis=1,
     )
-    s, s_prime = frames[:, 0], frames[:, 1]
-    w = np.cos(alpha)[:, None] * basis[2] - np.sin(alpha)[:, None] * basis[1]
-    cos_b, sin_b, zero = np.cos(beta)[:, None], np.sin(beta)[:, None], np.zeros_like(w)
-    # x_i as first[k, x, i] and x_ij as second[k, x, i, j], x = (s, s'), i = (alpha, beta).
-    first = np.stack([-sin_b * s_prime, cos_b * w - sin_b * basis[0], w, zero], axis=1)
-    second = [-sin_b * w, -cos_b * s_prime, -cos_b * s_prime, -s, -s_prime, zero, zero, zero]
-    first, second = first.reshape(-1, 2, 2, 3), np.stack(second, axis=1).reshape(-1, 2, 2, 2, 3)
-    hessian = np.einsum("kxim,kxmn,kxjn->kij", first, hess, first)
-    return np.einsum("kxm,kxim->ki", g, first), hessian + np.einsum("kxm,kxijm->kij", g, second)
-
-
-def _polish(form: BlochForm, basis: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, int]:
-    """Newton ascent on the ridge from all starts ``angles`` (k, 2), rows
-    ``(alpha, beta)`` of :func:`_ridge_frames`, at once.  A step takes every
-    curvature by its absolute value, floored, so it ascends; an iteration tries
-    STEP_TRIALS scalings of it and keeps a lane's best trial when it gains.
-    Returns the best polished frame (2, 3) and the number of frames evaluated."""
-    scales = 0.5 ** np.arange(STEP_TRIALS)[:, None]
-    values = _excess_sums(form, _ridge_frames(basis, *angles.T))
-    running = np.ones(len(angles), dtype=bool)
-    evaluations, lanes = len(angles), np.arange(len(angles))
-    for _ in range(MAX_ITERATIONS):
-        gradient, hessian = _ridge_derivatives(form, basis, angles)
-        curvature, vectors = np.linalg.eigh(hessian)
-        curvature = np.abs(curvature)
-        floor = CURVATURE_FLOOR * curvature.max(axis=1, keepdims=True)
-        curvature = np.maximum(curvature, np.maximum(floor, np.finfo(float).tiny))
-        along = np.einsum("kji,kj->ki", vectors, gradient) / curvature
-        step = np.einsum("kij,kj->ki", vectors, along)
-        step *= MAX_STEP / np.maximum(np.abs(step).max(axis=1, keepdims=True), MAX_STEP)
-        trials = angles[:, None] + scales * step[:, None]
-        trial_values = _excess_sums(form, _ridge_frames(basis, trials[..., 0], trials[..., 1]))
-        evaluations += trial_values.size
-        best = trial_values.argmax(axis=1)
-        gain = trial_values[lanes, best] - values
-        moved = running & (gain > 0.0)
-        angles = np.where(moved[:, None], trials[lanes, best], angles)
-        values = np.where(moved, trial_values[lanes, best], values)
-        running &= gain > GAIN_TOL
-        if not running.any():
-            break
-    return _ridge_frames(basis, *angles[int(np.argmax(values))]), evaluations
+    # Scaled to a largest coefficient of 1, with the leading one kept off 0: a
+    # root that runs to infinity is a beta at the double ridge, a candidate anyway.
+    scale = np.abs(coefficients).max(axis=1, keepdims=True)
+    coefficients /= np.where(scale > 0.0, scale, 1.0)
+    eps = np.finfo(float).eps
+    lead = np.copysign(np.maximum(np.abs(coefficients[:, 0]), eps), coefficients[:, 0])
+    companion = np.zeros((len(alpha), 4, 4))
+    companion[:, 0] = -coefficients[:, 1:] / lead[:, None]
+    companion[:, 1:, :3] = np.eye(3)
+    beta = np.arctan(np.linalg.eigvals(companion).real)
+    beta = np.concatenate([beta, np.full((len(alpha), 1), math.pi / 2)], axis=1)
+    cos_b, sin_b = np.cos(beta), np.sin(beta)
+    q = np.maximum(a_ * cos_b**2 + 2.0 * b_[:, None] * cos_b * sin_b + c_[:, None] * sin_b**2, 0.0)
+    root_q = np.sqrt(q)
+    excess = np.maximum(0.0, root_q - math.sqrt(nu2) * cos_b)
+    lanes, best = np.arange(len(alpha)), excess.argmax(axis=1)
+    e, root_q, cos_b, sin_b = (x[lanes, best] for x in (excess, root_q, cos_b, sin_b))
+    pull = e / np.where(e > 0.0, root_q, 1.0)
+    slope = -dc + pull * (2.0 * db * cos_b * sin_b + dc * sin_b**2)
+    return np.trace(m) - a_ - c_ + e**2, slope, beta[lanes, best]
 
 
 def _search(form: BlochForm) -> tuple[np.ndarray, int]:
-    """Screen the ridge frames, polish the best distinct ones: the frame
-    (2, 3) and the number of frames the polish evaluated."""
+    """Maximize the ridge profile ``F(alpha)`` of :func:`_profile`: the best
+    frame (2, 3) and the number of angles alpha profiled.
+
+    The screen profiles RIDGE_TURNS angles and one more, the alpha whose ``w``
+    is the top eigenvector of ``H = c c^T - nu^2 P``, where ``c`` and ``P`` are
+    the parts of ``M n_hat`` and ``M`` in the plane perpendicular to ``n``.  The
+    quartic's leading coefficient is ``w^T H w``; where it is positive, the
+    double ridge is no longer a maximum in beta, and a narrow bump of F that
+    the grid could miss rises there.  Then bracketed secant (Illinois) steps on
+    ``dF/dalpha`` refine the best screened angle towards its neighbour uphill.
+    A flat point, whose slope is at most FLAT_SLOPE times the double-ridge
+    sum, counts as past the peak, outside the bump; while the far end of the
+    bracket is flat, its slope says nothing of the peak, so the step bisects."""
     basis = np.linalg.svd(form.n[None, :])[2]
+    m = basis @ form.T @ form.T.T @ basis.T
+    h = np.outer(m[0, 1:], m[0, 1:]) - float(form.n @ form.n) * m[1:, 1:]
+    top = np.linalg.eigh(h)[1][:, -1]
     turns = np.arange(RIDGE_TURNS) * math.pi / RIDGE_TURNS
-    # Row beta = pi/2 is the double ridge, where every frame has the same sum:
-    # left in the screen, its frames would all tie and crowd out the rest.
-    alpha, beta = (g.ravel() for g in np.meshgrid(turns, np.delete(turns, RIDGE_TURNS // 2)))
-    picks = _distinct_best(form, _ridge_frames(basis, alpha, beta))
-    frame, evaluations = _polish(form, basis, np.stack([alpha, beta], axis=1)[picks])
-    double = _ridge_frames(basis, 0.0, math.pi / 2)
-    return max((frame, double), key=lambda f: _excess_sums(form, f)), evaluations
+    alpha = np.sort(np.append(turns, math.atan2(-top[0], top[1]) % math.pi))
+    values, slopes, betas = _profile(form, basis, alpha)
+    i = int(np.argmax(values))
+    best, evaluations = (values[i], alpha[i], betas[i]), len(alpha)
+    # The bracket [lo, hi] holds distances t from alpha[i] uphill, where the
+    # slope g along t is positive before the peak and at most floor past it.
+    floor = FLAT_SLOPE * (np.trace(m) - m[0, 0])
+    uphill = 1.0 if slopes[i] > 0.0 else -1.0
+    j = i + int(uphill)
+    lo, hi = 0.0, abs(alpha[j % len(alpha)] + math.pi * (j // len(alpha)) - alpha[i])
+    g_lo, g_hi = uphill * slopes[i], uphill * slopes[j % len(alpha)]
+    side = 0
+    for _ in range(REFINE_STEPS if g_lo > floor and g_hi <= floor else 0):
+        secant = g_hi < -floor
+        t = (lo * g_hi - hi * g_lo) / (g_hi - g_lo) if secant else 0.5 * (lo + hi)
+        if not lo < t < hi:
+            break
+        value, slope, beta = (x[0] for x in _profile(form, basis, np.array([alpha[i] + uphill * t])))
+        evaluations += 1
+        if value > best[0]:
+            best = (value, alpha[i] + uphill * t, beta)
+        g = uphill * slope
+        if secant and abs(g) <= floor:
+            break
+        # Illinois: an end kept twice in a row has its slope halved.
+        if g > floor:
+            lo, g_lo, g_hi, side = t, g, g_hi * (0.5 if side == -1 else 1.0), -1
+        else:
+            hi, g_hi, g_lo, side = t, g, g_lo * (0.5 if side == 1 else 1.0), 1
+    return _ridge_frames(basis, best[1], best[2]), evaluations
 
 
 def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
@@ -410,26 +403,28 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
        so the seed is then optimal to that accuracy.  This covers every state
        with ``n = 0`` (Werner, Bell-diagonal), where the seed attains the
        bound, and the output of ``canonical.filter_normal_form``.
-    2. Screen: otherwise the search runs on the ridge ``n.s' = 0`` alone,
+    2. Profile: otherwise the search runs on the ridge ``n.s' = 0`` alone,
        which holds an optimum.  Where both excesses of a frame are positive,
        turning the frame in its own plane until one axis is perpendicular to
        ``n`` does not lower the sum; where one excess is 0, turning that
        axis about the other until it is perpendicular to ``n`` does not
-       either.  The closed-form sum is evaluated in one numpy pass over a
-       32 x 32 grid of ridge frames.
-    3. Polish: on the ridge the sum is smooth except where it meets the
-       other kink ``n.s = 0``, the double ridge.  Every double-ridge frame
-       has the same sum ``tr(T T^T) - n^T T T^T n / |n|^2``, so those frames
-       are screened apart: left in, they would all tie.  The best three
-       other ridge frames that are distinct up to ``s -> -s``, ``s' -> -s'``
-       and ``s <-> s'`` are polished by Newton steps in the screen's own
-       ridge angles, all at once (numpy only).  The best polished frame is
-       returned, or a double-ridge frame if its sum is higher.
+       either.  A ridge frame has two angles: alpha turns ``s'`` about ``n``
+       and beta tilts ``s`` from ``n`` towards the plane perpendicular to
+       it.  The maximum over beta at fixed alpha is exact: it lies at a
+       root of one quartic in ``tan beta`` or at beta = pi/2, the double
+       ridge ``n.s = n.s' = 0``, whose frames all have the sum
+       ``tr(T T^T) - n^T T T^T n / |n|^2``.  That leaves the profile
+       ``F(alpha)``, a function of one angle.
+    3. Search in alpha: F is screened on 32 angles plus one closed-form
+       angle where a narrow bump of F can rise off the double ridge, all in
+       one numpy pass, and the best screened angle is refined by bracketed
+       secant steps on the closed-form ``dF/dalpha``.  The best profiled
+       frame is returned.
 
     The result's ``check`` is :func:`check_bound` with :func:`optimal_meter`
     meters on the returned signal pair; ``path`` says which step returned it
-    (``"certified"`` or ``"searched"``) and ``evaluations`` counts the frames
-    the polish evaluated (0 when certified).
+    (``"certified"`` or ``"searched"``) and ``evaluations`` counts the angles
+    alpha profiled (0 when certified).
     """
     form = decompose(state)
     u = np.linalg.svd(form.T)[0]

@@ -745,6 +745,16 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert name in err
 
+    @pytest.mark.parametrize("rate", ["1e10", "1e300"])
+    def test_channel_means_past_the_poisson_limit_exit_1_naming_the_flags(self, rate):
+        # 1e20 expected counts once failed in numpy's Poisson draw with "lam
+        # value too large", and 1e600 first overflowed with a RuntimeWarning.
+        argv = ["simulate", "--theta-step", 45, "--pair-rate", rate, "--duration", rate]
+        code, out, err = run_in_process(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert all(flag in err for flag in ("--pair-rate", "--duration", "--dark-rate"))
+
     def test_incomplete_schedule_flags_exit_1(self, capsys):
         code, _, err = run_cli(["simulate", "--visibility", 0.9], capsys)
         assert code == 1

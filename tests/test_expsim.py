@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellbound as bb
-from bellbound.expsim import BELL_STREAM_OFFSET, BLOCK, _coincidence_stack, _simulate_stack
+from bellbound.expsim import (
+    BELL_STREAM_OFFSET,
+    BLOCK,
+    POISSON_MEAN_MAX,
+    _coincidence_stack,
+    _simulate_stack,
+)
 from conftest import coincidence_oracle, random_unit_vector
 
 HV = bb.measurement_from_polarization_angle(0.0)
@@ -191,6 +197,18 @@ class TestSimulateCounts:
         values = {"pair_rate": 1.0, "duration": 1.0, "dark_coincidence_rate": 0.0, field: math.nan}
         with pytest.raises(ValueError, match=field):
             bb.ExperimentConfig(**values)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rate, dark", [(1e10, 0.0), (1e300, 0.0), (1.0, 1e300)])
+    def test_means_past_the_poisson_limit_raise(self, rate, dark):
+        config = bb.ExperimentConfig(pair_rate=rate, duration=rate, dark_coincidence_rate=dark)
+        with pytest.raises(ValueError, match="pair_rate"):
+            bb.simulate_counts(bb.werner(0.82), XY, HV, config)
+
+    def test_means_up_to_the_poisson_limit_draw(self):
+        # Each channel mean is a quarter of the rate here.
+        config = bb.ExperimentConfig(pair_rate=POISSON_MEAN_MAX, duration=1.0)
+        assert bb.simulate_counts(bb.werner(1.0), XY, HV, config).total > 0
 
 
 class TestEstimators:
