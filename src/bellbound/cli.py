@@ -31,7 +31,7 @@ DEFAULT_DURATION = 22.0
 # Reference measured Bell factors for the two Werner settings this tool reproduces.
 REFERENCE_MEASUREMENTS = {0.82: (2.36, 0.02), 0.45: (1.32, 0.02)}
 
-# Largest number of points of one angle-grid axis.
+# Largest number of points of one angle-grid axis, and of rows of a surface.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -152,8 +152,12 @@ def _resolve(ns: argparse.Namespace) -> dict:
     return resolved
 
 
-def _emit(ns: argparse.Namespace, watch, params: dict, text: str, stats=None) -> None:
-    """Write ``text`` to standard output, or to --out with its run manifest."""
+def _emit(ns: argparse.Namespace, clock, params: dict, render, *args, **counts) -> None:
+    """Render ``render(*args)`` as the run's ``render`` stage and write the
+    text to standard output, or to --out with its run manifest, whose stats
+    are the stage times of ``clock`` followed by the work ``counts``."""
+    text = render(*args)
+    clock.mark("render")
     if ns.out is None:
         sys.stdout.write(text)
         return
@@ -170,8 +174,8 @@ def _emit(ns: argparse.Namespace, watch, params: dict, text: str, stats=None) ->
         seed=params.get("seed"),
         outputs=[str(ns.out)],
         replay_argv=replay_argv + ["--out", str(ns.out)],
-        duration_s=watch.elapsed(),
-        stats=stats or {},
+        duration_s=sum(clock.stages.values()),
+        stats={**clock.stages, **counts},
     )
     ns.out.parent.mkdir(parents=True, exist_ok=True)
     ns.out.write_text(text, encoding="utf-8", newline="\n")
@@ -195,15 +199,21 @@ def _grid(params: dict, axis: str) -> list[float]:
             f" {MAX_GRID_POINTS} are allowed per axis"
         )
     values = []
-    k = 0
-    while True:
+    for k in range(int(count) + 2):
         value = start + k * step
         if value > stop + 1e-9:
             break
         values.append(round(value, 10))
-        k += 1
     if not values:
         raise ValueError(f"empty angle grid: start={start} stop={stop} step={step}")
+    # a grid still short of stop two points past count, or one with a
+    # repeated point, has a step that does not move its points at their
+    # magnitude (or at the 10 decimals they are rounded to)
+    if len(values) > int(count) + 1 or any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(
+            f"{_flag(axis + '_step')} {step:g} does not advance the {axis} grid from"
+            f" {_flag(axis + '_start')} {start:g}: its points repeat"
+        )
     return values
 
 
@@ -236,12 +246,13 @@ def _experiment_config(params: dict):
 def cmd_analyze(ns: argparse.Namespace) -> int:
     from .canonical import canonical_form
     from .core import QubitMeasurement, decompose
-    from .io import Stopwatch, bloch_to_json, dumps_json, load_state
+    from .io import StageClock, bloch_to_json, dumps_json, load_state
     from .knowledge import bell_max, distinguishability_excess
 
-    watch = Stopwatch()
+    clock = StageClock()
     params = _resolve(ns)
     state = load_state(ns.state_file)
+    clock.mark("load")
     form = decompose(state)
     cf = canonical_form(state)
     pair = [QubitMeasurement(cf.o_signal[:, 0]), QubitMeasurement(cf.o_signal[:, 1])]
@@ -251,39 +262,27 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         "b_max": bell_max(state),
         "delta_d_canonical_pair": [distinguishability_excess(state, pi) for pi in pair],
     }
-    _emit(ns, watch, params, dumps_json(report))
+    clock.mark("compute")
+    _emit(ns, clock, params, dumps_json, report)
     return 0
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    from .io import Stopwatch
+    from .expsim import run_sweep_experiment
+    from .io import StageClock
 
-    watch = Stopwatch()
+    clock = StageClock()
     params = _resolve(ns)
-    thetas = _grid(params, "theta")
-    rows = []
-    if params["noise"]:
-        from .expsim import run_sweep_experiment
-
-        angles = [(theta, params["signal"]) for theta in thetas]
-        for point in run_sweep_experiment(params["p"], angles, _experiment_config(params)):
-            rows.append((point.theta_deg, point.k_hat, point.p_hat, point.dk_hat, point.dk_theory))
-    else:
-        from .core import decompose, measurement_from_polarization_angle
-        from .expsim import signal_measurement
-        from .factories import werner, werner_prediction
-        from .knowledge import _apriori, _knowledge
-
-        form = decompose(werner(params["p"]))
-        s = signal_measurement(params["signal"]).axis
-        p_hat = _apriori(form, s)
-        for theta in thetas:
-            k = _knowledge(form, measurement_from_polarization_angle(theta).axis, s)
-            prediction = werner_prediction(params["p"], theta, theta)
-            theory = prediction.K if params["signal"] == "hv" else prediction.K_prime
-            rows.append((float(theta), k, p_hat, k - p_hat, theory))
-    text, stats = _render(_csv_text, SWEEP_HEADER, rows, points=len(thetas))
-    _emit(ns, watch, params, text, stats)
+    angles = [(theta, params["signal"]) for theta in _grid(params, "theta")]
+    config = _experiment_config(params) if params["noise"] else None
+    clock.mark("load")
+    points = run_sweep_experiment(params["p"], angles, config)
+    rows = [
+        (point.theta_deg, point.k_hat, point.p_hat, point.dk_hat, point.dk_theory)
+        for point in points
+    ]
+    clock.mark("compute")
+    _emit(ns, clock, params, _csv_text, SWEEP_HEADER, rows, points=len(points))
     return 0
 
 
@@ -302,16 +301,6 @@ def _csv_text(header, rows) -> str:
             ])
         )
     return "\n".join(lines) + "\n"
-
-
-def _render(render, *args, points: int) -> tuple[str, dict]:
-    """``render(*args)`` and the run stats: the number of analyzer settings
-    evaluated and the seconds spent rendering."""
-    from .io import Stopwatch
-
-    watch = Stopwatch()
-    text = render(*args)
-    return text, {"points": points, "render_s": watch.elapsed()}
 
 
 def _surface_blocks(thetas, theta_primes, dk2, dkp2, bound: str):
@@ -334,46 +323,36 @@ def _surface_blocks(thetas, theta_primes, dk2, dkp2, bound: str):
 
 
 def cmd_surface(ns: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .core import decompose
-    from .expsim import (
-        _polarization_axes,
-        _simulate_stack,
-        estimate_apriori,
-        estimate_knowledge,
-        signal_measurement,
-    )
+    from .expsim import run_sweep_experiment
     from .factories import werner
-    from .io import Stopwatch, format_float
-    from .knowledge import _apriori, _bell_max, _knowledge
+    from .io import StageClock, format_float
+    from .knowledge import bell_max
 
-    watch = Stopwatch()
+    clock = StageClock()
     params = _resolve(ns)
     thetas = _grid(params, "theta")
     theta_primes = _grid(params, "theta_prime")
-    state = werner(params["p"])
-    form = decompose(state)
-    pi_hv = signal_measurement("hv").axis
-    pi_xy = signal_measurement("xy").axis
-    # The two 1-D excess profiles are computed once per axis and combined
-    # (each analyzer setting is measured once, as in the real sweep).
-    meters = _polarization_axes(thetas + theta_primes)
-    signals = np.array([pi_hv] * len(thetas) + [pi_xy] * len(theta_primes))
+    rows = len(thetas) * len(theta_primes)
+    if rows > MAX_GRID_POINTS:
+        raise ValueError(
+            f"the surface would have {len(thetas)} x {len(theta_primes)} = {rows} rows; at most"
+            f" {MAX_GRID_POINTS} are allowed: widen --theta-step or --theta-prime-step"
+        )
+    bound = format_float((bell_max(werner(params["p"])) / 2.0) ** 2)
+    # validated with or without noise
     config = _experiment_config(params)
-    if params["noise"]:
-        streams = [2 * i for i in range(len(thetas))]
-        streams += [2 * j + 1 for j in range(len(theta_primes))]
-        records = _simulate_stack(state, meters, signals, config, streams)
-        values = [estimate_knowledge(c) - estimate_apriori(c) for c in records]
-    else:
-        values = [_knowledge(form, m, s) - _apriori(form, s) for m, s in zip(meters, signals)]
-    dk2 = [v * v for v in values[: len(thetas)]]
-    dkp2 = [v * v for v in values[len(thetas):]]
-    bound = format_float((_bell_max(form) / 2.0) ** 2)
-    rows = _surface_blocks(thetas, theta_primes, dk2, dkp2, bound)
-    text, stats = _render(_csv_text, SURFACE_HEADER, rows, points=len(values))
-    _emit(ns, watch, params, text, stats)
+    clock.mark("load")
+    # The two 1-D excess profiles are computed once per axis and combined
+    # (each analyzer setting is measured once, as in the real sweep); the
+    # points of theta draw the even streams, those of theta' the odd ones.
+    angles = [(theta, "hv") for theta in thetas] + [(theta, "xy") for theta in theta_primes]
+    streams = [2 * i for i in range(len(thetas))] + [2 * j + 1 for j in range(len(theta_primes))]
+    points = run_sweep_experiment(params["p"], angles, config if params["noise"] else None, streams)
+    dk2 = [point.dk_hat * point.dk_hat for point in points[: len(thetas)]]
+    dkp2 = [point.dk_hat * point.dk_hat for point in points[len(thetas):]]
+    blocks = _surface_blocks(thetas, theta_primes, dk2, dkp2, bound)
+    clock.mark("compute")
+    _emit(ns, clock, params, _csv_text, SURFACE_HEADER, blocks, points=len(points))
     return 0
 
 
@@ -435,9 +414,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         simulate_bell_records,
     )
     from .factories import werner, werner_prediction
-    from .io import Stopwatch, dumps_json
+    from .io import StageClock, dumps_json
 
-    watch = Stopwatch()
+    clock = StageClock()
     params = _resolve(ns)
     p, model_doc = _resolve_simulated_state(params)
     thetas = _grid(params, "theta")
@@ -449,6 +428,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
             f" reach the Bell records' streams from {BELL_STREAM_OFFSET}; use at most"
             f" {BELL_STREAM_OFFSET // 2} angles"
         )
+    clock.mark("load")
     points = run_sweep_experiment(p, angles, config)
     records = simulate_bell_records(werner(p), config)
     b_hat = estimate_bell_max(records)
@@ -457,23 +437,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     report = {
         "p": p,
         "config": asdict(config),
-        "sweep": [
-            {
-                "theta_deg": point.theta_deg,
-                "basis": point.basis,
-                "counts": {
-                    "c_pp": point.counts.c_pp,
-                    "c_pm": point.counts.c_pm,
-                    "c_mp": point.counts.c_mp,
-                    "c_mm": point.counts.c_mm,
-                },
-                "k_hat": point.k_hat,
-                "p_hat": point.p_hat,
-                "dk_hat": point.dk_hat,
-                "dk_theory": point.dk_theory,
-            }
-            for point in points
-        ],
+        # each point's fields in order, its counts as c_pp, c_pm, c_mp, c_mm
+        "sweep": [{**vars(point), "counts": vars(point.counts)} for point in points],
         "bell": {
             "angle_pairs": [list(pair) for pair in BELL_ANGLE_PAIRS],
             "correlations": [estimate_correlation(record) for record in records],
@@ -492,19 +457,18 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
                 f"reference measurement at p~{reference_p}: {value} +/- {uncertainty}",
                 file=sys.stderr,
             )
-    text, stats = _render(dumps_json, report, points=len(points) + len(records))
-    _emit(ns, watch, params, text, stats)
+    clock.mark("compute")
+    _emit(ns, clock, params, dumps_json, report, points=len(points) + len(records))
     return 0
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     import json
-    import time
 
-    from .io import Stopwatch, bound_check_to_json, dumps_json, write_json
+    from .io import StageClock, bound_check_to_json, dumps_json, write_json
     from .verify import SLACK_FLOOR, evaluate_instance_json, fuzz_bounds, instance_to_json
 
-    watch = Stopwatch()
+    clock = StageClock()
     params = _resolve(ns)
     if ns.replay is not None:
         # a replay reports one dumped instance on standard output
@@ -521,11 +485,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         }
         sys.stdout.write(dumps_json(report))
         return 0 if check.slack >= SLACK_FLOOR and same.slack >= SLACK_FLOOR else 2
-    if params["trials"] < 1:
-        raise ValueError("trials must be >= 1")
-    clock = time.perf_counter()
+    clock.mark("load")
     summary = fuzz_bounds(params["trials"], params["seed"])
-    fuzz_s = time.perf_counter() - clock
+    clock.mark("compute")
     report = {
         "trials": summary.trials,
         "seed": summary.seed,
@@ -535,13 +497,13 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "worst_same_meter_trial": summary.worst_same_meter.trial,
         "passed": summary.passed,
     }
-    stats = {
-        "reruns": summary.reruns,
-        "draw_s": summary.draw_s,
-        "screen_s": summary.screen_s,
-        "instances_per_s": summary.trials / fuzz_s,
-    }
-    _emit(ns, watch, params, dumps_json(report), stats)
+    _emit(
+        ns, clock, params, dumps_json, report,
+        reruns=summary.reruns,
+        draw_s=summary.draw_s,
+        screen_s=summary.screen_s,
+        instances_per_s=summary.trials / clock.stages["compute_s"],
+    )
     if not summary.passed:
         worst = (
             summary.worst
@@ -562,28 +524,30 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_filter(ns: argparse.Namespace) -> int:
     from .canonical import filter_normal_form
-    from .io import Stopwatch, bound_check_to_json, dumps_json, filter_result_to_json, load_state
+    from .io import StageClock, bound_check_to_json, dumps_json, filter_result_to_json, load_state
     from .knowledge import optimize_excess_sum
 
-    watch = Stopwatch()
+    clock = StageClock()
     params = _resolve(ns)
     state = load_state(ns.state_file)
+    clock.mark("load")
     result = filter_normal_form(state, tol=params["tol"], max_iter=params["max_iter"])
     optimum = optimize_excess_sum(result.state_out)
     report = dict(filter_result_to_json(result))
     report["post_filter_check"] = bound_check_to_json(optimum.check)
+    clock.mark("compute")
     print(
         f"b_max_in = {result.b_max_in:.6f}, b_max_out = {result.b_max_out:.6f}, "
         f"post-filter slack = {optimum.check.slack:.3e}",
         file=sys.stderr,
     )
-    stats = {
-        "filter_iterations": result.iterations,
-        "deviation_log": list(result.deviation_log),
-        "optimizer_path": optimum.path,
-        "optimizer_evaluations": optimum.evaluations,
-    }
-    _emit(ns, watch, params, dumps_json(report), stats)
+    _emit(
+        ns, clock, params, dumps_json, report,
+        filter_iterations=result.iterations,
+        deviation_log=list(result.deviation_log),
+        optimizer_path=optimum.path,
+        optimizer_evaluations=optimum.evaluations,
+    )
     return 0
 
 

@@ -28,6 +28,7 @@ from .core import (
     VALIDATION_TOL,
     QubitMeasurement,
     TwoQubitState,
+    decompose,
     measurement_from_polarization_angle,
     validate_state,
 )
@@ -350,26 +351,37 @@ def werner_mixing_model(p: float) -> MixingModel:
     )
 
 
-def run_sweep_experiment(p: float, angles, config: ExperimentConfig) -> list[SweepPoint]:
-    """Simulate a sweep over meter analyzer angles for a Werner state.
+def run_sweep_experiment(
+    p: float, angles, config: ExperimentConfig | None, streams=None
+) -> list[SweepPoint]:
+    """Sweep points over meter analyzer angles for a Werner state.
 
     ``angles`` is a sequence of ``(theta_deg, basis)`` pairs with basis "hv"
-    or "xy".  Point ``i`` uses RNG stream ``i``.
+    or "xy".  With a ``config``, each point's counts are simulated and its
+    knowledge estimated from them; point ``i`` draws from RNG stream
+    ``streams[i]`` (by default ``i``), so callers that interleave several
+    sweeps on one seed keep each point's counts apart.  With ``config=None``
+    the points are exact: ``counts`` is None and ``k_hat`` and ``p_hat`` are
+    the closed-form knowledge and a-priori knowledge of the state, which is
+    decomposed once; ``streams`` is then unused.
     """
     state = werner(p)
     angles = list(angles)
     signal_axes = {basis: signal_measurement(basis).axis for basis in {b for _, b in angles}}
-    records = _simulate_stack(
-        state,
-        _polarization_axes([theta for theta, _ in angles]),
-        np.array([signal_axes[basis] for _, basis in angles]).reshape(-1, 3),
-        config,
-        range(len(angles)),
-    )
+    meters = _polarization_axes([theta for theta, _ in angles])
+    signals = np.array([signal_axes[basis] for _, basis in angles]).reshape(-1, 3)
+    if config is None:
+        from .knowledge import _apriori, _knowledge
+
+        form = decompose(state)
+        records = [None] * len(angles)
+        estimates = [(_knowledge(form, m, s), _apriori(form, s)) for m, s in zip(meters, signals)]
+    else:
+        streams = range(len(angles)) if streams is None else streams
+        records = _simulate_stack(state, meters, signals, config, streams)
+        estimates = [(estimate_knowledge(c), estimate_apriori(c)) for c in records]
     points = []
-    for (theta_deg, basis), counts in zip(angles, records):
-        k_hat = estimate_knowledge(counts)
-        p_hat = estimate_apriori(counts)
+    for (theta_deg, basis), counts, (k_hat, p_hat) in zip(angles, records, estimates):
         prediction = werner_prediction(p, theta_deg, theta_deg)
         theory = prediction.K if basis == "hv" else prediction.K_prime
         points.append(

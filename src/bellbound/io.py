@@ -251,9 +251,19 @@ def write_manifest(output_path, manifest: RunManifest) -> Path:
     return target
 
 
-class Stopwatch:
-    def __init__(self):
-        self.start = time.monotonic()
+class StageClock:
+    """Wall-clock seconds of a run's stages, in the order they end.
 
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start
+    Each :meth:`mark` ends a stage that began at the previous mark, or when
+    the clock was made; ``stages`` maps ``"<stage>_s"`` to its seconds, so
+    their sum is the run's duration so far.
+    """
+
+    def __init__(self):
+        self.stages: dict[str, float] = {}
+        self._last = time.monotonic()
+
+    def mark(self, stage: str) -> None:
+        now = time.monotonic()
+        self.stages[f"{stage}_s"] = now - self._last
+        self._last = now

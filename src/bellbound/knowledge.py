@@ -98,29 +98,40 @@ def knowledge_excess(
     return _knowledge_excess(decompose(state), pi_meter.axis, pi_signal.axis)
 
 
+def _distinguishability(form: BlochForm, s: np.ndarray) -> float:
+    return max(_apriori(form, s), float(np.linalg.norm(form.T.T @ s)))
+
+
 def distinguishability(state: TwoQubitState, pi_signal: QubitMeasurement) -> float:
     """Maximum knowledge over all meter measurements, the Helstrom trace norm:
     D = max(|n.s|, |T^T s|)."""
-    form = decompose(state)
-    s = pi_signal.axis
-    return max(_apriori(form, s), float(np.linalg.norm(form.T.T @ s)))
+    return _distinguishability(decompose(state), pi_signal.axis)
 
 
 def distinguishability_excess(state: TwoQubitState, pi_signal: QubitMeasurement) -> float:
     """D - P = max(0, |T^T s| - |n.s|)."""
     form = decompose(state)
-    s = pi_signal.axis
-    return max(0.0, float(np.linalg.norm(form.T.T @ s)) - _apriori(form, s))
+    return _distinguishability(form, pi_signal.axis) - _apriori(form, pi_signal.axis)
 
 
 def knowledge_report(
     state: TwoQubitState, pi_meter: QubitMeasurement, pi_signal: QubitMeasurement
 ) -> KnowledgeReport:
     """All knowledge quantities for one meter/signal measurement pair."""
-    k = knowledge(state, pi_meter, pi_signal)
-    p = apriori(state, pi_signal)
-    d = distinguishability(state, pi_signal)
+    form = decompose(state)
+    s = pi_signal.axis
+    k = _knowledge(form, pi_meter.axis, s)
+    p = _apriori(form, s)
+    d = _distinguishability(form, s)
     return KnowledgeReport(K=k, P=p, deltaK=k - p, D=d, deltaD=d - p)
+
+
+def _optimal_meter(form: BlochForm, s: np.ndarray) -> QubitMeasurement:
+    direction = form.T.T @ s
+    norm = float(np.linalg.norm(direction))
+    if norm < DEGENERATE_DIRECTION:
+        return QubitMeasurement(np.array([0.0, 0.0, 1.0]), degenerate=True)
+    return QubitMeasurement(direction / norm)
 
 
 def optimal_meter(state: TwoQubitState, pi_signal: QubitMeasurement) -> QubitMeasurement:
@@ -129,12 +140,7 @@ def optimal_meter(state: TwoQubitState, pi_signal: QubitMeasurement) -> QubitMea
     When ``|T^T s|`` vanishes every meter measurement is equally
     uninformative; the +z axis is returned with ``degenerate`` set.
     """
-    form = decompose(state)
-    direction = form.T.T @ pi_signal.axis
-    norm = float(np.linalg.norm(direction))
-    if norm < DEGENERATE_DIRECTION:
-        return QubitMeasurement(np.array([0.0, 0.0, 1.0]), degenerate=True)
-    return QubitMeasurement(direction / norm)
+    return _optimal_meter(decompose(state), pi_signal.axis)
 
 
 def _bell_max(form: BlochForm) -> float:
@@ -163,8 +169,11 @@ def check_bound(
 ) -> BoundCheck:
     """Test the central inequality: for complementary signal measurements,
     deltaK^2 + deltaK'^2 <= (B_max / 2)^2 for any pair of meter measurements."""
+    return _check_bound(decompose(state), pi_s, pi_s_prime, pi_m, pi_m_prime)
+
+
+def _check_bound(form: BlochForm, pi_s, pi_s_prime, pi_m, pi_m_prime) -> BoundCheck:
     _require_complementary(pi_s, pi_s_prime)
-    form = decompose(state)
     dk = _knowledge_excess(form, pi_m.axis, pi_s.axis)
     dk_prime = _knowledge_excess(form, pi_m_prime.axis, pi_s_prime.axis)
     b = _bell_max(form)
@@ -437,7 +446,7 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
         path = "searched"
     pi_s = QubitMeasurement(s)
     pi_s_prime = QubitMeasurement(s_prime)
-    pi_m = optimal_meter(state, pi_s)
-    pi_m_prime = optimal_meter(state, pi_s_prime)
-    check = check_bound(state, pi_s, pi_s_prime, pi_m, pi_m_prime)
+    pi_m = _optimal_meter(form, pi_s.axis)
+    pi_m_prime = _optimal_meter(form, pi_s_prime.axis)
+    check = _check_bound(form, pi_s, pi_s_prime, pi_m, pi_m_prime)
     return ExcessOptimum(pi_s, pi_s_prime, pi_m, pi_m_prime, check, path, evaluations)

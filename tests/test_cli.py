@@ -6,6 +6,7 @@ Most tests call ``main`` in-process for speed; one subprocess test covers the
 
 import io
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -20,7 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellbound as bb
-from bellbound.cli import SURFACE_HEADER, SWEEP_HEADER, _grid, main
+from bellbound.cli import (
+    CONFIG_KEYS,
+    COMMANDS,
+    MAX_GRID_POINTS,
+    SURFACE_HEADER,
+    SWEEP_HEADER,
+    _grid,
+    _resolve,
+    build_parser,
+    main,
+)
 from bellbound.io import format_float
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -330,7 +341,67 @@ class TestNonFiniteGrid:
         assert err == "error: theta_step must be a finite number, got nan\n"
 
 
+def run_bounded(args, seconds=60):
+    """``python -m bellbound ARGS`` in a child process held to ``seconds`` and,
+    on Linux, to 1 GiB of address space, so that a grid that never ends fails
+    the test instead of hanging it or filling the memory."""
+
+    def limit_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "bellbound", *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+        preexec_fn=limit_memory if sys.platform.startswith("linux") else None,
+    )
+
+
+# Each of these once ran until it was killed: a step that cannot move a point
+# at 1e300 repeats it forever (at 1e20, thousands of times), and the surface
+# asked for 8.1e9 rows.
+ENDLESS_GRIDS = [
+    (["sweep", "--theta-start", 1e300, "--theta-stop", 1e300, "--theta-step", 1],
+     ["--theta-step", "--theta-start"]),
+    (["sweep", "--noise", "--theta-start", 1e20, "--theta-stop", 1e20, "--theta-step", 1],
+     ["--theta-step", "--theta-start"]),
+    (["surface", "--theta-prime-start", 1e300, "--theta-prime-stop", 1e300],
+     ["--theta-prime-step", "--theta-prime-start"]),
+    (["simulate", "--theta-start", 1e17, "--theta-stop", 1e17],
+     ["--theta-step", "--theta-start"]),
+    (["surface", "--theta-step", 0.001, "--theta-prime-step", 0.001],
+     ["--theta-step", "--theta-prime-step"]),
+]
+
+
 class TestGridSize:
+    @pytest.mark.parametrize("args, flags", ENDLESS_GRIDS)
+    def test_endless_grid_exits_1_naming_its_flags(self, args, flags):
+        proc = run_bounded(args)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert all(flag in proc.stderr for flag in flags)
+
+    def test_step_too_small_for_the_rounding_exits_1(self, capsys):
+        # every point rounds to 0 at 10 decimals
+        code, out, err = run_cli(["sweep", "--theta-step", 1e-12, "--theta-stop", 1e-11], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --theta-step 1e-12 does not advance the theta grid")
+
+    def test_surface_admits_the_rows_of_a_tenth_degree_grid(self, capsys, monkeypatch):
+        # 901 x 901 rows pass the check; the rows are not computed
+        def stop(*args, **kwargs):
+            raise ValueError("checked")
+
+        import bellbound.expsim as expsim_module
+
+        monkeypatch.setattr(expsim_module, "run_sweep_experiment", stop)
+        code, _, err = run_cli(["surface", "--theta-step", 0.1, "--theta-prime-step", 0.1], capsys)
+        assert (code, err) == (1, "error: checked\n")
+
     def test_grid_is_bounded_before_it_is_built(self):
         # 1,800,001 points, counted before the list is built
         params = {"theta_prime_start": 0.0, "theta_prime_stop": 90.0, "theta_prime_step": 5e-5}
@@ -397,6 +468,63 @@ class TestUsageErrors:
         assert "bellbound" in capsys.readouterr().out
 
 
+# Config values at the edges of every caster's domain, a few ordinary ones so
+# that some runs succeed, and short random text.
+CONFIG_VALUES = st.sampled_from(
+    ["", " ", "nan", "inf", "-0", "1e300", "1e-320", str(2**64), "true", "3", "45", "0.5"]
+) | st.text(max_size=4)
+CONFIG_FILES = st.tuples(
+    st.dictionaries(st.sampled_from(sorted(CONFIG_KEYS)), CONFIG_VALUES, max_size=8),
+    # at most one unknown key or malformed line
+    st.lists(
+        st.tuples(st.text(max_size=6), CONFIG_VALUES).map(" = ".join) | st.text(max_size=8),
+        max_size=1,
+    ),
+).map(lambda drawn: [f"{key} = {value}" for key, value in drawn[0].items()] + drawn[1])
+
+
+def asks_for_a_long_run(args):
+    """Whether ``args`` resolve to a genuinely long run: more than 2000 fuzz
+    trials, or an angle grid of more than 5000 points that is not refused."""
+    try:
+        params = _resolve(build_parser().parse_args(args))
+    except ValueError:
+        return False  # refused before any work
+    if "trials" in params:
+        return params["trials"] > 2000
+    points = 1.0
+    for axis in ("theta", "theta_prime"):
+        if f"{axis}_step" not in params:
+            continue
+        start, stop, step = (params[f"{axis}_{part}"] for part in ("start", "stop", "step"))
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
+            return False
+        points *= max(1.0, (stop - start) / step + 1)
+    return 5000 < points <= MAX_GRID_POINTS
+
+
+class TestConfigFile:
+    @settings(max_examples=100, deadline=None)
+    @given(lines=CONFIG_FILES)
+    def test_any_config_file_exits_0_or_1_with_one_line(self, tmp_path_factory, lines):
+        directory = tmp_path_factory.mktemp("config")
+        config = directory / "conf.txt"
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        state = write_werner_file(directory)
+        for command in COMMANDS:
+            args = [command, *([str(state)] if command in ("analyze", "filter") else [])]
+            args += ["--config", str(config)]
+            if asks_for_a_long_run(args):
+                continue
+            code, out, err = run_in_process(args)
+            assert code in (0, 1)
+            if code == 0:
+                assert "error:" not in err
+            else:
+                assert out == ""
+                assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestSurface:
     def test_saturation_and_bound_columns(self, capsys):
         code, out, _ = run_cli(
@@ -447,6 +575,13 @@ class TestSurface:
         assert code == 0
         assert out == "\n".join(expected) + "\n"
 
+    def test_noise_parameters_are_checked_without_noise(self, capsys):
+        code, out, err = run_cli(
+            ["surface", "--duration", -1, "--theta-step", 45, "--theta-prime-step", 45], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: duration must be a finite non-negative number")
+
     def test_p045_bound_matches_theory(self, capsys):
         code, out, _ = run_cli(
             ["surface", "--p", 0.45, "--theta-step", 45, "--theta-prime-step", 45], capsys
@@ -457,7 +592,37 @@ class TestSurface:
         assert bound == pytest.approx((1.273 / 2) ** 2, abs=2e-4)
 
 
+STAGES = ["load_s", "compute_s", "render_s"]
+
+
 class TestManifestStats:
+    @pytest.mark.parametrize(
+        "args, counts",
+        [
+            (["analyze", "STATE"], []),
+            (["sweep", "--theta-step", 10], ["points"]),
+            (["sweep", "--noise", "--theta-step", 10], ["points"]),
+            (["surface", "--theta-step", 10, "--theta-prime-step", 15], ["points"]),
+            (["surface", "--noise", "--theta-step", 10, "--theta-prime-step", 15], ["points"]),
+            (["simulate", "--theta-step", 10], ["points"]),
+            (["verify", "--trials", 20], ["reruns", "draw_s", "screen_s", "instances_per_s"]),
+            (["filter", "STATE"], ["filter_iterations", "deviation_log", "optimizer_path",
+                                   "optimizer_evaluations"]),
+        ],
+    )
+    def test_every_command_records_its_stage_times_then_its_work(
+        self, tmp_path, capsys, args, counts
+    ):
+        state = write_werner_file(tmp_path)
+        args = [state if arg == "STATE" else arg for arg in args]
+        assert run_cli(args + ["--out", tmp_path / "data"], capsys)[0] == 0
+        manifest = json.loads((tmp_path / "data.manifest.json").read_text())
+        stats = manifest["stats"]
+        assert list(stats) == STAGES + counts
+        times = [stats[stage] for stage in STAGES]
+        assert min(times) >= 0.0
+        assert sum(times) <= manifest["duration_s"]
+
     @pytest.mark.parametrize(
         "args,points",
         [
@@ -473,7 +638,7 @@ class TestManifestStats:
         assert run_cli(args + ["--out", out_file], capsys)[0] == 0
         manifest = json.loads((tmp_path / "data.manifest.json").read_text())
         stats = manifest["stats"]
-        assert set(stats) == {"points", "render_s"}
+        assert list(stats) == STAGES + ["points"]
         assert stats["points"] == points
         assert 0.0 <= stats["render_s"] <= manifest["duration_s"]
 
@@ -483,10 +648,11 @@ class TestManifestStats:
         assert run_cli(args + ["--out", out_file], capsys)[0] == 0
         manifest = json.loads((tmp_path / "verify.json.manifest.json").read_text())
         stats = manifest["stats"]
-        assert list(stats) == ["reruns", "draw_s", "screen_s", "instances_per_s"]
+        assert list(stats) == STAGES + ["reruns", "draw_s", "screen_s", "instances_per_s"]
         assert stats["reruns"] >= 1
-        assert 0.0 < stats["draw_s"] + stats["screen_s"] <= manifest["duration_s"]
-        assert stats["instances_per_s"] >= 1500 / manifest["duration_s"]
+        assert 0.0 < stats["draw_s"] + stats["screen_s"] <= stats["compute_s"]
+        assert stats["compute_s"] <= manifest["duration_s"]
+        assert stats["instances_per_s"] == 1500 / stats["compute_s"]
         # the data file is the one written without --out
         assert out_file.read_text() == run_cli(args, capsys)[1]
 

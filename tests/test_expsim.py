@@ -414,6 +414,26 @@ class TestRunSweepExperiment:
         for point in points:
             assert abs(point.dk_hat) < 4 * 2.0 / np.sqrt(10**6)
 
+    def test_without_config_points_are_exact(self):
+        state = bb.werner(-0.2)
+        angles = [(float(t), basis) for t in (-33, 0, 17.5, 90, 200) for basis in ("hv", "xy")]
+        for point in bb.run_sweep_experiment(-0.2, angles, None):
+            meter = bb.measurement_from_polarization_angle(point.theta_deg)
+            signal = bb.signal_measurement(point.basis)
+            assert point.counts is None
+            assert point.k_hat == bb.knowledge(state, meter, signal)
+            assert point.p_hat == bb.apriori(state, signal)
+            assert point.dk_hat == bb.knowledge_excess(state, meter, signal)
+            assert point.dk_theory == pytest.approx(point.dk_hat, abs=1e-12)
+
+    def test_point_i_draws_from_streams_i(self):
+        config = bb.ExperimentConfig(455.0, 22.0, dark_coincidence_rate=2.0, seed=5)
+        angles = [(10.0, "hv"), (80.0, "xy"), (45.0, "hv")]
+        points = bb.run_sweep_experiment(0.82, angles, config, streams=[7, 0, 3])
+        for stream, point, (theta, basis) in zip([7, 0, 3], points, angles):
+            single = bb.run_sweep_experiment(0.82, [(theta, basis)] * (stream + 1), config)[stream]
+            assert point == single
+
     def test_rejects_unknown_basis(self):
         with pytest.raises(ValueError):
             bb.signal_measurement("diag")

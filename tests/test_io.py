@@ -1,6 +1,7 @@
 """Tests for file formats, JSON/CSV rendering, and run manifests."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import bellbound as bb
 from bellbound.cli import _csv_text
 from bellbound.io import (
     RunManifest,
+    StageClock,
     bloch_to_json,
     complex_matrix_from_json,
     complex_matrix_to_json,
@@ -149,3 +151,14 @@ class TestManifest:
         assert "stats" not in manifest.to_json()
         manifest.stats = {"filter_iterations": 3}
         assert manifest.to_json()["stats"] == {"filter_iterations": 3}
+
+
+def test_stage_clock_times_each_stage_from_the_previous_mark():
+    clock = StageClock()
+    clock.mark("load")
+    time.sleep(0.01)
+    clock.mark("compute")
+    clock.mark("render")
+    assert list(clock.stages) == ["load_s", "compute_s", "render_s"]
+    assert clock.stages["compute_s"] >= 0.01
+    assert min(clock.stages.values()) >= 0.0
