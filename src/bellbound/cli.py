@@ -274,9 +274,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     clock = StageClock()
     params = _resolve(ns)
     angles = [(theta, params["signal"]) for theta in _grid(params, "theta")]
-    config = _experiment_config(params) if params["noise"] else None
+    # validated with or without noise
+    config = _experiment_config(params)
     clock.mark("load")
-    points = run_sweep_experiment(params["p"], angles, config)
+    points = run_sweep_experiment(params["p"], angles, config if params["noise"] else None)
     rows = [
         (point.theta_deg, point.k_hat, point.p_hat, point.dk_hat, point.dk_theory)
         for point in points

@@ -4,9 +4,110 @@ import numpy as np
 import pytest
 
 import bellbound as bb
-from conftest import partial_trace_meter, partial_trace_signal, random_unitary
+from bellbound.canonical import REDUCTION_EIGENVALUE_FLOOR, _half_step
+from conftest import filter_edge_states, partial_trace_meter, partial_trace_signal, random_unitary
 
 I2 = np.eye(2)
+
+
+# The filter iteration on the 4x4 density matrix, by np.kron and eigh: an
+# independent reference for the iteration on R.
+def _oracle_reduced_states(rho):
+    tensor = rho.reshape(2, 2, 2, 2)
+    return np.einsum("smtm->st", tensor), np.einsum("smsn->mn", tensor)
+
+
+def _oracle_deviation(rho):
+    rho_s, rho_m = _oracle_reduced_states(rho)
+    return max(float(np.max(np.abs(rho_s - I2 / 2))), float(np.max(np.abs(rho_m - I2 / 2))))
+
+
+def oracle_half_step(rho, side):
+    """``(2 rho_side)^(-1/2)`` applied to ``rho`` on one side: the renormalized
+    state and the filter."""
+    reduced = _oracle_reduced_states(rho)[side == "meter"]
+    eigenvalues, vectors = np.linalg.eigh(reduced)
+    if eigenvalues[0] < REDUCTION_EIGENVALUE_FLOOR:
+        raise bb.SingularReduction(side, float(eigenvalues[0]))
+    a = (vectors * (1.0 / np.sqrt(2.0 * eigenvalues))) @ vectors.conj().T
+    big = np.kron(a, I2) if side == "signal" else np.kron(I2, a)
+    rho = big @ rho @ big.conj().T
+    return rho / rho.trace().real, a
+
+
+def oracle_filter(state, tol=1e-10, max_iter=10_000):
+    """The alternating iteration: ``(iterations, deviation_log, rho, f_signal,
+    f_meter)`` before the final rotation; raises as ``filter_normal_form`` does."""
+    rho, f_signal, f_meter = np.array(state.matrix), I2, I2
+    deviations, iterations = [], 0
+    if _oracle_deviation(rho) > tol:
+        for iterations in range(1, max_iter + 1):
+            rho, a = oracle_half_step(rho, "signal")
+            rho, b = oracle_half_step(rho, "meter")
+            f_signal, f_meter = a @ f_signal, b @ f_meter
+            deviations.append(_oracle_deviation(rho))
+            if deviations[-1] <= tol:
+                break
+        else:
+            raise bb.NoConvergence(max_iter, deviations[-1])
+    return iterations, deviations, rho, f_signal, f_meter
+
+
+def _error_outcome(error):
+    """The error's type, its side and the number it reports."""
+    value = getattr(error, "min_eigenvalue", getattr(error, "deviation", 0.0))
+    return type(error), getattr(error, "side", None), value
+
+
+def oracle_outcome(state, **kwargs):
+    """What ``filter_normal_form`` must report, from the oracle: the error's type,
+    side and number, or iterations, deviation log, success probability and B_max out."""
+    try:
+        iterations, deviations, rho, f_signal, f_meter = oracle_filter(state, **kwargs)
+    except bb.BellboundError as error:
+        return _error_outcome(error)
+    big = np.kron(f_signal, f_meter) / (np.linalg.norm(f_signal, 2) * np.linalg.norm(f_meter, 2))
+    success = float((big @ state.matrix @ big.conj().T).trace().real)
+    return iterations, deviations, success, bb.bell_max(bb.validate_state(rho))
+
+
+def library_outcome(state, **kwargs):
+    try:
+        result = bb.filter_normal_form(state, **kwargs)
+    except bb.BellboundError as error:
+        return _error_outcome(error)
+    return result.iterations, result.deviation_log, result.success_probability, result.b_max_out
+
+
+def assert_same_outcome(state, **kwargs):
+    """Same error type, side and number, or the same iterations, and the rest
+    within 1e-12."""
+    expected, got = oracle_outcome(state, **kwargs), library_outcome(state, **kwargs)
+    assert len(got) == len(expected)
+    assert got[0] == expected[0]
+    if len(expected) == 3:
+        assert got[1] == expected[1]
+        assert got[2] == pytest.approx(expected[2], rel=0, abs=1e-12)
+        return
+    np.testing.assert_allclose(got[1], expected[1], rtol=0, atol=1e-12)
+    assert got[2] == pytest.approx(expected[2], rel=0, abs=1e-12)
+    assert got[3] == pytest.approx(expected[3], rel=0, abs=1e-12)
+
+
+def correlation_matrix(state):
+    form = bb.decompose(state)
+    corr = np.eye(4)
+    corr[0, 1:], corr[1:, 0], corr[1:, 1:] = form.m, form.n, form.T
+    return corr
+
+
+def state_of(corr):
+    return bb.recompose(bb.BlochForm(corr[1:, 0], corr[0, 1:], corr[1:, 1:])).matrix
+
+
+STATES = [(seed, rank) for seed in range(100) for rank in (2, 3, 4)]
+# The identity filter, as the row-major 4-tuple that ``_half_step`` multiplies.
+IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 
 class TestCanonicalForm:
@@ -129,6 +230,38 @@ class TestFilterNormalForm:
             assert all(a >= b - 1e-12 for a, b in zip(log, log[1:]))
             t_out = bb.decompose(result.state_out).T
             assert np.max(np.abs(t_out - np.diag(np.diag(t_out)))) < 1e-8
+
+
+class TestFilterAgainstDensityMatrixOracle:
+    def test_half_steps_match_the_oracle(self):
+        for seed, rank in STATES:
+            state = bb.random_state(seed, rank)
+            corr, a = _half_step(correlation_matrix(state), IDENTITY, "signal")
+            rho, a_oracle = oracle_half_step(state.matrix, "signal")
+            np.testing.assert_allclose(state_of(corr), rho, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(np.reshape(a, (2, 2)), a_oracle, rtol=1e-13, atol=1e-13)
+            corr_t, b = _half_step(corr.T, IDENTITY, "meter")
+            rho, b_oracle = oracle_half_step(rho, "meter")
+            np.testing.assert_allclose(state_of(corr_t.T), rho, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(np.reshape(b, (2, 2)), b_oracle, rtol=1e-13, atol=1e-13)
+
+    def test_full_runs_match_the_oracle(self):
+        for seed, rank in STATES:
+            assert_same_outcome(bb.random_state(seed, rank))
+
+    def test_iteration_counts_of_the_benchmark_corpus(self):
+        # the full-rank states that the optimize benchmark filters
+        counts = [bb.filter_normal_form(bb.random_state(seed, 4)).iterations for seed in range(8)]
+        assert counts == [18, 24, 31, 21, 14, 55, 40, 11]
+
+    @pytest.mark.parametrize(
+        "matrix, max_iter",
+        [case[1:] for case in filter_edge_states(REDUCTION_EIGENVALUE_FLOOR)],
+        ids=[case[0] for case in filter_edge_states(REDUCTION_EIGENVALUE_FLOOR)],
+    )
+    def test_edge_states_match_the_oracle(self, matrix, max_iter):
+        kwargs = {} if max_iter is None else {"max_iter": max_iter}
+        assert_same_outcome(bb.validate_state(matrix), **kwargs)
 
 
 class TestSaturateAfterFilter:

@@ -32,7 +32,9 @@ from bellbound.cli import (
     build_parser,
     main,
 )
+from bellbound.canonical import REDUCTION_EIGENVALUE_FLOOR
 from bellbound.io import format_float
+from conftest import filter_edge_states
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -288,6 +290,14 @@ class TestSweep:
     def test_invalid_params_exit_1(self, capsys):
         assert run_cli(["sweep", "--p", 3.0], capsys)[0] == 1
         assert run_cli(["sweep", "--theta-step", -1], capsys)[0] == 1
+
+    @pytest.mark.parametrize(
+        "command", [["sweep"], ["surface", "--theta-prime-step", 45]], ids=["sweep", "surface"]
+    )
+    def test_noise_flags_are_checked_without_noise(self, command):
+        code, out, err = run_in_process([*command, "--duration", -1, "--theta-step", 45])
+        assert code == 1 and out == ""
+        assert err == "error: duration must be a finite non-negative number, got -1.0\n"
 
     def test_unknown_config_key_exits_1_and_names_it(self, tmp_path, capsys):
         config = tmp_path / "conf.txt"
@@ -997,6 +1007,21 @@ class TestFilter:
         code, out, err = run_cli(["filter", path, *args, "--out", out_file], capsys)
         assert code == 1 and out == "" and not out_file.exists()
         assert err == f"error: filter {message}\n"
+
+    @pytest.mark.parametrize(
+        "matrix, max_iter",
+        [case[1:] for case in filter_edge_states(REDUCTION_EIGENVALUE_FLOOR)],
+        ids=[case[0] for case in filter_edge_states(REDUCTION_EIGENVALUE_FLOOR)],
+    )
+    def test_edge_states_exit_0_or_1_with_at_most_one_line(self, tmp_path, matrix, max_iter):
+        from bellbound.io import complex_matrix_to_json
+
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"matrix": complex_matrix_to_json(matrix)}))
+        args = ["filter", path] + ([] if max_iter is None else ["--max-iter", max_iter])
+        code, _, err = run_in_process(args)
+        assert code in (0, 1)
+        assert err.count("error:") <= 1 and (code == 0 or err.count("\n") == 1)
 
     def test_pure_product_exits_1(self, tmp_path, capsys):
         matrix = np.zeros((4, 4))
