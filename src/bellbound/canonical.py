@@ -158,7 +158,7 @@ def filter_normal_form(
     if max_iter < 1:
         raise ValueError(f"filter max_iter must be >= 1, got {max_iter}")
     form = decompose(state)
-    corr = np.block([[np.ones((1, 1)), form.m[np.newaxis]], [form.n[:, np.newaxis], form.T]])
+    corr = form.R
     f_signal = f_meter = (1.0, 0.0, 0.0, 1.0)
     deviations: list[float] = []
     iterations = 0

@@ -489,6 +489,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     clock.mark("load")
     summary = fuzz_bounds(params["trials"], params["seed"])
     clock.mark("compute")
+    compute_s = clock.stages["compute_s"]
     report = {
         "trials": summary.trials,
         "seed": summary.seed,
@@ -503,7 +504,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         reruns=summary.reruns,
         draw_s=summary.draw_s,
         screen_s=summary.screen_s,
-        instances_per_s=summary.trials / clock.stages["compute_s"],
+        # null when the clock did not tick during the run
+        instances_per_s=summary.trials / compute_s if compute_s > 0 else None,
     )
     if not summary.passed:
         worst = (

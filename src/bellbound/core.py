@@ -37,10 +37,9 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 ID2 = np.eye(2, dtype=complex)
 
-# Stacked two-qubit observables: signal slot first in every Kronecker product.
-_SIG_OPS = np.stack([np.kron(s, ID2) for s in PAULI])
-_MET_OPS = np.stack([np.kron(ID2, s) for s in PAULI])
-_CORR_OPS = np.stack([np.stack([np.kron(a, b) for b in PAULI]) for a in PAULI])
+# _PAULI_PAIRS[i, j] = sigma_i x sigma_j with sigma_0 = 1, signal slot first.
+_SIGMA = np.stack([ID2, *PAULI])
+_PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -74,6 +73,12 @@ class BlochForm:
         object.__setattr__(self, "n", _readonly(np.asarray(self.n, dtype=float)))
         object.__setattr__(self, "m", _readonly(np.asarray(self.m, dtype=float)))
         object.__setattr__(self, "T", _readonly(np.asarray(self.T, dtype=float)))
+
+    @property
+    def R(self) -> np.ndarray:
+        """The 4x4 correlation matrix ``R = [[1, m^T], [n, T]]``, that is
+        ``R_ij = tr[rho (sigma_i x sigma_j)]`` with ``sigma_0 = 1``."""
+        return _readonly(np.block([[np.ones((1, 1)), self.m[None]], [self.n[:, None], self.T]]))
 
 
 @dataclass(frozen=True)
@@ -179,38 +184,30 @@ def _validate_stack(m: np.ndarray) -> np.ndarray:
 
 
 def decompose(state: TwoQubitState) -> BlochForm:
-    """Bloch expansion: n_k = tr[rho (sigma_k x 1)], m_l = tr[rho (1 x sigma_l)],
-    T_kl = tr[rho (sigma_k x sigma_l)]."""
-    n, m, t = (part[0] for part in _decompose_stack(state.matrix[np.newaxis]))
-    return BlochForm(n, m, t)
+    """Bloch expansion read off ``R_ij = tr[rho (sigma_i x sigma_j)]``
+    (``sigma_0 = 1``, the table ``_PAULI_PAIRS``): n_k = R_k0, m_l = R_0l,
+    T_kl = R_kl."""
+    corr = _correlation_stack(state.matrix[np.newaxis])[0]
+    return BlochForm(corr[1:, 0], corr[0, 1:], corr[1:, 1:])
 
 
-# The 15 Bloch observables in one stack: sigma_k x 1, 1 x sigma_l, sigma_k x sigma_l.
-_BLOCH_OPS = np.concatenate([_SIG_OPS, _MET_OPS, _CORR_OPS.reshape(9, 4, 4)])
-
-
-def _decompose_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``n`` (N, 3), ``m`` (N, 3) and ``T`` (N, 3, 3) of :func:`decompose`
-    for a stack of validated states of shape (N, 4, 4)."""
-    coefficients = np.einsum("aij,Nji->Na", _BLOCH_OPS, rho)
+def _correlation_stack(rho: np.ndarray) -> np.ndarray:
+    """``R_ij = tr[rho (sigma_i x sigma_j)]`` of a stack of states (N, 4, 4),
+    shape (N, 4, 4); ``R_00`` is ``tr rho``.  Raises NotHermitian when an
+    imaginary residue reaches VALIDATION_TOL (or is NaN)."""
+    coefficients = np.einsum("aij,Nji->Na", _PAULI_PAIRS.reshape(16, 4, 4), rho)
     # Imaginary residues are pure floating noise for a validated (Hermitian) state.
-    residue = float(np.max(np.abs(coefficients.imag)))
-    if residue >= VALIDATION_TOL:
+    residue = float(np.abs(coefficients.imag).max(initial=0.0))
+    if not residue < VALIDATION_TOL:
         raise NotHermitian(residue)
-    coefficients = coefficients.real
-    return coefficients[:, :3], coefficients[:, 3:6], coefficients[:, 6:].reshape(-1, 3, 3)
+    return coefficients.real.reshape(-1, 4, 4)
 
 
 def recompose(form: BlochForm) -> TwoQubitState:
-    """Rebuild the density matrix from a Bloch form; raises NotPositive for
+    """Rebuild the density matrix ``1/4 sum_ij R_ij sigma_i x sigma_j`` from a
+    Bloch form's ``R`` over the table ``_PAULI_PAIRS``; raises NotPositive for
     Bloch data with no physical state."""
-    rho = 0.25 * (
-        np.eye(4, dtype=complex)
-        + np.einsum("k,kij->ij", form.n, _SIG_OPS)
-        + np.einsum("l,lij->ij", form.m, _MET_OPS)
-        + np.einsum("kl,klij->ij", form.T, _CORR_OPS)
-    )
-    return validate_state(rho)
+    return validate_state(0.25 * np.einsum("ij,ijab->ab", form.R, _PAULI_PAIRS))
 
 
 def _check_unitary(u, name: str = "U") -> np.ndarray:

@@ -7,12 +7,13 @@ generator is counter-based (Philox) with one stream per (point, channel), so
 fixed seeds give bit-identical counts on every platform, and each point's
 counts depend only on the seed and the point's stream index.
 
-Every simulation path evaluates its points as one stack: the Born-rule
-probabilities of up to ``BLOCK`` points come from one broadcast Kronecker
-product, one stacked matrix product and one stacked trace, with the same
-floating-point operations per point as :func:`coincidence_probs` on its own.
-One Philox generator is then reset to each (point, channel) stream in turn,
-so the counts are those of a generator built fresh for that stream.
+Every simulation path evaluates its points as one stack: the state is read
+once as its correlation matrix ``R_ij = tr[rho (sigma_i x sigma_j)]``, and the
+Born-rule probabilities of all points come from one einsum over R and the
+points' analyzer axes, the same operations per point as
+:func:`coincidence_probs` on its own.  One Philox generator is then reset to
+each (point, channel) stream in turn, so the counts are those of a generator
+built fresh for that stream.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ID2,
-    PAULI,
     VALIDATION_TOL,
     QubitMeasurement,
     TwoQubitState,
+    _correlation_stack,
     decompose,
     measurement_from_polarization_angle,
     validate_state,
@@ -49,8 +49,6 @@ BELL_ANGLE_PAIRS = ((22.5, 45.0), (67.5, 45.0), (22.5, 0.0), (67.5, 0.0))
 
 SIGNAL_BASES = ("hv", "xy")
 
-# Points evaluated together; transient memory is O(BLOCK), not O(points).
-BLOCK = 1024
 # Bell records draw from the four streams from here on, above the streams of
 # the sweep points that share their seed.
 BELL_STREAM_OFFSET = 1_000_000
@@ -154,10 +152,12 @@ def _polarization_axes(thetas_deg) -> np.ndarray:
     return np.array(axes).reshape(-1, 3)
 
 
-def _projector_stack(axes: np.ndarray) -> np.ndarray:
-    """The (+, -) projectors ``(1 +- a.sigma)/2`` of N axes, shape (N, 2, 2, 2)."""
-    a_sigma = np.einsum("Nk,kij->Nij", axes, PAULI)
-    return np.stack([0.5 * (ID2 + a_sigma), 0.5 * (ID2 - a_sigma)], axis=1)
+def _outcome_rows(axes: np.ndarray) -> np.ndarray:
+    """The rows ``(1, +a)`` and ``(1, -a)`` of N axes, shape (N, 2, 4)."""
+    rows = np.ones((len(axes), 2, 4))
+    rows[:, 0, 1:] = axes
+    rows[:, 1, 1:] = -axes
+    return rows
 
 
 def _coincidence_stack(
@@ -165,22 +165,18 @@ def _coincidence_stack(
 ) -> np.ndarray:
     """:func:`coincidence_probs` for N (meter, signal) axis pairs, shape (N, 4).
 
-    Raises TraceNotOne for the first point whose probabilities do not sum to 1.
+    With the state's ``R_ij = tr[rho (sigma_i x sigma_j)]`` (``sigma_0 = 1``,
+    signal index first), meter outcome ``a`` and signal outcome ``b`` (both
+    +-1) along axes ``m`` and ``s`` have ``p_ab = 1/4 (1, b s) R (1, a m)^T``,
+    in channel ``2a + b`` with + read as 0 and - as 1.  The four sum to
+    ``R_00 = tr rho``, so a state whose trace is not 1 raises TraceNotOne
+    once, and a non-Hermitian one raises NotHermitian.
     """
-    probs = np.empty((len(meter_axes), 4))
-    for start in range(0, len(probs), BLOCK):
-        block = slice(start, start + BLOCK)
-        met = _projector_stack(meter_axes[block])
-        sig = _projector_stack(signal_axes[block])
-        # np.kron(sig[b], met[a]) for channel 2a + b, broadcast as np.kron does:
-        # axes (point, a, b, signal row, meter row, signal col, meter col).
-        ops = sig[:, None, :, :, None, :, None] * met[:, :, None, None, :, None, :]
-        probs[block] = np.trace(ops.reshape(-1, 4, 4, 4) @ state.matrix, axis1=2, axis2=3).real
-        totals = probs[block].sum(axis=1)
-        bad = np.abs(totals - 1.0) >= VALIDATION_TOL
-        if bad.any():
-            raise TraceNotOne(float(totals[np.argmax(bad)]))
-    return probs
+    corr = _correlation_stack(state.matrix[np.newaxis])[0]
+    if not abs(corr[0, 0] - 1.0) < VALIDATION_TOL:
+        raise TraceNotOne(float(corr[0, 0]))
+    signal_rows, meter_rows = _outcome_rows(signal_axes), _outcome_rows(meter_axes)
+    return 0.25 * np.einsum("Nbi,ij,Naj->Nab", signal_rows, corr, meter_rows).reshape(-1, 4)
 
 
 def coincidence_probs(
@@ -390,13 +386,11 @@ def run_sweep_experiment(
     return points
 
 
-def simulate_bell_records(
-    state: TwoQubitState, config: ExperimentConfig, stream_offset: int = BELL_STREAM_OFFSET
-) -> tuple[CountRecord, ...]:
-    """Simulated counts at the four Bell-angle pairs (streams offset to avoid
-    colliding with sweep points)."""
+def simulate_bell_records(state: TwoQubitState, config: ExperimentConfig) -> tuple[CountRecord, ...]:
+    """Simulated counts at the four Bell-angle pairs, from the streams at
+    ``BELL_STREAM_OFFSET`` on (above those of the sweep points)."""
     meter_degs, signal_degs = zip(*BELL_ANGLE_PAIRS)
-    streams = range(stream_offset, stream_offset + len(BELL_ANGLE_PAIRS))
+    streams = range(BELL_STREAM_OFFSET, BELL_STREAM_OFFSET + len(BELL_ANGLE_PAIRS))
     return tuple(
         _simulate_stack(
             state, _polarization_axes(meter_degs), _polarization_axes(signal_degs), config, streams

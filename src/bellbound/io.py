@@ -256,14 +256,15 @@ class StageClock:
 
     Each :meth:`mark` ends a stage that began at the previous mark, or when
     the clock was made; ``stages`` maps ``"<stage>_s"`` to its seconds, so
-    their sum is the run's duration so far.
+    their sum is the run's duration so far.  It reads ``time.perf_counter``,
+    the clock of ``verify.fuzz_bounds``'s own stage times.
     """
 
     def __init__(self):
         self.stages: dict[str, float] = {}
-        self._last = time.monotonic()
+        self._last = time.perf_counter()
 
     def mark(self, stage: str) -> None:
-        now = time.monotonic()
+        now = time.perf_counter()
         self.stages[f"{stage}_s"] = now - self._last
         self._last = now

@@ -25,7 +25,7 @@ import numpy as np
 from .core import (
     QubitMeasurement,
     TwoQubitState,
-    _decompose_stack,
+    _correlation_stack,
     _validate_stack,
     rotation_from_quaternion,
     validate_state,
@@ -149,8 +149,8 @@ def _draw_block(seed: int, trials: np.ndarray) -> tuple[np.ndarray, ...]:
 def _screen(rho, s, s_prime, m, m_prime) -> tuple[np.ndarray, np.ndarray]:
     """Screened bound and same-meter slacks of a block of draws, after the
     checks that ``run_trial`` makes on each of them."""
-    n, _, t = _decompose_stack(_validate_stack(rho))
-    return _bound_slacks(n, t, s, s_prime, m, m_prime)
+    corr = _correlation_stack(_validate_stack(rho))
+    return _bound_slacks(corr[:, 1:, 0], corr[:, 1:, 1:], s, s_prime, m, m_prime)
 
 
 def _keep_near_minimum(kept, slack: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -666,6 +666,19 @@ class TestManifestStats:
         # the data file is the one written without --out
         assert out_file.read_text() == run_cli(args, capsys)[1]
 
+    def test_verify_throughput_is_null_when_the_clock_does_not_tick(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import bellbound.io
+
+        # a coarse clock (about 16 ms a tick on Windows) can read 0 s for a run
+        monkeypatch.setattr(bellbound.io.time, "perf_counter", lambda: 100.0)
+        out_file = tmp_path / "verify.json"
+        assert run_cli(["verify", "--trials", 3, "--out", out_file], capsys)[0] == 0
+        stats = json.loads((tmp_path / "verify.json.manifest.json").read_text())["stats"]
+        assert stats["compute_s"] == 0.0
+        assert stats["instances_per_s"] is None
+
 
 class TestVerify:
     def test_small_fuzz_passes(self, capsys):

@@ -13,6 +13,21 @@ from conftest import PAULI, I2, axis_projectors, polarization_ket, random_unitar
 E3 = np.array([0.0, 0.0, 1.0])
 
 
+# The Bloch observables sigma_k x 1, 1 x sigma_l and sigma_k x sigma_l as one
+# stack of 15, and their einsum: the oracle for core._correlation_stack.
+BLOCH_OPS = np.stack(
+    [np.kron(s, I2) for s in PAULI]
+    + [np.kron(I2, s) for s in PAULI]
+    + [np.kron(a, b) for a in PAULI for b in PAULI]
+)
+
+
+def bloch_oracle(rho):
+    """``n`` (N, 3), ``m`` (N, 3) and ``T`` (N, 3, 3) of a stack of states."""
+    coefficients = np.einsum("aij,Nji->Na", BLOCH_OPS, rho).real
+    return coefficients[:, :3], coefficients[:, 3:6], coefficients[:, 6:].reshape(-1, 3, 3)
+
+
 def singlet_matrix():
     ket = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
     return np.outer(ket, ket.conj())
@@ -112,12 +127,41 @@ class TestBlochDecomposition:
         with pytest.raises(bb.NotHermitian):
             bb.decompose(bb.TwoQubitState(matrix))
 
+    def test_correlation_stack_matches_the_15_operator_einsum_bit_for_bit(self):
+        from bellbound.core import _correlation_stack, _validate_stack
+        from bellbound.verify import _draw_block
+
+        for seed in (1, 2, 3):
+            rho = _validate_stack(_draw_block(seed, np.arange(2000))[0])
+            stacks = [rho] + [rho[i : i + 1] for i in range(0, 2000, 40)]
+            for stack in stacks:
+                corr = _correlation_stack(stack)
+                n, m, t = bloch_oracle(stack)
+                assert corr.shape == (len(stack), 4, 4)
+                assert np.array_equal(corr[:, 1:, 0], n)
+                assert np.array_equal(corr[:, 0, 1:], m)
+                assert np.array_equal(corr[:, 1:, 1:], t)
+
+    def test_correlation_stack_of_no_states(self):
+        from bellbound.core import _correlation_stack
+
+        assert _correlation_stack(np.empty((0, 4, 4), dtype=complex)).shape == (0, 4, 4)
+
+    def test_form_r_layout(self):
+        form = bb.decompose(bb.random_state(8, 3))
+        corr = form.R
+        assert corr[0, 0] == 1.0
+        assert np.array_equal(corr[0, 1:], form.m)
+        assert np.array_equal(corr[1:, 0], form.n)
+        assert np.array_equal(corr[1:, 1:], form.T)
+        assert not corr.flags.writeable
+
     def test_round_trip_1000_random_states(self):
         for seed in range(1000):
             state = bb.random_state(seed, 1 + seed % 4)
             form = bb.decompose(state)
             back = bb.recompose(form)
-            assert np.max(np.abs(back.matrix - state.matrix)) < 1e-12
+            assert np.max(np.abs(back.matrix - state.matrix)) <= 1e-15
             form2 = bb.decompose(back)
             assert np.max(np.abs(form2.T - form.T)) < 1e-12
             assert np.max(np.abs(form2.n - form.n)) < 1e-12
