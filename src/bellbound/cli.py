@@ -562,7 +562,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of ``argv``: every subcommand is registered with its
+    summary, but only the one that ``argv`` names, its first non-option
+    argument, gets its arguments and flags (every subcommand does when
+    ``argv`` is None).  ``--help``, ``<command> --help`` and the usage
+    errors read as with all of them built, and a run builds the flags of
+    one subcommand only."""
     parser = _Parser(
         prog="bellbound",
         description="Knowledge excesses of complementary qubit measurements, "
@@ -570,9 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     for command, (summary, params) in COMMANDS.items():
-        p_command = sub.add_parser(command, help=summary)
+        built = named in (None, command)
+        p_command = sub.add_parser(command, help=summary, add_help=built)
         p_command.set_defaults(func=globals()[f"cmd_{command}"])
+        if not built:
+            continue
         if command in STATE_FILE_COMMANDS:
             p_command.add_argument("state_file", type=Path, help="JSON state file")
         # flags take text; _resolve casts it as it casts config values
@@ -588,8 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = build_parser().parse_args(argv)
+        ns = build_parser(argv).parse_args(argv)
         return ns.func(ns)
     except (BellboundError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

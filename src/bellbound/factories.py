@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -27,6 +28,11 @@ BELL_KETS = (
 # Positivity bounds of the Werner family p*|Psi-><Psi-| + (1-p)/4 * 1.
 WERNER_P_MIN = -1.0 / 3.0
 WERNER_P_MAX = 1.0
+
+# Each thread's one Philox generator, which _philox_streams resets for every
+# stream.  Building a Philox reads OS entropy, which costs more than a
+# trial's draws; a reset sets the whole state, so no draw carries over.
+_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -82,30 +88,49 @@ def _density_matrix(normals: np.ndarray) -> np.ndarray:
 
 def _philox_streams(seed: int, words) -> Iterator[np.random.Generator]:
     """A generator for each stream word in turn: Philox keyed by
-    ``(seed % 2**64, word)``, at counter 0.  One Philox is reset for every
-    word, because building a new one (which also reads OS entropy) costs
-    about as much as a few draws.  Each generator is valid until the next one
-    is taken."""
-    philox = np.random.Philox(key=0)
-    rng = np.random.Generator(philox)
-    fresh = philox.state
+    ``(seed % 2**64, word)``, at counter 0.
+
+    Philox is counter-based, so a stream is fully set by its key.  Each
+    thread keeps one Philox, and it is reset for every word by assigning its
+    whole state: the key, a zero counter, an empty output buffer and no held
+    32-bit half, as plain Python ints in one state dict in which only the
+    word changes.  The generator yielded is then the one that
+    ``Generator(Philox(key=(seed % 2**64, word)))`` would be, whatever the
+    previous stream read.  It is the same object for every word and every
+    call in the thread, so a stream is valid only until the thread takes
+    the next one, from this iterator or any other.
+    """
+    try:
+        rng = _THREAD.rng
+    except AttributeError:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(key=0))
+    philox = rng.bit_generator
+    key = [int(seed) % 2**64, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for word in words:
-        fresh["state"]["key"][:] = (int(seed) % 2**64, word)
-        philox.state = fresh
+        key[1] = word
+        philox.state = state
         yield rng
 
 
 def random_state(seed: int, ancilla_dim: int) -> TwoQubitState:
     """Deterministic random mixed state of rank <= ``ancilla_dim``.
 
-    Uses a counter-based generator keyed by (seed, ancilla_dim), so the same
-    arguments produce bit-identical states on every platform.
+    Draws from the Philox stream keyed by (seed, ancilla_dim), opened by
+    :func:`_philox_streams`, so the same arguments produce bit-identical
+    states on every platform.
     """
     ancilla_dim = int(ancilla_dim)
     if not 1 <= ancilla_dim <= 4:
         raise ValueError(f"ancilla_dim must be in 1..4, got {ancilla_dim}")
-    key = np.array([int(seed) % 2**64, ancilla_dim], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    (rng,) = _philox_streams(seed, [ancilla_dim])
     return validate_state(_density_matrix(rng.normal(size=(2, 4, ancilla_dim))))
 
 

@@ -2,10 +2,11 @@
 
 Each trial owns a counter-based RNG stream keyed by (seed, trial index), so
 summaries are reproducible bit for bit and any single trial can be rerun on
-its own.  A trial reads its stream in two calls: the ancilla dimension d in
-1..4, then one draw of 8d + 10 normals that hold, in order, the real and the
-imaginary amplitudes of a pure state on 4 x d (its reduction is the trial's
-mixed state), the signal-frame quaternion and the two meter directions.
+its own.  A trial reads its stream in two calls: one raw 64-bit word, which
+sets the ancilla dimension d in 1..4, then one draw of 8d + 10 normals that
+hold, in order, the real and the imaginary amplitudes of a pure state on
+4 x d (its reduction is the trial's mixed state), the signal-frame
+quaternion and the two meter directions.
 
 ``fuzz_bounds`` draws the trials in blocks.  Per trial it only resets the
 stream and makes those two calls; it then builds the block's states as one
@@ -83,12 +84,26 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _ancilla_dim(rng: np.random.Generator) -> int:
+    """The ancilla dimension d in 1..4 from the stream's next raw 64-bit word.
+
+    On a stream that holds no 32-bit half, as one just opened, this is the
+    value of ``rng.integers(1, 5)``: that call takes the low 32 bits of the
+    word and returns ``1 + ((4 * low) >> 32)`` (Lemire's multiply-shift,
+    which never rejects for a range of 4).  Both consume that one word, so
+    the 64-bit draws that follow, such as the normals, are the same; only a
+    32-bit draw would differ, as ``integers`` keeps the word's high half for
+    the next one.
+    """
+    return 1 + ((rng.bit_generator.random_raw() & 0xFFFFFFFF) >> 30)
+
+
 def _draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One trial's draws in stream order: the unvalidated state, the
     signal-frame quaternion, then the two meter directions (none
     normalized).  The stream is read in two calls, the ancilla dimension d
-    and then all 8d + 10 normals."""
-    d = int(rng.integers(1, 5))
+    (:func:`_ancilla_dim`) and then all 8d + 10 normals."""
+    d = _ancilla_dim(rng)
     normals = rng.normal(size=8 * d + 10)
     rho = _density_matrix(normals[: 8 * d].reshape(2, 4, d))
     return rho, normals[-10:-6], normals[-6:-3], normals[-3:]
@@ -121,7 +136,7 @@ def _draw_block(seed: int, trials: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     dims, draws = [], []
     for rng in _philox_streams(seed, trials):
-        d = int(rng.integers(1, 5))
+        d = _ancilla_dim(rng)
         dims.append(d)
         draws.append(rng.normal(size=8 * d + 10))
     dims = np.array(dims)

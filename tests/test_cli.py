@@ -25,8 +25,10 @@ from bellbound.cli import (
     CONFIG_KEYS,
     COMMANDS,
     MAX_GRID_POINTS,
+    STATE_FILE_COMMANDS,
     SURFACE_HEADER,
     SWEEP_HEADER,
+    _flag,
     _grid,
     _resolve,
     build_parser,
@@ -476,6 +478,56 @@ class TestUsageErrors:
             main(args)
         assert exc.value.code == 0
         assert "bellbound" in capsys.readouterr().out
+
+
+def help_text(parse, args, capsys):
+    """What ``parse(args)`` prints for a help request; it must exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        parse(args)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestLeanParser:
+    """``main`` builds the flags of the named subcommand only; what it prints
+    must read as from the parser of every subcommand."""
+
+    def test_top_level_help_lists_every_subcommand_with_its_summary(self, capsys):
+        text = help_text(main, ["--help"], capsys)
+        for command, (summary, _) in COMMANDS.items():
+            assert re.search(rf"^\s+{command}\s+{re.escape(summary)}$", text, re.MULTILINE)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_subcommand_help_shows_all_its_arguments(self, capsys, command):
+        text = help_text(main, [command, "--help"], capsys)
+        flags = [_flag(key) for key in COMMANDS[command][1]] + ["--out", "--config"]
+        if command == "verify":
+            flags += ["--replay", "--dump"]
+        for flag in flags:
+            assert re.search(rf"^\s+{flag}\b", text, re.MULTILINE), flag
+        assert ("state_file" in text) == (command in STATE_FILE_COMMANDS)
+        # the same text as from the parser with every subcommand built
+        assert text == help_text(build_parser().parse_args, [command, "--help"], capsys)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unknown_flag_exits_1_with_one_line(self, capsys, command):
+        state = ["state.json"] if command in STATE_FILE_COMMANDS else []
+        code, out, err = run_cli([command, *state, "--no-such-flag"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "unrecognized arguments: --no-such-flag" in err
+
+    def test_only_the_named_subcommand_gets_its_flags(self):
+        assert build_parser(["sweep"]).parse_args(["sweep", "--p", "0.5"]).p == "0.5"
+        with pytest.raises(ValueError, match="unrecognized arguments: --p 0.5"):
+            build_parser(["verify"]).parse_args(["sweep", "--p", "0.5"])
+
+    def test_a_state_file_may_bear_a_subcommand_name(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "verify").write_text(json.dumps({"factory": "werner", "p": 0.82}))
+        code, out, err = run_cli(["analyze", "verify"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["b_max"] == pytest.approx(2.319, abs=1e-3)
 
 
 # Config values at the edges of every caster's domain, a few ordinary ones so

@@ -1,9 +1,13 @@
 """Tests for state factories and the Werner closed forms."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import bellbound as bb
+from bellbound.factories import _density_matrix, _philox_streams
 
 SQRT2 = np.sqrt(2.0)
 
@@ -87,6 +91,84 @@ class TestRandomState:
     def test_rejects_bad_ancilla_dim(self):
         with pytest.raises(ValueError):
             bb.random_state(0, 5)
+
+
+def fresh_generator(seed, word):
+    """The stream as a new Philox builds it: keyed by (seed % 2**64, word)."""
+    key = np.array([int(seed) % 2**64, word], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def former_random_state(seed, ancilla_dim):
+    """``random_state`` as it was built before its stream was opened by
+    ``_philox_streams``: a new Philox per call."""
+    rng = fresh_generator(seed, ancilla_dim)
+    return bb.validate_state(_density_matrix(rng.normal(size=(2, 4, ancilla_dim))))
+
+
+def assert_same_state(bit_generator, reference):
+    state, expected = bit_generator.state, reference.state
+    assert state.keys() == expected.keys()
+    for key in ("buffer_pos", "has_uint32", "uinteger"):
+        assert state[key] == expected[key]
+    for part in ("counter", "key"):
+        assert state["state"][part].tolist() == expected["state"][part].tolist()
+    assert state["buffer"].tolist() == expected["buffer"].tolist()
+
+
+class TestPhiloxStreams:
+    WORDS = [0, 1, 2**32, 2**62]
+
+    @pytest.mark.parametrize("seed", [0, 7, -5, 2**63 + 11, 2**64 + 3])
+    @pytest.mark.parametrize("leftover", ["none", "mid-buffer", "held-32-bit-half"])
+    def test_each_generator_is_a_fresh_keyed_stream(self, seed, leftover):
+        for word, rng in zip(self.WORDS, _philox_streams(seed, self.WORDS)):
+            reference = fresh_generator(seed, word)
+            assert_same_state(rng.bit_generator, reference.bit_generator)
+            assert np.array_equal(rng.random(8), reference.random(8))
+            # leave the stream as the next word must not see it
+            if leftover == "mid-buffer":
+                rng.bit_generator.random_raw(3)
+                assert rng.bit_generator.state["buffer_pos"] != 4
+            elif leftover == "held-32-bit-half":
+                rng.integers(1, 5)
+                assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_a_new_iterator_starts_fresh_after_a_used_stream(self):
+        (rng,) = _philox_streams(3, [1])
+        rng.integers(0, 2**32, dtype=np.uint32)
+        rng.bit_generator.random_raw(3)
+        (rng,) = _philox_streams(3, [1])
+        assert np.array_equal(rng.normal(size=12), fresh_generator(3, 1).normal(size=12))
+
+    def test_threads_drawing_at_once_get_their_own_streams(self):
+        # more threads than cores, switching often: a generator shared by
+        # the threads would be reset by one between another's reset and draw
+        keys = [(seed, rank) for seed in range(50) for rank in range(1, 5)]
+        expected = [bb.random_state(*key).matrix.tobytes() for key in keys]
+        found = [[] for _ in range(4)]
+
+        def draw(out):
+            out.extend(bb.random_state(*key).matrix.tobytes() for key in keys)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(out,)) for out in found]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(out == expected for out in found)
+
+    def test_random_state_equals_the_former_construction(self):
+        for seed in [*range(64), -5, 2**64 + 3]:
+            for rank in range(1, 5):
+                expected = former_random_state(seed, rank).matrix
+                assert bb.random_state(seed, rank).matrix.tobytes() == expected.tobytes()
 
 
 class TestWernerPrediction:

@@ -18,6 +18,7 @@ from bellbound.factories import _philox_streams
 from bellbound.io import dumps_json
 from bellbound.verify import (
     BLOCK,
+    _ancilla_dim,
     _draw,
     _draw_block,
     _screen,
@@ -57,6 +58,23 @@ def legacy_draw(rng):
 
 
 class TestDraw:
+    def test_dimension_from_one_raw_word_equals_integers(self):
+        # 20 seeds x 100 words: small, negative, at or past 2**63 and 2**64
+        seeds = [*range(5), *range(-5, 0), *range(2**63, 2**63 + 5), *range(2**64, 2**64 + 5)]
+        words = list(range(100))
+        counts = dict.fromkeys(range(1, 5), 0)
+        for seed in seeds:
+            for word, rng in zip(words, _philox_streams(seed, words)):
+                key = np.array([seed % 2**64, word], dtype=np.uint64)
+                reference = np.random.Generator(np.random.Philox(key=key))
+                d = _ancilla_dim(rng)
+                assert d == reference.integers(1, 5), (seed, word)
+                # the draws that follow are the same
+                k = 8 * d + 10
+                assert rng.normal(size=k).tobytes() == reference.normal(size=k).tobytes()
+                counts[d] += 1
+        assert sum(counts.values()) == 2000 and min(counts.values()) > 400
+
     @pytest.mark.parametrize("seed", [0, 31, -5, 2**64 + 3])
     def test_one_call_draw_equals_the_five_call_sequence(self, seed):
         trials = list(range(40)) + [BLOCK, 10**6]
