@@ -4,7 +4,6 @@ iterated on the real matrix ``R_ij = tr rho sigma_i x sigma_j`` (``sigma_0 = 1``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +15,9 @@ from .core import (
     decompose,
     recompose,
     unitary_from_rotation,
+    _Frozen,
     _readonly,
+    _set,
 )
 from .errors import NoConvergence, SingularReduction
 from .knowledge import BoundCheck, _bell_max, _proper_rotation_factors, optimize_excess_sum
@@ -27,8 +28,7 @@ DEFAULT_FILTER_TOL = 1e-10
 DEFAULT_FILTER_MAX_ITER = 10_000
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Frozen):
     """A state rotated so its correlation matrix is diagonal.
 
     ``diag`` entries are signed and ordered by descending square;
@@ -36,22 +36,26 @@ class CanonicalForm:
     original state.
     """
 
-    state_bar: TwoQubitState
-    o_signal: np.ndarray
-    o_meter: np.ndarray
-    u_signal: np.ndarray
-    u_meter: np.ndarray
-    diag: np.ndarray
+    __slots__ = ("state_bar", "o_signal", "o_meter", "u_signal", "u_meter", "diag")
 
-    def __post_init__(self):
-        for name in ("o_signal", "o_meter", "diag"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
-        for name in ("u_signal", "u_meter"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=complex)))
+    def __init__(
+        self,
+        state_bar: TwoQubitState,
+        o_signal: np.ndarray,
+        o_meter: np.ndarray,
+        u_signal: np.ndarray,
+        u_meter: np.ndarray,
+        diag: np.ndarray,
+    ):
+        _set(self, "state_bar", state_bar)
+        _set(self, "o_signal", _readonly(np.asarray(o_signal, dtype=float)))
+        _set(self, "o_meter", _readonly(np.asarray(o_meter, dtype=float)))
+        _set(self, "u_signal", _readonly(np.asarray(u_signal, dtype=complex)))
+        _set(self, "u_meter", _readonly(np.asarray(u_meter, dtype=complex)))
+        _set(self, "diag", _readonly(np.asarray(diag, dtype=float)))
 
 
-@dataclass(frozen=True)
-class FilterResult:
+class FilterResult(_Frozen):
     """Outcome of driving a state to Bell-diagonal form by local filtering.
 
     Both filters are rescaled to largest singular value 1, so each is a valid
@@ -60,18 +64,36 @@ class FilterResult:
     worst deviation of a reduced state from 1/2.
     """
 
-    state_out: TwoQubitState
-    f_signal: np.ndarray
-    f_meter: np.ndarray
-    success_probability: float
-    iterations: int
-    b_max_in: float
-    b_max_out: float
-    deviation_log: tuple[float, ...] = ()
+    __slots__ = (
+        "state_out",
+        "f_signal",
+        "f_meter",
+        "success_probability",
+        "iterations",
+        "b_max_in",
+        "b_max_out",
+        "deviation_log",
+    )
 
-    def __post_init__(self):
-        for name in ("f_signal", "f_meter"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=complex)))
+    def __init__(
+        self,
+        state_out: TwoQubitState,
+        f_signal: np.ndarray,
+        f_meter: np.ndarray,
+        success_probability: float,
+        iterations: int,
+        b_max_in: float,
+        b_max_out: float,
+        deviation_log: tuple[float, ...] = (),
+    ):
+        _set(self, "state_out", state_out)
+        _set(self, "f_signal", _readonly(np.asarray(f_signal, dtype=complex)))
+        _set(self, "f_meter", _readonly(np.asarray(f_meter, dtype=complex)))
+        _set(self, "success_probability", success_probability)
+        _set(self, "iterations", iterations)
+        _set(self, "b_max_in", b_max_in)
+        _set(self, "b_max_out", b_max_out)
+        _set(self, "deviation_log", deviation_log)
 
 
 def _is_diagonal(t: np.ndarray) -> bool:

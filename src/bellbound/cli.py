@@ -373,8 +373,6 @@ def _resolve_simulated_state(params) -> tuple[float, dict | None]:
     if len(given) != len(schedule_keys):
         flags = ", ".join(map(_flag, schedule_keys))
         raise ValueError(f"schedule preparation needs all of {flags}")
-    from dataclasses import asdict
-
     import numpy as np
 
     from .core import decompose
@@ -399,12 +397,10 @@ def _resolve_simulated_state(params) -> tuple[float, dict | None]:
             " adjust durations/rates so the HH and VV weights match the"
             " distinguishable-photon weight"
         )
-    return p, {**asdict(model), "derived_p": p}
+    return p, {**model._asdict(), "derived_p": p}
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from .expsim import (
         BELL_ANGLE_PAIRS,
         BELL_STREAM_OFFSET,
@@ -437,9 +433,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     theory = werner_prediction(p, 0.0, 0.0).b_max
     report = {
         "p": p,
-        "config": asdict(config),
+        "config": config._asdict(),
         # each point's fields in order, its counts as c_pp, c_pm, c_mp, c_mm
-        "sweep": [{**vars(point), "counts": vars(point.counts)} for point in points],
+        "sweep": [{**point._asdict(), "counts": point.counts._asdict()} for point in points],
         "bell": {
             "angle_pairs": [list(pair) for pair in BELL_ANGLE_PAIRS],
             "correlations": [estimate_correlation(record) for record in records],
@@ -504,6 +500,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         reruns=summary.reruns,
         draw_s=summary.draw_s,
         screen_s=summary.screen_s,
+        screen_residual=summary.screen_residual,
         # null when the clock did not tick during the run
         instances_per_s=summary.trials / compute_s if compute_s > 0 else None,
     )

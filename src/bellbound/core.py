@@ -18,7 +18,6 @@ be shared freely between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,31 +47,69 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
+# Sets a field of a _Frozen value, once, in its __init__.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value types, which are cheaper to define than
+    frozen dataclasses.  A subclass names its fields in ``__slots__``; its
+    ``__init__`` takes them in that order and sets each once with ``_set``.
+    Any later assignment raises AttributeError.  Equality, hashing, ``repr``,
+    pickling and ``_asdict`` go by the fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        return dict(zip(self.__slots__, self._values()))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class TwoQubitState(_Frozen):
     """A validated 4x4 density matrix (use :func:`validate_state` to build one)."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(np.asarray(self.matrix, dtype=complex)))
+    def __init__(self, matrix: np.ndarray):
+        _set(self, "matrix", _readonly(np.asarray(matrix, dtype=complex)))
 
 
-@dataclass(frozen=True)
-class BlochForm:
+class BlochForm(_Frozen):
     """Local Bloch vectors and the 3x3 correlation matrix of a two-qubit state.
 
     ``T[k, l]`` pairs signal axis ``k`` with meter axis ``l``.
     """
 
-    n: np.ndarray
-    m: np.ndarray
-    T: np.ndarray
+    __slots__ = ("n", "m", "T")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _readonly(np.asarray(self.n, dtype=float)))
-        object.__setattr__(self, "m", _readonly(np.asarray(self.m, dtype=float)))
-        object.__setattr__(self, "T", _readonly(np.asarray(self.T, dtype=float)))
+    def __init__(self, n: np.ndarray, m: np.ndarray, T: np.ndarray):
+        _set(self, "n", _readonly(np.asarray(n, dtype=float)))
+        _set(self, "m", _readonly(np.asarray(m, dtype=float)))
+        _set(self, "T", _readonly(np.asarray(T, dtype=float)))
 
     @property
     def R(self) -> np.ndarray:
@@ -81,20 +118,18 @@ class BlochForm:
         return _readonly(np.block([[np.ones((1, 1)), self.m[None]], [self.n[:, None], self.T]]))
 
 
-@dataclass(frozen=True)
-class QubitMeasurement:
+class QubitMeasurement(_Frozen):
     """Two-outcome projective measurement along a unit Bloch axis.
 
     Outcome "+" is the projector ``(1 + a.sigma)/2`` and "-" its complement.
     ``degenerate`` marks an axis chosen arbitrarily because the discrimination
-    problem it was derived from had no preferred direction.
+    problem it was derived from had no preferred direction; equality ignores it.
     """
 
-    axis: np.ndarray
-    degenerate: bool = field(default=False, compare=False)
+    __slots__ = ("axis", "degenerate")
 
-    def __post_init__(self):
-        a = np.asarray(self.axis, dtype=float).reshape(3)
+    def __init__(self, axis: np.ndarray, degenerate: bool = False):
+        a = np.asarray(axis, dtype=float).reshape(3)
         # math.hypot neither overflows nor warns, and a NaN fails the test
         deviation = abs(math.hypot(*a.tolist()) - 1.0)
         if not deviation <= UNIT_AXIS_TOL:
@@ -102,15 +137,23 @@ class QubitMeasurement:
                 f"measurement axis must be a unit vector: | |a| - 1 | = {deviation:.3e}"
                 f" (limit {UNIT_AXIS_TOL})"
             )
-        object.__setattr__(self, "axis", _readonly(a / float(np.linalg.norm(a))))
+        _set(self, "axis", _readonly(a / float(np.linalg.norm(a))))
+        _set(self, "degenerate", degenerate)
+
+    def __eq__(self, other):
+        if type(other) is not QubitMeasurement:
+            return NotImplemented
+        return bool(np.array_equal(self.axis, other.axis))
+
+    # The axis is an array, so a measurement is not hashable.
+    __hash__ = None
 
     def flipped(self) -> "QubitMeasurement":
         """Same measurement with the outcome labels swapped."""
         return QubitMeasurement(-self.axis, degenerate=self.degenerate)
 
 
-@dataclass(frozen=True)
-class ConditionalDecomposition:
+class ConditionalDecomposition(_Frozen):
     """Expansion of a state over the two outcomes of a signal measurement.
 
     ``w`` and ``w_perp`` are the outcome probabilities, ``rho_M`` and
@@ -120,16 +163,23 @@ class ConditionalDecomposition:
     and ``degenerate`` is set.
     """
 
-    w: float
-    w_perp: float
-    rho_M: np.ndarray
-    rho_M_perp: np.ndarray
-    chi_M: np.ndarray
-    degenerate: bool = False
+    __slots__ = ("w", "w_perp", "rho_M", "rho_M_perp", "chi_M", "degenerate")
 
-    def __post_init__(self):
-        for name in ("rho_M", "rho_M_perp", "chi_M"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=complex)))
+    def __init__(
+        self,
+        w: float,
+        w_perp: float,
+        rho_M: np.ndarray,
+        rho_M_perp: np.ndarray,
+        chi_M: np.ndarray,
+        degenerate: bool = False,
+    ):
+        _set(self, "w", w)
+        _set(self, "w_perp", w_perp)
+        _set(self, "rho_M", _readonly(np.asarray(rho_M, dtype=complex)))
+        _set(self, "rho_M_perp", _readonly(np.asarray(rho_M_perp, dtype=complex)))
+        _set(self, "chi_M", _readonly(np.asarray(chi_M, dtype=complex)))
+        _set(self, "degenerate", degenerate)
 
 
 def validate_state(matrix) -> TwoQubitState:

@@ -19,7 +19,7 @@ built fresh for that stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .core import (
     QubitMeasurement,
     TwoQubitState,
     _correlation_stack,
+    _Frozen,
+    _set,
     decompose,
     measurement_from_polarization_angle,
     validate_state,
@@ -56,29 +58,23 @@ BELL_STREAM_OFFSET = 1_000_000
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(_Frozen):
     """Four coincidence counts; first index sign = meter outcome, second = signal."""
 
-    c_pp: int
-    c_pm: int
-    c_mp: int
-    c_mm: int
+    __slots__ = ("c_pp", "c_pm", "c_mp", "c_mm")
 
-    def __post_init__(self):
-        for name in ("c_pp", "c_pm", "c_mp", "c_mm"):
-            value = getattr(self, name)
+    def __init__(self, c_pp: int, c_pm: int, c_mp: int, c_mm: int):
+        for name, value in zip(self.__slots__, (c_pp, c_pm, c_mp, c_mm)):
             if int(value) != value or value < 0:
                 raise ValueError(f"count {name} must be a non-negative integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            _set(self, name, int(value))
 
     @property
     def total(self) -> int:
         return self.c_pp + self.c_pm + self.c_mp + self.c_mm
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Frozen):
     """Noise model parameters for one measurement point.
 
     ``pair_rate`` is the detected coincidence-pair rate (detector efficiency
@@ -86,21 +82,20 @@ class ExperimentConfig:
     outcome channel, both in 1/s.
     """
 
-    pair_rate: float
-    duration: float
-    dark_coincidence_rate: float = 0.0
-    seed: int = 0
+    __slots__ = ("pair_rate", "duration", "dark_coincidence_rate", "seed")
 
-    def __post_init__(self):
+    def __init__(
+        self, pair_rate: float, duration: float, dark_coincidence_rate: float = 0.0, seed: int = 0
+    ):
         # Written so that a NaN fails each check.
-        for name in ("pair_rate", "duration", "dark_coincidence_rate"):
-            value = getattr(self, name)
+        for name, value in zip(self.__slots__, (pair_rate, duration, dark_coincidence_rate)):
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+            _set(self, name, value)
+        _set(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class MixingModel:
+class MixingModel(_Frozen):
     """Three-component preparation of a noisy singlet.
 
     ``visibility`` is the two-photon interference visibility of the singlet
@@ -109,23 +104,23 @@ class MixingModel:
     component and the two parallel-polarization components.
     """
 
-    visibility: float
-    w_singlet: float
-    w_hh: float
-    w_vv: float
+    __slots__ = ("visibility", "w_singlet", "w_hh", "w_vv")
 
-    def __post_init__(self):
-        if not -1e-12 <= self.visibility <= 1.0 + 1e-12:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
-        weights = (self.w_singlet, self.w_hh, self.w_vv)
+    def __init__(self, visibility: float, w_singlet: float, w_hh: float, w_vv: float):
+        if not -1e-12 <= visibility <= 1.0 + 1e-12:
+            raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+        weights = (w_singlet, w_hh, w_vv)
         if not all(weight >= -1e-12 for weight in weights):
             raise ValueError(f"mixing weights must be non-negative, got {weights}")
         if not abs(sum(weights) - 1.0) <= 1e-10:
             raise ValueError(f"mixing weights must sum to 1, got {sum(weights)!r}")
+        _set(self, "visibility", visibility)
+        _set(self, "w_singlet", w_singlet)
+        _set(self, "w_hh", w_hh)
+        _set(self, "w_vv", w_vv)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """Estimates at one analyzer angle of a simulated (or exact) sweep."""
 
     theta_deg: float

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ WERNER_P_MAX = 1.0
 _THREAD = threading.local()
 
 
-@dataclass(frozen=True)
-class WernerPrediction:
+class WernerPrediction(NamedTuple):
     """Closed-form knowledge quantities of a Werner state at given analyzer angles."""
 
     K: float

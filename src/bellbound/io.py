@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from pathlib import Path
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -208,8 +209,7 @@ def filter_result_to_json(result: FilterResult) -> dict:
     }
 
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
     """Provenance record written beside every data output.
 
     Re-running ``replay_argv`` regenerates the recorded outputs byte for byte.
@@ -222,8 +222,8 @@ class RunManifest:
     outputs: list[str]
     replay_argv: list[str]
     duration_s: float = 0.0
-    version: str = field(default=__version__)
-    stats: dict = field(default_factory=dict)
+    version: str = __version__
+    stats: Mapping = MappingProxyType({})
 
     def to_json(self) -> dict:
         doc = {

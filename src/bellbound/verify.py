@@ -19,7 +19,7 @@ the scalar results.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .core import (
     QubitMeasurement,
     TwoQubitState,
     _correlation_stack,
+    _Frozen,
+    _set,
     _validate_stack,
     rotation_from_quaternion,
     validate_state,
@@ -44,26 +46,47 @@ BLOCK = 1024
 SCREEN_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
-class FuzzInstance:
+class FuzzInstance(_Frozen):
     """One random (state, measurement quadruple) draw and its bound checks."""
 
-    trial: int
-    state: TwoQubitState
-    s_axis: np.ndarray
-    s_prime_axis: np.ndarray
-    m_axis: np.ndarray
-    m_prime_axis: np.ndarray
-    check: BoundCheck
-    same_meter_check: BoundCheck
+    __slots__ = (
+        "trial",
+        "state",
+        "s_axis",
+        "s_prime_axis",
+        "m_axis",
+        "m_prime_axis",
+        "check",
+        "same_meter_check",
+    )
+
+    def __init__(
+        self,
+        trial: int,
+        state: TwoQubitState,
+        s_axis: np.ndarray,
+        s_prime_axis: np.ndarray,
+        m_axis: np.ndarray,
+        m_prime_axis: np.ndarray,
+        check: BoundCheck,
+        same_meter_check: BoundCheck,
+    ):
+        _set(self, "trial", trial)
+        _set(self, "state", state)
+        _set(self, "s_axis", s_axis)
+        _set(self, "s_prime_axis", s_prime_axis)
+        _set(self, "m_axis", m_axis)
+        _set(self, "m_prime_axis", m_prime_axis)
+        _set(self, "check", check)
+        _set(self, "same_meter_check", same_meter_check)
 
 
-@dataclass(frozen=True)
-class FuzzSummary:
+class FuzzSummary(NamedTuple):
     """The minimum slacks of a fuzz run and the scalar instances that reach
     them.  ``reruns`` counts the trials rerun on the scalar path;
     ``draw_s`` and ``screen_s`` are the seconds spent drawing and screening
-    the blocks."""
+    the blocks; ``screen_residual`` is the largest |screened - scalar|
+    difference of a slack over the rerun trials."""
 
     trials: int
     seed: int
@@ -74,6 +97,7 @@ class FuzzSummary:
     reruns: int = 0
     draw_s: float = 0.0
     screen_s: float = 0.0
+    screen_residual: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -196,10 +220,12 @@ def fuzz_bounds(trials: int, seed: int) -> FuzzSummary:
         kept = [_keep_near_minimum(k, slack, block) for k, slack in zip(kept, slacks)]
         draw_s += drawn - clock
         screen_s += time.perf_counter() - drawn
-    near, near_same = (kept_trials.tolist() for _, kept_trials in kept)
+    (slack, near), (same_slack, near_same) = ((s.tolist(), t.tolist()) for s, t in kept)
     rerun = {t: run_trial(seed, t) for t in sorted({*near, *near_same})}
     worst = min((rerun[t] for t in near), key=lambda inst: inst.check.slack)
     worst_same = min((rerun[t] for t in near_same), key=lambda inst: inst.same_meter_check.slack)
+    residuals = [abs(x - rerun[t].check.slack) for x, t in zip(slack, near)]
+    residuals += [abs(x - rerun[t].same_meter_check.slack) for x, t in zip(same_slack, near_same)]
     return FuzzSummary(
         trials=trials,
         seed=seed,
@@ -210,6 +236,7 @@ def fuzz_bounds(trials: int, seed: int) -> FuzzSummary:
         reruns=len(rerun),
         draw_s=draw_s,
         screen_s=screen_s,
+        screen_residual=max(residuals),
     )
 
 

@@ -36,6 +36,7 @@ from bellbound.cli import (
 )
 from bellbound.canonical import REDUCTION_EIGENVALUE_FLOOR
 from bellbound.io import format_float
+from bellbound.verify import SCREEN_MARGIN
 from conftest import filter_edge_states
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -667,7 +668,8 @@ class TestManifestStats:
             (["surface", "--theta-step", 10, "--theta-prime-step", 15], ["points"]),
             (["surface", "--noise", "--theta-step", 10, "--theta-prime-step", 15], ["points"]),
             (["simulate", "--theta-step", 10], ["points"]),
-            (["verify", "--trials", 20], ["reruns", "draw_s", "screen_s", "instances_per_s"]),
+            (["verify", "--trials", 20], ["reruns", "draw_s", "screen_s", "screen_residual",
+                                          "instances_per_s"]),
             (["filter", "STATE"], ["filter_iterations", "deviation_log", "optimizer_path",
                                    "optimizer_evaluations"]),
         ],
@@ -710,8 +712,11 @@ class TestManifestStats:
         assert run_cli(args + ["--out", out_file], capsys)[0] == 0
         manifest = json.loads((tmp_path / "verify.json.manifest.json").read_text())
         stats = manifest["stats"]
-        assert list(stats) == STAGES + ["reruns", "draw_s", "screen_s", "instances_per_s"]
+        assert list(stats) == STAGES + [
+            "reruns", "draw_s", "screen_s", "screen_residual", "instances_per_s"
+        ]
         assert stats["reruns"] >= 1
+        assert 0.0 <= stats["screen_residual"] < SCREEN_MARGIN
         assert 0.0 < stats["draw_s"] + stats["screen_s"] <= stats["compute_s"]
         assert stats["compute_s"] <= manifest["duration_s"]
         assert stats["instances_per_s"] == 1500 / stats["compute_s"]

@@ -149,7 +149,10 @@ class TestManifest:
     def test_stats_are_recorded_only_when_present(self):
         manifest = RunManifest(command="filter", parameters={}, seed=None, outputs=[], replay_argv=[])
         assert "stats" not in manifest.to_json()
-        manifest.stats = {"filter_iterations": 3}
+        manifest = RunManifest(
+            command="filter", parameters={}, seed=None, outputs=[], replay_argv=[],
+            stats={"filter_iterations": 3},
+        )
         assert manifest.to_json()["stats"] == {"filter_iterations": 3}
 
 

@@ -295,7 +295,7 @@ class TestOptimizeExcessSum:
         def no_search(*args, **kwargs):
             raise AssertionError("the seed frame attains the bound; no search is needed")
 
-        monkeypatch.setattr(importlib.import_module("bellbound.knowledge"), "_search", no_search)
+        monkeypatch.setattr(importlib.import_module("bellbound._ridge"), "_search", no_search)
         exact = [bb.werner(0.82)]
         exact += [bb.bell_diagonal(rng.dirichlet([1.0, 1.0, 1.0, 1.0])) for _ in range(30)]
         for state in exact:
@@ -390,21 +390,21 @@ class TestOptimizeExcessSum:
     def test_double_ridge_frames_share_one_sum(self):
         # Where n.s = n.s' = 0 the frame spans the plane perpendicular to n, so
         # the sum is tr(T T^T) - n^T T T^T n / |n|^2 for every such frame.
-        knowledge_module = importlib.import_module("bellbound.knowledge")
+        ridge = importlib.import_module("bellbound._ridge")
         for seed, rank in [(1, 1), (4, 2), (65, 3), (88, 4)]:
             state = bb.random_state(seed, rank)
             form = bb.decompose(state)
             basis = np.linalg.svd(form.n[None, :])[2]
             n_hat = basis[0]
-            turns = np.arange(knowledge_module.RIDGE_TURNS) * np.pi / knowledge_module.RIDGE_TURNS
-            frames = knowledge_module._ridge_frames(basis, *np.meshgrid(turns, turns))
+            turns = np.arange(ridge.RIDGE_TURNS) * np.pi / ridge.RIDGE_TURNS
+            frames = ridge._ridge_frames(basis, *np.meshgrid(turns, turns))
             s, s_prime = frames.reshape(-1, 2, 3).swapaxes(0, 1)
             double = np.abs(s @ form.n) < 1e-12
-            assert double.sum() == knowledge_module.RIDGE_TURNS
+            assert double.sum() == ridge.RIDGE_TURNS
             m = form.T @ form.T.T
             expected = np.trace(m) - n_hat @ m @ n_hat
             frames = np.stack([s[double], s_prime[double]], axis=1)
-            sums = knowledge_module._excess_sums(form, frames)
+            sums = ridge._excess_sums(form, frames)
             assert np.allclose(sums, expected, rtol=0.0, atol=1e-12)
             # The optimizer never returns less than the double-ridge sum.
             assert bb.optimize_excess_sum(state).check.sum_of_squares >= expected - 1e-12
@@ -413,18 +413,18 @@ class TestOptimizeExcessSum:
         # F(alpha) maximizes the excess sum over the ridge angle beta in closed
         # form, so no point of a dense beta grid may beat it, and F is the sum
         # of the frame at its own maximizing beta.
-        knowledge_module = importlib.import_module("bellbound.knowledge")
+        ridge = importlib.import_module("bellbound._ridge")
         beta = np.linspace(-np.pi / 2, np.pi / 2, 20_001)
         for seed in range(40):
             form = bb.decompose(bb.random_state(seed, 1 + seed % 4))
             basis = np.linalg.svd(form.n[None, :])[2]
             alpha = rng.uniform(0.0, np.pi, size=6)
-            values, _, best = knowledge_module._profile(form, basis, alpha)
-            grid = knowledge_module._excess_sums(
-                form, knowledge_module._ridge_frames(basis, *np.meshgrid(alpha, beta, indexing="ij"))
+            values, _, best = ridge._profile(form, basis, alpha)
+            grid = ridge._excess_sums(
+                form, ridge._ridge_frames(basis, *np.meshgrid(alpha, beta, indexing="ij"))
             )
             assert np.all(grid.max(axis=1) <= values + 1e-12)
-            own = knowledge_module._excess_sums(form, knowledge_module._ridge_frames(basis, alpha, best))
+            own = ridge._excess_sums(form, ridge._ridge_frames(basis, alpha, best))
             np.testing.assert_allclose(own, values, rtol=0.0, atol=1e-12)
 
     def test_profile_slope_matches_central_differences(self):
@@ -432,17 +432,17 @@ class TestOptimizeExcessSum:
         # end-result tests.  Away from the kinks (beta = pi/2, a vanishing
         # excess of s, and angles where the maximizing beta jumps) F is smooth
         # in alpha, so dF/dalpha must match central differences of F.
-        knowledge_module = importlib.import_module("bellbound.knowledge")
+        ridge = importlib.import_module("bellbound._ridge")
         alpha = np.linspace(0.0, np.pi, 720, endpoint=False)
         h = 1e-5
         checked = 0
         for seed in range(40):
             form = bb.decompose(bb.random_state(seed, 1 + seed % 4))
             basis = np.linalg.svd(form.n[None, :])[2]
-            values, slopes, beta = knowledge_module._profile(form, basis, alpha)
-            above, _, beta_above = knowledge_module._profile(form, basis, alpha + h)
-            below, _, beta_below = knowledge_module._profile(form, basis, alpha - h)
-            frames = knowledge_module._ridge_frames(basis, alpha, beta)
+            values, slopes, beta = ridge._profile(form, basis, alpha)
+            above, _, beta_above = ridge._profile(form, basis, alpha + h)
+            below, _, beta_below = ridge._profile(form, basis, alpha - h)
+            frames = ridge._ridge_frames(basis, alpha, beta)
             s = frames[:, 0]
             excess = np.linalg.norm(s @ form.T, axis=1) - np.abs(s @ form.n)
             steady = np.maximum(np.abs(beta_above - beta), np.abs(beta_below - beta)) < 1e-3

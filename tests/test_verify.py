@@ -18,6 +18,7 @@ from bellbound.factories import _philox_streams
 from bellbound.io import dumps_json
 from bellbound.verify import (
     BLOCK,
+    SCREEN_MARGIN,
     _ancilla_dim,
     _draw,
     _draw_block,
@@ -187,6 +188,21 @@ class TestFuzzBounds:
         summary = fuzz_bounds(300, SEED)
         assert 1 <= summary.reruns <= 2
         assert summary.draw_s > 0 and summary.screen_s > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, SEED])
+    def test_screen_residual_is_the_largest_rerun_difference(self, seed):
+        # the screened slacks of the rerun trials against their scalar reruns,
+        # in one block
+        trials = BLOCK
+        summary = fuzz_bounds(trials, seed)
+        slack, same_slack = _screen(*_draw_block(seed, np.arange(trials)))
+        residuals = []
+        for screened, scalar in ((slack, "check"), (same_slack, "same_meter_check")):
+            near = np.flatnonzero(screened <= screened.min() + SCREEN_MARGIN)
+            residuals += [abs(screened[t] - getattr(run_trial(seed, t), scalar).slack)
+                          for t in near]
+        assert summary.screen_residual == max(residuals)
+        assert 0.0 <= summary.screen_residual < SCREEN_MARGIN
 
 
 def test_seeded_outputs_match_the_recorded_digests(tmp_path, monkeypatch):
