@@ -50,6 +50,20 @@ def _parse_signal(text: str) -> str:
     return text
 
 
+def _schedule_values(text: str) -> list[float]:
+    values = [float(part) for part in text.split(",")]
+    if len(values) != 3:
+        raise ValueError(f"expected 3 comma-separated values, got {text!r}")
+    return values
+
+
+def _parse_schedule(text: str) -> str:
+    """Checks that ``text`` holds three comma-separated numbers and returns it
+    as given, so that the manifest records the text."""
+    _schedule_values(text)
+    return text
+
+
 def _angle_grid(axis: str, step: float) -> dict:
     return {
         f"{axis}_start": (float, 0.0, f"first {axis} angle in degrees"),
@@ -90,8 +104,12 @@ COMMANDS = {
         **_WERNER_P,
         **_angle_grid("theta", 5.0),
         "visibility": (float, None, "interference visibility of a mixing schedule"),
-        "schedule_durations": (str, None, "schedule durations in s: interferometric,HH,VV"),
-        "schedule_rates": (str, None, "schedule coincidence rates in 1/s: interferometric,HH,VV"),
+        "schedule_durations": (
+            _parse_schedule, None, "schedule durations in s: interferometric,HH,VV"
+        ),
+        "schedule_rates": (
+            _parse_schedule, None, "schedule coincidence rates in 1/s: interferometric,HH,VV"
+        ),
         **_EXPERIMENT,
     }),
     "verify": ("fuzz the excess-sum bounds", {
@@ -161,25 +179,27 @@ def _emit(ns: argparse.Namespace, clock, params: dict, render, *args, **counts) 
     if ns.out is None:
         sys.stdout.write(text)
         return
-    from .io import RunManifest, write_manifest
+    from .io import manifest_path, write_json
 
     parameters = dict(params)
     replay_argv = _replay_argv(ns.command, params)
     if ns.command in STATE_FILE_COMMANDS:
         parameters["state_file"] = str(ns.state_file)
         replay_argv.insert(1, str(ns.state_file))
-    manifest = RunManifest(
-        command=ns.command,
-        parameters=parameters,
-        seed=params.get("seed"),
-        outputs=[str(ns.out)],
-        replay_argv=replay_argv + ["--out", str(ns.out)],
-        duration_s=sum(clock.stages.values()),
-        stats={**clock.stages, **counts},
-    )
+    # Re-running replay_argv regenerates the output byte for byte.
+    manifest = {
+        "command": ns.command,
+        "version": __version__,
+        "seed": params.get("seed"),
+        "parameters": parameters,
+        "outputs": [str(ns.out)],
+        "replay_argv": replay_argv + ["--out", str(ns.out)],
+        "duration_s": sum(clock.stages.values()),
+        "stats": {**clock.stages, **counts},
+    }
     ns.out.parent.mkdir(parents=True, exist_ok=True)
     ns.out.write_text(text, encoding="utf-8", newline="\n")
-    write_manifest(ns.out, manifest)
+    write_json(manifest_path(ns.out), manifest)
 
 
 def _grid(params: dict, axis: str) -> list[float]:
@@ -357,13 +377,6 @@ def cmd_surface(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_float_list(text: str, count: int) -> list[float]:
-    values = [float(part) for part in str(text).split(",")]
-    if len(values) != count:
-        raise ValueError(f"expected {count} comma-separated values, got {text!r}")
-    return values
-
-
 def _resolve_simulated_state(params) -> tuple[float, dict | None]:
     """Werner parameter for the run, either direct or derived from a schedule."""
     schedule_keys = ("visibility", "schedule_durations", "schedule_rates")
@@ -380,8 +393,8 @@ def _resolve_simulated_state(params) -> tuple[float, dict | None]:
 
     model = mixing_model_from_schedule(
         params["visibility"],
-        _parse_float_list(params["schedule_durations"], 3),
-        _parse_float_list(params["schedule_rates"], 3),
+        _schedule_values(params["schedule_durations"]),
+        _schedule_values(params["schedule_rates"]),
     )
     state = mixed_state_from_model(model)
     form = decompose(state)
@@ -460,9 +473,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    import json
-
-    from .io import StageClock, bound_check_to_json, dumps_json, write_json
+    from .io import StageClock, bound_check_to_json, dumps_json, read_json, write_json
     from .verify import SLACK_FLOOR, evaluate_instance_json, fuzz_bounds, instance_to_json
 
     clock = StageClock()
@@ -472,9 +483,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         given = [key for key in ("out", "trials", "seed", "dump") if getattr(ns, key) is not None]
         if given:
             raise ValueError(f"--replay cannot be combined with {', '.join(map(_flag, given))}")
-        with open(ns.replay, encoding="utf-8") as handle:
-            data = json.load(handle)
-        check, same = evaluate_instance_json(data)
+        check, same = evaluate_instance_json(read_json(ns.replay, "replay file"))
         report = {
             "replayed": str(ns.replay),
             "check": bound_check_to_json(check),

@@ -90,12 +90,22 @@ class _Frozen:
 
 
 class TwoQubitState(_Frozen):
-    """A validated 4x4 density matrix (use :func:`validate_state` to build one)."""
+    """A 4x4 density matrix, validated when it is built.
+
+    The input is symmetrized to ``(A + A^dag)/2`` before the trace and
+    positivity checks, but only if its asymmetry is already below 1e-10;
+    otherwise :class:`NotHermitian` is raised.  Check order is shape,
+    finiteness, Hermiticity, trace, positivity.  :func:`validate_state` is
+    this same check.
+    """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: np.ndarray):
-        _set(self, "matrix", _readonly(np.asarray(matrix, dtype=complex)))
+        m = np.asarray(matrix, dtype=complex)
+        if m.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+        _set(self, "matrix", _readonly(_validate_stack(m[np.newaxis])[0]))
 
 
 class BlochForm(_Frozen):
@@ -183,24 +193,15 @@ class ConditionalDecomposition(_Frozen):
 
 
 def validate_state(matrix) -> TwoQubitState:
-    """Validate a 4x4 matrix as a density matrix and return the wrapped state.
-
-    The input is symmetrized to ``(A + A^dag)/2`` before the trace and
-    positivity checks, but only if its asymmetry is already below 1e-10;
-    otherwise :class:`NotHermitian` is raised.  Check order is Hermiticity,
-    trace, positivity.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    return TwoQubitState(_validate_stack(m[np.newaxis])[0])
+    """Validate a 4x4 matrix as a density matrix: ``TwoQubitState(matrix)``."""
+    return TwoQubitState(matrix)
 
 
 def _validate_stack(m: np.ndarray) -> np.ndarray:
-    """:func:`validate_state` on a stack of shape (N, 4, 4).
+    """The checks of :class:`TwoQubitState` on a stack of shape (N, 4, 4).
 
     Returns the symmetrized stack, or raises the error that
-    :func:`validate_state` raises for the first invalid matrix.
+    :class:`TwoQubitState` raises for the first invalid matrix.
     """
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
@@ -242,14 +243,10 @@ def decompose(state: TwoQubitState) -> BlochForm:
 
 
 def _correlation_stack(rho: np.ndarray) -> np.ndarray:
-    """``R_ij = tr[rho (sigma_i x sigma_j)]`` of a stack of states (N, 4, 4),
-    shape (N, 4, 4); ``R_00`` is ``tr rho``.  Raises NotHermitian when an
-    imaginary residue reaches VALIDATION_TOL (or is NaN)."""
+    """``R_ij = tr[rho (sigma_i x sigma_j)]`` of a stack of validated states
+    (N, 4, 4), shape (N, 4, 4); ``R_00`` is ``tr rho``.  A Hermitian ``rho``
+    leaves only floating noise in the imaginary parts, which are dropped."""
     coefficients = np.einsum("aij,Nji->Na", _PAULI_PAIRS.reshape(16, 4, 4), rho)
-    # Imaginary residues are pure floating noise for a validated (Hermitian) state.
-    residue = float(np.abs(coefficients.imag).max(initial=0.0))
-    if not residue < VALIDATION_TOL:
-        raise NotHermitian(residue)
     return coefficients.real.reshape(-1, 4, 4)
 
 

@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    VALIDATION_TOL,
     QubitMeasurement,
     TwoQubitState,
     _correlation_stack,
@@ -34,7 +33,7 @@ from .core import (
     measurement_from_polarization_angle,
     validate_state,
 )
-from .errors import EmptyRecord, OutOfRange, TraceNotOne
+from .errors import EmptyRecord, OutOfRange
 from .factories import (
     BELL_KETS,
     KET_HH,
@@ -54,6 +53,8 @@ SIGNAL_BASES = ("hv", "xy")
 # Bell records draw from the four streams from here on, above the streams of
 # the sweep points that share their seed.
 BELL_STREAM_OFFSET = 1_000_000
+# A stream's four channel words, stream << 2 | channel, must fit in 64 bits.
+STREAM_LIMIT = 2**62
 # numpy's Generator.poisson refuses a larger mean (about 9.2e18).
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -164,12 +165,9 @@ def _coincidence_stack(
     signal index first), meter outcome ``a`` and signal outcome ``b`` (both
     +-1) along axes ``m`` and ``s`` have ``p_ab = 1/4 (1, b s) R (1, a m)^T``,
     in channel ``2a + b`` with + read as 0 and - as 1.  The four sum to
-    ``R_00 = tr rho``, so a state whose trace is not 1 raises TraceNotOne
-    once, and a non-Hermitian one raises NotHermitian.
+    ``R_00 = tr rho = 1``.
     """
     corr = _correlation_stack(state.matrix[np.newaxis])[0]
-    if not abs(corr[0, 0] - 1.0) < VALIDATION_TOL:
-        raise TraceNotOne(float(corr[0, 0]))
     signal_rows, meter_rows = _outcome_rows(signal_axes), _outcome_rows(meter_axes)
     return 0.25 * np.einsum("Nbi,ij,Naj->Nab", signal_rows, corr, meter_rows).reshape(-1, 4)
 
@@ -192,8 +190,19 @@ def _simulate_stack(
     streams,
 ) -> list[CountRecord]:
     """:func:`simulate_counts` for N points; point ``i`` draws from RNG stream
-    ``streams[i]``, channel ``c`` of it from Philox key ``(seed, stream << 2 | c)``."""
+    ``streams[i]``, channel ``c`` of it from Philox key ``(seed, stream << 2 | c)``.
+    There must be one stream per point, each an integer in ``[0, 2**62)`` so
+    that its four channel words fit in 64 bits."""
     probs = _coincidence_stack(state, meter_axes, signal_axes)
+    streams = list(streams)
+    if len(streams) != len(probs):
+        raise ValueError(
+            f"expected one RNG stream per point: {len(probs)} points, {len(streams)} streams"
+        )
+    for stream in streams:
+        integer = isinstance(stream, (int, np.integer)) and not isinstance(stream, bool)
+        if not (integer and 0 <= stream < STREAM_LIMIT):
+            raise ValueError(f"RNG stream must be an integer in [0, 2**62), got {stream!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         means = probs * config.pair_rate * config.duration + config.dark_coincidence_rate * config.duration
     # Written so that an overflow to inf or a NaN fails the check.

@@ -1,4 +1,4 @@
-"""File formats: state files, JSON/CSV exports, and run manifests.
+"""File formats: JSON input files and state files, JSON/CSV exports.
 
 All floats are rendered with 17 significant digits, which round-trips IEEE
 doubles exactly; CSV files use LF line endings.  Both properties make every
@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Mapping
 from pathlib import Path
-from types import MappingProxyType
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
 from .core import BlochForm, TwoQubitState, validate_state
 from .factories import bell_diagonal, random_state, werner
 
@@ -134,6 +131,22 @@ def complex_matrix_from_json(data, shape=(4, 4)) -> np.ndarray:
     return matrix
 
 
+def read_json(path, document: str) -> dict:
+    """The one JSON object that the file at ``path`` holds.
+
+    A file that is not JSON, that nests too deeply to decode, or whose value
+    is not an object raises ValueError; ``document`` names the file in it.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{document} nests too deeply to decode") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{document} must contain a JSON object")
+    return data
+
+
 def _read_key(data: dict, key: str, convert, document: str, default=None):
     """``convert(data[key])`` for a key of a JSON object read from a file.
 
@@ -161,11 +174,8 @@ def load_state(path) -> TwoQubitState:
         {"factory": "bell_diagonal", "lambdas": [.., .., .., ..]}
         {"factory": "random", "seed": 7, "ancilla_dim": 4}
     """
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError("state file must contain a JSON object")
     document = "state file"
+    data = read_json(path, document)
     if "matrix" in data:
         return validate_state(_read_key(data, "matrix", complex_matrix_from_json, document))
     if "factory" in data:
@@ -209,46 +219,9 @@ def filter_result_to_json(result: FilterResult) -> dict:
     }
 
 
-class RunManifest(NamedTuple):
-    """Provenance record written beside every data output.
-
-    Re-running ``replay_argv`` regenerates the recorded outputs byte for byte.
-    ``stats`` records how the run went (it is left out when empty).
-    """
-
-    command: str
-    parameters: dict
-    seed: int | None
-    outputs: list[str]
-    replay_argv: list[str]
-    duration_s: float = 0.0
-    version: str = __version__
-    stats: Mapping = MappingProxyType({})
-
-    def to_json(self) -> dict:
-        doc = {
-            "command": self.command,
-            "version": self.version,
-            "seed": self.seed,
-            "parameters": self.parameters,
-            "outputs": list(self.outputs),
-            "replay_argv": list(self.replay_argv),
-            "duration_s": self.duration_s,
-        }
-        if self.stats:
-            doc["stats"] = self.stats
-        return doc
-
-
 def manifest_path(output_path) -> Path:
     path = Path(output_path)
     return path.with_name(path.name + ".manifest.json")
-
-
-def write_manifest(output_path, manifest: RunManifest) -> Path:
-    target = manifest_path(output_path)
-    write_json(target, manifest.to_json())
-    return target
 
 
 class StageClock:

@@ -255,12 +255,11 @@ def instance_to_json(instance: FuzzInstance) -> dict:
     }
 
 
-def evaluate_instance_json(data) -> tuple[BoundCheck, BoundCheck]:
-    """Recompute both bound checks for a dumped instance (replay path)."""
+def evaluate_instance_json(data: dict) -> tuple[BoundCheck, BoundCheck]:
+    """Recompute both bound checks for a dumped instance, the JSON object of a
+    replay file (as :func:`io.read_json` returns it)."""
     from .io import _json_floats, _read_key, complex_matrix_from_json
 
-    if not isinstance(data, dict):
-        raise ValueError("replay file must contain a JSON object")
     state = validate_state(_read_key(data, "matrix", complex_matrix_from_json, "replay file"))
     pi_s, pi_s_prime, pi_m, pi_m_prime = (
         _read_key(data, key, lambda axis: QubitMeasurement(_json_floats(axis)), "replay file")

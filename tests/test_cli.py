@@ -158,6 +158,8 @@ class TestAnalyze:
         # one diagnostic line that names the bad key, never a traceback
         documents = [
             ("{not json", None),
+            # once a RecursionError traceback
+            ("[" * 200_000, None),
             ('{"matrix": 5}', "matrix"),
             ('{"factory": "werner", "p": null}', "p"),
             ('{"factory": "werner"}', "p"),
@@ -244,12 +246,13 @@ class TestSweep:
         "args, config",
         [
             (["sweep", "--noise", "--seed", 11, "--signal", "xy"], "p = 0.45\ntheta_step = 30\n"),
+            (["sweep", "--seed", 11], "noise = off\ntheta_step = 30\n"),
             (["surface", "--noise", "--theta-step", 30], "theta_prime_step = 45\nseed = -4\n"),
             (["simulate", "--theta-step", 45], "p = 0.45\nseed = 9\nduration = 3\n"),
             (["verify", "--trials", 20], "seed = 5\n"),
             (["filter", "state.json"], "tol = 1e-4\nmax_iter = 500\n"),
         ],
-        ids=["sweep", "surface", "simulate", "verify", "filter"],
+        ids=["sweep", "sweep-noise-off", "surface", "simulate", "verify", "filter"],
     )
     def test_manifest_replay_reproduces_output(self, tmp_path, capsys, args, config):
         # replay_argv spells out as flags what the config file supplied
@@ -262,6 +265,10 @@ class TestSweep:
         original = out_file.read_bytes()
         manifest = json.loads((tmp_path / "replay.dat.manifest.json").read_text())
         assert "--config" not in manifest["replay_argv"]
+        # the parameters hold each config value as its caster reads it
+        casters = COMMANDS[manifest["command"]][1]
+        for key, value in (line.split(" = ") for line in config.splitlines()):
+            assert manifest["parameters"][key] == casters[key][0](value), key
         out_file.unlink()
         assert run_cli(manifest["replay_argv"], capsys)[0] == 0
         assert out_file.read_bytes() == original
@@ -283,6 +290,8 @@ class TestSweep:
         for command, text, key in (
             (["verify", "--trials", 3], "seed = 1.5\n", "seed"),
             (["sweep"], "noise = maybe\n", "noise"),
+            (["simulate"], "schedule_durations = a,1,1\n", "schedule_durations"),
+            (["simulate"], "schedule_rates = 1,1\n", "schedule_rates"),
         ):
             config.write_text(text)
             code, _, err = run_cli([*command, "--config", config], capsys)
@@ -422,16 +431,19 @@ class TestGridSize:
             _grid(params, "theta_prime")
 
     @pytest.mark.parametrize(
-        "args, axis",
-        [(["sweep", "--theta-step", "0.5"], "theta"),
-         (["surface", "--theta-prime-step", "0.5"], "theta_prime")],
+        "args, text",
+        [(["sweep", "--theta-step", "0.5"], "the theta grid"),
+         (["surface", "--theta-prime-step", "0.5"], "the theta_prime grid"),
+         # each axis under the bound, but not their rows
+         (["surface", "--theta-step", "10", "--theta-prime-step", "5"],
+          "the surface would have 10 x 19 = 190 rows")],
     )
-    def test_grid_above_the_bound_exits_1(self, capsys, monkeypatch, args, axis):
+    def test_grid_above_the_bound_exits_1(self, capsys, monkeypatch, args, text):
         # 181 points against a lowered bound, so no large grid is ever built
         monkeypatch.setattr("bellbound.cli.MAX_GRID_POINTS", 100)
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == ""
-        assert err.startswith(f"error: the {axis} grid") and err.count("\n") == 1
+        assert err.startswith(f"error: {text}") and err.count("\n") == 1
 
 
 _GRID_FLAGS = ["--theta-start", "--theta-stop", "--theta-step"]
@@ -461,6 +473,12 @@ class TestUsageErrors:
         "args, text",
         [
             (["sweep", "--signal", "ab"], "flag --signal is malformed: expected hv or xy"),
+            (["simulate", "--schedule-durations", "a,1,1"],
+             "flag --schedule-durations is malformed: could not convert string to float: 'a'"),
+            (["simulate", "--schedule-rates", "1,1"],
+             "flag --schedule-rates is malformed: expected 3 comma-separated values, got '1,1'"),
+            (["sweep", "--theta-start", "50", "--theta-stop", "10"],
+             "empty angle grid: start=50.0 stop=10.0 step=1.0"),
             (["sweep", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
             (["analyze", "state.json", "--seed", "9"], "unrecognized arguments: --seed 9"),
             (["filter", "state.json", "--seed", "9"], "unrecognized arguments: --seed 9"),
@@ -681,6 +699,12 @@ class TestManifestStats:
         args = [state if arg == "STATE" else arg for arg in args]
         assert run_cli(args + ["--out", tmp_path / "data"], capsys)[0] == 0
         manifest = json.loads((tmp_path / "data.manifest.json").read_text())
+        assert list(manifest) == [
+            "command", "version", "seed", "parameters", "outputs", "replay_argv", "duration_s",
+            "stats",
+        ]
+        assert manifest["command"] == args[0] and manifest["version"] == bb.__version__
+        assert manifest["outputs"] == [str(tmp_path / "data")]
         stats = manifest["stats"]
         assert list(stats) == STAGES + counts
         times = [stats[stage] for stage in STAGES]
@@ -809,6 +833,8 @@ class TestVerify:
         }
         documents = [
             ("[1, 2]", None),
+            # once a RecursionError traceback
+            ("[" * 200_000, None),
             ('{"matrix": 5}', "matrix"),
             ("{}", "matrix"),
             (json.dumps({**valid, "signal_axis": [1.0, 0.0]}), "signal_axis"),
@@ -872,26 +898,34 @@ class TestVerify:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_violation_exits_2_and_dumps_instance(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "min_slack, min_same_meter_slack, dumped",
+        [(-0.5, 0.2, 0), (0.2, -0.5, 1), (-0.5, -0.2, 0), (-0.2, -0.5, 1)],
+        ids=["bound", "same-meter", "both-bound-worse", "both-same-meter-worse"],
+    )
+    def test_violation_exits_2_and_dumps_instance(
+        self, tmp_path, capsys, monkeypatch, min_slack, min_same_meter_slack, dumped
+    ):
         # the bound is a theorem, so a violation can only be injected; the
-        # command looks fuzz_bounds up in bellbound.verify when it runs
+        # command looks fuzz_bounds up in bellbound.verify when it runs.
+        # Trial 0 is the worst of the bound, trial 1 of the same-meter bound,
+        # and the instance with the lower slack is dumped.
         import bellbound.verify as verify_module
         from bellbound.verify import FuzzSummary, run_trial
 
-        instance = run_trial(seed=1, trial=0)
         fake = FuzzSummary(
-            trials=1,
+            trials=2,
             seed=1,
-            min_slack=-0.5,
-            worst=instance,
-            min_same_meter_slack=0.2,
-            worst_same_meter=instance,
+            min_slack=min_slack,
+            worst=run_trial(seed=1, trial=0),
+            min_same_meter_slack=min_same_meter_slack,
+            worst_same_meter=run_trial(seed=1, trial=1),
         )
         monkeypatch.setattr(verify_module, "fuzz_bounds", lambda *a, **k: fake)
         dump = tmp_path / "violation.json"
-        code, out, err = run_cli(["verify", "--trials", 1, "--dump", dump], capsys)
+        code, out, err = run_cli(["verify", "--trials", 2, "--dump", dump], capsys)
         assert code == 2
-        assert dump.exists()
+        assert json.loads(dump.read_text())["trial"] == dumped
         assert "violation" in err
 
     def test_zero_trials_exit_1(self, capsys):

@@ -122,10 +122,11 @@ class TestBlochDecomposition:
             bb.recompose(bb.BlochForm(np.zeros(3), np.zeros(3), -1.2 * np.eye(3)))
 
     def test_unvalidated_non_hermitian_matrix_is_rejected(self):
+        # a state validates itself, so decompose never sees this matrix
         matrix = np.eye(4, dtype=complex) / 4
         matrix[0, 0] += 0.1j
         with pytest.raises(bb.NotHermitian):
-            bb.decompose(bb.TwoQubitState(matrix))
+            bb.TwoQubitState(matrix)
 
     def test_correlation_stack_matches_the_15_operator_einsum_bit_for_bit(self):
         from bellbound.core import _correlation_stack, _validate_stack

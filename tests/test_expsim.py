@@ -1,6 +1,7 @@
 """Tests for the coincidence-counting simulator and the count-based estimators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,9 +60,9 @@ class TestCoincidenceProbs:
         np.testing.assert_allclose(probs, [0.0, 0.0, 1.0, 0.0], atol=1e-14)
 
     def test_unnormalized_matrix_raises_trace_not_one(self):
-        state = bb.TwoQubitState(2.0 * bb.werner(0.82).matrix)
+        # a state validates itself, so coincidence_probs never sees this matrix
         with pytest.raises(bb.TraceNotOne):
-            bb.coincidence_probs(state, HV, HV)
+            bb.TwoQubitState(2.0 * bb.werner(0.82).matrix)
 
     def test_normalization_on_random_instances(self, rng):
         for seed in range(25):
@@ -106,16 +107,16 @@ class TestCoincidenceStack:
         stacked = _coincidence_stack(state, pi_m.axis[np.newaxis], pi_s.axis[np.newaxis])
         assert np.array_equal(stacked[0], bb.coincidence_probs(state, pi_m, pi_s))
 
-    def test_unnormalized_state_raises_trace_not_one(self, rng):
-        state = bb.TwoQubitState(1.5 * bb.random_state(3, 4).matrix)
+    # A state validates itself, so the stack never sees these matrices.
+    def test_unnormalized_state_raises_trace_not_one(self):
         with pytest.raises(bb.TraceNotOne):
-            _coincidence_stack(state, random_axes(rng, 1025), random_axes(rng, 1025))
+            bb.TwoQubitState(1.5 * bb.random_state(3, 4).matrix)
 
-    def test_non_hermitian_state_raises_not_hermitian(self, rng):
+    def test_non_hermitian_state_raises_not_hermitian(self):
         matrix = bb.random_state(3, 4).matrix.copy()
         matrix[0, 1] += 0.01
         with pytest.raises(bb.NotHermitian):
-            _coincidence_stack(bb.TwoQubitState(matrix), random_axes(rng, 3), random_axes(rng, 3))
+            bb.TwoQubitState(matrix)
 
     def test_empty_stack(self):
         empty = np.empty((0, 3))
@@ -154,6 +155,35 @@ class TestSimulateStack:
                 state, bb.QubitMeasurement(m), bb.QubitMeasurement(s), config, stream=stream
             )
             assert record == single
+
+    def test_largest_stream_draws(self):
+        config = bb.ExperimentConfig(pair_rate=455.0, duration=22.0, seed=4)
+        for stream in (2**62 - 1, np.int64(2**62 - 1)):
+            assert bb.simulate_counts(bb.werner(0.82), XY, HV, config, stream=stream).total > 0
+
+    @pytest.mark.parametrize(
+        "points, streams, message",
+        [
+            # zip once stopped at the shorter input and returned 1 point of 3
+            (3, [5], "expected one RNG stream per point: 3 points, 1 streams"),
+            (1, [0, 1], "expected one RNG stream per point: 1 points, 2 streams"),
+            # numpy once raised OverflowError on these two
+            (1, [-1], "RNG stream must be an integer in [0, 2**62), got -1"),
+            (1, [2**62], f"RNG stream must be an integer in [0, 2**62), got {2**62}"),
+            # 1.5 was once read as stream 1
+            (1, [1.5], "RNG stream must be an integer in [0, 2**62), got 1.5"),
+            (1, [True], "RNG stream must be an integer in [0, 2**62), got True"),
+            (2, [0, "1"], "RNG stream must be an integer in [0, 2**62), got '1'"),
+        ],
+    )
+    def test_streams_are_checked(self, points, streams, message):
+        config = bb.ExperimentConfig(pair_rate=455.0, duration=22.0, seed=4)
+        angles = [(10.0 * i, "hv") for i in range(points)]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bb.run_sweep_experiment(0.82, angles, config, streams=streams)
+        if points == len(streams) == 1:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                bb.simulate_counts(bb.werner(0.82), XY, HV, config, stream=streams[0])
 
 
 class TestSimulateCounts:

@@ -1,6 +1,7 @@
-"""Tests for file formats, JSON/CSV rendering, and run manifests."""
+"""Tests for file formats and JSON/CSV rendering."""
 
 import json
+import re
 import time
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 import bellbound as bb
 from bellbound.cli import _csv_text
 from bellbound.io import (
-    RunManifest,
     StageClock,
     bloch_to_json,
     complex_matrix_from_json,
@@ -17,10 +17,9 @@ from bellbound.io import (
     dumps_json,
     format_float,
     load_state,
-    manifest_path,
+    read_json,
     state_to_json,
     write_json,
-    write_manifest,
 )
 
 
@@ -97,6 +96,24 @@ class TestStateFiles:
         with pytest.raises(ValueError, match=f"key '{key}' is malformed: integer too large"):
             load_state(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 200_000, "state file nests too deeply to decode"),
+            ("[1, 2]", "state file must contain a JSON object"),
+            ('"matrix"', "state file must contain a JSON object"),
+        ],
+        ids=["deep", "list", "string"],
+    )
+    def test_file_must_hold_one_json_object(self, tmp_path, text, message):
+        # 200,000 nested arrays once escaped the decoder as a RecursionError
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_state(path)
+        with pytest.raises(ValueError, match=re.escape(message.replace("state", "replay"))):
+            read_json(path, "replay file")
+
     def test_bad_cell_rejected(self, tmp_path):
         path = tmp_path / "cell.json"
         path.write_text('{"matrix": [[{"real": 1}, 0, 0, 0], [0,0,0,0], [0,0,0,0], [0,0,0,0]]}')
@@ -121,39 +138,6 @@ class TestCsv:
         assert "\r" not in text
         assert text.startswith("a,b\n")
         assert text.splitlines()[1].startswith("1.5,")
-
-
-class TestManifest:
-    def test_written_next_to_output(self, tmp_path):
-        out = tmp_path / "data.csv"
-        out.write_text("x\n")
-        manifest = RunManifest(
-            command="sweep",
-            parameters={"p": 0.82},
-            seed=1,
-            outputs=[str(out)],
-            replay_argv=["sweep", "--p", "0.82"],
-            duration_s=0.01,
-        )
-        target = write_manifest(out, manifest)
-        assert target == manifest_path(out)
-        assert target.name == "data.csv.manifest.json"
-        doc = json.loads(target.read_text())
-        assert doc["command"] == "sweep"
-        assert doc["version"] == bb.__version__
-        assert doc["replay_argv"] == ["sweep", "--p", "0.82"]
-        assert list(doc) == [
-            "command", "version", "seed", "parameters", "outputs", "replay_argv", "duration_s"
-        ]
-
-    def test_stats_are_recorded_only_when_present(self):
-        manifest = RunManifest(command="filter", parameters={}, seed=None, outputs=[], replay_argv=[])
-        assert "stats" not in manifest.to_json()
-        manifest = RunManifest(
-            command="filter", parameters={}, seed=None, outputs=[], replay_argv=[],
-            stats={"filter_iterations": 3},
-        )
-        assert manifest.to_json()["stats"] == {"filter_iterations": 3}
 
 
 def test_stage_clock_times_each_stage_from_the_previous_mark():

@@ -3,7 +3,8 @@
 Every value type is immutable, holds its arrays read-only, builds from
 keywords with its defaults, survives a pickle round trip and, where it holds
 arrays, is not a sequence that numpy would unpack.  The types that check
-their input reject it with the messages pinned here.
+their input, TwoQubitState among them, reject it with the messages pinned
+here.
 """
 
 import math
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 
 import bellbound as bb
-from bellbound.io import RunManifest
 from bellbound.verify import FuzzInstance, FuzzSummary, fuzz_bounds, run_trial
 
 
@@ -88,13 +88,6 @@ def sample(name):
         )
         defaults = {"reruns": 0, "draw_s": 0.0, "screen_s": 0.0, "screen_residual": 0.0}
         return FuzzSummary, fields_of(fuzz_bounds(10, 1), names), defaults
-    if name == "RunManifest":
-        kwargs = {
-            "command": "sweep", "parameters": {"p": 0.82}, "seed": 1, "outputs": ["x.csv"],
-            "replay_argv": ["sweep", "--p", "0.82"], "duration_s": 0.5, "version": "9.9",
-            "stats": {"load_s": 0.1},
-        }
-        return RunManifest, kwargs, {"duration_s": 0.0, "version": bb.__version__, "stats": {}}
     raise KeyError(name)
 
 
@@ -102,7 +95,7 @@ VALUE_TYPES = [
     "TwoQubitState", "BlochForm", "QubitMeasurement", "ConditionalDecomposition",
     "KnowledgeReport", "BoundCheck", "ExcessOptimum", "CanonicalForm", "FilterResult",
     "CountRecord", "ExperimentConfig", "MixingModel", "SweepPoint", "WernerPrediction",
-    "FuzzInstance", "FuzzSummary", "RunManifest",
+    "FuzzInstance", "FuzzSummary",
 ]
 # The types that hold arrays; numpy must see each as one object.
 HOLD_ARRAYS = [
@@ -128,7 +121,7 @@ def test_keyword_construction_and_defaults(name):
         assert getattr(value, field) == default, field
 
 
-@pytest.mark.parametrize("name", [n for n in VALUE_TYPES if n != "RunManifest"])
+@pytest.mark.parametrize("name", VALUE_TYPES)
 def test_fields_cannot_be_set(name):
     cls, kwargs, _ = sample(name)
     value = cls(**kwargs)
@@ -137,14 +130,6 @@ def test_fields_cannot_be_set(name):
             setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         value.no_such_field = 1
-
-
-def test_run_manifest_fields_cannot_be_set():
-    _, kwargs, _ = sample("RunManifest")
-    manifest = RunManifest(**kwargs)
-    for field in kwargs:
-        with pytest.raises(AttributeError):
-            setattr(manifest, field, getattr(manifest, field))
 
 
 @pytest.mark.parametrize("name", VALUE_TYPES)
@@ -222,3 +207,30 @@ def test_qubit_measurement_equality_ignores_degenerate():
 def test_invalid_input_is_rejected_with_its_message(cls, kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         getattr(bb, cls)(**kwargs)
+
+
+def _off_diagonal(value):
+    matrix = np.eye(4, dtype=complex) / 4
+    matrix[0, 1] = value
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "matrix, error, message",
+    [
+        (_off_diagonal(0.1), bb.NotHermitian,
+         "matrix is not Hermitian: max |A - A^dag| = 1.000000e-01 (limit 1e-10)"),
+        (np.eye(4) / 2, bb.TraceNotOne,
+         "matrix trace is not one: |tr - 1| = 1.000000e+00 (limit 1e-10)"),
+        (np.diag([0.5, 0.7, -0.1, -0.1]), bb.NotPositive,
+         "matrix is not positive semidefinite: min eigenvalue = -1.000000e-01 (limit -1e-10)"),
+        (_off_diagonal(math.nan), ValueError, "matrix contains non-finite entries"),
+        (np.eye(3) / 3, ValueError, "expected a 4x4 matrix, got shape (3, 3)"),
+    ],
+    ids=["non-hermitian", "trace", "non-positive", "non-finite", "shape"],
+)
+def test_invalid_state_is_rejected_with_its_message(matrix, error, message):
+    # a state validates itself, and validate_state is that same check
+    for build in (bb.TwoQubitState, bb.validate_state):
+        with pytest.raises(error, match=re.escape(message)):
+            build(matrix)
