@@ -506,10 +506,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     }
     _emit(
         ns, clock, params, dumps_json, report,
-        reruns=summary.reruns,
         draw_s=summary.draw_s,
         screen_s=summary.screen_s,
-        screen_residual=summary.screen_residual,
         # null when the clock did not tick during the run
         instances_per_s=summary.trials / compute_s if compute_s > 0 else None,
     )

@@ -41,6 +41,18 @@ _SIGMA = np.stack([ID2, *PAULI])
 _PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer, but not for a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float or a bool raises a ValueError naming ``name``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.setflags(write=False)
@@ -248,6 +260,12 @@ def _correlation_stack(rho: np.ndarray) -> np.ndarray:
     leaves only floating noise in the imaginary parts, which are dropped."""
     coefficients = np.einsum("aij,Nji->Na", _PAULI_PAIRS.reshape(16, 4, 4), rho)
     return coefficients.real.reshape(-1, 4, 4)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for each row of two (N, k) stacks, bit for bit: numpy
+    computes a (1, k) @ (k, 1) matmul with the BLAS dot of 1-D ``a @ b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def recompose(form: BlochForm) -> TwoQubitState:

@@ -28,6 +28,8 @@ from .core import (
     TwoQubitState,
     _correlation_stack,
     _Frozen,
+    _integer,
+    _is_integer,
     _set,
     decompose,
     measurement_from_polarization_angle,
@@ -80,7 +82,7 @@ class ExperimentConfig(_Frozen):
 
     ``pair_rate`` is the detected coincidence-pair rate (detector efficiency
     already folded in) and ``dark_coincidence_rate`` the accidental rate per
-    outcome channel, both in 1/s.
+    outcome channel, both in 1/s.  ``seed`` is an integer of any sign and size.
     """
 
     __slots__ = ("pair_rate", "duration", "dark_coincidence_rate", "seed")
@@ -93,7 +95,7 @@ class ExperimentConfig(_Frozen):
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
             _set(self, name, value)
-        _set(self, "seed", seed)
+        _set(self, "seed", _integer(seed, "seed"))
 
 
 class MixingModel(_Frozen):
@@ -200,8 +202,7 @@ def _simulate_stack(
             f"expected one RNG stream per point: {len(probs)} points, {len(streams)} streams"
         )
     for stream in streams:
-        integer = isinstance(stream, (int, np.integer)) and not isinstance(stream, bool)
-        if not (integer and 0 <= stream < STREAM_LIMIT):
+        if not (_is_integer(stream) and 0 <= stream < STREAM_LIMIT):
             raise ValueError(f"RNG stream must be an integer in [0, 2**62), got {stream!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         means = probs * config.pair_rate * config.duration + config.dark_coincidence_rate * config.duration

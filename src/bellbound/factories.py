@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TwoQubitState, validate_state
+from .core import TwoQubitState, _integer, validate_state
 from .errors import NotAProbabilityVector, OutOfRange
 
 KET_HH = np.array([1, 0, 0, 0], dtype=complex)
@@ -124,9 +124,9 @@ def random_state(seed: int, ancilla_dim: int) -> TwoQubitState:
 
     Draws from the Philox stream keyed by (seed, ancilla_dim), opened by
     :func:`_philox_streams`, so the same arguments produce bit-identical
-    states on every platform.
+    states on every platform.  Both must be integers, the seed of any size.
     """
-    ancilla_dim = int(ancilla_dim)
+    seed, ancilla_dim = _integer(seed, "seed"), _integer(ancilla_dim, "ancilla_dim")
     if not 1 <= ancilla_dim <= 4:
         raise ValueError(f"ancilla_dim must be in 1..4, got {ancilla_dim}")
     (rng,) = _philox_streams(seed, [ancilla_dim])

@@ -17,6 +17,7 @@ from .core import (
     BlochForm,
     QubitMeasurement,
     TwoQubitState,
+    _row_dot,
     are_complementary,
     decompose,
 )
@@ -197,21 +198,23 @@ def check_same_meter_bound(
     return BoundCheck(sum_of_squares=total, bound=1.0, slack=1.0 - total, b_max=_bell_max(form))
 
 
-def _bound_slacks(
+def _bound_checks(
     n: np.ndarray,
     t: np.ndarray,
     s: np.ndarray,
     s_prime: np.ndarray,
     m: np.ndarray,
     m_prime: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slacks of :func:`check_bound` and :func:`check_same_meter_bound` for a
-    stack of N instances: ``n``, the axes (N, 3) and ``t`` (N, 3, 3).
+) -> tuple[BoundCheck, BoundCheck]:
+    """:func:`check_bound` and :func:`check_same_meter_bound` for N instances
+    (``n`` and the axes (N, 3), ``t`` (N, 3, 3)), as BoundChecks of (N,) arrays.
 
     The axes are checked as :class:`QubitMeasurement` and
     :func:`check_bound` check them, with the same errors and tolerances.
-    The closed forms are those of the scalar functions, but numpy sums in
-    another order, so a slack can differ from theirs in the last bits.
+    Each row repeats the scalar checks' operations on its instance, so it
+    equals their result bit for bit in any stack: ``n`` and ``T`` are
+    C-contiguous as in a :class:`BlochForm`, the dots are :func:`core._row_dot`
+    and ``(B_max/2)^2`` is Python's float power, not numpy's square.
     """
     # Written so that a NaN fails each check, as in the scalar checks.
     for axes in (s, s_prime, m, m_prime):
@@ -221,20 +224,27 @@ def _bound_slacks(
                 f"measurement axis must be a unit vector: | |a| - 1 | = {deviation.max():.3e}"
                 f" (limit {UNIT_AXIS_TOL})"
             )
-    dot = np.einsum("Nk,Nk->N", s, s_prime)
+    dot = _row_dot(s, s_prime)
     overlapping = np.flatnonzero(~(np.abs(dot) <= COMPLEMENTARITY_TOL))
     if overlapping.size:
         raise NotComplementary(float(dot[overlapping[0]]))
+    n, t = np.ascontiguousarray(n), np.ascontiguousarray(t)
+    t_transposed = np.swapaxes(t, 1, 2)
 
-    def excess(m: np.ndarray, s: np.ndarray) -> np.ndarray:
-        p = np.abs(np.einsum("Nk,Nk->N", n, s))
-        return np.maximum(p, np.abs(np.einsum("Nk,Nkl,Nl->N", s, t, m))) - p
+    def excesses(s: np.ndarray, *meters: np.ndarray) -> list[np.ndarray]:
+        p = np.abs(_row_dot(n, s))
+        ts = (t_transposed @ s[:, :, None])[:, :, 0]
+        return [np.maximum(p, np.abs(_row_dot(ts, m))) - p for m in meters]
 
-    eigenvalues = np.linalg.eigvalsh(np.swapaxes(t, 1, 2) @ t)
+    eigenvalues = np.linalg.eigvalsh(t_transposed @ t)
     b = 2.0 * np.sqrt(np.maximum(eigenvalues[:, -1], 0.0) + np.maximum(eigenvalues[:, -2], 0.0))
-    dk, dk_prime, dk_same = excess(m, s), excess(m_prime, s_prime), excess(m, s_prime)
-    slack = (b / 2.0) ** 2 - (dk * dk + dk_prime * dk_prime)
-    return slack, 1.0 - (dk * dk + dk_same * dk_same)
+    bound = np.array([(x / 2.0) ** 2 for x in b.tolist()])
+    (dk,), (dk_prime, dk_same) = excesses(s, m), excesses(s_prime, m_prime, m)
+    total, same = dk * dk + dk_prime * dk_prime, dk * dk + dk_same * dk_same
+    return (
+        BoundCheck(total, bound, bound - total, b),
+        BoundCheck(same, np.ones_like(b), 1.0 - same, b),
+    )
 
 
 def _proper_rotation_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -250,6 +250,22 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match=field):
             bb.ExperimentConfig(**values)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.bool_(False), np.float64(2), "a"])
+    def test_config_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # 1.5 and True once drew exactly the counts of seed 1
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            bb.ExperimentConfig(pair_rate=455.0, duration=22.0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-5, 2**64 + 3, np.int64(7), np.uint32(7)])
+    def test_config_takes_python_and_numpy_integer_seeds(self, seed):
+        config = bb.ExperimentConfig(pair_rate=455.0, duration=22.0, seed=seed)
+        assert type(config.seed) is int and config.seed == int(seed)
+        reference = bb.ExperimentConfig(pair_rate=455.0, duration=22.0, seed=int(seed))
+        state = bb.werner(0.82)
+        assert bb.simulate_counts(state, XY, HV, config) == bb.simulate_counts(
+            state, XY, HV, reference
+        )
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rate, dark", [(1e10, 0.0), (1e300, 0.0), (1.0, 1e300)])
     def test_means_past_the_poisson_limit_raise(self, rate, dark):

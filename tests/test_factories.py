@@ -92,6 +92,25 @@ class TestRandomState:
         with pytest.raises(ValueError):
             bb.random_state(0, 5)
 
+    @pytest.mark.parametrize(
+        "seed, ancilla_dim, name",
+        [
+            (3.5, 2, "seed"), (3.0, 2, "seed"), (True, 2, "seed"), (np.float64(3), 2, "seed"),
+            ("3", 2, "seed"), (3, 1.9, "ancilla_dim"), (3, 2.0, "ancilla_dim"),
+            (3, True, "ancilla_dim"), (3, np.bool_(True), "ancilla_dim"),
+        ],
+    )
+    def test_rejects_arguments_that_are_not_integers(self, seed, ancilla_dim, name):
+        # 3.5 and 1.9 were truncated to 3 and 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            bb.random_state(seed, ancilla_dim)
+
+    @pytest.mark.parametrize("seed", [-5, 2**64 + 3, np.int64(-5), np.uint64(2**64 - 1)])
+    @pytest.mark.parametrize("ancilla_dim", [2, np.int8(2), np.uint64(2)])
+    def test_takes_python_and_numpy_integers(self, seed, ancilla_dim):
+        expected = bb.random_state(int(seed), 2).matrix
+        assert bb.random_state(seed, ancilla_dim).matrix.tobytes() == expected.tobytes()
+
 
 def fresh_generator(seed, word):
     """The stream as a new Philox builds it: keyed by (seed % 2**64, word)."""

@@ -84,9 +84,9 @@ def sample(name):
     if name == "FuzzSummary":
         names = (
             "trials", "seed", "min_slack", "worst", "min_same_meter_slack", "worst_same_meter",
-            "reruns", "draw_s", "screen_s", "screen_residual",
+            "draw_s", "screen_s",
         )
-        defaults = {"reruns": 0, "draw_s": 0.0, "screen_s": 0.0, "screen_residual": 0.0}
+        defaults = {"draw_s": 0.0, "screen_s": 0.0}
         return FuzzSummary, fields_of(fuzz_bounds(10, 1), names), defaults
     raise KeyError(name)
 

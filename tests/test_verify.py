@@ -1,4 +1,4 @@
-"""Tests for the batched fuzz screen: it must report what a scalar run reports."""
+"""Tests for the fuzz block path: every row is a trial-by-trial result, bit for bit."""
 
 import contextlib
 import hashlib
@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 import bellbound as bb
-from bellbound import verify
+from bellbound import factories, verify
 from bellbound.cli import main
 from bellbound.factories import _philox_streams
 from bellbound.io import dumps_json
 from bellbound.verify import (
     BLOCK,
-    SCREEN_MARGIN,
+    FuzzInstance,
     _ancilla_dim,
-    _draw,
     _draw_block,
     _screen,
     fuzz_bounds,
@@ -31,13 +30,8 @@ from bellbound.verify import (
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 SEED = 31
-AGREEMENT_TRIALS = 5000
-
-
-@pytest.fixture(scope="module")
-def scalar_trials():
-    """The scalar reference: every trial run on its own."""
-    return [run_trial(SEED, trial) for trial in range(AGREEMENT_TRIALS)]
+ORACLE_TRIALS = 5000
+CHECK_FIELDS = len(bb.BoundCheck._fields)
 
 
 def rendered(instance):
@@ -56,6 +50,43 @@ def legacy_draw(rng):
     real and imaginary amplitudes, quaternion, m, m'."""
     rho = legacy_density_matrix(rng, int(rng.integers(1, 5)))
     return rho, rng.normal(size=4), rng.normal(size=3), rng.normal(size=3)
+
+
+def legacy_measurements(quaternion, m, m_prime):
+    """The signal pair and the meters of a legacy draw, built as a trial built
+    them one at a time: s and s' are the first two columns of the rotation of
+    the normalized quaternion, and each meter direction is normalized."""
+    frame = bb.rotation_from_quaternion(quaternion / np.linalg.norm(quaternion))
+    return (
+        bb.QubitMeasurement(frame[:, 0]),
+        bb.QubitMeasurement(frame[:, 1]),
+        bb.QubitMeasurement(m / np.linalg.norm(m)),
+        bb.QubitMeasurement(m_prime / np.linalg.norm(m_prime)),
+    )
+
+
+def legacy_trial(seed, trial):
+    """The oracle: one trial drawn in five calls, then checked by the public
+    constructors and the scalar ``check_bound`` and ``check_same_meter_bound``."""
+    (rng,) = _philox_streams(seed, [trial])
+    rho, *directions = legacy_draw(rng)
+    state = bb.validate_state(rho)
+    pi_s, pi_s_prime, pi_m, pi_m_prime = legacy_measurements(*directions)
+    return FuzzInstance(
+        trial, state, pi_s.axis, pi_s_prime.axis, pi_m.axis, pi_m_prime.axis,
+        bb.check_bound(state, pi_s, pi_s_prime, pi_m, pi_m_prime),
+        bb.check_same_meter_bound(state, pi_s, pi_s_prime, pi_m),
+    )
+
+
+@pytest.fixture(scope="module")
+def legacy_trials():
+    return [legacy_trial(SEED, trial) for trial in range(ORACLE_TRIALS)]
+
+
+def check_rows(checks):
+    """A block's two BoundChecks as one (N, 8) array of their fields."""
+    return np.column_stack([*checks[0], *checks[1]])
 
 
 class TestDraw:
@@ -80,17 +111,19 @@ class TestDraw:
     def test_one_call_draw_equals_the_five_call_sequence(self, seed):
         trials = list(range(40)) + [BLOCK, 10**6]
         dims = set()
-        for trial, rng in zip(trials, _philox_streams(seed, trials)):
-            draws = _draw(rng)
-            after = rng.random(4)
+        for trial in trials:
+            rho, *axes = _draw_block(seed, [trial])
+            # the thread's generator, still on the trial's stream
+            after = factories._THREAD.rng.random(4)
             (legacy_rng,) = _philox_streams(seed, [trial])
-            expected = legacy_draw(legacy_rng)
-            for value, reference in zip(draws, expected):
-                assert value.shape == reference.shape
-                assert value.tobytes() == reference.tobytes()
+            legacy_rho, *directions = legacy_draw(legacy_rng)
             # both reads end at the same point of the stream
             assert np.array_equal(after, legacy_rng.random(4))
-            dims.add(np.linalg.matrix_rank(draws[0]))
+            assert rho.shape == (1, 4, 4) and rho[0].tobytes() == legacy_rho.tobytes()
+            for axis, measurement in zip(axes, legacy_measurements(*directions)):
+                assert axis.shape == (1, 3)
+                assert axis[0].tobytes() == measurement.axis.tobytes()
+            dims.add(np.linalg.matrix_rank(rho[0]))
         assert dims == {1, 2, 3, 4}
 
     def test_random_state_is_unchanged(self):
@@ -101,15 +134,48 @@ class TestDraw:
                 expected = bb.validate_state(legacy_density_matrix(rng, rank)).matrix
                 assert bb.random_state(seed, rank).matrix.tobytes() == expected.tobytes()
 
-    def test_block_reads_the_streams_as_the_scalar_draw(self):
-        trials = np.arange(300)
-        rho, s, s_prime, m, m_prime = _draw_block(SEED, trials)
-        for i, instance in enumerate(run_trial(SEED, int(t)) for t in trials):
-            np.testing.assert_allclose(rho[i], instance.state.matrix, rtol=0, atol=1e-15)
-            for block, axis in zip((s, s_prime, m, m_prime), (
-                instance.s_axis, instance.s_prime_axis, instance.m_axis, instance.m_prime_axis
+    def test_block_reads_the_streams_as_the_scalar_draw(self, legacy_trials):
+        rho, *axes = _draw_block(SEED, np.arange(ORACLE_TRIALS))
+        for i, oracle in enumerate(legacy_trials):
+            assert bb.validate_state(rho[i]).matrix.tobytes() == oracle.state.matrix.tobytes()
+            for block, axis in zip(axes, (
+                oracle.s_axis, oracle.s_prime_axis, oracle.m_axis, oracle.m_prime_axis
             )):
-                np.testing.assert_allclose(block[i], axis, rtol=0, atol=1e-15)
+                assert block[i].tobytes() == axis.tobytes()
+
+
+class TestOnePath:
+    def test_screened_checks_equal_the_scalar_checks(self, legacy_trials):
+        rows = check_rows(_screen(*_draw_block(SEED, np.arange(ORACLE_TRIALS))))
+        expected = np.array([[*inst.check, *inst.same_meter_check] for inst in legacy_trials])
+        assert rows.shape == (ORACLE_TRIALS, 2 * CHECK_FIELDS)
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_run_trial_equals_the_trial_by_trial_oracle(self, legacy_trials):
+        for oracle in legacy_trials:
+            instance = run_trial(SEED, oracle.trial)
+            assert instance.check == oracle.check
+            assert instance.same_meter_check == oracle.same_meter_check
+            assert rendered(instance) == rendered(oracle)
+            for name in ("s_axis", "s_prime_axis", "m_axis", "m_prime_axis"):
+                assert not getattr(instance, name).flags.writeable
+
+    @pytest.mark.parametrize("seed", [SEED, -5, 2**64 + 3])
+    def test_a_row_does_not_depend_on_its_block(self, seed):
+        trials = np.arange(BLOCK)
+
+        def screened(blocks):
+            return {
+                int(trial): row.tobytes()
+                for block in blocks
+                for trial, row in zip(block, check_rows(_screen(*_draw_block(seed, block))))
+            }
+
+        alone = screened([[trial] for trial in trials])
+        assert len(alone) == BLOCK
+        assert screened(np.array_split(trials, range(7, BLOCK, 7))) == alone
+        assert screened([trials]) == alone
+        assert screened([trials[::-1]]) == alone
 
 
 class TestFuzzBounds:
@@ -122,17 +188,19 @@ class TestFuzzBounds:
                 expected = np.random.Generator(np.random.Philox(key=key)).random(8)
                 assert np.array_equal(values, expected)
 
-    def test_summary_equals_scalar_reference_at_block_edges(self, scalar_trials, monkeypatch):
+    def test_summary_equals_scalar_reference_at_block_edges(self, legacy_trials, monkeypatch):
         screened = []
 
         def recording_draw_block(seed, trials):
-            screened.append(trials)
+            # only fuzz_bounds' own blocks: run_trial draws a block of one too
+            if sys._getframe(1).f_code is fuzz_bounds.__code__:
+                screened.append(trials)
             return _draw_block(seed, trials)
 
         monkeypatch.setattr(verify, "_draw_block", recording_draw_block)
         for trials in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7):
             screened.clear()
-            reference = scalar_trials[:trials]
+            reference = legacy_trials[:trials]
             worst = min(reference, key=lambda inst: inst.check.slack)
             worst_same = min(reference, key=lambda inst: inst.same_meter_check.slack)
             summary = fuzz_bounds(trials, SEED)
@@ -145,14 +213,54 @@ class TestFuzzBounds:
             assert np.array_equal(np.concatenate(screened), np.arange(trials))
             assert max(map(len, screened)) <= BLOCK
 
-    def test_screened_slacks_agree_with_scalar_checks(self, scalar_trials):
-        # fuzz_bounds reruns every trial within 1e-12 of the screened minimum,
-        # which is safe only while the two paths agree far more closely.
-        slack, same_slack = _screen(*_draw_block(SEED, np.arange(AGREEMENT_TRIALS)))
-        scalar = np.array([inst.check.slack for inst in scalar_trials])
-        scalar_same = np.array([inst.same_meter_check.slack for inst in scalar_trials])
-        assert np.max(np.abs(slack - scalar)) < 1e-13
-        assert np.max(np.abs(same_slack - scalar_same)) < 1e-13
+    def test_summary_rebuilds_at_most_two_instances(self, monkeypatch):
+        rebuilt = []
+
+        def recording_run_trial(seed, trial):
+            rebuilt.append(trial)
+            return run_trial(seed, trial)
+
+        monkeypatch.setattr(verify, "run_trial", recording_run_trial)
+        summary = fuzz_bounds(300, SEED)
+        assert 1 <= len(rebuilt) <= 2
+        assert sorted(rebuilt) == sorted({summary.worst.trial, summary.worst_same_meter.trial})
+        assert summary.draw_s > 0 and summary.screen_s > 0
+
+    @pytest.mark.parametrize("field", ["check", "same_meter_check"])
+    def test_a_rebuilt_slack_must_equal_its_screened_slack(self, monkeypatch, field):
+        def drifting_run_trial(seed, trial):
+            instance = run_trial(seed, trial)
+            values = instance._asdict()
+            check = values[field]
+            values[field] = check._replace(slack=np.nextafter(check.slack, np.inf))
+            return FuzzInstance(**values)
+
+        monkeypatch.setattr(verify, "run_trial", drifting_run_trial)
+        with pytest.raises(RuntimeError, match="depends on its block"):
+            fuzz_bounds(50, SEED)
+
+    @pytest.mark.parametrize(
+        "trials, seed, name",
+        [
+            (True, 1, "trials"), (2.5, 1, "trials"), (10.0, 1, "trials"),
+            (np.bool_(True), 1, "trials"), ("10", 1, "trials"),
+            (10, 1.5, "seed"), (10, True, "seed"), (10, np.float64(1), "seed"),
+        ],
+    )
+    def test_rejects_arguments_that_are_not_integers(self, trials, seed, name):
+        # (10, 1.5) ran seed 1, (True, 1) reported trials: True and (2.5, 1)
+        # raised a bare TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            fuzz_bounds(trials, seed)
+
+    @pytest.mark.parametrize("trials, seed", [(np.int32(20), -5), (20, np.uint64(7)),
+                                              (np.int64(20), 2**64 + 3)])
+    def test_takes_python_and_numpy_integers(self, trials, seed):
+        summary = fuzz_bounds(trials, seed)
+        assert type(summary.trials) is int and type(summary.seed) is int
+        reference = fuzz_bounds(int(trials), int(seed))
+        assert (summary.trials, summary.seed) == (reference.trials, reference.seed)
+        assert rendered(summary.worst) == rendered(reference.worst)
 
     def test_corrupted_stack_raises_the_scalar_errors(self):
         rho, s, s_prime, m, m_prime = _draw_block(SEED, np.arange(8))
@@ -183,26 +291,6 @@ class TestFuzzBounds:
         corrupted[1] = not_positive
         with pytest.raises(bb.NotPositive):
             _screen(corrupted, s, s_prime, m, m_prime)
-
-    def test_summary_counts_its_reruns(self):
-        summary = fuzz_bounds(300, SEED)
-        assert 1 <= summary.reruns <= 2
-        assert summary.draw_s > 0 and summary.screen_s > 0
-
-    @pytest.mark.parametrize("seed", [1, 2, SEED])
-    def test_screen_residual_is_the_largest_rerun_difference(self, seed):
-        # the screened slacks of the rerun trials against their scalar reruns,
-        # in one block
-        trials = BLOCK
-        summary = fuzz_bounds(trials, seed)
-        slack, same_slack = _screen(*_draw_block(seed, np.arange(trials)))
-        residuals = []
-        for screened, scalar in ((slack, "check"), (same_slack, "same_meter_check")):
-            near = np.flatnonzero(screened <= screened.min() + SCREEN_MARGIN)
-            residuals += [abs(screened[t] - getattr(run_trial(seed, t), scalar).slack)
-                          for t in near]
-        assert summary.screen_residual == max(residuals)
-        assert 0.0 <= summary.screen_residual < SCREEN_MARGIN
 
 
 def test_seeded_outputs_match_the_recorded_digests(tmp_path, monkeypatch):
