@@ -37,6 +37,7 @@ class CanonicalForm(_Frozen):
     """
 
     __slots__ = ("state_bar", "o_signal", "o_meter", "u_signal", "u_meter", "diag")
+    __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(
         self,
@@ -74,6 +75,7 @@ class FilterResult(_Frozen):
         "b_max_out",
         "deviation_log",
     )
+    __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(
         self,

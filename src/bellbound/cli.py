@@ -33,6 +33,8 @@ REFERENCE_MEASUREMENTS = {0.82: (2.36, 0.02), 0.45: (1.32, 0.02)}
 
 # Largest number of points of one angle-grid axis, and of rows of a surface.
 MAX_GRID_POINTS = 1_000_000
+# CSV rows formatted and written at a time; a surface writes one theta's rows.
+CSV_BLOCK_ROWS = 1024
 
 
 def _parse_bool(text: str) -> bool:
@@ -170,17 +172,19 @@ def _resolve(ns: argparse.Namespace) -> dict:
     return resolved
 
 
-def _emit(ns: argparse.Namespace, clock, params: dict, render, *args, **counts) -> None:
-    """Render ``render(*args)`` as the run's ``render`` stage and write the
-    text to standard output, or to --out with its run manifest, whose stats
+def _emit(ns: argparse.Namespace, clock, params: dict, chunks, **counts) -> None:
+    """Write each of the text ``chunks`` as it is rendered, the run's ``render``
+    stage, to standard output, or to --out with its run manifest, whose stats
     are the stage times of ``clock`` followed by the work ``counts``."""
-    text = render(*args)
-    clock.mark("render")
     if ns.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     from .io import manifest_path, write_json
 
+    ns.out.parent.mkdir(parents=True, exist_ok=True)
+    with open(ns.out, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(chunks)
+    clock.mark("render")
     parameters = dict(params)
     replay_argv = _replay_argv(ns.command, params)
     if ns.command in STATE_FILE_COMMANDS:
@@ -197,8 +201,6 @@ def _emit(ns: argparse.Namespace, clock, params: dict, render, *args, **counts) 
         "duration_s": sum(clock.stages.values()),
         "stats": {**clock.stages, **counts},
     }
-    ns.out.parent.mkdir(parents=True, exist_ok=True)
-    ns.out.write_text(text, encoding="utf-8", newline="\n")
     write_json(manifest_path(ns.out), manifest)
 
 
@@ -283,7 +285,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         "delta_d_canonical_pair": [distinguishability_excess(state, pi) for pi in pair],
     }
     clock.mark("compute")
-    _emit(ns, clock, params, dumps_json, report)
+    _emit(ns, clock, params, (dumps_json(report),))
     return 0
 
 
@@ -303,44 +305,39 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         for point in points
     ]
     clock.mark("compute")
-    _emit(ns, clock, params, _csv_text, SWEEP_HEADER, rows, points=len(points))
+    _emit(ns, clock, params, _csv_chunks(SWEEP_HEADER, rows), points=len(points))
     return 0
 
 
-def _csv_text(header, rows) -> str:
-    """CSV text of ``rows``: a ``str`` cell is taken as already formatted (it
-    may hold several joined cells, or several whole rows), a float is
-    formatted by ``format_float``, anything else by ``str``."""
+def _csv_chunks(header, rows: list):
+    """The CSV text of ``rows`` of numbers in the chunks that are written: the
+    ``header`` line, then the rows ``CSV_BLOCK_ROWS`` at a time."""
     from .io import format_float
 
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join([
-                v if isinstance(v, str) else format_float(v) if isinstance(v, float) else str(v)
-                for v in row
-            ])
-        )
-    return "\n".join(lines) + "\n"
+    yield ",".join(header) + "\n"
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start : start + CSV_BLOCK_ROWS]
+        yield "".join([",".join(map(format_float, row)) + "\n" for row in block])
 
 
 def _surface_blocks(thetas, theta_primes, dk2, dkp2, bound: str):
-    """The surface rows of each theta as one pre-formatted text block.
+    """The surface CSV in the chunks that are written: the header line, then
+    the rows of each theta as one block.
 
     Only the sum differs from row to row, so one template of the theta'
     rows, with ``%.17g`` (``format_float``'s format) for the sum, is filled
     in per theta: first with theta's two cells, then with its row of sums.
-    The blocks are generated as ``_csv_text`` reads them.
     """
     from .io import format_float
 
-    template = "\n".join(
-        f"%(theta)s,{format_float(theta_prime)},%(dk2)s,{format_float(b)},%%.17g,{bound}"
+    template = "".join(
+        f"%(theta)s,{format_float(theta_prime)},%(dk2)s,{format_float(b)},%%.17g,{bound}\n"
         for theta_prime, b in zip(theta_primes, dkp2)
     )
+    yield ",".join(SURFACE_HEADER) + "\n"
     for theta, a in zip(thetas, dk2):
         cells = {"theta": format_float(theta), "dk2": format_float(a)}
-        yield ((template % cells) % tuple([a + b for b in dkp2]),)
+        yield (template % cells) % tuple([a + b for b in dkp2])
 
 
 def cmd_surface(ns: argparse.Namespace) -> int:
@@ -371,9 +368,9 @@ def cmd_surface(ns: argparse.Namespace) -> int:
     points = run_sweep_experiment(params["p"], angles, config if params["noise"] else None, streams)
     dk2 = [point.dk_hat * point.dk_hat for point in points[: len(thetas)]]
     dkp2 = [point.dk_hat * point.dk_hat for point in points[len(thetas):]]
-    blocks = _surface_blocks(thetas, theta_primes, dk2, dkp2, bound)
+    chunks = _surface_blocks(thetas, theta_primes, dk2, dkp2, bound)
     clock.mark("compute")
-    _emit(ns, clock, params, _csv_text, SURFACE_HEADER, blocks, points=len(points))
+    _emit(ns, clock, params, chunks, points=len(points))
     return 0
 
 
@@ -468,7 +465,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     clock.mark("compute")
-    _emit(ns, clock, params, dumps_json, report, points=len(points) + len(records))
+    _emit(ns, clock, params, (dumps_json(report),), points=len(points) + len(records))
     return 0
 
 
@@ -505,7 +502,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "passed": summary.passed,
     }
     _emit(
-        ns, clock, params, dumps_json, report,
+        ns, clock, params, (dumps_json(report),),
         draw_s=summary.draw_s,
         screen_s=summary.screen_s,
         # null when the clock did not tick during the run
@@ -549,7 +546,7 @@ def cmd_filter(ns: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     _emit(
-        ns, clock, params, dumps_json, report,
+        ns, clock, params, (dumps_json(report),),
         filter_iterations=result.iterations,
         deviation_log=list(result.deviation_log),
         optimizer_path=optimum.path,

@@ -67,8 +67,11 @@ class _Frozen:
     """Base of the immutable value types, which are cheaper to define than
     frozen dataclasses.  A subclass names its fields in ``__slots__``; its
     ``__init__`` takes them in that order and sets each once with ``_set``.
-    Any later assignment raises AttributeError.  Equality, hashing, ``repr``,
-    pickling and ``_asdict`` go by the fields."""
+    Any later assignment raises AttributeError.  Equality, ``repr``, pickling
+    and ``_asdict`` go by the fields, with array fields compared by
+    ``np.array_equal``.  Hashing goes by the fields too, but a subclass that
+    holds arrays sets ``__hash__ = None``: equal arrays may differ in their
+    bytes (``0.0`` and ``-0.0``), so hashing the bytes would break equality."""
 
     __slots__ = ()
 
@@ -88,7 +91,10 @@ class _Frozen:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return all(
+            a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+            for a, b in zip(self._values(), other._values())
+        )
 
     def __hash__(self):
         return hash(self._values())
@@ -112,6 +118,7 @@ class TwoQubitState(_Frozen):
     """
 
     __slots__ = ("matrix",)
+    __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(self, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=complex)
@@ -127,6 +134,7 @@ class BlochForm(_Frozen):
     """
 
     __slots__ = ("n", "m", "T")
+    __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(self, n: np.ndarray, m: np.ndarray, T: np.ndarray):
         _set(self, "n", _readonly(np.asarray(n, dtype=float)))
@@ -186,6 +194,7 @@ class ConditionalDecomposition(_Frozen):
     """
 
     __slots__ = ("w", "w_perp", "rho_M", "rho_M_perp", "chi_M", "degenerate")
+    __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(
         self,

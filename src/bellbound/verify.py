@@ -56,6 +56,7 @@ class FuzzInstance(_Frozen):
         "check",
         "same_meter_check",
     )
+    __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(
         self,

@@ -24,6 +24,7 @@ import bellbound as bb
 from bellbound.cli import (
     CONFIG_KEYS,
     COMMANDS,
+    CSV_BLOCK_ROWS,
     MAX_GRID_POINTS,
     STATE_FILE_COMMANDS,
     SURFACE_HEADER,
@@ -670,6 +671,48 @@ class TestSurface:
         bound = float(out.splitlines()[1].split(",")[5])
         assert bound == pytest.approx(2 * 0.45**2, abs=1e-12)
         assert bound == pytest.approx((1.273 / 2) ** 2, abs=2e-4)
+
+
+# tracemalloc peak of the surface below: 0.55 MB streamed in blocks, 35.2 MB
+# when the whole text was built before it was written.
+SURFACE_PEAK_LIMIT = 2e6
+
+
+class TestStreamedOutput:
+    def test_surface_memory_is_a_block_not_the_file(self, tmp_path):
+        import tracemalloc
+
+        out_file = tmp_path / "surface.csv"
+        args = ["surface", "--noise", "--seed", 1, "--out", out_file]
+        # a small run first, so that imports and first-call caches are not counted
+        assert main([str(a) for a in args + ["--theta-step", 30]]) == 0
+        tracemalloc.start()
+        try:
+            code = main([str(a) for a in args + ["--theta-step", 0.25, "--theta-prime-step", 0.25]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with out_file.open("rb") as handle:
+            assert sum(1 for _ in handle) == 1 + 361 * 361
+        assert out_file.stat().st_size > 11e6
+        assert peak < SURFACE_PEAK_LIMIT
+
+    @pytest.mark.parametrize(
+        "args, rows",
+        [
+            (["sweep", "--noise", "--seed", 3, "--theta-step", 0.05], 1801),
+            (["surface", "--theta-step", 2, "--theta-prime-step", 0.5], 46 * 181),
+        ],
+    )
+    def test_out_file_bytes_equal_standard_output(self, tmp_path, args, rows):
+        # both span several blocks: the sweep's rows, the surface's thetas
+        assert rows > CSV_BLOCK_ROWS
+        code, out, _ = run_in_process(args)
+        assert code == 0 and out.count("\n") == 1 + rows
+        out_file = tmp_path / "data.csv"
+        assert run_in_process(args + ["--out", out_file]) == (0, "", "")
+        assert out_file.read_bytes() == out.encode("utf-8")
 
 
 STAGES = ["load_s", "compute_s", "render_s"]

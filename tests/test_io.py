@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bellbound as bb
-from bellbound.cli import _csv_text
+from bellbound.cli import _csv_chunks
 from bellbound.io import (
     StageClock,
     bloch_to_json,
@@ -134,7 +134,7 @@ class TestBlochExport:
 
 class TestCsv:
     def test_lf_endings_and_header(self):
-        text = _csv_text(["a", "b"], [(1.5, 2), (0.1, 3)])
+        text = "".join(_csv_chunks(["a", "b"], [(1.5, 2), (0.1, 3)]))
         assert "\r" not in text
         assert text.startswith("a,b\n")
         assert text.splitlines()[1].startswith("1.5,")

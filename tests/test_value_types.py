@@ -165,6 +165,45 @@ def test_pickle_round_trip(name):
             assert type(got) is type(given), field
 
 
+# The types whose values hold arrays, directly or in a field; none is hashable.
+UNHASHABLE = [*HOLD_ARRAYS, "ExcessOptimum", "FuzzSummary"]
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_equality_goes_by_the_field_values(name):
+    cls, kwargs, _ = sample(name)
+    value = cls(**kwargs)
+    # a pickle round trip copies every array and every nested value
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value
+    assert not copy != value
+    assert value != object()
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_only_values_without_arrays_are_hashable(name):
+    cls, kwargs, _ = sample(name)
+    value = cls(**kwargs)
+    copy = pickle.loads(pickle.dumps(value))
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        assert hash(copy) == hash(value)
+
+
+def test_array_fields_compare_by_value():
+    state = bb.random_state(3, 2)
+    assert state == bb.random_state(3, 2)
+    assert state != bb.random_state(4, 2)
+    form = bb.decompose(state)
+    assert form == bb.decompose(bb.random_state(3, 2))
+    assert form != bb.BlochForm(form.n, form.m, -form.T)
+    # equal arrays whose bytes differ: 0.0 and -0.0
+    zeros = np.zeros(3)
+    assert bb.BlochForm(zeros, zeros, np.eye(3)) == bb.BlochForm(-zeros, zeros, np.eye(3))
+
+
 def test_count_record_has_value_equality():
     assert bb.CountRecord(1, 2, 3, 4) == bb.CountRecord(c_pp=1, c_pm=2, c_mp=3, c_mm=4)
     assert bb.CountRecord(1, 2, 3, 4) != bb.CountRecord(1, 2, 3, 5)
