@@ -34,14 +34,6 @@ def _ridge_frames(basis: np.ndarray, alpha, beta) -> np.ndarray:
     return np.stack([s, s_prime], axis=-2)
 
 
-def _excess_sums(form: BlochForm, frames: np.ndarray) -> np.ndarray:
-    """``(D - P)^2 + (D' - P')^2`` of each frame of a stack (..., 2, 3) of
-    signal axes ``(s, s')``."""
-    projected = frames @ form.T
-    excess = np.maximum(0.0, np.sqrt((projected**2).sum(axis=-1)) - np.abs(frames @ form.n))
-    return (excess**2).sum(axis=-1)
-
-
 def _profile(form: BlochForm, basis: np.ndarray, alpha: np.ndarray):
     """The ridge profile ``F(alpha) = max_beta G(alpha, beta)``, ``G`` the excess
     sum of ``_ridge_frames(basis, alpha, beta)``, with ``dF/dalpha`` and the

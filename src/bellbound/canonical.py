@@ -16,11 +16,12 @@ from .core import (
     recompose,
     unitary_from_rotation,
     _Frozen,
+    _integer,
     _readonly,
     _set,
 )
 from .errors import NoConvergence, SingularReduction
-from .knowledge import BoundCheck, _bell_max, _proper_rotation_factors, optimize_excess_sum
+from .knowledge import BoundCheck, _bell_max_stack, _proper_rotation_factors, optimize_excess_sum
 
 DIAGONAL_TOL = 1e-10
 REDUCTION_EIGENVALUE_FLOOR = 1e-8
@@ -175,11 +176,11 @@ def filter_normal_form(
     010101(R), 2001; see ``_half_step``).  A final canonical rotation (skipped when
     T is already diagonal) brings the state to Bell-diagonal form with a Bell
     factor at least as large as the input's.  ``tol`` must be a finite number > 0
-    and ``max_iter`` at least 1 (ValueError).
+    and ``max_iter`` an integer, at least 1 (ValueError).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"filter tol must be a finite number > 0, got {tol}")
-    if max_iter < 1:
+    if _integer(max_iter, "filter max_iter") < 1:
         raise ValueError(f"filter max_iter must be >= 1, got {max_iter}")
     form = decompose(state)
     corr = form.R
@@ -210,14 +211,15 @@ def filter_normal_form(
     f_meter = f_meter / np.linalg.svd(f_meter, compute_uv=False)[0]
     big = np.kron(f_signal, f_meter)
     success = float((big @ state.matrix @ big.conj().T).trace().real)
+    b_max_in, b_max_out = _bell_max_stack(np.stack([form.T, filtered_form.T])).tolist()
     return FilterResult(
         state_out=state_out,
         f_signal=f_signal,
         f_meter=f_meter,
         success_probability=success,
         iterations=iterations,
-        b_max_in=_bell_max(form),
-        b_max_out=_bell_max(filtered_form),
+        b_max_in=b_max_in,
+        b_max_out=b_max_out,
         deviation_log=tuple(deviations),
     )
 

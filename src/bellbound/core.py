@@ -160,13 +160,8 @@ class QubitMeasurement(_Frozen):
 
     def __init__(self, axis: np.ndarray, degenerate: bool = False):
         a = np.asarray(axis, dtype=float).reshape(3)
-        # math.hypot neither overflows nor warns, and a NaN fails the test
-        deviation = abs(math.hypot(*a.tolist()) - 1.0)
-        if not deviation <= UNIT_AXIS_TOL:
-            raise ValueError(
-                f"measurement axis must be a unit vector: | |a| - 1 | = {deviation:.3e}"
-                f" (limit {UNIT_AXIS_TOL})"
-            )
+        # math.hypot neither overflows nor warns
+        _require_unit(abs(math.hypot(*a.tolist()) - 1.0))
         _set(self, "axis", _readonly(a / float(np.linalg.norm(a))))
         _set(self, "degenerate", degenerate)
 
@@ -181,6 +176,15 @@ class QubitMeasurement(_Frozen):
     def flipped(self) -> "QubitMeasurement":
         """Same measurement with the outcome labels swapped."""
         return QubitMeasurement(-self.axis, degenerate=self.degenerate)
+
+
+def _require_unit(deviation: float) -> None:
+    """Raise ValueError unless an axis's ``| |a| - 1 |`` is at most UNIT_AXIS_TOL; NaN fails."""
+    if not deviation <= UNIT_AXIS_TOL:
+        raise ValueError(
+            f"measurement axis must be a unit vector: | |a| - 1 | = {deviation:.3e}"
+            f" (limit {UNIT_AXIS_TOL})"
+        )
 
 
 class ConditionalDecomposition(_Frozen):
@@ -341,8 +345,15 @@ def _quaternion_from_rotation(o: np.ndarray) -> np.ndarray:
 
 
 def rotation_from_quaternion(q) -> np.ndarray:
-    """Rotation matrix of a (not necessarily normalized) quaternion (w, x, y, z)."""
-    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    """Rotation matrix of a (not necessarily normalized) quaternion (w, x, y, z),
+    whose norm ``sqrt(q.q)`` must be finite and nonzero (ValueError)."""
+    q = np.asarray(q, dtype=float)
+    # An overflow leaves an inf norm, and a NaN fails the test.
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(q))
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"quaternion norm must be finite and nonzero, got {norm}")
+    w, x, y, z = q / norm
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -361,8 +372,10 @@ def unitary_from_rotation(o) -> np.ndarray:
     o = np.asarray(o, dtype=float)
     if o.shape != (3, 3):
         raise NotRotation(f"expected shape (3, 3), got {o.shape}")
-    ortho = float(np.max(np.abs(o.T @ o - np.eye(3))))
-    if ortho > ROTATION_TOL:
+    # An overflow leaves an inf or NaN deviation, and a NaN fails the test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ortho = float(np.max(np.abs(o.T @ o - np.eye(3))))
+    if not ortho <= ROTATION_TOL:
         raise NotRotation(f"max |O^T O - 1| = {ortho:.6e} (limit {ROTATION_TOL})")
     det = float(np.linalg.det(o))
     if abs(det - 1.0) > ROTATION_TOL:

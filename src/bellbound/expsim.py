@@ -68,7 +68,9 @@ class CountRecord(_Frozen):
 
     def __init__(self, c_pp: int, c_pm: int, c_mp: int, c_mm: int):
         for name, value in zip(self.__slots__, (c_pp, c_pm, c_mp, c_mm)):
-            if int(value) != value or value < 0:
+            # An integer or an integral float such as 3.0; not a bool, an inf or a NaN.
+            integral = isinstance(value, (float, np.floating)) and value.is_integer()
+            if not (_is_integer(value) or integral) or value < 0:
                 raise ValueError(f"count {name} must be a non-negative integer, got {value!r}")
             _set(self, name, int(value))
 
@@ -244,7 +246,9 @@ def exact_counts(
     pi_signal: QubitMeasurement,
     total: int = 10**8,
 ) -> CountRecord:
-    """Noise-free counts: channel probabilities scaled to ``total`` and rounded."""
+    """Noise-free counts: channel probabilities scaled to ``total`` (>= 0) and rounded."""
+    if _integer(total, "total") < 0:
+        raise ValueError(f"total must be >= 0, got {total}")
     probs = coincidence_probs(state, pi_meter, pi_signal)
     return CountRecord(*(int(round(total * p)) for p in probs))
 
@@ -274,17 +278,20 @@ def estimate_correlation(counts: CountRecord) -> float:
     return (counts.c_pp + counts.c_mm - counts.c_pm - counts.c_mp) / total
 
 
-def estimate_bell_max(records) -> float:
-    """Bell factor from four count records at the angle pairs
-    ``BELL_ANGLE_PAIRS``: |C(22.5,45) + C(67.5,45) + C(22.5,0) - C(67.5,0)|."""
+def _bell_records(records) -> tuple[CountRecord, ...]:
+    """The four records of ``BELL_ANGLE_PAIRS``; EmptyRecord names the first with no counts."""
     records = tuple(records)
     if len(records) != 4:
         raise ValueError(f"expected 4 count records, got {len(records)}")
-    correlations = []
     for index, (record, angles) in enumerate(zip(records, BELL_ANGLE_PAIRS)):
         _require_counts(record, context=f" (record {index} at meter/signal angles {angles})")
-        correlations.append(estimate_correlation(record))
-    c1, c2, c3, c4 = correlations
+    return records
+
+
+def estimate_bell_max(records) -> float:
+    """Bell factor from four count records at the angle pairs
+    ``BELL_ANGLE_PAIRS``: |C(22.5,45) + C(67.5,45) + C(22.5,0) - C(67.5,0)|."""
+    c1, c2, c3, c4 = (estimate_correlation(record) for record in _bell_records(records))
     return abs(c1 + c2 + c3 - c4)
 
 
@@ -364,7 +371,7 @@ def run_sweep_experiment(
     sweeps on one seed keep each point's counts apart.  With ``config=None``
     the points are exact: ``counts`` is None and ``k_hat`` and ``p_hat`` are
     the closed-form knowledge and a-priori knowledge of the state, which is
-    decomposed once; ``streams`` is then unused.
+    decomposed once and evaluated as one stack; ``streams`` is then unused.
     """
     state = werner(p)
     angles = list(angles)
@@ -372,11 +379,11 @@ def run_sweep_experiment(
     meters = _polarization_axes([theta for theta, _ in angles])
     signals = np.array([signal_axes[basis] for _, basis in angles]).reshape(-1, 3)
     if config is None:
-        from .knowledge import _apriori, _knowledge
+        from .knowledge import _form_stack, _knowledge_stack
 
-        form = decompose(state)
+        n, t = _form_stack(decompose(state), len(angles))
         records = [None] * len(angles)
-        estimates = [(_knowledge(form, m, s), _apriori(form, s)) for m, s in zip(meters, signals)]
+        estimates = zip(*(x.tolist() for x in _knowledge_stack(n, t, meters, signals)))
     else:
         streams = range(len(angles)) if streams is None else streams
         records = _simulate_stack(state, meters, signals, config, streams)
@@ -404,10 +411,10 @@ def simulate_bell_records(state: TwoQubitState, config: ExperimentConfig) -> tup
 
 
 def bell_estimate_stderr(records) -> float:
-    """Binomial standard error of the Bell-factor estimate from four records."""
+    """Binomial standard error of the Bell-factor estimate from the four
+    records of :func:`estimate_bell_max`."""
     variance = 0.0
-    for record in records:
-        total = _require_counts(record)
+    for record in _bell_records(records):
         correlation = estimate_correlation(record)
-        variance += max(0.0, 1.0 - correlation * correlation) / total
+        variance += max(0.0, 1.0 - correlation * correlation) / record.total
     return math.sqrt(variance)

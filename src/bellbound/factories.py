@@ -45,15 +45,21 @@ class WernerPrediction(NamedTuple):
     b_max: float
 
 
+def _werner_p(p: float) -> float:
+    """``p`` as a float; OutOfRange outside [-1/3, 1], the positivity interval."""
+    p = float(p)
+    if not (WERNER_P_MIN - 1e-12 <= p <= WERNER_P_MAX + 1e-12):
+        raise OutOfRange(f"werner parameter p = {p} outside [-1/3, 1]")
+    return p
+
+
 def werner(p: float) -> TwoQubitState:
     """Werner state: singlet fraction ``p`` mixed with white noise.
 
     Valid over the full positivity interval -1/3 <= p <= 1 (negative p flips
     the sign of the correlation matrix).
     """
-    p = float(p)
-    if not (WERNER_P_MIN - 1e-12 <= p <= WERNER_P_MAX + 1e-12):
-        raise OutOfRange(f"werner parameter p = {p} outside [-1/3, 1]")
+    p = _werner_p(p)
     singlet = np.outer(BELL_KETS[3], BELL_KETS[3].conj())
     return validate_state(p * singlet + (1.0 - p) / 4.0 * np.eye(4))
 
@@ -140,9 +146,7 @@ def werner_prediction(p: float, theta_deg: float, theta_prime_deg: float) -> Wer
     ``theta``; K' for the X/Y basis with the analyzer at ``theta_prime``:
     K = p|cos 2theta|, K' = p|sin 2theta'|, P = P' = 0, B_max = 2 sqrt(2) p.
     """
-    p = float(p)
-    if not (WERNER_P_MIN - 1e-12 <= p <= WERNER_P_MAX + 1e-12):
-        raise OutOfRange(f"werner parameter p = {p} outside [-1/3, 1]")
+    p = _werner_p(p)
     theta = math.radians(theta_deg)
     theta_prime = math.radians(theta_prime_deg)
     return WernerPrediction(

@@ -191,10 +191,6 @@ def load_state(path) -> TwoQubitState:
     raise ValueError("state file must contain either 'matrix' or 'factory'")
 
 
-def state_to_json(state: TwoQubitState) -> dict:
-    return {"matrix": complex_matrix_to_json(state.matrix)}
-
-
 def bloch_to_json(form: BlochForm) -> dict:
     return {"n": form.n.tolist(), "m": form.m.tolist(), "T": form.T.tolist()}
 

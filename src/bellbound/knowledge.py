@@ -1,8 +1,11 @@
 """Knowledge, knowledge excess, distinguishability, and the Bell-factor bound.
 
 Every quantity is evaluated in closed form on the Bloch decomposition
-``(n, m, T)`` of the state.  The test suite checks these forms against a
-direct trace over the conditional meter states.
+``(n, m, T)`` of the state, by one kernel over N instances (``n`` (N, 3),
+``T`` (N, 3, 3), unit axes (N, 3)) whose 1-stacks are the public functions.
+A row repeats one instance's operations, so it is the same bit for bit in
+any stack of C-contiguous ``n`` and ``T``.  The test suite checks these
+forms against a direct trace over the conditional meter states.
 """
 
 from __future__ import annotations
@@ -13,12 +16,10 @@ import numpy as np
 
 from .core import (
     COMPLEMENTARITY_TOL,
-    UNIT_AXIS_TOL,
     BlochForm,
     QubitMeasurement,
     TwoQubitState,
     _row_dot,
-    are_complementary,
     decompose,
 )
 from .errors import NotComplementary
@@ -60,28 +61,84 @@ class ExcessOptimum(NamedTuple):
     evaluations: int = 0
 
 
-def _apriori(form: BlochForm, s: np.ndarray) -> float:
-    return abs(float(form.n @ s))
+def _apriori_stack(n, s) -> np.ndarray:
+    """P = |n.s| of each row."""
+    return np.abs(_row_dot(n, s))
 
 
-def _knowledge(form: BlochForm, m: np.ndarray, s: np.ndarray) -> float:
-    return max(_apriori(form, s), abs(float((form.T.T @ s) @ m)))
+def _helstrom_stack(t, s) -> np.ndarray:
+    """The Helstrom direction ``T^T s``, the best meter axis up to its norm, of each row."""
+    return (np.swapaxes(t, 1, 2) @ s[:, :, None])[:, :, 0]
 
 
-def _knowledge_excess(form: BlochForm, m: np.ndarray, s: np.ndarray) -> float:
-    return _knowledge(form, m, s) - _apriori(form, s)
+def _knowledge_stack(n, t, m, s) -> tuple[np.ndarray, np.ndarray]:
+    """K = max(P, |(T^T s).m|) and P of each row."""
+    p = _apriori_stack(n, s)
+    return np.maximum(p, np.abs(_row_dot(_helstrom_stack(t, s), m))), p
+
+
+def _distinguishability_stack(n, t, s) -> tuple[np.ndarray, np.ndarray]:
+    """D = max(P, |T^T s|) and P of each row."""
+    p, direction = _apriori_stack(n, s), _helstrom_stack(t, s)
+    return np.maximum(p, np.sqrt(_row_dot(direction, direction))), p
+
+
+def _bell_max_stack(t) -> np.ndarray:
+    """B_max = 2 sqrt of the sum of the two largest eigenvalues of T^T T, of each row."""
+    eigenvalues = np.linalg.eigvalsh(np.swapaxes(t, 1, 2) @ t)
+    return 2.0 * np.sqrt(np.maximum(eigenvalues[:, -1], 0.0) + np.maximum(eigenvalues[:, -2], 0.0))
+
+
+def _bound_checks(n, t, s, s_prime, m, m_prime) -> tuple[BoundCheck, BoundCheck]:
+    """:func:`check_bound` and :func:`check_same_meter_bound` (with meter ``m``)
+    of each row, as BoundChecks of (N,) arrays; ``(B_max/2)^2`` is Python's
+    float power.  The first row whose signal axes are not orthogonal raises
+    NotComplementary."""
+    dot = _row_dot(s, s_prime)
+    # Written so that a NaN fails the check.
+    overlapping = ~(np.abs(dot) <= COMPLEMENTARITY_TOL)
+    if overlapping.any():
+        raise NotComplementary(float(dot[np.argmax(overlapping)]))
+    dk, dk_prime, dk_same = (
+        np.subtract(*_knowledge_stack(n, t, meter, signal))
+        for meter, signal in ((m, s), (m_prime, s_prime), (m, s_prime))
+    )
+    b = _bell_max_stack(t)
+    bound = np.array([(x / 2.0) ** 2 for x in b.tolist()])
+    total, same = dk * dk + dk_prime * dk_prime, dk * dk + dk_same * dk_same
+    return (
+        BoundCheck(total, bound, bound - total, b),
+        BoundCheck(same, np.ones_like(b), 1.0 - same, b),
+    )
+
+
+def _form_stack(form: BlochForm, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` (rows, 3) and ``T`` (rows, 3, 3) of one form, repeated on each row."""
+    return np.repeat(form.n[None], rows, axis=0), np.repeat(form.T[None], rows, axis=0)
+
+
+def _one(state: TwoQubitState, *measurements: QubitMeasurement) -> tuple[np.ndarray, ...]:
+    """The 1-stack of a state and its measurements: ``n``, ``T`` and each axis."""
+    form = decompose(state)
+    return (form.n[None], form.T[None], *(pi.axis[None] for pi in measurements))
+
+
+def _first(check: BoundCheck) -> BoundCheck:
+    """The first row of a stacked BoundCheck, as floats."""
+    return BoundCheck(*(float(field[0]) for field in check))
 
 
 def knowledge(state: TwoQubitState, pi_meter: QubitMeasurement, pi_signal: QubitMeasurement) -> float:
     """Fractional excess of right over wrong guesses of the signal outcome,
     given the meter outcome: K = sum_i |tr Pi_Mi (w rho_M - w_perp rho_M_perp)|
     = max(|n.s|, |(T^T s).m|)."""
-    return _knowledge(decompose(state), pi_meter.axis, pi_signal.axis)
+    return float(_knowledge_stack(*_one(state, pi_meter, pi_signal))[0][0])
 
 
 def apriori(state: TwoQubitState, pi_signal: QubitMeasurement) -> float:
     """Guessing excess with no meter measurement at all: P = |w - w_perp| = |n.s|."""
-    return _apriori(decompose(state), pi_signal.axis)
+    n, _, s = _one(state, pi_signal)
+    return float(_apriori_stack(n, s)[0])
 
 
 def knowledge_excess(
@@ -92,39 +149,35 @@ def knowledge_excess(
     K = max(P, ...) >= P holds exactly in floating point, so the excess is
     never negative and needs no clamping.
     """
-    return _knowledge_excess(decompose(state), pi_meter.axis, pi_signal.axis)
-
-
-def _distinguishability(form: BlochForm, s: np.ndarray) -> float:
-    return max(_apriori(form, s), float(np.linalg.norm(form.T.T @ s)))
+    k, p = _knowledge_stack(*_one(state, pi_meter, pi_signal))
+    return float(k[0] - p[0])
 
 
 def distinguishability(state: TwoQubitState, pi_signal: QubitMeasurement) -> float:
     """Maximum knowledge over all meter measurements, the Helstrom trace norm:
     D = max(|n.s|, |T^T s|)."""
-    return _distinguishability(decompose(state), pi_signal.axis)
+    return float(_distinguishability_stack(*_one(state, pi_signal))[0][0])
 
 
 def distinguishability_excess(state: TwoQubitState, pi_signal: QubitMeasurement) -> float:
     """D - P = max(0, |T^T s| - |n.s|)."""
-    form = decompose(state)
-    return _distinguishability(form, pi_signal.axis) - _apriori(form, pi_signal.axis)
+    d, p = _distinguishability_stack(*_one(state, pi_signal))
+    return float(d[0] - p[0])
 
 
 def knowledge_report(
     state: TwoQubitState, pi_meter: QubitMeasurement, pi_signal: QubitMeasurement
 ) -> KnowledgeReport:
     """All knowledge quantities for one meter/signal measurement pair."""
-    form = decompose(state)
-    s = pi_signal.axis
-    k = _knowledge(form, pi_meter.axis, s)
-    p = _apriori(form, s)
-    d = _distinguishability(form, s)
+    n, t, m, s = _one(state, pi_meter, pi_signal)
+    (k, p), (d, _) = _knowledge_stack(n, t, m, s), _distinguishability_stack(n, t, s)
+    k, p, d = float(k[0]), float(p[0]), float(d[0])
     return KnowledgeReport(K=k, P=p, deltaK=k - p, D=d, deltaD=d - p)
 
 
-def _optimal_meter(form: BlochForm, s: np.ndarray) -> QubitMeasurement:
-    direction = form.T.T @ s
+def _optimal_meter(t, s) -> QubitMeasurement:
+    """The Helstrom measurement of a 1-stack (see :func:`optimal_meter`)."""
+    direction = _helstrom_stack(t, s)[0]
     norm = float(np.linalg.norm(direction))
     if norm < DEGENERATE_DIRECTION:
         return QubitMeasurement(np.array([0.0, 0.0, 1.0]), degenerate=True)
@@ -137,24 +190,13 @@ def optimal_meter(state: TwoQubitState, pi_signal: QubitMeasurement) -> QubitMea
     When ``|T^T s|`` vanishes every meter measurement is equally
     uninformative; the +z axis is returned with ``degenerate`` set.
     """
-    return _optimal_meter(decompose(state), pi_signal.axis)
-
-
-def _bell_max(form: BlochForm) -> float:
-    t = form.T
-    eigenvalues = np.linalg.eigvalsh(t.T @ t)
-    return 2.0 * float(np.sqrt(max(eigenvalues[-1], 0.0) + max(eigenvalues[-2], 0.0)))
+    return _optimal_meter(*_one(state, pi_signal)[1:])
 
 
 def bell_max(state: TwoQubitState) -> float:
     """Maximal CHSH Bell factor: 2 sqrt of the sum of the two largest
     eigenvalues of T^T T (invariant under local unitaries)."""
-    return _bell_max(decompose(state))
-
-
-def _require_complementary(pi_s: QubitMeasurement, pi_s_prime: QubitMeasurement) -> None:
-    if not are_complementary(pi_s, pi_s_prime):
-        raise NotComplementary(float(pi_s.axis @ pi_s_prime.axis))
+    return float(_bell_max_stack(_one(state)[1])[0])
 
 
 def check_bound(
@@ -166,17 +208,7 @@ def check_bound(
 ) -> BoundCheck:
     """Test the central inequality: for complementary signal measurements,
     deltaK^2 + deltaK'^2 <= (B_max / 2)^2 for any pair of meter measurements."""
-    return _check_bound(decompose(state), pi_s, pi_s_prime, pi_m, pi_m_prime)
-
-
-def _check_bound(form: BlochForm, pi_s, pi_s_prime, pi_m, pi_m_prime) -> BoundCheck:
-    _require_complementary(pi_s, pi_s_prime)
-    dk = _knowledge_excess(form, pi_m.axis, pi_s.axis)
-    dk_prime = _knowledge_excess(form, pi_m_prime.axis, pi_s_prime.axis)
-    b = _bell_max(form)
-    total = dk * dk + dk_prime * dk_prime
-    bound = (b / 2.0) ** 2
-    return BoundCheck(sum_of_squares=total, bound=bound, slack=bound - total, b_max=b)
+    return _first(_bound_checks(*_one(state, pi_s, pi_s_prime, pi_m, pi_m_prime))[0])
 
 
 def check_same_meter_bound(
@@ -190,61 +222,7 @@ def check_same_meter_bound(
     With two independent meter measurements the unit bound can be exceeded;
     this check always compares against 1 (``b_max`` is reported for context).
     """
-    _require_complementary(pi_s, pi_s_prime)
-    form = decompose(state)
-    dk = _knowledge_excess(form, pi_m.axis, pi_s.axis)
-    dk_prime = _knowledge_excess(form, pi_m.axis, pi_s_prime.axis)
-    total = dk * dk + dk_prime * dk_prime
-    return BoundCheck(sum_of_squares=total, bound=1.0, slack=1.0 - total, b_max=_bell_max(form))
-
-
-def _bound_checks(
-    n: np.ndarray,
-    t: np.ndarray,
-    s: np.ndarray,
-    s_prime: np.ndarray,
-    m: np.ndarray,
-    m_prime: np.ndarray,
-) -> tuple[BoundCheck, BoundCheck]:
-    """:func:`check_bound` and :func:`check_same_meter_bound` for N instances
-    (``n`` and the axes (N, 3), ``t`` (N, 3, 3)), as BoundChecks of (N,) arrays.
-
-    The axes are checked as :class:`QubitMeasurement` and
-    :func:`check_bound` check them, with the same errors and tolerances.
-    Each row repeats the scalar checks' operations on its instance, so it
-    equals their result bit for bit in any stack: ``n`` and ``T`` are
-    C-contiguous as in a :class:`BlochForm`, the dots are :func:`core._row_dot`
-    and ``(B_max/2)^2`` is Python's float power, not numpy's square.
-    """
-    # Written so that a NaN fails each check, as in the scalar checks.
-    for axes in (s, s_prime, m, m_prime):
-        deviation = np.abs(np.linalg.norm(axes, axis=1) - 1.0)
-        if not np.all(deviation <= UNIT_AXIS_TOL):
-            raise ValueError(
-                f"measurement axis must be a unit vector: | |a| - 1 | = {deviation.max():.3e}"
-                f" (limit {UNIT_AXIS_TOL})"
-            )
-    dot = _row_dot(s, s_prime)
-    overlapping = np.flatnonzero(~(np.abs(dot) <= COMPLEMENTARITY_TOL))
-    if overlapping.size:
-        raise NotComplementary(float(dot[overlapping[0]]))
-    n, t = np.ascontiguousarray(n), np.ascontiguousarray(t)
-    t_transposed = np.swapaxes(t, 1, 2)
-
-    def excesses(s: np.ndarray, *meters: np.ndarray) -> list[np.ndarray]:
-        p = np.abs(_row_dot(n, s))
-        ts = (t_transposed @ s[:, :, None])[:, :, 0]
-        return [np.maximum(p, np.abs(_row_dot(ts, m))) - p for m in meters]
-
-    eigenvalues = np.linalg.eigvalsh(t_transposed @ t)
-    b = 2.0 * np.sqrt(np.maximum(eigenvalues[:, -1], 0.0) + np.maximum(eigenvalues[:, -2], 0.0))
-    bound = np.array([(x / 2.0) ** 2 for x in b.tolist()])
-    (dk,), (dk_prime, dk_same) = excesses(s, m), excesses(s_prime, m_prime, m)
-    total, same = dk * dk + dk_prime * dk_prime, dk * dk + dk_same * dk_same
-    return (
-        BoundCheck(total, bound, bound - total, b),
-        BoundCheck(same, np.ones_like(b), 1.0 - same, b),
-    )
+    return _first(_bound_checks(*_one(state, pi_s, pi_s_prime, pi_m, pi_m))[1])
 
 
 def _proper_rotation_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,10 +231,8 @@ def _proper_rotation_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     Reflection parity is absorbed into the sign of the smallest diagonal
     entry, so ``|d|`` stays in descending order.
     """
-    u, sv, vt = np.linalg.svd(t)
-    o_s = u.copy()
+    o_s, d, vt = np.linalg.svd(t)
     o_m = vt.T.copy()
-    d = sv.copy()
     if np.linalg.det(o_s) < 0.0:
         o_s[:, 2] *= -1.0
         d[2] = -d[2]
@@ -281,8 +257,8 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
     search runs over the signal frame ``(s, s')`` alone, in three steps.
 
     1. Certify: the seed frame, the two leading singular directions of the
-       correlation matrix, is returned at once when its sum is within
-       ``CERTIFY_TOL`` (1e-9) of ``(B_max/2)^2``.  No frame exceeds the bound,
+       correlation matrix, is returned at once when its sum of ``(D - P)^2``
+       is within ``CERTIFY_TOL`` (1e-9) of ``(B_max/2)^2``.  No frame exceeds the bound,
        so the seed is then optimal to that accuracy.  This covers every state
        with ``n = 0`` (Werner, Bell-diagonal), where the seed attains the
        bound, and the output of ``canonical.filter_normal_form``.
@@ -309,21 +285,24 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
     (``"certified"`` or ``"searched"``) and ``evaluations`` counts the angles
     alpha profiled (0 when certified).
     """
-    # The search is compiled only in the processes that run it.
-    from . import _ridge
-
     form = decompose(state)
     u = np.linalg.svd(form.T)[0]
-    bound = (_bell_max(form) / 2.0) ** 2
-    if _ridge._excess_sums(form, u[:, :2].T) >= bound - CERTIFY_TOL:
+    n, t = _form_stack(form, 2)
+    bound = (float(_bell_max_stack(t[:1])[0]) / 2.0) ** 2
+    seeds = np.ascontiguousarray(u[:, :2].T)
+    excess = np.subtract(*_distinguishability_stack(n, t, seeds))
+    if (excess**2).sum() >= bound - CERTIFY_TOL:
         s, s_prime = u[:, 0], u[:, 1]
         path, evaluations = "certified", 0
     else:
+        # The search is compiled only in the processes that run it.
+        from . import _ridge
+
         (s, s_prime), evaluations = _ridge._search(form)
         path = "searched"
     pi_s = QubitMeasurement(s)
     pi_s_prime = QubitMeasurement(s_prime)
-    pi_m = _optimal_meter(form, pi_s.axis)
-    pi_m_prime = _optimal_meter(form, pi_s_prime.axis)
-    check = _check_bound(form, pi_s, pi_s_prime, pi_m, pi_m_prime)
+    pi_m, pi_m_prime = (_optimal_meter(t[:1], pi.axis[None]) for pi in (pi_s, pi_s_prime))
+    axes = (pi.axis[None] for pi in (pi_s, pi_s_prime, pi_m, pi_m_prime))
+    check = _first(_bound_checks(n[:1], t[:1], *axes)[0])
     return ExcessOptimum(pi_s, pi_s_prime, pi_m, pi_m_prime, check, path, evaluations)

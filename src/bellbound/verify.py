@@ -9,11 +9,11 @@ hold, in order, the real and the imaginary amplitudes of a pure state on
 quaternion and the two meter directions.
 
 There is one path per trial.  ``_draw_block`` builds the draws of a block
-of trials as stacks and ``_screen`` checks both bounds on them; each row is
-computed with one trial's own operations, so it is the same bit for bit
-whatever block it sits in.  ``run_trial`` is the block of one trial, and
-``fuzz_bounds`` screens the trials in blocks, keeps the first trial with
-the minimum slack of each bound and rebuilds those (at most two) instances.
+of trials as stacks and ``_screen`` checks both bounds on them with the
+kernel of every bound check, one trial's own operations per row, so a row
+is the same bit for bit whatever block it sits in.  ``run_trial`` is the
+block of one trial, and ``fuzz_bounds`` screens the trials in blocks, keeps
+the first trial with the minimum slack of each bound and rebuilds those.
 """
 
 from __future__ import annotations
@@ -30,13 +30,14 @@ from .core import (
     _Frozen,
     _integer,
     _readonly,
+    _require_unit,
     _row_dot,
     _set,
     _validate_stack,
     validate_state,
 )
 from .factories import _philox_streams
-from .knowledge import BoundCheck, _bound_checks, check_bound, check_same_meter_bound
+from .knowledge import BoundCheck, _bound_checks, _first
 
 SLACK_FLOOR = -1e-9
 # Trials drawn and screened together; memory is O(BLOCK), not O(trials).
@@ -154,11 +155,16 @@ def _draw_block(seed: int, trials) -> tuple[np.ndarray, ...]:
     return rho, _normalized(s), _normalized(s_prime), m, m_prime
 
 
-def _screen(rho, s, s_prime, m, m_prime) -> tuple[BoundCheck, BoundCheck]:
-    """Both bound checks of a block of draws, as BoundChecks of (N,) arrays,
-    after validating the states as :class:`TwoQubitState` does."""
-    corr = _correlation_stack(_validate_stack(rho))
-    return _bound_checks(corr[:, 1:, 0], corr[:, 1:, 1:], s, s_prime, m, m_prime)
+def _screen(states, s, s_prime, m, m_prime) -> tuple[BoundCheck, BoundCheck]:
+    """Both bound checks of a block of validated states (N, 4, 4) and its
+    drawn axes, as BoundChecks of (N,) arrays, after checking the axes as
+    :class:`QubitMeasurement` does, with its error and tolerance."""
+    # np.max keeps a NaN, which fails the check.
+    _require_unit(float(np.max(np.abs(np.linalg.norm([s, s_prime, m, m_prime], axis=-1) - 1.0))))
+    corr = _correlation_stack(states)
+    # C-contiguous as in a BlochForm, so each row is computed as in a 1-stack.
+    n, t = np.ascontiguousarray(corr[:, 1:, 0]), np.ascontiguousarray(corr[:, 1:, 1:])
+    return _bound_checks(n, t, s, s_prime, m, m_prime)
 
 
 def run_trial(seed: int, trial: int) -> FuzzInstance:
@@ -166,11 +172,12 @@ def run_trial(seed: int, trial: int) -> FuzzInstance:
     two random meter axes; checks both bounds.  This is the block path on a
     block of one trial."""
     rho, *axes = _draw_block(seed, [trial])
+    state = validate_state(rho[0])
     return FuzzInstance(
         trial,
-        validate_state(rho[0]),
+        state,
         *(_readonly(a[0]) for a in axes),
-        *(BoundCheck(*(float(field[0]) for field in check)) for check in _screen(rho, *axes)),
+        *map(_first, _screen(state.matrix[None], *axes)),
     )
 
 
@@ -189,9 +196,9 @@ def fuzz_bounds(trials: int, seed: int) -> FuzzSummary:
     draw_s = screen_s = 0.0
     for start in range(0, trials, BLOCK):
         clock = time.perf_counter()
-        draws = _draw_block(seed, range(start, min(start + BLOCK, trials)))
+        rho, *axes = _draw_block(seed, range(start, min(start + BLOCK, trials)))
         drawn = time.perf_counter()
-        for k, check in enumerate(_screen(*draws)):
+        for k, check in enumerate(_screen(_validate_stack(rho), *axes)):
             i = int(np.argmin(check.slack))
             best[k] = min(best[k], (float(check.slack[i]), start + i))
         draw_s += drawn - clock
@@ -226,14 +233,13 @@ def instance_to_json(instance: FuzzInstance) -> dict:
 
 def evaluate_instance_json(data: dict) -> tuple[BoundCheck, BoundCheck]:
     """Recompute both bound checks for a dumped instance, the JSON object of a
-    replay file (as :func:`io.read_json` returns it)."""
+    replay file (as :func:`io.read_json` returns it), with the screen's own
+    code on a block of one."""
     from .io import _json_floats, _read_key, complex_matrix_from_json
 
     state = validate_state(_read_key(data, "matrix", complex_matrix_from_json, "replay file"))
-    pi_s, pi_s_prime, pi_m, pi_m_prime = (
+    axes = (
         _read_key(data, key, lambda axis: QubitMeasurement(_json_floats(axis)), "replay file")
         for key in ("signal_axis", "signal_axis_prime", "meter_axis", "meter_axis_prime")
     )
-    check = check_bound(state, pi_s, pi_s_prime, pi_m, pi_m_prime)
-    same = check_same_meter_bound(state, pi_s, pi_s_prime, pi_m)
-    return check, same
+    return tuple(map(_first, _screen(state.matrix[None], *(pi.axis[None] for pi in axes))))

@@ -53,6 +53,38 @@ def coincidence_oracle(rho, m_axis, s_axis):
     )
 
 
+def scalar_knowledge(form, m, s):
+    """(K, P, D) of one meter axis ``m`` and signal axis ``s`` by the scalar
+    closed forms on a Bloch form, with 1-D numpy and Python float operations:
+    P = |n.s|, K = max(P, |(T^T s).m|), D = max(P, |T^T s|)."""
+    p = abs(float(form.n @ s))
+    direction = form.T.T @ s
+    return max(p, abs(float(direction @ m))), p, max(p, float(np.linalg.norm(direction)))
+
+
+def scalar_bell_max(form):
+    """B_max = 2 sqrt of the two largest eigenvalues of T^T T, by a 2-D eigvalsh."""
+    eigenvalues = np.linalg.eigvalsh(form.T.T @ form.T)
+    return 2.0 * float(np.sqrt(max(eigenvalues[-1], 0.0) + max(eigenvalues[-2], 0.0)))
+
+
+def scalar_checks(form, s, s_prime, m, m_prime):
+    """The two bound checks of one instance as (sum, bound, slack, b_max)
+    tuples, by the scalar closed forms: ``dK^2 + dK'^2`` against
+    ``(B_max/2)^2`` (Python's float power), and ``dK(m->s)^2 + dK(m->s')^2``
+    against 1.  The axes must be complementary."""
+
+    def excess(meter, signal):
+        k, p, _ = scalar_knowledge(form, meter, signal)
+        return k - p
+
+    b = scalar_bell_max(form)
+    dk, dk_prime, dk_same = excess(m, s), excess(m_prime, s_prime), excess(m, s_prime)
+    total, same = dk * dk + dk_prime * dk_prime, dk * dk + dk_same * dk_same
+    bound = (b / 2.0) ** 2
+    return (total, bound, bound - total, b), (same, 1.0, 1.0 - same, b)
+
+
 def _excess_sum(form, s, s_prime):
     """Closed-form ``(D - P)^2 + (D' - P')^2`` of the frames ``(s, s')``, by row."""
 

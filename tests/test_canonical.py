@@ -206,6 +206,10 @@ class TestFilterNormalForm:
             {"tol": -1.0},
             {"max_iter": 0},
             {"max_iter": -1},
+            # True once ran one round, and 1.5 raised range()'s TypeError
+            {"max_iter": True},
+            {"max_iter": 1.5},
+            {"max_iter": 10.0},
         ],
     )
     def test_invalid_tol_or_max_iter_raises(self, kwargs):

@@ -250,6 +250,28 @@ class TestUnitaryFromRotation:
         with pytest.raises(bb.NotRotation):
             bb.unitary_from_rotation(np.eye(3) * 1.1)
 
+    @pytest.mark.parametrize(
+        "o", [np.full((3, 3), np.nan), np.diag([1.0, 1.0, np.nan]), np.full((3, 3), np.inf),
+              np.eye(3) * 1e200],
+    )
+    def test_rejects_non_finite_and_overflowing_matrices_without_warning(self, o):
+        # a NaN matrix once passed the orthogonality check and gave a NaN unitary
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bb.NotRotation, match="O\\^T O"):
+                bb.unitary_from_rotation(o)
+
+    @pytest.mark.parametrize(
+        "q", [[0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0], [np.inf, 0.0, 0.0, 0.0],
+              [1e200, 1e200, 0.0, 0.0]],
+    )
+    def test_quaternion_without_a_finite_nonzero_norm_is_rejected_without_warning(self, q):
+        # the zero quaternion once gave a NaN matrix and a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="quaternion norm must be finite and nonzero"):
+                bb.rotation_from_quaternion(q)
+
 
 class TestMeasurements:
     def test_polarization_angle_conventions(self):

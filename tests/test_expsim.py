@@ -239,6 +239,32 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             bb.CountRecord(1, 2, -3, 4)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True, np.bool_(False), 2.5,
+                                       "3"])
+    def test_count_record_rejects_what_is_not_a_count(self, value):
+        # inf once raised int()'s OverflowError, and True was taken as 1
+        with pytest.raises(ValueError, match="^count c_mp must be a non-negative integer"):
+            bb.CountRecord(0, 0, value, 0)
+
+    def test_count_record_takes_integers_and_integral_floats(self):
+        record = bb.CountRecord(np.int64(1), 2.0, np.float32(3.0), 2**70)
+        assert record == bb.CountRecord(1, 2, 3, 2**70)
+        assert all(type(count) is int for count in record._asdict().values())
+
+    @pytest.mark.parametrize("total, message", [
+        (math.inf, "total must be an integer"), (True, "total must be an integer"),
+        (1e6, "total must be an integer"), (-5, "total must be >= 0"),
+    ])
+    def test_exact_counts_checks_its_total(self, total, message):
+        # inf once raised int()'s OverflowError, and -5 a count error naming c_pp
+        with pytest.raises(ValueError, match=f"^{message}"):
+            bb.exact_counts(bb.werner(0.82), HV, HV, total)
+
+    def test_exact_counts_takes_numpy_integers_and_zero(self):
+        state = bb.werner(0.82)
+        assert bb.exact_counts(state, HV, HV, np.int64(100)) == bb.exact_counts(state, HV, HV, 100)
+        assert bb.exact_counts(state, HV, HV, 0) == bb.CountRecord(0, 0, 0, 0)
+
     def test_config_rejects_negative_rates(self):
         with pytest.raises(ValueError):
             bb.ExperimentConfig(pair_rate=-1.0, duration=1.0)
@@ -378,6 +404,20 @@ class TestEstimateBellMax:
     def test_requires_four_records(self):
         with pytest.raises(ValueError):
             bb.estimate_bell_max(self.bell_records(bb.werner(0.82), 10**6)[:3])
+
+    @pytest.mark.parametrize("count", [0, 3, 5])
+    def test_stderr_requires_four_records(self, count):
+        # [] once gave 0.0, and five records a number
+        records = self.bell_records(bb.werner(0.82), 10**6)
+        records = (records * 2)[:count]
+        with pytest.raises(ValueError, match=f"expected 4 count records, got {count}"):
+            bb.bell_estimate_stderr(records)
+
+    def test_stderr_names_an_empty_record(self):
+        records = self.bell_records(bb.werner(0.82), 10**6)
+        records[1] = bb.CountRecord(0, 0, 0, 0)
+        with pytest.raises(bb.EmptyRecord, match="record 1"):
+            bb.bell_estimate_stderr(records)
 
     def test_stderr_scales_with_counts(self):
         small = bb.bell_estimate_stderr(self.bell_records(bb.werner(0.82), 10**4))

@@ -35,8 +35,6 @@ ENTRY_POINT = (
 
 CLI = {"cli", "errors"}
 BASE = CLI | {"core", "factories", "io"}
-# The ridge search of optimize_excess_sum, loaded only by the command that calls it.
-RIDGE = {"knowledge", "_ridge"}
 
 
 def loaded_by(args, cwd):
@@ -72,7 +70,8 @@ def test_version_help_and_usage_errors_load_no_numpy(tmp_path, args):
         (["surface", "--theta-step", 30, "--theta-prime-step", 30], BASE | {"expsim", "knowledge"}),
         (["verify", "--trials", 10], BASE | {"knowledge", "verify"}),
         (["analyze", "state.json"], BASE | {"knowledge", "canonical"}),
-        (["filter", "state.json"], BASE | RIDGE | {"canonical"}),
+        # the filtered state is certified optimal, so no search loads _ridge
+        (["filter", "state.json"], BASE | {"knowledge", "canonical"}),
     ],
 )
 def test_each_subcommand_loads_only_its_modules(tmp_path, args, modules):
@@ -84,6 +83,21 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, args, modules):
     # verify once reached numpy.ma through np.union1d
     assert not numpy_ma
     assert not dataclasses
+
+
+@pytest.mark.parametrize(
+    "state, report", [("werner(0.82)", "certified False"), ("random_state(0, 4)", "searched True")]
+)
+def test_only_a_search_loads_the_ridge_module(state, report):
+    script = (
+        "import sys\n"
+        "from bellbound import optimize_excess_sum, random_state, werner\n"
+        f"path = optimize_excess_sum({state}).path\n"
+        "print(path, 'bellbound._ridge' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == report
 
 
 def test_import_bellbound_loads_no_submodule_and_no_numpy():

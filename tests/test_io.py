@@ -18,7 +18,6 @@ from bellbound.io import (
     format_float,
     load_state,
     read_json,
-    state_to_json,
     write_json,
 )
 
@@ -44,7 +43,7 @@ class TestStateFiles:
     def test_matrix_round_trip(self, tmp_path):
         state = bb.random_state(3, 4)
         path = tmp_path / "state.json"
-        write_json(path, state_to_json(state))
+        write_json(path, {"matrix": complex_matrix_to_json(state.matrix)})
         loaded = load_state(path)
         assert np.array_equal(loaded.matrix, state.matrix)
 

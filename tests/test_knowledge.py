@@ -10,10 +10,14 @@ import pytest
 import bellbound as bb
 from bellbound.factories import BELL_KETS
 from conftest import (
+    _excess_sum,
     axis_projectors,
     random_unit_vector,
     random_unitary,
     reference_excess_sum,
+    scalar_bell_max,
+    scalar_checks,
+    scalar_knowledge,
     trace_oracle,
 )
 
@@ -193,6 +197,76 @@ class TestInvariants:
         assert report.deltaK == pytest.approx(report.K - report.P, abs=1e-15)
         assert report.deltaD == pytest.approx(report.D - report.P, abs=1e-15)
         assert report.deltaK >= 0 and report.deltaD >= -1e-15
+
+
+class TestKernel:
+    """The public functions are 1-stacks of one stacked kernel; these tests
+    hold them, and larger stacks, to the scalar closed forms of ``conftest``
+    bit for bit."""
+
+    @staticmethod
+    def instances(rng, count):
+        """Random states with random meters and complementary signal pairs,
+        Werner 0.82 and 0.45 and the edge states of the optimizer first."""
+        fixed = [bb.werner(0.82), bb.werner(0.45), *edge_states()]
+        for i in range(count):
+            state = fixed[i] if i < len(fixed) else bb.random_state(i, 1 + i % 4)
+            frame = bb.rotation_from_quaternion(rng.normal(size=4))
+            yield state, *(bb.QubitMeasurement(a) for a in (
+                frame[:, 0], frame[:, 1], random_unit_vector(rng), random_unit_vector(rng)
+            ))
+
+    def test_public_functions_equal_the_scalar_forms(self, rng):
+        for state, pi_s, pi_s_prime, pi_m, pi_m_prime in self.instances(rng, 3000):
+            form = bb.decompose(state)
+            k, p, d = scalar_knowledge(form, pi_m.axis, pi_s.axis)
+            assert bb.knowledge_report(state, pi_m, pi_s) == (k, p, k - p, d, d - p)
+            assert bb.knowledge(state, pi_m, pi_s) == k
+            assert bb.apriori(state, pi_s) == p
+            assert bb.knowledge_excess(state, pi_m, pi_s) == k - p
+            assert bb.distinguishability(state, pi_s) == d
+            assert bb.distinguishability_excess(state, pi_s) == d - p
+            assert bb.bell_max(state) == scalar_bell_max(form)
+            axes = (pi_s.axis, pi_s_prime.axis, pi_m.axis)
+            check = scalar_checks(form, *axes, pi_m_prime.axis)[0]
+            assert bb.check_bound(state, pi_s, pi_s_prime, pi_m, pi_m_prime) == check
+            same = scalar_checks(form, *axes, pi_m.axis)[1]
+            assert bb.check_same_meter_bound(state, pi_s, pi_s_prime, pi_m) == same
+            direction = form.T.T @ pi_s.axis
+            norm = float(np.linalg.norm(direction))
+            meter = bb.optimal_meter(state, pi_s)
+            assert meter.degenerate == (norm < 1e-12)
+            if not meter.degenerate:
+                assert meter.axis.tobytes() == bb.QubitMeasurement(direction / norm).axis.tobytes()
+
+    def test_a_row_equals_its_1_stack(self, rng):
+        knowledge = importlib.import_module("bellbound.knowledge")
+        rows = list(self.instances(rng, 500))
+        forms = [bb.decompose(state) for state, *_ in rows]
+        n, t = np.array([f.n for f in forms]), np.array([f.T for f in forms])
+        s, s_prime, m, m_prime = (np.array([row[k].axis for row in rows]) for k in range(1, 5))
+        stacked = {
+            "K": knowledge._knowledge_stack(n, t, m, s)[0],
+            "P": knowledge._apriori_stack(n, s),
+            "D": knowledge._distinguishability_stack(n, t, s)[0],
+            "B": knowledge._bell_max_stack(t),
+        }
+        checks = knowledge._bound_checks(n, t, s, s_prime, m, m_prime)
+        for i, (state, pi_s, pi_s_prime, pi_m, pi_m_prime) in enumerate(rows):
+            report = bb.knowledge_report(state, pi_m, pi_s)
+            assert [stacked[key][i] for key in "KPD"] == [report.K, report.P, report.D]
+            assert stacked["B"][i] == bb.bell_max(state)
+            assert tuple(field[i] for field in checks[0]) == bb.check_bound(
+                state, pi_s, pi_s_prime, pi_m, pi_m_prime
+            )
+
+    def test_the_first_overlapping_row_is_reported(self):
+        s = np.tile([1.0, 0.0, 0.0], (4, 1))
+        s_prime = np.array([[0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [0.8, 0.6, 0.0], [np.nan, 0.0, 0.0]])
+        knowledge = importlib.import_module("bellbound.knowledge")
+        with pytest.raises(bb.NotComplementary) as raised:
+            knowledge._bound_checks(np.zeros((4, 3)), np.zeros((4, 3, 3)), s, s_prime, s, s)
+        assert raised.value.dot == 0.6
 
 
 class TestCheckBound:
@@ -403,8 +477,7 @@ class TestOptimizeExcessSum:
             assert double.sum() == ridge.RIDGE_TURNS
             m = form.T @ form.T.T
             expected = np.trace(m) - n_hat @ m @ n_hat
-            frames = np.stack([s[double], s_prime[double]], axis=1)
-            sums = ridge._excess_sums(form, frames)
+            sums = _excess_sum(form, s[double], s_prime[double])
             assert np.allclose(sums, expected, rtol=0.0, atol=1e-12)
             # The optimizer never returns less than the double-ridge sum.
             assert bb.optimize_excess_sum(state).check.sum_of_squares >= expected - 1e-12
@@ -420,11 +493,12 @@ class TestOptimizeExcessSum:
             basis = np.linalg.svd(form.n[None, :])[2]
             alpha = rng.uniform(0.0, np.pi, size=6)
             values, _, best = ridge._profile(form, basis, alpha)
-            grid = ridge._excess_sums(
-                form, ridge._ridge_frames(basis, *np.meshgrid(alpha, beta, indexing="ij"))
-            )
+            frames = ridge._ridge_frames(basis, *np.meshgrid(alpha, beta, indexing="ij"))
+            s, s_prime = frames.reshape(-1, 2, 3).swapaxes(0, 1)
+            grid = _excess_sum(form, s, s_prime).reshape(len(alpha), -1)
             assert np.all(grid.max(axis=1) <= values + 1e-12)
-            own = ridge._excess_sums(form, ridge._ridge_frames(basis, alpha, best))
+            s, s_prime = ridge._ridge_frames(basis, alpha, best).swapaxes(0, 1)
+            own = _excess_sum(form, s, s_prime)
             np.testing.assert_allclose(own, values, rtol=0.0, atol=1e-12)
 
     def test_profile_slope_matches_central_differences(self):

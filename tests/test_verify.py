@@ -14,6 +14,7 @@ import pytest
 import bellbound as bb
 from bellbound import factories, verify
 from bellbound.cli import main
+from bellbound.core import _validate_stack
 from bellbound.factories import _philox_streams
 from bellbound.io import dumps_json
 from bellbound.verify import (
@@ -26,6 +27,7 @@ from bellbound.verify import (
     instance_to_json,
     run_trial,
 )
+from conftest import scalar_checks
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,17 +68,22 @@ def legacy_measurements(quaternion, m, m_prime):
 
 
 def legacy_trial(seed, trial):
-    """The oracle: one trial drawn in five calls, then checked by the public
-    constructors and the scalar ``check_bound`` and ``check_same_meter_bound``."""
+    """The oracle: one trial drawn in five calls, then built by the public
+    constructors and checked by the scalar closed forms of ``conftest``,
+    which share no code with the library's kernel."""
     (rng,) = _philox_streams(seed, [trial])
     rho, *directions = legacy_draw(rng)
     state = bb.validate_state(rho)
     pi_s, pi_s_prime, pi_m, pi_m_prime = legacy_measurements(*directions)
-    return FuzzInstance(
-        trial, state, pi_s.axis, pi_s_prime.axis, pi_m.axis, pi_m_prime.axis,
-        bb.check_bound(state, pi_s, pi_s_prime, pi_m, pi_m_prime),
-        bb.check_same_meter_bound(state, pi_s, pi_s_prime, pi_m),
-    )
+    assert bb.are_complementary(pi_s, pi_s_prime)
+    axes = (pi_s.axis, pi_s_prime.axis, pi_m.axis, pi_m_prime.axis)
+    check, same = scalar_checks(bb.decompose(state), *axes)
+    return FuzzInstance(trial, state, *axes, bb.BoundCheck(*check), bb.BoundCheck(*same))
+
+
+def screen(rho, *axes):
+    """The checks of a block of draws, its states validated as fuzz_bounds does."""
+    return _screen(_validate_stack(rho), *axes)
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +153,7 @@ class TestDraw:
 
 class TestOnePath:
     def test_screened_checks_equal_the_scalar_checks(self, legacy_trials):
-        rows = check_rows(_screen(*_draw_block(SEED, np.arange(ORACLE_TRIALS))))
+        rows = check_rows(screen(*_draw_block(SEED, np.arange(ORACLE_TRIALS))))
         expected = np.array([[*inst.check, *inst.same_meter_check] for inst in legacy_trials])
         assert rows.shape == (ORACLE_TRIALS, 2 * CHECK_FIELDS)
         assert rows.tobytes() == expected.tobytes()
@@ -168,7 +175,7 @@ class TestOnePath:
             return {
                 int(trial): row.tobytes()
                 for block in blocks
-                for trial, row in zip(block, check_rows(_screen(*_draw_block(seed, block))))
+                for trial, row in zip(block, check_rows(screen(*_draw_block(seed, block))))
             }
 
         alone = screened([[trial] for trial in trials])
@@ -268,7 +275,7 @@ class TestFuzzBounds:
         def screen_with(index, value, target):
             corrupted = [array.copy() for array in (rho, s, s_prime, m, m_prime)]
             corrupted[target][index] = value
-            return lambda: _screen(*corrupted)
+            return lambda: screen(*corrupted)
 
         not_positive = np.diag([0.5, 0.7, -0.1, -0.1])
         with pytest.raises(bb.NotPositive):
@@ -290,7 +297,7 @@ class TestFuzzBounds:
         corrupted[2] = 1.1 * rho[2]
         corrupted[1] = not_positive
         with pytest.raises(bb.NotPositive):
-            _screen(corrupted, s, s_prime, m, m_prime)
+            screen(corrupted, s, s_prime, m, m_prime)
 
 
 def test_seeded_outputs_match_the_recorded_digests(tmp_path, monkeypatch):
