@@ -281,6 +281,11 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _normalized(v: np.ndarray) -> np.ndarray:
+    """``row / np.linalg.norm(row)`` for each row of ``v``, bit for bit."""
+    return v / np.sqrt(_row_dot(v, v))[:, None]
+
+
 def recompose(form: BlochForm) -> TwoQubitState:
     """Rebuild the density matrix ``1/4 sum_ij R_ij sigma_i x sigma_j`` from a
     Bloch form's ``R`` over the table ``_PAULI_PAIRS``; raises NotPositive for
@@ -353,14 +358,18 @@ def rotation_from_quaternion(q) -> np.ndarray:
         norm = float(np.linalg.norm(q))
     if not 0.0 < norm < math.inf:
         raise ValueError(f"quaternion norm must be finite and nonzero, got {norm}")
-    w, x, y, z = q / norm
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return _rotation_stack(q[np.newaxis])[0]
+
+
+def _rotation_stack(q: np.ndarray) -> np.ndarray:
+    """The rotation matrices (N, 3, 3) of a stack of quaternions (w, x, y, z)
+    (N, 4), each row normalized first; no norm is checked."""
+    w, x, y, z = _normalized(q).T
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=1).reshape(-1, 3, 3)
 
 
 def unitary_from_rotation(o) -> np.ndarray:
@@ -403,7 +412,14 @@ def measurement_from_polarization_angle(theta_deg: float) -> QubitMeasurement:
 
 def are_complementary(a: QubitMeasurement, b: QubitMeasurement) -> bool:
     """True iff the Bloch axes are orthogonal, i.e. all projector overlaps are 1/2."""
-    return abs(float(a.axis @ b.axis)) <= COMPLEMENTARITY_TOL
+    return bool(_complementary_stack(a.axis[np.newaxis], b.axis[np.newaxis])[1][0])
+
+
+def _complementary_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dot ``a.b`` of each row of two axis stacks (N, 3), and whether
+    ``|a.b|`` is at most COMPLEMENTARITY_TOL; a NaN dot is not."""
+    dot = _row_dot(a, b)
+    return dot, np.abs(dot) <= COMPLEMENTARITY_TOL
 
 
 def measurement_kets(measurement: QubitMeasurement) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TwoQubitState, _integer, validate_state
+from .core import TwoQubitState, _integer, _row_dot, validate_state
 from .errors import NotAProbabilityVector, OutOfRange
 
 KET_HH = np.array([1, 0, 0, 0], dtype=complex)
@@ -82,13 +82,16 @@ def bell_diagonal(lambdas) -> TwoQubitState:
     return validate_state(rho)
 
 
-def _density_matrix(normals: np.ndarray) -> np.ndarray:
-    """Unvalidated mixed state induced from a Gaussian-random pure state on a
-    4 x d system, from ``normals`` of shape (2, 4, d): the real, then the
-    imaginary amplitudes."""
-    amplitudes = normals[0] + 1j * normals[1]
-    amplitudes /= np.linalg.norm(amplitudes)
-    return amplitudes @ amplitudes.conj().T
+def _density_stack(normals: np.ndarray, d: int) -> np.ndarray:
+    """Unvalidated mixed states (N, 4, 4) induced from Gaussian-random pure
+    states on a 4 x d system, from ``normals`` (N, 8d): the real, then the
+    imaginary amplitudes of each row.  A row's norm dots the strided real and
+    imaginary views as ``np.linalg.norm`` does, the same bit for bit in any stack."""
+    amplitudes = normals[:, : 4 * d] + 1j * normals[:, 4 * d :]
+    re, im = amplitudes.real, amplitudes.imag
+    amplitudes /= np.sqrt(_row_dot(re, re) + _row_dot(im, im))[:, None]
+    amplitudes = amplitudes.reshape(-1, 4, d)
+    return amplitudes @ amplitudes.conj().swapaxes(1, 2)
 
 
 def _philox_streams(seed: int, words) -> Iterator[np.random.Generator]:
@@ -136,7 +139,7 @@ def random_state(seed: int, ancilla_dim: int) -> TwoQubitState:
     if not 1 <= ancilla_dim <= 4:
         raise ValueError(f"ancilla_dim must be in 1..4, got {ancilla_dim}")
     (rng,) = _philox_streams(seed, [ancilla_dim])
-    return validate_state(_density_matrix(rng.normal(size=(2, 4, ancilla_dim))))
+    return validate_state(_density_stack(rng.normal(size=(1, 8 * ancilla_dim)), ancilla_dim)[0])
 
 
 def werner_prediction(p: float, theta_deg: float, theta_prime_deg: float) -> WernerPrediction:

@@ -26,57 +26,37 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render_json(obj, indent: int, keys: dict) -> str:
-    """``obj`` as pretty JSON at ``indent``; ``keys`` memoizes each rendered
-    ``"key": `` prefix.  The exact builtin types are tested first, in the
-    order of how often they occur; numpy scalars and arrays, subclasses,
-    ``None`` and booleans take the ``isinstance`` chain after them."""
-    kind = type(obj)
-    if kind is float:
-        return format(obj, ".17g")
-    if kind is dict:
-        if not obj:
-            return "{}"
-        pad = "  " * indent
-        items = []
-        for k, v in obj.items():
-            name = (str(k), indent)
-            prefix = keys.get(name)
-            if prefix is None:
-                prefix = keys[name] = f"{pad}  {json.dumps(name[0])}: "
-            items.append(prefix + _render_json(v, indent + 1, keys))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if kind is int:
-        return str(obj)
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        pad = "  " * indent
-        inner = pad + "  "
-        items = ",\n".join([inner + _render_json(v, indent + 1, keys) for v in obj])
-        return "[\n" + items + "\n" + pad + "]"
-    if kind is str:
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        return _render_json(dict(obj), indent, keys)
-    if isinstance(obj, (list, tuple)):
-        return _render_json(list(obj), indent, keys)
-    if isinstance(obj, bool) or obj is None:
+def _render_json(obj, indent: int) -> str:
+    """``obj`` as pretty JSON at ``indent``.  numpy integers, floats and
+    arrays render as their Python values; a dict, list or tuple subclass (a
+    NamedTuple) renders as its items."""
+    if isinstance(obj, (bool, str)) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_float(obj)
     if isinstance(obj, np.ndarray):
-        return _render_json(obj.tolist(), indent, keys)
-    if isinstance(obj, str):
-        return json.dumps(obj)
+        return _render_json(obj.tolist(), indent)
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{pad}  {json.dumps(str(k))}: {_render_json(v, indent + 1)}" for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {_render_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps_json(obj) -> str:
     """Deterministic pretty JSON with 17-significant-digit floats."""
-    return _render_json(obj, 0, {}) + "\n"
+    return _render_json(obj, 0) + "\n"
 
 
 def write_json(path, obj) -> None:

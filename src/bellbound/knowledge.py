@@ -15,10 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    COMPLEMENTARITY_TOL,
     BlochForm,
     QubitMeasurement,
     TwoQubitState,
+    _complementary_stack,
     _row_dot,
     decompose,
 )
@@ -94,11 +94,9 @@ def _bound_checks(n, t, s, s_prime, m, m_prime) -> tuple[BoundCheck, BoundCheck]
     of each row, as BoundChecks of (N,) arrays; ``(B_max/2)^2`` is Python's
     float power.  The first row whose signal axes are not orthogonal raises
     NotComplementary."""
-    dot = _row_dot(s, s_prime)
-    # Written so that a NaN fails the check.
-    overlapping = ~(np.abs(dot) <= COMPLEMENTARITY_TOL)
-    if overlapping.any():
-        raise NotComplementary(float(dot[np.argmax(overlapping)]))
+    dot, complementary = _complementary_stack(s, s_prime)
+    if not complementary.all():
+        raise NotComplementary(float(dot[np.argmin(complementary)]))
     dk, dk_prime, dk_same = (
         np.subtract(*_knowledge_stack(n, t, meter, signal))
         for meter, signal in ((m, s), (m_prime, s_prime), (m, s_prime))

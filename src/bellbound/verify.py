@@ -9,11 +9,12 @@ hold, in order, the real and the imaginary amplitudes of a pure state on
 quaternion and the two meter directions.
 
 There is one path per trial.  ``_draw_block`` builds the draws of a block
-of trials as stacks and ``_screen`` checks both bounds on them with the
-kernel of every bound check, one trial's own operations per row, so a row
-is the same bit for bit whatever block it sits in.  ``run_trial`` is the
-block of one trial, and ``fuzz_bounds`` screens the trials in blocks, keeps
-the first trial with the minimum slack of each bound and rebuilds those.
+of trials with the stacks of :func:`random_state` and
+:func:`rotation_from_quaternion`, and ``_screen`` checks both bounds on them
+with the kernel of every bound check, one trial's own operations per row, so
+a row is the same bit for bit whatever block it sits in.  ``run_trial`` is
+the block of one trial, and ``fuzz_bounds`` screens the trials in blocks,
+keeps the first trial with the minimum slack of each bound and rebuilds those.
 """
 
 from __future__ import annotations
@@ -29,16 +30,20 @@ from .core import (
     _correlation_stack,
     _Frozen,
     _integer,
+    _normalized,
     _readonly,
     _require_unit,
-    _row_dot,
+    _rotation_stack,
     _set,
     _validate_stack,
     validate_state,
 )
-from .factories import _philox_streams
+from .factories import _density_stack, _philox_streams
 from .knowledge import BoundCheck, _bound_checks, _first
 
+# Must stay at or below -4 * VALIDATION_TOL: validate_state accepts
+# (1 + e)|Phi+><Phi+| - e|Phi-><Phi-| for e up to VALIDATION_TOL, and its
+# same-meter check (signal axes x and y, meter axis x) has slack -4e.
 SLACK_FLOOR = -1e-9
 # Trials drawn and screened together; memory is O(BLOCK), not O(trials).
 BLOCK = 1024
@@ -113,21 +118,16 @@ def _ancilla_dim(rng: np.random.Generator) -> int:
     return 1 + ((rng.bit_generator.random_raw() & 0xFFFFFFFF) >> 30)
 
 
-def _normalized(v: np.ndarray) -> np.ndarray:
-    """``row / np.linalg.norm(row)`` for each row of ``v``, bit for bit."""
-    return v / np.sqrt(_row_dot(v, v))[:, None]
-
-
 def _draw_block(seed: int, trials) -> tuple[np.ndarray, ...]:
     """The draws of ``trials`` stacked: the unvalidated states (N, 4, 4),
     then the signal axes s, s' and the meter axes m, m' (N, 3 each).
 
-    The states are built as one stack per ancilla dimension.  Each row
-    repeats, at the same strides, the operations that build one trial from
-    the public API (``q / |q|`` into :func:`rotation_from_quaternion`, its
-    columns and ``m / |m|`` into :class:`QubitMeasurement`; the norm of
-    complex amplitudes dots their strided real and imaginary views), so it
-    is the same bit for bit in any block.
+    Each row repeats the operations that build one trial from the public
+    API, on the stacks whose 1-stacks are :func:`random_state` (one stack
+    per ancilla dimension) and :func:`rotation_from_quaternion` (the frame of
+    ``q / |q|``, whose columns are s and s').  Each axis, ``m / |m|`` too, is
+    normalized as :class:`QubitMeasurement` does, so a row is the same bit
+    for bit in any block.
     """
     dims, draws = [], []
     for rng in _philox_streams(seed, trials):
@@ -141,18 +141,12 @@ def _draw_block(seed: int, trials) -> tuple[np.ndarray, ...]:
     for d in set(dims.tolist()):
         rows = np.flatnonzero(dims == d)
         parts = normals[(tail_start[rows] - 8 * d)[:, None] + np.arange(8 * d)]
-        amplitudes = parts[:, : 4 * d] + 1j * parts[:, 4 * d :]
-        re, im = amplitudes.real, amplitudes.imag
-        amplitudes /= np.sqrt(_row_dot(re, re) + _row_dot(im, im))[:, None]
-        amplitudes = amplitudes.reshape(-1, 4, d)
-        rho[rows] = amplitudes @ amplitudes.conj().swapaxes(1, 2)
+        rho[rows] = _density_stack(parts, d)
     tail = normals[tail_start[:, None] + np.arange(10)]
-    w, x, y, z = _normalized(_normalized(tail[:, :4])).T
-    # Columns 0 and 1 of rotation_from_quaternion.
-    s = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)], axis=1)
-    s_prime = np.stack([2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x)], axis=1)
+    frame = _rotation_stack(_normalized(tail[:, :4]))
+    s, s_prime = (_normalized(frame[:, :, k]) for k in (0, 1))
     m, m_prime = (_normalized(_normalized(tail[:, k : k + 3])) for k in (4, 7))
-    return rho, _normalized(s), _normalized(s_prime), m, m_prime
+    return rho, s, s_prime, m, m_prime
 
 
 def _screen(states, s, s_prime, m, m_prime) -> tuple[BoundCheck, BoundCheck]:

@@ -53,6 +53,19 @@ def coincidence_oracle(rho, m_axis, s_axis):
     )
 
 
+def quaternion_rotation(q):
+    """Rotation matrix of a quaternion (w, x, y, z) divided by its
+    ``np.linalg.norm``, entry by entry in float64 scalars."""
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
 def scalar_knowledge(form, m, s):
     """(K, P, D) of one meter axis ``m`` and signal axis ``s`` by the scalar
     closed forms on a Bloch form, with 1-D numpy and Python float operations:

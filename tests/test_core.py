@@ -1,6 +1,7 @@
 """Tests for state validation, Bloch decomposition, unitary maps, and measurements."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellbound as bb
-from conftest import PAULI, I2, axis_projectors, polarization_ket, random_unitary
+from bellbound.core import COMPLEMENTARITY_TOL
+from conftest import (
+    PAULI, I2, axis_projectors, polarization_ket, quaternion_rotation, random_unitary
+)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -261,6 +265,12 @@ class TestUnitaryFromRotation:
             with pytest.raises(bb.NotRotation, match="O\\^T O"):
                 bb.unitary_from_rotation(o)
 
+    def test_rotation_from_quaternion_equals_the_scalar_formula(self, rng):
+        scales = 10.0 ** rng.uniform(-150, 150, size=(2000, 1))
+        for q in np.vstack([rng.normal(size=(2000, 4)), rng.normal(size=(2000, 4)) * scales]):
+            o = bb.rotation_from_quaternion(q)
+            assert o.shape == (3, 3) and o.tobytes() == quaternion_rotation(q).tobytes()
+
     @pytest.mark.parametrize(
         "q", [[0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0], [np.inf, 0.0, 0.0, 0.0],
               [1e200, 1e200, 0.0, 0.0]],
@@ -354,6 +364,30 @@ class TestComplementarity:
             for pb in axis_projectors(b.axis):
                 overlap = float(np.trace(pa @ pb).real)
                 assert min(abs(overlap - 0.75), abs(overlap - 0.25)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "dot, complementary",
+        [
+            (COMPLEMENTARITY_TOL, True),
+            (np.nextafter(COMPLEMENTARITY_TOL, np.inf), False),
+            (np.nan, False),
+        ],
+        ids=["at-tolerance", "one-ulp-above", "nan"],
+    )
+    def test_are_complementary_agrees_with_check_bound(self, dot, complementary):
+        # b = (dot, 1, 0) has norm 1.0 in floating point, so a.b is exactly dot.
+        # A NaN axis never passes QubitMeasurement, so both take a stand-in.
+        a, b = (SimpleNamespace(axis=np.array(axis)) for axis in ([1.0, 0.0, 0.0], [dot, 1.0, 0.0]))
+        if not np.isnan(dot):
+            a, b = (bb.QubitMeasurement(pi.axis) for pi in (a, b))
+            assert float(a.axis @ b.axis) == dot
+        assert bb.are_complementary(a, b) is complementary
+        meter = bb.QubitMeasurement(np.array([0.0, 0.0, 1.0]))
+        if complementary:
+            bb.check_bound(bb.werner(0.5), a, b, meter, meter)
+        else:
+            with pytest.raises(bb.NotComplementary):
+                bb.check_bound(bb.werner(0.5), a, b, meter, meter)
 
 
 class TestConditionalDecomposition:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bellbound as bb
-from bellbound.factories import _density_matrix, _philox_streams
+from bellbound.factories import _philox_streams
 
 SQRT2 = np.sqrt(2.0)
 
@@ -120,9 +120,11 @@ def fresh_generator(seed, word):
 
 def former_random_state(seed, ancilla_dim):
     """``random_state`` as it was built before its stream was opened by
-    ``_philox_streams``: a new Philox per call."""
-    rng = fresh_generator(seed, ancilla_dim)
-    return bb.validate_state(_density_matrix(rng.normal(size=(2, 4, ancilla_dim))))
+    ``_philox_streams``: a new Philox per call, and one 4 x d state."""
+    normals = fresh_generator(seed, ancilla_dim).normal(size=(2, 4, ancilla_dim))
+    amplitudes = normals[0] + 1j * normals[1]
+    amplitudes /= np.linalg.norm(amplitudes)
+    return bb.validate_state(amplitudes @ amplitudes.conj().T)
 
 
 def assert_same_state(bit_generator, reference):

@@ -38,6 +38,80 @@ class TestFloatRendering:
         parsed = json.loads(dumps_json(doc))
         assert parsed == {"v": [1.5, 2.5], "i": 3, "x": 0.1}
 
+    def test_json_text_is_pinned_byte_for_byte(self):
+        class Record(dict):
+            pass
+
+        doc = Record(
+            flags=[True, False, None],
+            count=7,
+            np_count=np.int64(-3),
+            floats=[-0.0, 1e-300, 0.1, np.float64(2.5)],
+            text='a "quote", a \\ and a\nnewline\té',
+            matrix=np.array([[1.0, -0.5], [0.25, 3.0]]),
+            pair=(1, 2.0),
+            check=bb.BoundCheck(0.5, 2.0, 1.5, 2.8284271247461903),
+            empty={"object": {}, "array": [], "deeper": [[], [{}], {"inner": []}]},
+        )
+        assert dumps_json(doc) == PINNED_JSON
+
+    @pytest.mark.parametrize("value", [np.bool_(True), object()], ids=["np.bool_", "object"])
+    def test_values_without_a_json_form_raise_type_error(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps_json({"nested": [value]})
+
+
+PINNED_JSON = r"""{
+  "flags": [
+    true,
+    false,
+    null
+  ],
+  "count": 7,
+  "np_count": -3,
+  "floats": [
+    -0,
+    1e-300,
+    0.10000000000000001,
+    2.5
+  ],
+  "text": "a \"quote\", a \\ and a\nnewline\t\u00e9",
+  "matrix": [
+    [
+      1,
+      -0.5
+    ],
+    [
+      0.25,
+      3
+    ]
+  ],
+  "pair": [
+    1,
+    2
+  ],
+  "check": [
+    0.5,
+    2,
+    1.5,
+    2.8284271247461903
+  ],
+  "empty": {
+    "object": {},
+    "array": [],
+    "deeper": [
+      [],
+      [
+        {}
+      ],
+      {
+        "inner": []
+      }
+    ]
+  }
+}
+"""
+
 
 class TestStateFiles:
     def test_matrix_round_trip(self, tmp_path):

@@ -7,6 +7,7 @@ their input, TwoQubitState among them, reject it with the messages pinned
 here.
 """
 
+import importlib
 import math
 import pickle
 import re
@@ -273,3 +274,26 @@ def test_invalid_state_is_rejected_with_its_message(matrix, error, message):
     for build in (bb.TwoQubitState, bb.validate_state):
         with pytest.raises(error, match=re.escape(message)):
             build(matrix)
+
+
+@pytest.mark.parametrize(
+    "module, constant, build, quoted",
+    [
+        ("core", "VALIDATION_TOL", lambda: bb.NotHermitian(1.0), "(limit {})"),
+        ("core", "VALIDATION_TOL", lambda: bb.TraceNotOne(2.0), "(limit {})"),
+        ("core", "VALIDATION_TOL", lambda: bb.NotPositive(-1.0), "(limit -{})"),
+        ("core", "VALIDATION_TOL", lambda: bb.NotUnitary(1.0), "(limit {})"),
+        ("core", "COMPLEMENTARITY_TOL", lambda: bb.NotComplementary(0.5), "(limit {})"),
+        ("canonical", "REDUCTION_EIGENVALUE_FLOOR", lambda: bb.SingularReduction("signal", 0.0),
+         "(floor {})"),
+    ],
+    ids=["hermitian", "trace", "positive", "unitary", "complementary", "reduction"],
+)
+def test_each_message_quotes_the_tolerance_its_check_reads(
+    monkeypatch, module, constant, build, quoted
+):
+    module = importlib.import_module(f"bellbound.{module}")
+    assert quoted.format(getattr(module, constant)) in str(build())
+    # a changed tolerance changes the message with it
+    monkeypatch.setattr(module, constant, 2.5e-7)
+    assert quoted.format(2.5e-7) in str(build())

@@ -14,11 +14,12 @@ import pytest
 import bellbound as bb
 from bellbound import factories, verify
 from bellbound.cli import main
-from bellbound.core import _validate_stack
+from bellbound.core import VALIDATION_TOL, _validate_stack
 from bellbound.factories import _philox_streams
 from bellbound.io import dumps_json
 from bellbound.verify import (
     BLOCK,
+    SLACK_FLOOR,
     FuzzInstance,
     _ancilla_dim,
     _draw_block,
@@ -27,7 +28,7 @@ from bellbound.verify import (
     instance_to_json,
     run_trial,
 )
-from conftest import scalar_checks
+from conftest import quaternion_rotation, scalar_checks
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -57,8 +58,9 @@ def legacy_draw(rng):
 def legacy_measurements(quaternion, m, m_prime):
     """The signal pair and the meters of a legacy draw, built as a trial built
     them one at a time: s and s' are the first two columns of the rotation of
-    the normalized quaternion, and each meter direction is normalized."""
-    frame = bb.rotation_from_quaternion(quaternion / np.linalg.norm(quaternion))
+    the normalized quaternion, by the scalar formula of ``conftest``, and each
+    meter direction is normalized."""
+    frame = quaternion_rotation(quaternion / np.linalg.norm(quaternion))
     return (
         bb.QubitMeasurement(frame[:, 0]),
         bb.QubitMeasurement(frame[:, 1]),
@@ -298,6 +300,18 @@ class TestFuzzBounds:
         corrupted[1] = not_positive
         with pytest.raises(bb.NotPositive):
             screen(corrupted, s, s_prime, m, m_prime)
+
+
+def test_slack_floor_absorbs_every_state_within_the_validation_tolerance():
+    # (1 + e)|Phi+><Phi+| - e|Phi-><Phi-| has least eigenvalue -e, so it
+    # validates for e up to VALIDATION_TOL; its same-meter sum is (1 + 2e)^2
+    phi_plus, phi_minus = (np.outer(ket, ket.conj()) for ket in factories.BELL_KETS[:2])
+    x, y = (bb.QubitMeasurement(axis) for axis in np.eye(3)[:2])
+    for eps in np.linspace(0.0, 0.99 * VALIDATION_TOL, 34):
+        state = bb.validate_state((1 + eps) * phi_plus - eps * phi_minus)
+        slack = bb.check_same_meter_bound(state, x, y, x).slack
+        assert slack == pytest.approx(-4 * eps, abs=1e-15)
+        assert slack >= SLACK_FLOOR, eps
 
 
 def test_seeded_outputs_match_the_recorded_digests(tmp_path, monkeypatch):
