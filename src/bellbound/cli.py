@@ -136,6 +136,7 @@ def _flag(key: str) -> str:
 
 def _load_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,7 +149,9 @@ def _load_config_file(path: Path) -> dict[str, str]:
             raise ValueError(
                 f"{path}:{lineno}: config key {key!r} is not a parameter of any subcommand"
             )
-        values[key] = value.strip()
+        if key in lines:
+            raise ValueError(f"{path}: config key {key!r} is set on lines {lines[key]} and {lineno}")
+        values[key], lines[key] = value.strip(), lineno
     return values
 
 

@@ -159,10 +159,7 @@ class QubitMeasurement(_Frozen):
     __slots__ = ("axis", "degenerate")
 
     def __init__(self, axis: np.ndarray, degenerate: bool = False):
-        a = np.asarray(axis, dtype=float).reshape(3)
-        # math.hypot neither overflows nor warns
-        _require_unit(abs(math.hypot(*a.tolist()) - 1.0))
-        _set(self, "axis", _readonly(a / float(np.linalg.norm(a))))
+        _set(self, "axis", _readonly(_unit_axes(np.asarray(axis, dtype=float).reshape(1, 3))[0]))
         _set(self, "degenerate", degenerate)
 
     def __eq__(self, other):
@@ -176,15 +173,6 @@ class QubitMeasurement(_Frozen):
     def flipped(self) -> "QubitMeasurement":
         """Same measurement with the outcome labels swapped."""
         return QubitMeasurement(-self.axis, degenerate=self.degenerate)
-
-
-def _require_unit(deviation: float) -> None:
-    """Raise ValueError unless an axis's ``| |a| - 1 |`` is at most UNIT_AXIS_TOL; NaN fails."""
-    if not deviation <= UNIT_AXIS_TOL:
-        raise ValueError(
-            f"measurement axis must be a unit vector: | |a| - 1 | = {deviation:.3e}"
-            f" (limit {UNIT_AXIS_TOL})"
-        )
 
 
 class ConditionalDecomposition(_Frozen):
@@ -284,6 +272,22 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _normalized(v: np.ndarray) -> np.ndarray:
     """``row / np.linalg.norm(row)`` for each row of ``v``, bit for bit."""
     return v / np.sqrt(_row_dot(v, v))[:, None]
+
+
+def _unit_axes(a: np.ndarray) -> np.ndarray:
+    """The axis stack ``a`` (N, 3) with each row divided by its norm, as
+    ``_normalized`` does, once every row is checked: the first row with
+    ``| |a| - 1 |`` above UNIT_AXIS_TOL raises ValueError.  This is the one
+    rule for a measurement axis; :class:`QubitMeasurement` is its 1-stack."""
+    # An overflow leaves an inf norm, and a NaN fails the test.
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(_row_dot(a, a))
+    deviation = np.abs(norm - 1.0)
+    bad = ~(deviation <= UNIT_AXIS_TOL)
+    if bad.any():
+        raise ValueError(f"measurement axis must be a unit vector: | |a| - 1 | ="
+                         f" {deviation[np.argmax(bad)]:.3e} (limit {UNIT_AXIS_TOL})")
+    return a / norm[:, None]
 
 
 def recompose(form: BlochForm) -> TwoQubitState:
@@ -406,8 +410,15 @@ def measurement_from_polarization_angle(theta_deg: float) -> QubitMeasurement:
     The "+" outcome projects on ``cos(theta)|H> + sin(theta)|V>``; on the
     Bloch sphere the axis is ``(sin 2theta, 0, cos 2theta)``.
     """
-    theta = math.radians(float(theta_deg) % 180.0)
-    return QubitMeasurement(np.array([math.sin(2 * theta), 0.0, math.cos(2 * theta)]))
+    return QubitMeasurement(_analyzer_directions([theta_deg])[0])
+
+
+def _analyzer_directions(thetas_deg) -> np.ndarray:
+    """The Bloch directions ``(sin 2theta, 0, cos 2theta)`` of analyzers at
+    ``thetas_deg``, shape (N, 3), for :func:`_unit_axes` to check and normalize;
+    :func:`measurement_from_polarization_angle` is its 1-stack."""
+    doubled = [2 * math.radians(float(theta) % 180.0) for theta in thetas_deg]
+    return np.array([(math.sin(x), 0.0, math.cos(x)) for x in doubled]).reshape(-1, 3)
 
 
 def are_complementary(a: QubitMeasurement, b: QubitMeasurement) -> bool:

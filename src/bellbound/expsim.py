@@ -26,12 +26,13 @@ import numpy as np
 from .core import (
     QubitMeasurement,
     TwoQubitState,
+    _analyzer_directions,
     _correlation_stack,
     _Frozen,
     _integer,
     _is_integer,
     _set,
-    decompose,
+    _unit_axes,
     measurement_from_polarization_angle,
     validate_state,
 )
@@ -144,12 +145,6 @@ def signal_measurement(basis: str) -> QubitMeasurement:
     if basis == "xy":
         return measurement_from_polarization_angle(45.0)
     raise ValueError(f"unknown signal basis {basis!r}, expected one of {SIGNAL_BASES}")
-
-
-def _polarization_axes(thetas_deg) -> np.ndarray:
-    """Bloch axes of linear-polarization analyzers, shape (N, 3)."""
-    axes = [measurement_from_polarization_angle(theta).axis for theta in thetas_deg]
-    return np.array(axes).reshape(-1, 3)
 
 
 def _outcome_rows(axes: np.ndarray) -> np.ndarray:
@@ -376,14 +371,13 @@ def run_sweep_experiment(
     state = werner(p)
     angles = list(angles)
     signal_axes = {basis: signal_measurement(basis).axis for basis in {b for _, b in angles}}
-    meters = _polarization_axes([theta for theta, _ in angles])
+    meters = _unit_axes(_analyzer_directions([theta for theta, _ in angles]))
     signals = np.array([signal_axes[basis] for _, basis in angles]).reshape(-1, 3)
     if config is None:
-        from .knowledge import _form_stack, _knowledge_stack
+        from .knowledge import _knowledge_stack, _one
 
-        n, t = _form_stack(decompose(state), len(angles))
         records = [None] * len(angles)
-        estimates = zip(*(x.tolist() for x in _knowledge_stack(n, t, meters, signals)))
+        estimates = zip(*(x.tolist() for x in _knowledge_stack(*_one(state), meters, signals)))
     else:
         streams = range(len(angles)) if streams is None else streams
         records = _simulate_stack(state, meters, signals, config, streams)
@@ -401,13 +395,9 @@ def run_sweep_experiment(
 def simulate_bell_records(state: TwoQubitState, config: ExperimentConfig) -> tuple[CountRecord, ...]:
     """Simulated counts at the four Bell-angle pairs, from the streams at
     ``BELL_STREAM_OFFSET`` on (above those of the sweep points)."""
-    meter_degs, signal_degs = zip(*BELL_ANGLE_PAIRS)
+    meters, signals = (_unit_axes(_analyzer_directions(degs)) for degs in zip(*BELL_ANGLE_PAIRS))
     streams = range(BELL_STREAM_OFFSET, BELL_STREAM_OFFSET + len(BELL_ANGLE_PAIRS))
-    return tuple(
-        _simulate_stack(
-            state, _polarization_axes(meter_degs), _polarization_axes(signal_degs), config, streams
-        )
-    )
+    return tuple(_simulate_stack(state, meters, signals, config, streams))
 
 
 def bell_estimate_stderr(records) -> float:

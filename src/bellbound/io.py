@@ -156,6 +156,8 @@ def load_state(path) -> TwoQubitState:
     """
     document = "state file"
     data = read_json(path, document)
+    if "matrix" in data and "factory" in data:
+        raise ValueError("state file must contain either 'matrix' or 'factory', not both")
     if "matrix" in data:
         return validate_state(_read_key(data, "matrix", complex_matrix_from_json, document))
     if "factory" in data:

@@ -3,6 +3,7 @@
 Every quantity is evaluated in closed form on the Bloch decomposition
 ``(n, m, T)`` of the state, by one kernel over N instances (``n`` (N, 3),
 ``T`` (N, 3, 3), unit axes (N, 3)) whose 1-stacks are the public functions.
+One form, ``n`` (1, 3) and ``T`` (1, 3, 3), broadcasts against N axes.
 A row repeats one instance's operations, so it is the same bit for bit in
 any stack of C-contiguous ``n`` and ``T``.  The test suite checks these
 forms against a direct trace over the conditional meter states.
@@ -15,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    BlochForm,
     QubitMeasurement,
     TwoQubitState,
     _complementary_stack,
@@ -108,11 +108,6 @@ def _bound_checks(n, t, s, s_prime, m, m_prime) -> tuple[BoundCheck, BoundCheck]
         BoundCheck(total, bound, bound - total, b),
         BoundCheck(same, np.ones_like(b), 1.0 - same, b),
     )
-
-
-def _form_stack(form: BlochForm, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` (rows, 3) and ``T`` (rows, 3, 3) of one form, repeated on each row."""
-    return np.repeat(form.n[None], rows, axis=0), np.repeat(form.T[None], rows, axis=0)
 
 
 def _one(state: TwoQubitState, *measurements: QubitMeasurement) -> tuple[np.ndarray, ...]:
@@ -285,8 +280,8 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
     """
     form = decompose(state)
     u = np.linalg.svd(form.T)[0]
-    n, t = _form_stack(form, 2)
-    bound = (float(_bell_max_stack(t[:1])[0]) / 2.0) ** 2
+    n, t = form.n[None], form.T[None]
+    bound = (float(_bell_max_stack(t)[0]) / 2.0) ** 2
     seeds = np.ascontiguousarray(u[:, :2].T)
     excess = np.subtract(*_distinguishability_stack(n, t, seeds))
     if (excess**2).sum() >= bound - CERTIFY_TOL:
@@ -300,7 +295,7 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
         path = "searched"
     pi_s = QubitMeasurement(s)
     pi_s_prime = QubitMeasurement(s_prime)
-    pi_m, pi_m_prime = (_optimal_meter(t[:1], pi.axis[None]) for pi in (pi_s, pi_s_prime))
+    pi_m, pi_m_prime = (_optimal_meter(t, pi.axis[None]) for pi in (pi_s, pi_s_prime))
     axes = (pi.axis[None] for pi in (pi_s, pi_s_prime, pi_m, pi_m_prime))
-    check = _first(_bound_checks(n[:1], t[:1], *axes)[0])
+    check = _first(_bound_checks(n, t, *axes)[0])
     return ExcessOptimum(pi_s, pi_s_prime, pi_m, pi_m_prime, check, path, evaluations)

@@ -32,9 +32,9 @@ from .core import (
     _integer,
     _normalized,
     _readonly,
-    _require_unit,
     _rotation_stack,
     _set,
+    _unit_axes,
     _validate_stack,
     validate_state,
 )
@@ -125,9 +125,9 @@ def _draw_block(seed: int, trials) -> tuple[np.ndarray, ...]:
     Each row repeats the operations that build one trial from the public
     API, on the stacks whose 1-stacks are :func:`random_state` (one stack
     per ancilla dimension) and :func:`rotation_from_quaternion` (the frame of
-    ``q / |q|``, whose columns are s and s').  Each axis, ``m / |m|`` too, is
-    normalized as :class:`QubitMeasurement` does, so a row is the same bit
-    for bit in any block.
+    ``q / |q|``, whose columns are s and s').  Each axis, ``m / |m|`` too,
+    goes through :func:`_unit_axes`, the check and normalization whose 1-stack
+    is :class:`QubitMeasurement`, so a row is the same bit for bit in any block.
     """
     dims, draws = [], []
     for rng in _philox_streams(seed, trials):
@@ -144,17 +144,15 @@ def _draw_block(seed: int, trials) -> tuple[np.ndarray, ...]:
         rho[rows] = _density_stack(parts, d)
     tail = normals[tail_start[:, None] + np.arange(10)]
     frame = _rotation_stack(_normalized(tail[:, :4]))
-    s, s_prime = (_normalized(frame[:, :, k]) for k in (0, 1))
-    m, m_prime = (_normalized(_normalized(tail[:, k : k + 3])) for k in (4, 7))
+    s, s_prime = (_unit_axes(frame[:, :, k]) for k in (0, 1))
+    m, m_prime = (_unit_axes(_normalized(tail[:, k : k + 3])) for k in (4, 7))
     return rho, s, s_prime, m, m_prime
 
 
 def _screen(states, s, s_prime, m, m_prime) -> tuple[BoundCheck, BoundCheck]:
     """Both bound checks of a block of validated states (N, 4, 4) and its
-    drawn axes, as BoundChecks of (N,) arrays, after checking the axes as
-    :class:`QubitMeasurement` does, with its error and tolerance."""
-    # np.max keeps a NaN, which fails the check.
-    _require_unit(float(np.max(np.abs(np.linalg.norm([s, s_prime, m, m_prime], axis=-1) - 1.0))))
+    unit axes, checked where they were drawn or read, as BoundChecks of (N,)
+    arrays."""
     corr = _correlation_stack(states)
     # C-contiguous as in a BlochForm, so each row is computed as in a 1-stack.
     n, t = np.ascontiguousarray(corr[:, 1:, 0]), np.ascontiguousarray(corr[:, 1:, 1:])

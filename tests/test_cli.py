@@ -321,6 +321,14 @@ class TestSweep:
             assert err.startswith("error:") and err.count("\n") == 1
             assert "'bogus_key'" in err
 
+    def test_repeated_config_key_exits_1_and_names_both_lines(self, tmp_path, capsys):
+        # the last value was kept: this ran 7 trials
+        config = tmp_path / "conf.txt"
+        config.write_text("trials = 5\n# seed = 3\nseed = 2\ntrials = 7\n")
+        code, out, err = run_cli(["verify", "--config", config], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {config}: config key 'trials' is set on lines 1 and 4\n"
+
     def test_config_key_of_another_subcommand_is_allowed(self, tmp_path, capsys):
         # one config file may serve several subcommands
         config = tmp_path / "conf.txt"
@@ -896,6 +904,10 @@ class TestVerify:
             ("signal_axis_prime", [0.0, float("nan"), 0.0]),
             ("meter_axis", [1e308, 1e308, 0.0]),
             ("meter_axis_prime", [float("inf"), 0.0, 0.0]),
+            # its square overflows, or underflows to 0, or is NaN
+            ("signal_axis", [1e200, 0.0, 0.0]),
+            ("signal_axis_prime", [1e-200, 0.0, 0.0]),
+            ("meter_axis_prime", [float("nan"), 0.0, 0.0]),
             ("signal_axis", [True, False, False]),
             ("signal_axis", [[1.0, 0.0, 0.0]]),
         ],

@@ -1,5 +1,6 @@
 """Tests for state validation, Bloch decomposition, unitary maps, and measurements."""
 
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellbound as bb
-from bellbound.core import COMPLEMENTARITY_TOL
+from bellbound.core import COMPLEMENTARITY_TOL, _analyzer_directions, _unit_axes
 from conftest import (
     PAULI, I2, axis_projectors, polarization_ket, quaternion_rotation, random_unitary
 )
@@ -297,6 +298,20 @@ class TestMeasurements:
             atol=1e-15,
         )
 
+    def test_grid_axes_equal_the_scalar_formula_bit_for_bit(self):
+        # the 0.1-degree grid and angles outside [0, 180), each axis
+        # (sin 2theta, 0, cos 2theta) divided by its np.linalg.norm
+        thetas = [round(0.1 * k, 10) for k in range(901)] + [-30.0, 200.5, 1e6]
+        expected = []
+        for theta in thetas:
+            doubled = 2 * math.radians(theta % 180.0)
+            axis = np.array([math.sin(doubled), 0.0, math.cos(doubled)])
+            expected.append(axis / np.linalg.norm(axis))
+        grid = _unit_axes(_analyzer_directions(thetas))
+        assert grid.tobytes() == np.array(expected).tobytes()
+        single = [bb.measurement_from_polarization_angle(theta).axis for theta in thetas]
+        assert np.array(single).tobytes() == grid.tobytes()
+
     @given(st.floats(min_value=-720, max_value=720, allow_nan=False))
     @settings(max_examples=50, derandomize=True, deadline=None)
     def test_angle_taken_mod_180(self, theta):
@@ -332,6 +347,7 @@ class TestMeasurements:
             [np.inf, 0.0, 0.0],
             [1e308, 1e308, 0.0],
             [1e200, 0.0, 0.0],
+            [1e-200, 0.0, 0.0],
         ],
     )
     def test_rejects_non_finite_and_overflowing_axes_without_warning(self, axis):

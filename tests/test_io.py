@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bellbound as bb
-from bellbound.cli import _csv_chunks
+from bellbound.cli import _csv_chunks, main
 from bellbound.io import (
     StageClock,
     bloch_to_json,
@@ -153,6 +153,18 @@ class TestStateFiles:
         path.write_text('{"stuff": 1}')
         with pytest.raises(ValueError, match="matrix.*factory|factory.*matrix"):
             load_state(path)
+
+    def test_matrix_and_factory_together_rejected(self, tmp_path, capsys):
+        # the matrix was used and the factory silently ignored
+        path = tmp_path / "both.json"
+        write_json(path, {"matrix": (np.eye(4) / 4).real.tolist(), "factory": "werner", "p": 0.5})
+        with pytest.raises(ValueError, match="either 'matrix' or 'factory', not both"):
+            load_state(path)
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error:") and "'matrix'" in captured.err
+        assert "'factory'" in captured.err
 
     @pytest.mark.parametrize(
         "document, key",

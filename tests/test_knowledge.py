@@ -260,6 +260,19 @@ class TestKernel:
                 state, pi_s, pi_s_prime, pi_m, pi_m_prime
             )
 
+    def test_one_form_broadcasts_against_a_stack_of_axes(self, rng):
+        # n (1, 3) and T (1, 3, 3) against 37 axis pairs, as a sweep and the
+        # optimizer call the kernel, equal the scalar forms row by row
+        knowledge = importlib.import_module("bellbound.knowledge")
+        for seed in range(40):
+            form = bb.decompose(bb.random_state(seed, 1 + seed % 4))
+            m, s = (np.array([random_unit_vector(rng) for _ in range(37)]) for _ in range(2))
+            n, t = form.n[None], form.T[None]
+            k, p = knowledge._knowledge_stack(n, t, m, s)
+            d = knowledge._distinguishability_stack(n, t, s)[0]
+            rows = [scalar_knowledge(form, m_axis, s_axis) for m_axis, s_axis in zip(m, s)]
+            assert np.column_stack([k, p, d]).tolist() == [list(row) for row in rows]
+
     def test_the_first_overlapping_row_is_reported(self):
         s = np.tile([1.0, 0.0, 0.0], (4, 1))
         s_prime = np.array([[0.0, 1.0, 0.0], [0.6, 0.8, 0.0], [0.8, 0.6, 0.0], [np.nan, 0.0, 0.0]])

@@ -242,6 +242,8 @@ def test_qubit_measurement_equality_ignores_degenerate():
          "measurement axis must be a unit vector: | |a| - 1 | = 4.142e-01 (limit 1e-12)"),
         ("QubitMeasurement", {"axis": [math.nan, 0.0, 1.0]},
          "measurement axis must be a unit vector: | |a| - 1 | = nan (limit 1e-12)"),
+        ("QubitMeasurement", {"axis": [1e200, 0.0, 0.0]},
+         "measurement axis must be a unit vector: | |a| - 1 | = inf (limit 1e-12)"),
     ],
 )
 def test_invalid_input_is_rejected_with_its_message(cls, kwargs, message):

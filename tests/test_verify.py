@@ -14,7 +14,7 @@ import pytest
 import bellbound as bb
 from bellbound import factories, verify
 from bellbound.cli import main
-from bellbound.core import VALIDATION_TOL, _validate_stack
+from bellbound.core import VALIDATION_TOL, _unit_axes, _validate_stack
 from bellbound.factories import _philox_streams
 from bellbound.io import dumps_json
 from bellbound.verify import (
@@ -288,18 +288,62 @@ class TestFuzzBounds:
             screen_with(0, rho[0] + np.triu(np.ones((4, 4)), 1) * 1e-6, 0)()
         with pytest.raises(bb.NotComplementary):
             screen_with(6, s[6], 2)()
-        with pytest.raises(ValueError, match="unit vector"):
-            screen_with(2, 2.0 * m[2], 3)()
-        # a NaN fails every check instead of passing it
-        for target in (1, 2, 3, 4):
-            with pytest.raises(ValueError, match="unit vector"):
-                screen_with(4, [np.nan, 0.0, 0.0], target)()
         # the first invalid state decides the error, as in a trial-by-trial run
         corrupted = rho.copy()
         corrupted[2] = 1.1 * rho[2]
         corrupted[1] = not_positive
         with pytest.raises(bb.NotPositive):
             screen(corrupted, s, s_prime, m, m_prime)
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_corrupted_axis_stack_raises_the_scalar_error(slot):
+    # the axes are checked once, as _draw_block produces them, by the check
+    # whose 1-stack is QubitMeasurement; the screen does not check them again
+    axes = _draw_block(SEED, np.arange(8))[1 + slot]
+    # a doubled axis, and a NaN, which fails the check instead of passing it
+    for index, value in ((2, 2.0 * axes[2]), (4, [np.nan, 0.0, 0.0])):
+        corrupted = axes.copy()
+        corrupted[index] = value
+        with pytest.raises(ValueError, match="unit vector") as stacked:
+            _unit_axes(corrupted)
+        with pytest.raises(ValueError) as scalar:
+            bb.QubitMeasurement(corrupted[index])
+        assert str(stacked.value) == str(scalar.value)
+
+
+def test_a_measurement_and_a_drawn_stack_share_one_unit_axis_verdict():
+    # 200,000 unit vectors scaled by 1 + 1e-12 * (0.999..1.001), within
+    # rounding of UNIT_AXIS_TOL: when QubitMeasurement tested math.hypot and
+    # the fuzz screen np.linalg.norm, 4,276 of them got opposite verdicts
+    rng = np.random.default_rng(22)
+    v = rng.normal(size=(200_000, 3))
+    scale = 1 + 1e-12 * rng.uniform(0.999, 1.001, len(v))
+    rows = v / np.linalg.norm(v, axis=1)[:, None] * scale[:, None]
+    axes = {}
+    for i, row in enumerate(rows):
+        with contextlib.suppress(ValueError):
+            axes[i] = bb.QubitMeasurement(row).axis
+    accepted = np.zeros(len(rows), dtype=bool)
+    accepted[list(axes)] = True
+    assert 0.4 < accepted.mean() < 0.6
+    # the stack accepts the rows a measurement accepts, with the same bits
+    assert _unit_axes(rows[accepted]).tobytes() == np.array(list(axes.values())).tobytes()
+    # and rejects each of the others; a block fails at its first one
+    def stack_accepts(row):
+        try:
+            _unit_axes(row[None])
+        except ValueError:
+            return False
+        return True
+
+    assert not any(map(stack_accepts, rows[~accepted]))
+    first = int(np.argmin(accepted))
+    with pytest.raises(ValueError) as stacked:
+        _unit_axes(rows)
+    with pytest.raises(ValueError) as scalar:
+        bb.QubitMeasurement(rows[first])
+    assert str(stacked.value) == str(scalar.value)
 
 
 def test_slack_floor_absorbs_every_state_within_the_validation_tolerance():
