@@ -18,6 +18,7 @@ from .core import (
     _Frozen,
     _integer,
     _readonly,
+    _real,
     _set,
 )
 from .errors import NoConvergence, SingularReduction
@@ -175,9 +176,10 @@ def filter_normal_form(
     where a local filter is a Lorentz boost (Verstraete, Dehaene & De Moor, PRA 64,
     010101(R), 2001; see ``_half_step``).  A final canonical rotation (skipped when
     T is already diagonal) brings the state to Bell-diagonal form with a Bell
-    factor at least as large as the input's.  ``tol`` must be a finite number > 0
-    and ``max_iter`` an integer, at least 1 (ValueError).
+    factor at least as large as the input's.  ``tol`` must be a finite int or
+    float > 0 and ``max_iter`` an integer, at least 1 (ValueError).
     """
+    tol = _real(tol, "filter tol")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"filter tol must be a finite number > 0, got {tol}")
     if _integer(max_iter, "filter max_iter") < 1:

@@ -18,6 +18,7 @@ be shared freely between threads.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -51,6 +52,25 @@ def _integer(value, name: str) -> int:
     if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value``, a ``numbers.Real`` other than a bool (int and float, tested first, skip the
+    slow ABC check), as a float; else, or for an int too large for a float, ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"integer too large for a float: {name}") from None
+
+
+def _angle(value, name: str) -> float:
+    """An angle in degrees by :func:`_real`; a NaN or infinite one raises a ValueError naming it."""
+    theta = _real(value, name)
+    if not math.isfinite(theta):
+        raise ValueError(f"{name} must be a finite angle, got {theta}")
+    return theta
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -405,10 +425,10 @@ def unitary_from_rotation(o) -> np.ndarray:
 
 
 def measurement_from_polarization_angle(theta_deg: float) -> QubitMeasurement:
-    """Linear-polarization analyzer at ``theta`` degrees from horizontal.
+    """Linear-polarization analyzer at ``theta_deg``, a finite int or float.
 
-    The "+" outcome projects on ``cos(theta)|H> + sin(theta)|V>``; on the
-    Bloch sphere the axis is ``(sin 2theta, 0, cos 2theta)``.
+    The "+" outcome projects on ``cos(theta)|H> + sin(theta)|V>`` (theta from
+    horizontal); on the Bloch sphere the axis is ``(sin 2theta, 0, cos 2theta)``.
     """
     return QubitMeasurement(_analyzer_directions([theta_deg])[0])
 
@@ -417,7 +437,7 @@ def _analyzer_directions(thetas_deg) -> np.ndarray:
     """The Bloch directions ``(sin 2theta, 0, cos 2theta)`` of analyzers at
     ``thetas_deg``, shape (N, 3), for :func:`_unit_axes` to check and normalize;
     :func:`measurement_from_polarization_angle` is its 1-stack."""
-    doubled = [2 * math.radians(float(theta) % 180.0) for theta in thetas_deg]
+    doubled = [2 * math.radians(_angle(theta, "analyzer angle") % 180.0) for theta in thetas_deg]
     return np.array([(math.sin(x), 0.0, math.cos(x)) for x in doubled]).reshape(-1, 3)
 
 

@@ -31,6 +31,7 @@ from .core import (
     _Frozen,
     _integer,
     _is_integer,
+    _real,
     _set,
     _unit_axes,
     measurement_from_polarization_angle,
@@ -83,9 +84,9 @@ class CountRecord(_Frozen):
 class ExperimentConfig(_Frozen):
     """Noise model parameters for one measurement point.
 
-    ``pair_rate`` is the detected coincidence-pair rate (detector efficiency
-    already folded in) and ``dark_coincidence_rate`` the accidental rate per
-    outcome channel, both in 1/s.  ``seed`` is an integer of any sign and size.
+    ``pair_rate``, the detected pair rate (detector efficiency folded in), and
+    ``dark_coincidence_rate``, the accidental rate per outcome channel, are in
+    1/s; they and ``duration`` are finite ints or floats >= 0, ``seed`` any integer.
     """
 
     __slots__ = ("pair_rate", "duration", "dark_coincidence_rate", "seed")
@@ -95,6 +96,7 @@ class ExperimentConfig(_Frozen):
     ):
         # Written so that a NaN fails each check.
         for name, value in zip(self.__slots__, (pair_rate, duration, dark_coincidence_rate)):
+            value = _real(value, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
             _set(self, name, value)
@@ -107,23 +109,21 @@ class MixingModel(_Frozen):
     ``visibility`` is the two-photon interference visibility of the singlet
     component; the weights are the effective mixing fractions (proportional
     to rate x duration of each input configuration) of the interferometric
-    component and the two parallel-polarization components.
+    component and the two parallel-polarization components, each an int or float.
     """
 
     __slots__ = ("visibility", "w_singlet", "w_hh", "w_vv")
 
     def __init__(self, visibility: float, w_singlet: float, w_hh: float, w_vv: float):
+        visibility, *weights = map(_real, (visibility, w_singlet, w_hh, w_vv), self.__slots__)
         if not -1e-12 <= visibility <= 1.0 + 1e-12:
             raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-        weights = (w_singlet, w_hh, w_vv)
         if not all(weight >= -1e-12 for weight in weights):
-            raise ValueError(f"mixing weights must be non-negative, got {weights}")
+            raise ValueError(f"mixing weights must be non-negative, got {tuple(weights)}")
         if not abs(sum(weights) - 1.0) <= 1e-10:
             raise ValueError(f"mixing weights must sum to 1, got {sum(weights)!r}")
-        _set(self, "visibility", visibility)
-        _set(self, "w_singlet", w_singlet)
-        _set(self, "w_hh", w_hh)
-        _set(self, "w_vv", w_vv)
+        for name, value in zip(self.__slots__, (visibility, *weights)):
+            _set(self, name, value)
 
 
 class SweepPoint(NamedTuple):
@@ -332,18 +332,16 @@ def mixing_model_from_schedule(visibility: float, durations, rates) -> MixingMod
     if not 0 < total < math.inf:
         raise ValueError(f"schedule yields total weight {total}, expected a positive finite number")
     weights = weights / total
-    return MixingModel(
-        visibility=float(visibility), w_singlet=weights[0], w_hh=weights[1], w_vv=weights[2]
-    )
+    return MixingModel(visibility, *weights)
 
 
 def werner_mixing_model(p: float) -> MixingModel:
     """Mixing-protocol parameters that prepare a Werner state of parameter ``p``.
 
     Inverse of :func:`mixed_state_from_model` on the Werner family:
-    V = 2p/(1+p), w_singlet = (1+p)/2, w_hh = w_vv = (1-p)/4.
+    V = 2p/(1+p), w_singlet = (1+p)/2, w_hh = w_vv = (1-p)/4, for an int or float p.
     """
-    p = float(p)
+    p = _real(p, "p")
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"mixing protocol requires 0 <= p <= 1, got {p}")
     return MixingModel(

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TwoQubitState, _integer, _row_dot, validate_state
+from .core import TwoQubitState, _angle, _integer, _real, _row_dot, validate_state
 from .errors import NotAProbabilityVector, OutOfRange
 
 KET_HH = np.array([1, 0, 0, 0], dtype=complex)
@@ -46,18 +46,18 @@ class WernerPrediction(NamedTuple):
 
 
 def _werner_p(p: float) -> float:
-    """``p`` as a float; OutOfRange outside [-1/3, 1], the positivity interval."""
-    p = float(p)
+    """``p`` by :func:`core._real`; OutOfRange outside [-1/3, 1], the positivity interval."""
+    p = _real(p, "werner parameter p")
     if not (WERNER_P_MIN - 1e-12 <= p <= WERNER_P_MAX + 1e-12):
         raise OutOfRange(f"werner parameter p = {p} outside [-1/3, 1]")
     return p
 
 
 def werner(p: float) -> TwoQubitState:
-    """Werner state: singlet fraction ``p`` mixed with white noise.
+    """Werner state: singlet fraction ``p``, an int or float, mixed with white noise.
 
     Valid over the full positivity interval -1/3 <= p <= 1 (negative p flips
-    the sign of the correlation matrix).
+    the sign of the correlation matrix); OutOfRange outside it.
     """
     p = _werner_p(p)
     singlet = np.outer(BELL_KETS[3], BELL_KETS[3].conj())
@@ -143,15 +143,15 @@ def random_state(seed: int, ancilla_dim: int) -> TwoQubitState:
 
 
 def werner_prediction(p: float, theta_deg: float, theta_prime_deg: float) -> WernerPrediction:
-    """Theoretical knowledge quantities for a Werner state.
+    """Theoretical knowledge quantities for a Werner state, ``p`` as in :func:`werner`.
 
     K is evaluated for the H/V signal basis with the meter analyzer at
-    ``theta``; K' for the X/Y basis with the analyzer at ``theta_prime``:
+    ``theta``; K' for the X/Y basis at ``theta_prime`` (finite ints or floats):
     K = p|cos 2theta|, K' = p|sin 2theta'|, P = P' = 0, B_max = 2 sqrt(2) p.
     """
     p = _werner_p(p)
-    theta = math.radians(theta_deg)
-    theta_prime = math.radians(theta_prime_deg)
+    theta = math.radians(_angle(theta_deg, "theta_deg"))
+    theta_prime = math.radians(_angle(theta_prime_deg, "theta_prime_deg"))
     return WernerPrediction(
         K=abs(p * math.cos(2 * theta)),
         K_prime=abs(p * math.sin(2 * theta_prime)),

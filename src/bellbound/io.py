@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import BlochForm, TwoQubitState, validate_state
+from .core import BlochForm, TwoQubitState, _integer, _real, validate_state
 from .factories import bell_diagonal, random_state, werner
 
 if TYPE_CHECKING:  # annotations only: io loads neither module
@@ -68,46 +68,25 @@ def complex_matrix_to_json(matrix) -> list[list[dict]]:
     return [[{"re": float(cell.real), "im": float(cell.imag)} for cell in row] for row in m]
 
 
-def _json_float(value) -> float:
-    """A JSON number as a float; booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ValueError("integer too large for a float") from exc
-
-
-def _json_int(value) -> int:
-    """A JSON integer; floats are not truncated and booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _json_floats(value) -> np.ndarray:
     """A JSON list of numbers as a float array."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {value!r}")
-    return np.array([_json_float(v) for v in value], dtype=float)
+    return np.array([_real(v, "list entry") for v in value], dtype=float)
 
 
 def _cell_to_complex(cell) -> complex:
-    if isinstance(cell, dict):
-        unknown = set(cell) - {"re", "im"}
-        if unknown:
-            raise ValueError(f"matrix cell has unknown keys {sorted(unknown)}")
-        return complex(_json_float(cell.get("re", 0.0)), _json_float(cell.get("im", 0.0)))
-    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-        return complex(_json_float(cell), 0.0)
-    raise ValueError(f"matrix cell must be a number or {{'re':..,'im':..}}, got {cell!r}")
+    cell = cell if isinstance(cell, dict) else {"re": cell}
+    unknown = set(cell) - {"re", "im"}
+    if unknown:
+        raise ValueError(f"matrix cell has unknown keys {sorted(unknown)}")
+    return complex(*(_real(cell.get(part, 0.0), f"matrix cell {part}") for part in ("re", "im")))
 
 
-def complex_matrix_from_json(data, shape=(4, 4)) -> np.ndarray:
-    rows = list(data)
-    matrix = np.array([[_cell_to_complex(cell) for cell in row] for row in rows], dtype=complex)
-    if matrix.shape != shape:
-        raise ValueError(f"expected matrix of shape {shape}, got {matrix.shape}")
+def complex_matrix_from_json(data) -> np.ndarray:
+    matrix = np.array([[_cell_to_complex(cell) for cell in row] for row in data], dtype=complex)
+    if matrix.shape != (4, 4):
+        raise ValueError(f"expected matrix of shape (4, 4), got {matrix.shape}")
     return matrix
 
 
@@ -144,6 +123,13 @@ def _read_key(data: dict, key: str, convert, document: str, default=None):
         raise ValueError(f"{document} key {key!r} is malformed: {exc}") from exc
 
 
+def _check_keys(data: dict, form: str, keys: tuple) -> None:
+    """ValueError naming the keys of a state file that its ``form`` does not read."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"state file has unknown keys {unknown}: a {form} reads only {list(keys)}")
+
+
 def load_state(path) -> TwoQubitState:
     """Read a state file: either an explicit matrix or a named factory.
 
@@ -153,22 +139,29 @@ def load_state(path) -> TwoQubitState:
         {"factory": "werner", "p": 0.82}
         {"factory": "bell_diagonal", "lambdas": [.., .., .., ..]}
         {"factory": "random", "seed": 7, "ancilla_dim": 4}
+
+    A key that the file's form does not read raises ValueError naming it.
     """
     document = "state file"
     data = read_json(path, document)
     if "matrix" in data and "factory" in data:
         raise ValueError("state file must contain either 'matrix' or 'factory', not both")
     if "matrix" in data:
+        _check_keys(data, "matrix file", ("matrix",))
         return validate_state(_read_key(data, "matrix", complex_matrix_from_json, document))
     if "factory" in data:
         name = data["factory"]
         if name == "werner":
-            return werner(_read_key(data, "p", _json_float, document))
+            _check_keys(data, "werner factory", ("factory", "p"))
+            return _read_key(data, "p", werner, document)
         if name == "bell_diagonal":
+            _check_keys(data, "bell_diagonal factory", ("factory", "lambdas"))
             return bell_diagonal(_read_key(data, "lambdas", _json_floats, document))
         if name == "random":
-            seed = _read_key(data, "seed", _json_int, document)
-            return random_state(seed, _read_key(data, "ancilla_dim", _json_int, document, 4))
+            _check_keys(data, "random factory", ("factory", "seed", "ancilla_dim"))
+            seed = _read_key(data, "seed", lambda v: _integer(v, "seed"), document)
+            dim = _read_key(data, "ancilla_dim", lambda v: _integer(v, "ancilla_dim"), document, 4)
+            return random_state(seed, dim)
         raise ValueError(f"unknown state factory {name!r}")
     raise ValueError("state file must contain either 'matrix' or 'factory'")
 

@@ -172,6 +172,7 @@ class TestStateFiles:
             ('{"factory": "werner", "p": 1%s}', "p"),
             ('{"matrix": [[1%s, 0, 0, 0], [0,0,0,0], [0,0,0,0], [0,0,0,0]]}', "matrix"),
             ('{"factory": "bell_diagonal", "lambdas": [1%s, 0, 0, 0]}', "lambdas"),
+            ('{"matrix": [[{"im": 1%s}, 0, 0, 0], [0,0,0,0], [0,0,0,0], [0,0,0,0]]}', "matrix"),
         ],
     )
     def test_integer_too_large_for_a_float_names_its_key(self, tmp_path, document, key):
@@ -180,6 +181,51 @@ class TestStateFiles:
         path.write_text(document % ("0" * 400))
         with pytest.raises(ValueError, match=f"key '{key}' is malformed: integer too large"):
             load_state(path)
+
+    @pytest.mark.parametrize(
+        "document, unknown",
+        [
+            # the misspelling once gave the default ancilla_dim, a rank-4 state
+            ({"factory": "random", "seed": 7, "ancila_dim": 2}, ["ancila_dim"]),
+            ({"factory": "werner", "p": 0.5, "lambdas": [0.25] * 4}, ["lambdas"]),
+            ({"factory": "bell_diagonal", "lambdas": [0.25] * 4, "p": 1, "seed": 2}, ["p", "seed"]),
+            ({"matrix": (np.eye(4) / 4).tolist(), "p": 0.5}, ["p"]),
+        ],
+        ids=["random", "werner", "bell_diagonal", "matrix"],
+    )
+    def test_keys_the_form_does_not_read_are_rejected(self, tmp_path, capsys, document, unknown):
+        path = tmp_path / "state.json"
+        write_json(path, document)
+        with pytest.raises(ValueError, match=re.escape(f"state file has unknown keys {unknown}")):
+            load_state(path)
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: state file has unknown keys")
+        assert all(repr(key) in captured.err for key in unknown)
+
+    @pytest.mark.parametrize(
+        "document, key, name",
+        [
+            ('{"factory": "werner", "p": %s}', "p", "werner parameter p"),
+            ('{"factory": "random", "seed": %s}', "seed", "seed"),
+            ('{"factory": "random", "seed": 1, "ancilla_dim": %s}', "ancilla_dim", "ancilla_dim"),
+            ('{"factory": "bell_diagonal", "lambdas": [%s, 0, 0, 0]}', "lambdas", "list entry"),
+            ('{"matrix": [[%s, 0, 0, 0], [0,0,0,0], [0,0,0,0], [0,0,0,0]]}', "matrix",
+             "matrix cell re"),
+            ('{"matrix": [[{"im": %s}, 0, 0, 0], [0,0,0,0], [0,0,0,0], [0,0,0,0]]}', "matrix",
+             "matrix cell im"),
+        ],
+        ids=["p", "seed", "ancilla_dim", "lambdas", "cell", "cell-im"],
+    )
+    @pytest.mark.parametrize("value", ["true", '"0.5"', "null"])
+    def test_each_number_passes_the_library_rule(self, tmp_path, document, key, name, value):
+        # one rule, core._real or core._integer, in the library and in the file
+        path = tmp_path / "state.json"
+        path.write_text(document % value)
+        with pytest.raises(ValueError, match=f"^state file key '{key}' is malformed: ") as caught:
+            load_state(path)
+        assert name in str(caught.value)
 
     @pytest.mark.parametrize(
         "text, message",

@@ -11,6 +11,7 @@ import importlib
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -299,3 +300,95 @@ def test_each_message_quotes_the_tolerance_its_check_reads(
     # a changed tolerance changes the message with it
     monkeypatch.setattr(module, constant, 2.5e-7)
     assert quoted.format(2.5e-7) in str(build())
+
+
+# Every function that takes a scalar from its caller, with the name its
+# messages give it.  Each reads the scalar through core._real (or, for an
+# angle, core._angle) once.
+SCALAR_SITES = {
+    "werner": (bb.werner, "werner parameter p"),
+    "werner_prediction.p": (lambda v: bb.werner_prediction(v, 0.0, 0.0), "werner parameter p"),
+    "werner_prediction.theta_deg": (lambda v: bb.werner_prediction(0.82, v, 0.0), "theta_deg"),
+    "werner_prediction.theta_prime_deg": (
+        lambda v: bb.werner_prediction(0.82, 0.0, v), "theta_prime_deg"
+    ),
+    "measurement_from_polarization_angle": (
+        bb.measurement_from_polarization_angle, "analyzer angle"
+    ),
+    "run_sweep_experiment.angle": (
+        lambda v: bb.run_sweep_experiment(0.82, [(v, "hv")], None), "analyzer angle"
+    ),
+    "werner_mixing_model": (bb.werner_mixing_model, "p"),
+    "MixingModel.visibility": (lambda v: bb.MixingModel(v, 1.0, 0.0, 0.0), "visibility"),
+    "MixingModel.w_singlet": (lambda v: bb.MixingModel(1.0, v, 0.5, 0.5), "w_singlet"),
+    "MixingModel.w_hh": (lambda v: bb.MixingModel(1.0, 0.5, v, 0.5), "w_hh"),
+    "MixingModel.w_vv": (lambda v: bb.MixingModel(1.0, 0.5, 0.5, v), "w_vv"),
+    "mixing_model_from_schedule.visibility": (
+        lambda v: bb.mixing_model_from_schedule(v, [20, 10, 8], [0.04, 0.01, 0.0125]),
+        "visibility",
+    ),
+    "ExperimentConfig.pair_rate": (lambda v: bb.ExperimentConfig(v, 1.0), "pair_rate"),
+    "ExperimentConfig.duration": (lambda v: bb.ExperimentConfig(1.0, v), "duration"),
+    "ExperimentConfig.dark_coincidence_rate": (
+        lambda v: bb.ExperimentConfig(1.0, 1.0, v), "dark_coincidence_rate"
+    ),
+    "filter_normal_form.tol": (
+        lambda v: bb.filter_normal_form(bb.werner(0.5), tol=v), "filter tol"
+    ),
+}
+ANGLE_SITES = [
+    "werner_prediction.theta_deg", "werner_prediction.theta_prime_deg",
+    "measurement_from_polarization_angle", "run_sweep_experiment.angle",
+]
+NOT_REAL = {"True": True, "np.True_": np.True_, "'0.5'": "0.5", "None": None}
+
+
+def _scalar_cases():
+    for site, (_, name) in SCALAR_SITES.items():
+        for label, value in NOT_REAL.items():
+            message = f"{name} must be a real number, got {value!r}"
+            yield pytest.param(site, value, ValueError, message, id=f"{site}-{label}")
+        yield pytest.param(
+            site, 10**400, ValueError, f"integer too large for a float: {name}",
+            id=f"{site}-10**400",
+        )
+    for site in ANGLE_SITES:
+        name = SCALAR_SITES[site][1]
+        for value in (math.nan, math.inf, -math.inf):
+            message = f"{name} must be a finite angle, got {value}"
+            yield pytest.param(site, value, ValueError, message, id=f"{site}-{value}")
+    # a NaN elsewhere still fails the site's own range check
+    for site, error, message in [
+        ("werner", bb.OutOfRange, "werner parameter p = nan outside [-1/3, 1]"),
+        ("werner_prediction.p", bb.OutOfRange, "werner parameter p = nan outside [-1/3, 1]"),
+        ("werner_mixing_model", bb.OutOfRange, "mixing protocol requires 0 <= p <= 1, got nan"),
+        ("MixingModel.visibility", ValueError, "visibility must lie in [0, 1], got nan"),
+        ("MixingModel.w_hh", ValueError,
+         "mixing weights must be non-negative, got (0.5, nan, 0.5)"),
+        ("ExperimentConfig.pair_rate", ValueError,
+         "pair_rate must be a finite non-negative number, got nan"),
+        ("filter_normal_form.tol", ValueError, "filter tol must be a finite number > 0, got nan"),
+    ]:
+        yield pytest.param(site, math.nan, error, message, id=f"{site}-nan")
+
+
+@pytest.mark.parametrize("site, value, error, message", list(_scalar_cases()))
+def test_each_scalar_is_read_by_one_rule(site, value, error, message):
+    call, _ = SCALAR_SITES[site]
+    # never accepted, never a TypeError, never a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+@pytest.mark.parametrize(
+    "value", [1, np.int64(1), np.float32(0.5), np.float64(0.5), 0.5], ids=repr
+)
+def test_python_and_numpy_ints_and_floats_are_real(value):
+    assert bb.werner(value) == bb.werner(float(value))
+    assert bb.measurement_from_polarization_angle(value) == (
+        bb.measurement_from_polarization_angle(float(value))
+    )
+    assert bb.ExperimentConfig(value, value).pair_rate == float(value)
+    assert type(bb.ExperimentConfig(value, value).duration) is float
