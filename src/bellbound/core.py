@@ -65,6 +65,35 @@ def _real(value, name: str) -> float:
         raise ValueError(f"integer too large for a float: {name}") from None
 
 
+def _complex(value, name: str) -> complex | float:
+    """:func:`_real` at a complex site, where a non-real ``numbers.Complex`` passes too."""
+    if not isinstance(value, (int, float, numbers.Real)) and isinstance(value, numbers.Complex):
+        return complex(value)
+    return _real(value, name)
+
+
+def _array(value, name: str, shape: tuple, dtype=float, error=ValueError) -> np.ndarray:
+    """``value`` as a new float64 array of ``shape``, complex128 if ``dtype`` is complex: an
+    ndarray of ints or floats (or complex numbers, at a complex site), or a list, tuple or
+    scalar whose entries each pass :func:`_real` (:func:`_complex` at a complex site).  Else a
+    ValueError names ``name``; another shape, ragged nesting included, raises ``error``."""
+    entries = value
+    if not isinstance(value, np.ndarray):
+        try:
+            entries = np.array(value, dtype=object)
+        except ValueError:  # nested arrays of unequal shapes
+            raise error(f"{name} nests arrays of unequal shapes") from None
+    elif value.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise ValueError(f"{name} cannot hold dtype {value.dtype}")
+    if entries.shape != shape:
+        dims = "x".join(map(str, shape)) if len(shape) > 1 else f"length-{shape[0]}"
+        raise error(f"expected a {dims} {name}, got shape {entries.shape}")
+    if entries is value:
+        return np.array(value, dtype=dtype)
+    read = _complex if dtype is complex else _real
+    return np.array([read(x, f"{name} entry") for x in entries.flat], dtype=dtype).reshape(shape)
+
+
 def _angle(value, name: str) -> float:
     """An angle in degrees by :func:`_real`; a NaN or infinite one raises a ValueError naming it."""
     theta = _real(value, name)
@@ -128,7 +157,7 @@ class _Frozen:
 
 
 class TwoQubitState(_Frozen):
-    """A 4x4 density matrix, validated when it is built.
+    """A complex 4x4 density matrix (read by :func:`_array`), validated when it is built.
 
     The input is symmetrized to ``(A + A^dag)/2`` before the trace and
     positivity checks, but only if its asymmetry is already below 1e-10;
@@ -141,25 +170,23 @@ class TwoQubitState(_Frozen):
     __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(self, matrix: np.ndarray):
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+        m = _array(matrix, "matrix", (4, 4), complex)
         _set(self, "matrix", _readonly(_validate_stack(m[np.newaxis])[0]))
 
 
 class BlochForm(_Frozen):
     """Local Bloch vectors and the 3x3 correlation matrix of a two-qubit state.
 
-    ``T[k, l]`` pairs signal axis ``k`` with meter axis ``l``.
+    ``T[k, l]`` pairs signal axis ``k`` with meter axis ``l``; all three are real.
     """
 
     __slots__ = ("n", "m", "T")
     __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(self, n: np.ndarray, m: np.ndarray, T: np.ndarray):
-        _set(self, "n", _readonly(np.asarray(n, dtype=float)))
-        _set(self, "m", _readonly(np.asarray(m, dtype=float)))
-        _set(self, "T", _readonly(np.asarray(T, dtype=float)))
+        _set(self, "n", _readonly(_array(n, "Bloch vector n", (3,))))
+        _set(self, "m", _readonly(_array(m, "Bloch vector m", (3,))))
+        _set(self, "T", _readonly(_array(T, "correlation matrix T", (3, 3))))
 
     @property
     def R(self) -> np.ndarray:
@@ -169,7 +196,7 @@ class BlochForm(_Frozen):
 
 
 class QubitMeasurement(_Frozen):
-    """Two-outcome projective measurement along a unit Bloch axis.
+    """Two-outcome projective measurement along a unit Bloch axis of 3 real entries.
 
     Outcome "+" is the projector ``(1 + a.sigma)/2`` and "-" its complement.
     ``degenerate`` marks an axis chosen arbitrarily because the discrimination
@@ -179,7 +206,7 @@ class QubitMeasurement(_Frozen):
     __slots__ = ("axis", "degenerate")
 
     def __init__(self, axis: np.ndarray, degenerate: bool = False):
-        _set(self, "axis", _readonly(_unit_axes(np.asarray(axis, dtype=float).reshape(1, 3))[0]))
+        _set(self, "axis", _readonly(_unit_axes(_array(axis, "measurement axis", (3,))[np.newaxis])[0]))
         _set(self, "degenerate", degenerate)
 
     def __eq__(self, other):
@@ -318,9 +345,7 @@ def recompose(form: BlochForm) -> TwoQubitState:
 
 
 def _check_unitary(u, name: str = "U") -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"{name} must be a 2x2 matrix, got shape {u.shape}")
+    u = _array(u, f"unitary {name}", (2, 2), complex)
     deviation = float(np.max(np.abs(u.conj().T @ u - ID2)))
     if deviation >= VALIDATION_TOL:
         raise NotUnitary(deviation)
@@ -328,7 +353,7 @@ def _check_unitary(u, name: str = "U") -> np.ndarray:
 
 
 def apply_local_unitary(state: TwoQubitState, u_signal, u_meter) -> TwoQubitState:
-    """Conjugate the state by ``u_signal (x) u_meter``.
+    """Conjugate the state by ``u_signal (x) u_meter``, each a complex 2x2 unitary.
 
     The correlation matrix transforms as ``T -> O_S T O_M^T`` with ``O`` the
     rotation of each unitary under the adjoint map.
@@ -340,7 +365,7 @@ def apply_local_unitary(state: TwoQubitState, u_signal, u_meter) -> TwoQubitStat
 
 
 def rotation_of_unitary(u) -> np.ndarray:
-    """The unique rotation O with ``U (v.sigma) U^dag = (O v).sigma`` for all v."""
+    """The unique rotation O with ``U (v.sigma) U^dag = (O v).sigma`` for all v (U 2x2)."""
     u = _check_unitary(u)
     conjugated = np.einsum("ab,lbc,dc->lad", u, PAULI, u.conj())
     o = 0.5 * np.einsum("kab,lba->kl", PAULI, conjugated).real
@@ -374,9 +399,9 @@ def _quaternion_from_rotation(o: np.ndarray) -> np.ndarray:
 
 
 def rotation_from_quaternion(q) -> np.ndarray:
-    """Rotation matrix of a (not necessarily normalized) quaternion (w, x, y, z),
+    """Rotation matrix of a (not necessarily normalized) real quaternion (w, x, y, z),
     whose norm ``sqrt(q.q)`` must be finite and nonzero (ValueError)."""
-    q = np.asarray(q, dtype=float)
+    q = _array(q, "quaternion", (4,))
     # An overflow leaves an inf norm, and a NaN fails the test.
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(q))
@@ -397,14 +422,12 @@ def _rotation_stack(q: np.ndarray) -> np.ndarray:
 
 
 def unitary_from_rotation(o) -> np.ndarray:
-    """Inverse of the adjoint map: a 2x2 unitary whose rotation is ``o``.
+    """Inverse of the adjoint map: a 2x2 unitary whose rotation is ``o``, a real 3x3 array.
 
     The result is fixed up to a global phase; the convention is that the
     first non-vanishing quaternion component is positive.
     """
-    o = np.asarray(o, dtype=float)
-    if o.shape != (3, 3):
-        raise NotRotation(f"expected shape (3, 3), got {o.shape}")
+    o = _array(o, "rotation matrix", (3, 3), error=NotRotation)
     # An overflow leaves an inf or NaN deviation, and a NaN fails the test.
     with np.errstate(over="ignore", invalid="ignore"):
         ortho = float(np.max(np.abs(o.T @ o - np.eye(3))))

@@ -27,6 +27,7 @@ from .core import (
     QubitMeasurement,
     TwoQubitState,
     _analyzer_directions,
+    _array,
     _correlation_stack,
     _Frozen,
     _integer,
@@ -45,8 +46,8 @@ from .factories import (
     KET_VH,
     KET_VV,
     _philox_streams,
+    _werner_prediction,
     werner,
-    werner_prediction,
 )
 
 # Meter/signal analyzer angle pairs (degrees) used for the Bell-factor estimate.
@@ -314,14 +315,12 @@ def mixed_state_from_model(model: MixingModel) -> TwoQubitState:
 def mixing_model_from_schedule(visibility: float, durations, rates) -> MixingModel:
     """Effective mixing weights of a three-configuration measurement schedule.
 
-    Entries are ordered (interferometric, HH, VV); each weight is proportional
+    Both hold 3 real numbers, ordered (interferometric, HH, VV); each weight is proportional
     to that configuration's coincidence rate times its measurement duration.
     Unequal durations compensate configuration-dependent losses.
     """
-    durations = np.asarray(durations, dtype=float).reshape(-1)
-    rates = np.asarray(rates, dtype=float).reshape(-1)
-    if durations.shape != (3,) or rates.shape != (3,):
-        raise ValueError("expected 3 durations and 3 rates (interferometric, HH, VV)")
+    durations = _array(durations, "schedule duration vector", (3,))
+    rates = _array(rates, "schedule rate vector", (3,))
     for name, values in (("durations", durations), ("rates", rates)):
         if not np.all(values >= 0):
             raise ValueError(f"schedule {name} must be non-negative, got {values.tolist()}")
@@ -382,7 +381,7 @@ def run_sweep_experiment(
         estimates = [(estimate_knowledge(c), estimate_apriori(c)) for c in records]
     points = []
     for (theta_deg, basis), counts, (k_hat, p_hat) in zip(angles, records, estimates):
-        prediction = werner_prediction(p, theta_deg, theta_deg)
+        prediction = _werner_prediction(float(p), theta_deg, theta_deg)
         theory = prediction.K if basis == "hv" else prediction.K_prime
         points.append(
             SweepPoint(float(theta_deg), basis, counts, k_hat, p_hat, k_hat - p_hat, theory)

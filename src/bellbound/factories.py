@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TwoQubitState, _angle, _integer, _real, _row_dot, validate_state
+from .core import TwoQubitState, _angle, _array, _integer, _real, _row_dot, validate_state
 from .errors import NotAProbabilityVector, OutOfRange
 
 KET_HH = np.array([1, 0, 0, 0], dtype=complex)
@@ -65,10 +65,8 @@ def werner(p: float) -> TwoQubitState:
 
 
 def bell_diagonal(lambdas) -> TwoQubitState:
-    """Mixture of the four Bell projectors, weights in the order Phi+, Phi-, Psi+, Psi-."""
-    lams = np.asarray(lambdas, dtype=float).reshape(-1)
-    if lams.shape != (4,):
-        raise NotAProbabilityVector(f"expected 4 weights, got {lams.shape[0]}")
+    """Mixture of the four Bell projectors, 4 real weights in the order Phi+, Phi-, Psi+, Psi-."""
+    lams = _array(lambdas, "Bell weight vector", (4,), error=NotAProbabilityVector)
     # Written so that a NaN fails each check; a sum that overflows is inf.
     if not np.all(lams >= 0.0):
         raise NotAProbabilityVector(f"weights must be non-negative, got {lams.tolist()}")
@@ -150,8 +148,13 @@ def werner_prediction(p: float, theta_deg: float, theta_prime_deg: float) -> Wer
     K = p|cos 2theta|, K' = p|sin 2theta'|, P = P' = 0, B_max = 2 sqrt(2) p.
     """
     p = _werner_p(p)
-    theta = math.radians(_angle(theta_deg, "theta_deg"))
-    theta_prime = math.radians(_angle(theta_prime_deg, "theta_prime_deg"))
+    theta, theta_prime = _angle(theta_deg, "theta_deg"), _angle(theta_prime_deg, "theta_prime_deg")
+    return _werner_prediction(p, theta, theta_prime)
+
+
+def _werner_prediction(p: float, theta_deg: float, theta_prime_deg: float) -> WernerPrediction:
+    """:func:`werner_prediction` of a float ``p`` and angles already checked; the sweep's too."""
+    theta, theta_prime = math.radians(theta_deg), math.radians(theta_prime_deg)
     return WernerPrediction(
         K=abs(p * math.cos(2 * theta)),
         K_prime=abs(p * math.sin(2 * theta_prime)),

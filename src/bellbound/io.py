@@ -68,13 +68,6 @@ def complex_matrix_to_json(matrix) -> list[list[dict]]:
     return [[{"re": float(cell.real), "im": float(cell.imag)} for cell in row] for row in m]
 
 
-def _json_floats(value) -> np.ndarray:
-    """A JSON list of numbers as a float array."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of numbers, got {value!r}")
-    return np.array([_real(v, "list entry") for v in value], dtype=float)
-
-
 def _cell_to_complex(cell) -> complex:
     cell = cell if isinstance(cell, dict) else {"re": cell}
     unknown = set(cell) - {"re", "im"}
@@ -83,11 +76,9 @@ def _cell_to_complex(cell) -> complex:
     return complex(*(_real(cell.get(part, 0.0), f"matrix cell {part}") for part in ("re", "im")))
 
 
-def complex_matrix_from_json(data) -> np.ndarray:
-    matrix = np.array([[_cell_to_complex(cell) for cell in row] for row in data], dtype=complex)
-    if matrix.shape != (4, 4):
-        raise ValueError(f"expected matrix of shape (4, 4), got {matrix.shape}")
-    return matrix
+def complex_matrix_from_json(data) -> list[list[complex]]:
+    """The cells of a JSON matrix as complex numbers; the shape is left to ``TwoQubitState``."""
+    return [[_cell_to_complex(cell) for cell in row] for row in data]
 
 
 def read_json(path, document: str) -> dict:
@@ -156,7 +147,7 @@ def load_state(path) -> TwoQubitState:
             return _read_key(data, "p", werner, document)
         if name == "bell_diagonal":
             _check_keys(data, "bell_diagonal factory", ("factory", "lambdas"))
-            return bell_diagonal(_read_key(data, "lambdas", _json_floats, document))
+            return _read_key(data, "lambdas", bell_diagonal, document)
         if name == "random":
             _check_keys(data, "random factory", ("factory", "seed", "ancilla_dim"))
             seed = _read_key(data, "seed", lambda v: _integer(v, "seed"), document)

@@ -227,11 +227,11 @@ def evaluate_instance_json(data: dict) -> tuple[BoundCheck, BoundCheck]:
     """Recompute both bound checks for a dumped instance, the JSON object of a
     replay file (as :func:`io.read_json` returns it), with the screen's own
     code on a block of one."""
-    from .io import _json_floats, _read_key, complex_matrix_from_json
+    from .io import _read_key, complex_matrix_from_json
 
     state = validate_state(_read_key(data, "matrix", complex_matrix_from_json, "replay file"))
     axes = (
-        _read_key(data, key, lambda axis: QubitMeasurement(_json_floats(axis)), "replay file")
+        _read_key(data, key, QubitMeasurement, "replay file")
         for key in ("signal_axis", "signal_axis_prime", "meter_axis", "meter_axis_prime")
     )
     return tuple(map(_first, _screen(state.matrix[None], *(pi.axis[None] for pi in axes))))

@@ -182,6 +182,17 @@ class TestAnalyze:
                 if key is not None:
                     assert repr(key) in err
 
+    @pytest.mark.parametrize("lambdas", ["[true, 0, 0, 0]", "[0.25, 0.25, 0.25, true]"])
+    def test_lambdas_pass_the_array_rule(self, tmp_path, capsys, lambdas):
+        # a JSON true among the weights is not read as 1
+        path = tmp_path / "state.json"
+        path.write_text('{"factory": "bell_diagonal", "lambdas": %s}' % lambdas)
+        for command in ("analyze", "filter"):
+            code, out, err = run_cli([command, path], capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: state file key 'lambdas' is malformed: ")
+            assert err.count("\n") == 1
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(["analyze", tmp_path / "nope.json"], capsys)
         assert code == 1
@@ -910,6 +921,10 @@ class TestVerify:
             ("meter_axis_prime", [float("nan"), 0.0, 0.0]),
             ("signal_axis", [True, False, False]),
             ("signal_axis", [[1.0, 0.0, 0.0]]),
+            # each axis passes core._array, which reads exactly 3 real entries
+            ("meter_axis", [1, 0]),
+            ("meter_axis", [[1], [0], [0]]),
+            ("meter_axis_prime", [True, 0, 0]),
         ],
     )
     def test_replay_axis_must_be_a_finite_list_of_numbers(self, tmp_path, capsys, key, axis):

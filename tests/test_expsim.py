@@ -534,6 +534,22 @@ class TestRunSweepExperiment:
             assert point.dk_hat == bb.knowledge_excess(state, meter, signal)
             assert point.dk_theory == pytest.approx(point.dk_hat, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [0.82, -0.2, np.float32(0.45), 1])
+    def test_theory_is_werner_prediction_bit_for_bit(self, p):
+        # the sweep evaluates the closed forms of werner_prediction, with p and
+        # each angle checked once; the 0.1-degree grid of the CLI, exact and noisy
+        grid = [round(k * 0.1, 10) for k in range(901)]
+        config = bb.ExperimentConfig(455.0, 22.0, seed=1)
+        for basis, field in (("hv", "K"), ("xy", "K_prime")):
+            angles = [(theta, basis) for theta in grid]
+            for points in (
+                bb.run_sweep_experiment(p, angles, None),
+                bb.run_sweep_experiment(p, angles[::10], config),
+            ):
+                for point in points:
+                    prediction = bb.werner_prediction(p, point.theta_deg, point.theta_deg)
+                    assert point.dk_theory == getattr(prediction, field)
+
     def test_point_i_draws_from_streams_i(self):
         config = bb.ExperimentConfig(455.0, 22.0, dark_coincidence_rate=2.0, seed=5)
         angles = [(10.0, "hv"), (80.0, "xy"), (45.0, "hv")]

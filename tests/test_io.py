@@ -210,7 +210,8 @@ class TestStateFiles:
             ('{"factory": "werner", "p": %s}', "p", "werner parameter p"),
             ('{"factory": "random", "seed": %s}', "seed", "seed"),
             ('{"factory": "random", "seed": 1, "ancilla_dim": %s}', "ancilla_dim", "ancilla_dim"),
-            ('{"factory": "bell_diagonal", "lambdas": [%s, 0, 0, 0]}', "lambdas", "list entry"),
+            ('{"factory": "bell_diagonal", "lambdas": [%s, 0, 0, 0]}', "lambdas",
+             "Bell weight vector entry"),
             ('{"matrix": [[%s, 0, 0, 0], [0,0,0,0], [0,0,0,0], [0,0,0,0]]}', "matrix",
              "matrix cell re"),
             ('{"matrix": [[{"im": %s}, 0, 0, 0], [0,0,0,0], [0,0,0,0], [0,0,0,0]]}', "matrix",

@@ -12,6 +12,7 @@ import math
 import pickle
 import re
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -392,3 +393,143 @@ def test_python_and_numpy_ints_and_floats_are_real(value):
     )
     assert bb.ExperimentConfig(value, value).pair_rate == float(value)
     assert type(bb.ExperimentConfig(value, value).duration) is float
+
+
+def _unitary_site(slot):
+    """apply_local_unitary with ``u`` as its signal (slot 0) or meter (1) unitary."""
+    def call(u):
+        unitaries = [np.eye(2), np.eye(2)]
+        unitaries[slot] = u
+        return bb.apply_local_unitary(bb.werner(0.5), *unitaries)
+
+    return call
+
+
+# Every parameter that takes an array from its caller: (call, the name its
+# messages give it, a valid value as nested lists, whether it takes complex
+# entries, the error that a value of another shape raises).  Each reads the
+# array through core._array once.
+ARRAY_SITES = {
+    "TwoQubitState.matrix": (
+        bb.TwoQubitState, "matrix", (np.eye(4) / 4).tolist(), True, ValueError
+    ),
+    "BlochForm.n": (
+        lambda v: bb.BlochForm(v, np.zeros(3), np.eye(3)), "Bloch vector n", [0.0, 0.0, 0.0],
+        False, ValueError,
+    ),
+    "BlochForm.m": (
+        lambda v: bb.BlochForm(np.zeros(3), v, np.eye(3)), "Bloch vector m", [0.0, 0.0, 0.0],
+        False, ValueError,
+    ),
+    "BlochForm.T": (
+        lambda v: bb.BlochForm(np.zeros(3), np.zeros(3), v), "correlation matrix T",
+        np.eye(3).tolist(), False, ValueError,
+    ),
+    "QubitMeasurement.axis": (
+        bb.QubitMeasurement, "measurement axis", [1.0, 0.0, 0.0], False, ValueError
+    ),
+    "apply_local_unitary.u_signal": (
+        _unitary_site(0), "unitary u_signal", np.eye(2).tolist(), True, ValueError
+    ),
+    "apply_local_unitary.u_meter": (
+        _unitary_site(1), "unitary u_meter", np.eye(2).tolist(), True, ValueError
+    ),
+    "rotation_of_unitary.u": (
+        bb.rotation_of_unitary, "unitary U", np.eye(2).tolist(), True, ValueError
+    ),
+    "rotation_from_quaternion.q": (
+        bb.rotation_from_quaternion, "quaternion", [1.0, 0.0, 0.0, 0.0], False, ValueError
+    ),
+    "unitary_from_rotation.o": (
+        bb.unitary_from_rotation, "rotation matrix", np.eye(3).tolist(), False, bb.NotRotation
+    ),
+    "bell_diagonal.lambdas": (
+        bb.bell_diagonal, "Bell weight vector", [0.25] * 4, False, bb.NotAProbabilityVector
+    ),
+    "mixing_model_from_schedule.durations": (
+        lambda v: bb.mixing_model_from_schedule(0.75, v, [0.04, 0.01, 0.0125]),
+        "schedule duration vector", [20.0, 10.0, 8.0], False, ValueError,
+    ),
+    "mixing_model_from_schedule.rates": (
+        lambda v: bb.mixing_model_from_schedule(0.75, [20, 10, 8], v),
+        "schedule rate vector", [0.04, 0.01, 0.0125], False, ValueError,
+    ),
+}
+
+
+def _with_first_entry(valid, entry):
+    """``valid`` (nested lists) with its first entry replaced by ``entry``."""
+    if not isinstance(valid[0], list):
+        return [entry, *valid[1:]]
+    return [_with_first_entry(valid[0], entry), *valid[1:]]
+
+
+def _each_entry(valid, convert):
+    """``valid`` (nested lists) with ``convert`` applied to each entry."""
+    if not isinstance(valid, list):
+        return convert(valid)
+    return [_each_entry(v, convert) for v in valid]
+
+
+def _array_cases():
+    """(site, value, whether its shape is wrong) for each malformed value of each site."""
+    for site, (_, _, valid, complex_site, _) in ARRAY_SITES.items():
+        shape = np.shape(valid)
+        # rows of unequal lengths; in one dimension, a list among the numbers
+        ragged = [valid[0][:-1], *valid[1:]] if len(shape) > 1 else [valid[:2], *valid[1:]]
+        cases = {
+            "list-with-True": (_with_first_entry(valid, True), False),
+            "np.bool_-array": (np.ones(shape, dtype=bool), False),
+            "numeric-strings": (_each_entry(valid, str), False),
+            "None": (None, True),
+            "list-with-None": (_with_first_entry(valid, None), False),
+            "Decimals": (_each_entry(valid, lambda x: Decimal(str(x))), False),
+            "ragged": (ragged, len(shape) > 1),
+            "one-entry-too-few": (valid[:-1], True),
+            "extra-nesting": ([valid], True),
+            "0-d-scalar": (0.5, True),
+        }
+        if not complex_site:
+            cases["complex-array"] = (np.array(valid) + 0j, False)
+        for label, (value, wrong_shape) in cases.items():
+            yield pytest.param(site, value, wrong_shape, id=f"{site}-{label}")
+
+
+@pytest.mark.parametrize("site, value, wrong_shape", list(_array_cases()))
+def test_each_array_is_read_by_one_rule(site, value, wrong_shape):
+    call, name, _, _, shape_error = ARRAY_SITES[site]
+    # never accepted, never a TypeError, never a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, bb.BellboundError)) as caught:
+            call(value)
+    assert type(caught.value) is (shape_error if wrong_shape else ValueError)
+    assert name in str(caught.value)
+
+
+# An integer-valued input of each site, which every dtype below holds exactly.
+INTEGRAL_INPUTS = {
+    "TwoQubitState.matrix": np.diag([1, 0, 0, 0]).tolist(),
+    "BlochForm.n": [0, 0, 1],
+    "BlochForm.m": [0, 1, 0],
+    "BlochForm.T": np.diag([1, -1, 1]).tolist(),
+    "QubitMeasurement.axis": [0, 0, 1],
+    "apply_local_unitary.u_signal": [[0, 1], [1, 0]],
+    "apply_local_unitary.u_meter": [[0, 1], [1, 0]],
+    "rotation_of_unitary.u": [[0, 1], [1, 0]],
+    "rotation_from_quaternion.q": [1, 1, 0, 0],
+    "unitary_from_rotation.o": [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+    "bell_diagonal.lambdas": [0, 1, 0, 0],
+    "mixing_model_from_schedule.durations": [20, 10, 8],
+    "mixing_model_from_schedule.rates": [4, 1, 1],
+}
+
+
+@pytest.mark.parametrize("site", list(ARRAY_SITES))
+def test_int_lists_tuples_and_numeric_arrays_build_equal_values(site):
+    call = ARRAY_SITES[site][0]
+    ints = INTEGRAL_INPUTS[site]
+    tuples = tuple(tuple(row) for row in ints) if isinstance(ints[0], list) else tuple(ints)
+    expected = call(ints)
+    for value in (tuples, *(np.array(ints, dtype=t) for t in (np.float32, np.int64, np.float64))):
+        assert same(call(value), expected), value
