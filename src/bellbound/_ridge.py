@@ -1,7 +1,7 @@
 """The ridge search of :func:`bellbound.knowledge.optimize_excess_sum`.
 
-A module of its own, imported by that function when it runs, so that the
-processes that never search for an optimum do not compile the search.
+A module of its own, imported by that function when a state needs a search,
+so that the processes that never search for an optimum do not compile it.
 """
 
 from __future__ import annotations
@@ -87,9 +87,11 @@ def _profile(form: BlochForm, basis: np.ndarray, alpha: np.ndarray):
     return np.trace(m) - a_ - c_ + e**2, slope, beta[lanes, best]
 
 
-def _search(form: BlochForm) -> tuple[np.ndarray, int]:
+def _search(form: BlochForm, basis: np.ndarray, m: np.ndarray, nu2: float):
     """Maximize the ridge profile ``F(alpha)`` of :func:`_profile`: the best
-    frame (2, 3) and the number of angles alpha profiled.
+    frame (2, 3) and the number of angles alpha profiled.  ``basis``, ``m`` and
+    ``nu2`` are ``(n_hat, a, b)``, ``M = T T^T`` in that basis and ``|n|^2``, as
+    the flat test of :func:`bellbound.knowledge.optimize_excess_sum` reads them.
 
     The screen profiles RIDGE_TURNS angles and one more, the alpha whose ``w``
     is the top eigenvector of ``H = c c^T - nu^2 P``, where ``c`` and ``P`` are
@@ -101,9 +103,7 @@ def _search(form: BlochForm) -> tuple[np.ndarray, int]:
     A flat point, whose slope is at most FLAT_SLOPE times the double-ridge
     sum, counts as past the peak, outside the bump; while the far end of the
     bracket is flat, its slope says nothing of the peak, so the step bisects."""
-    basis = np.linalg.svd(form.n[None, :])[2]
-    m = basis @ form.T @ form.T.T @ basis.T
-    h = np.outer(m[0, 1:], m[0, 1:]) - float(form.n @ form.n) * m[1:, 1:]
+    h = np.outer(m[0, 1:], m[0, 1:]) - nu2 * m[1:, 1:]
     top = np.linalg.eigh(h)[1][:, -1]
     turns = np.arange(RIDGE_TURNS) * math.pi / RIDGE_TURNS
     alpha = np.sort(np.append(turns, math.atan2(-top[0], top[1]) % math.pi))

@@ -554,6 +554,7 @@ def cmd_filter(ns: argparse.Namespace) -> int:
         deviation_log=list(result.deviation_log),
         optimizer_path=optimum.path,
         optimizer_evaluations=optimum.evaluations,
+        optimizer_gap_bound=optimum.gap_bound,
     )
     return 0
 

@@ -103,7 +103,12 @@ def _angle(value, name: str) -> float:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
+    """A read-only copy of ``a``."""
+    return _frozen(np.array(a))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, a new array that no caller holds, set read-only in place."""
     a.setflags(write=False)
     return a
 
@@ -171,7 +176,7 @@ class TwoQubitState(_Frozen):
 
     def __init__(self, matrix: np.ndarray):
         m = _array(matrix, "matrix", (4, 4), complex)
-        _set(self, "matrix", _readonly(_validate_stack(m[np.newaxis])[0]))
+        _set(self, "matrix", _frozen(_validate_stack(m[np.newaxis]))[0])
 
 
 class BlochForm(_Frozen):
@@ -184,15 +189,15 @@ class BlochForm(_Frozen):
     __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(self, n: np.ndarray, m: np.ndarray, T: np.ndarray):
-        _set(self, "n", _readonly(_array(n, "Bloch vector n", (3,))))
-        _set(self, "m", _readonly(_array(m, "Bloch vector m", (3,))))
-        _set(self, "T", _readonly(_array(T, "correlation matrix T", (3, 3))))
+        _set(self, "n", _frozen(_array(n, "Bloch vector n", (3,))))
+        _set(self, "m", _frozen(_array(m, "Bloch vector m", (3,))))
+        _set(self, "T", _frozen(_array(T, "correlation matrix T", (3, 3))))
 
     @property
     def R(self) -> np.ndarray:
         """The 4x4 correlation matrix ``R = [[1, m^T], [n, T]]``, that is
         ``R_ij = tr[rho (sigma_i x sigma_j)]`` with ``sigma_0 = 1``."""
-        return _readonly(np.block([[np.ones((1, 1)), self.m[None]], [self.n[:, None], self.T]]))
+        return _frozen(np.block([[np.ones((1, 1)), self.m[None]], [self.n[:, None], self.T]]))
 
 
 class QubitMeasurement(_Frozen):
@@ -206,7 +211,7 @@ class QubitMeasurement(_Frozen):
     __slots__ = ("axis", "degenerate")
 
     def __init__(self, axis: np.ndarray, degenerate: bool = False):
-        _set(self, "axis", _readonly(_unit_axes(_array(axis, "measurement axis", (3,))[np.newaxis])[0]))
+        _set(self, "axis", _frozen(_unit_axes(_array(axis, "measurement axis", (3,))[np.newaxis]))[0])
         _set(self, "degenerate", degenerate)
 
     def __eq__(self, other):

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import BlochForm, TwoQubitState, _integer, _real, validate_state
+from .errors import BellboundError
 from .factories import bell_diagonal, random_state, werner
 
 if TYPE_CHECKING:  # annotations only: io loads neither module
@@ -81,6 +82,11 @@ def complex_matrix_from_json(data) -> list[list[complex]]:
     return [[_cell_to_complex(cell) for cell in row] for row in data]
 
 
+def state_from_json(data) -> TwoQubitState:
+    """The validated state of a JSON matrix."""
+    return validate_state(complex_matrix_from_json(data))
+
+
 def read_json(path, document: str) -> dict:
     """The one JSON object that the file at ``path`` holds.
 
@@ -101,8 +107,9 @@ def _read_key(data: dict, key: str, convert, document: str, default=None):
     """``convert(data[key])`` for a key of a JSON object read from a file.
 
     An absent key gives ``default`` when one is set.  A missing required key,
-    or a value that ``convert`` rejects with TypeError or ValueError, raises
-    ValueError naming ``document`` and the key.
+    or a value that ``convert`` rejects with TypeError, ValueError or a
+    library error (a state that fails validation, a parameter out of range),
+    raises ValueError naming ``document`` and the key.
     """
     if key not in data:
         if default is None:
@@ -110,7 +117,7 @@ def _read_key(data: dict, key: str, convert, document: str, default=None):
         return default
     try:
         return convert(data[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, BellboundError) as exc:
         raise ValueError(f"{document} key {key!r} is malformed: {exc}") from exc
 
 
@@ -139,7 +146,7 @@ def load_state(path) -> TwoQubitState:
         raise ValueError("state file must contain either 'matrix' or 'factory', not both")
     if "matrix" in data:
         _check_keys(data, "matrix file", ("matrix",))
-        return validate_state(_read_key(data, "matrix", complex_matrix_from_json, document))
+        return _read_key(data, "matrix", state_from_json, document)
     if "factory" in data:
         name = data["factory"]
         if name == "werner":

@@ -7,10 +7,22 @@ One form, ``n`` (1, 3) and ``T`` (1, 3, 3), broadcasts against N axes.
 A row repeats one instance's operations, so it is the same bit for bit in
 any stack of C-contiguous ``n`` and ``T``.  The test suite checks these
 forms against a direct trace over the conditional meter states.
+
+A bound check is put together from pieces its caller holds: the knowledge
+excesses, each from its Helstrom direction ``T^T s`` (:func:`_excess_along`),
+and B_max.  So each caller computes B_max once and ``T^T s`` once per axis,
+and only a caller that reads the same-meter check computes it.
+
+:func:`optimize_excess_sum` maximizes the excess sum over measurements in
+four steps: it certifies the seed frame against ``(B_max/2)^2``, reduces the
+problem to a profile over one angle of a ridge, decides in closed form
+whether that profile is flat (``_flat``), and only otherwise runs the search
+(``_ridge``); it imports each module when a state first needs it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -48,9 +60,11 @@ class BoundCheck(NamedTuple):
 
 class ExcessOptimum(NamedTuple):
     """Measurement quadruple maximizing the excess sum, plus the bound check,
-    the step of :func:`optimize_excess_sum` that returned it (``path``) and
-    the number of ridge angles alpha its search profiled (``evaluations``;
-    each profile maximizes over the other angle exactly, 0 when certified)."""
+    the step of :func:`optimize_excess_sum` that returned it (``path``), the
+    number of ridge angles alpha its search profiled (``evaluations``; each
+    profile maximizes over the other angle exactly, 0 unless searched) and
+    the largest distance from the check's sum to the optimum that the step
+    leaves open (``gap_bound``; infinite for a value built by hand)."""
 
     pi_s: QubitMeasurement
     pi_s_prime: QubitMeasurement
@@ -59,6 +73,7 @@ class ExcessOptimum(NamedTuple):
     check: BoundCheck
     path: str = "certified"
     evaluations: int = 0
+    gap_bound: float = math.inf
 
 
 def _apriori_stack(n, s) -> np.ndarray:
@@ -71,10 +86,20 @@ def _helstrom_stack(t, s) -> np.ndarray:
     return (np.swapaxes(t, 1, 2) @ s[:, :, None])[:, :, 0]
 
 
-def _knowledge_stack(n, t, m, s) -> tuple[np.ndarray, np.ndarray]:
-    """K = max(P, |(T^T s).m|) and P of each row."""
+def _knowledge_along(n, direction, m, s) -> tuple[np.ndarray, np.ndarray]:
+    """K = max(P, |(T^T s).m|) and P of each row, from its Helstrom direction ``T^T s``."""
     p = _apriori_stack(n, s)
-    return np.maximum(p, np.abs(_row_dot(_helstrom_stack(t, s), m))), p
+    return np.maximum(p, np.abs(_row_dot(direction, m))), p
+
+
+def _knowledge_stack(n, t, m, s) -> tuple[np.ndarray, np.ndarray]:
+    """K and P of each row (see :func:`_knowledge_along`)."""
+    return _knowledge_along(n, _helstrom_stack(t, s), m, s)
+
+
+def _excess_along(n, direction, m, s) -> np.ndarray:
+    """The knowledge excess K - P of each row, from its Helstrom direction ``T^T s``."""
+    return np.subtract(*_knowledge_along(n, direction, m, s))
 
 
 def _distinguishability_stack(n, t, s) -> tuple[np.ndarray, np.ndarray]:
@@ -89,25 +114,39 @@ def _bell_max_stack(t) -> np.ndarray:
     return 2.0 * np.sqrt(np.maximum(eigenvalues[:, -1], 0.0) + np.maximum(eigenvalues[:, -2], 0.0))
 
 
-def _bound_checks(n, t, s, s_prime, m, m_prime) -> tuple[BoundCheck, BoundCheck]:
-    """:func:`check_bound` and :func:`check_same_meter_bound` (with meter ``m``)
-    of each row, as BoundChecks of (N,) arrays; ``(B_max/2)^2`` is Python's
-    float power.  The first row whose signal axes are not orthogonal raises
-    NotComplementary."""
+def _require_complementary(s, s_prime) -> None:
+    """NotComplementary for the first row whose signal axes are not orthogonal."""
     dot, complementary = _complementary_stack(s, s_prime)
     if not complementary.all():
         raise NotComplementary(float(dot[np.argmin(complementary)]))
-    dk, dk_prime, dk_same = (
-        np.subtract(*_knowledge_stack(n, t, meter, signal))
-        for meter, signal in ((m, s), (m_prime, s_prime), (m, s_prime))
-    )
-    b = _bell_max_stack(t)
+
+
+def _bound_check(dk, dk_prime, b) -> BoundCheck:
+    """:func:`check_bound` of each row from its two knowledge excesses and
+    B_max, as a BoundCheck of (N,) arrays; ``(B_max/2)^2`` is Python's float power."""
     bound = np.array([(x / 2.0) ** 2 for x in b.tolist()])
-    total, same = dk * dk + dk_prime * dk_prime, dk * dk + dk_same * dk_same
-    return (
-        BoundCheck(total, bound, bound - total, b),
-        BoundCheck(same, np.ones_like(b), 1.0 - same, b),
-    )
+    total = dk * dk + dk_prime * dk_prime
+    return BoundCheck(total, bound, bound - total, b)
+
+
+def _same_meter_check(dk, dk_same, b) -> BoundCheck:
+    """:func:`check_same_meter_bound` of each row from the excesses of its
+    one meter on both signal axes, as a BoundCheck of (N,) arrays."""
+    same = dk * dk + dk_same * dk_same
+    return BoundCheck(same, np.ones_like(b), 1.0 - same, b)
+
+
+def _bound_checks(n, t, s, s_prime, m, m_prime) -> tuple[BoundCheck, BoundCheck]:
+    """:func:`check_bound` and :func:`check_same_meter_bound` (with meter
+    ``m``) of each row, as BoundChecks of (N,) arrays; each Helstrom
+    direction and B_max is computed once.  The first row whose signal axes
+    are not orthogonal raises NotComplementary."""
+    _require_complementary(s, s_prime)
+    direction_prime = _helstrom_stack(t, s_prime)
+    dk = _excess_along(n, _helstrom_stack(t, s), m, s)
+    dk_prime, dk_same = (_excess_along(n, direction_prime, x, s_prime) for x in (m_prime, m))
+    b = _bell_max_stack(t)
+    return _bound_check(dk, dk_prime, b), _same_meter_check(dk, dk_same, b)
 
 
 def _one(state: TwoQubitState, *measurements: QubitMeasurement) -> tuple[np.ndarray, ...]:
@@ -168,13 +207,13 @@ def knowledge_report(
     return KnowledgeReport(K=k, P=p, deltaK=k - p, D=d, deltaD=d - p)
 
 
-def _optimal_meter(t, s) -> QubitMeasurement:
-    """The Helstrom measurement of a 1-stack (see :func:`optimal_meter`)."""
-    direction = _helstrom_stack(t, s)[0]
-    norm = float(np.linalg.norm(direction))
+def _meter_along(direction) -> QubitMeasurement:
+    """The Helstrom measurement along the 1-stack ``direction``, ``T^T s``
+    (see :func:`optimal_meter`)."""
+    norm = float(np.linalg.norm(direction[0]))
     if norm < DEGENERATE_DIRECTION:
         return QubitMeasurement(np.array([0.0, 0.0, 1.0]), degenerate=True)
-    return QubitMeasurement(direction / norm)
+    return QubitMeasurement(direction[0] / norm)
 
 
 def optimal_meter(state: TwoQubitState, pi_signal: QubitMeasurement) -> QubitMeasurement:
@@ -183,7 +222,7 @@ def optimal_meter(state: TwoQubitState, pi_signal: QubitMeasurement) -> QubitMea
     When ``|T^T s|`` vanishes every meter measurement is equally
     uninformative; the +z axis is returned with ``degenerate`` set.
     """
-    return _optimal_meter(*_one(state, pi_signal)[1:])
+    return _meter_along(_helstrom_stack(*_one(state, pi_signal)[1:]))
 
 
 def bell_max(state: TwoQubitState) -> float:
@@ -201,7 +240,12 @@ def check_bound(
 ) -> BoundCheck:
     """Test the central inequality: for complementary signal measurements,
     deltaK^2 + deltaK'^2 <= (B_max / 2)^2 for any pair of meter measurements."""
-    return _first(_bound_checks(*_one(state, pi_s, pi_s_prime, pi_m, pi_m_prime))[0])
+    n, t, s, s_prime, m, m_prime = _one(state, pi_s, pi_s_prime, pi_m, pi_m_prime)
+    _require_complementary(s, s_prime)
+    dk, dk_prime = (
+        _excess_along(n, _helstrom_stack(t, x), meter, x) for meter, x in ((m, s), (m_prime, s_prime))
+    )
+    return _first(_bound_check(dk, dk_prime, _bell_max_stack(t)))
 
 
 def check_same_meter_bound(
@@ -215,7 +259,10 @@ def check_same_meter_bound(
     With two independent meter measurements the unit bound can be exceeded;
     this check always compares against 1 (``b_max`` is reported for context).
     """
-    return _first(_bound_checks(*_one(state, pi_s, pi_s_prime, pi_m, pi_m))[1])
+    n, t, s, s_prime, m = _one(state, pi_s, pi_s_prime, pi_m)
+    _require_complementary(s, s_prime)
+    dk, dk_same = (_excess_along(n, _helstrom_stack(t, x), m, x) for x in (s, s_prime))
+    return _first(_same_meter_check(dk, dk_same, _bell_max_stack(t)))
 
 
 def _proper_rotation_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -247,7 +294,7 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
 
     The meter measurements are always Helstrom-optimal given the signal axes,
     so the excess of axis s is ``D - P = max(0, |T^T s| - |n.s|)`` and the
-    search runs over the signal frame ``(s, s')`` alone, in three steps.
+    search runs over the signal frame ``(s, s')`` alone, in four steps.
 
     1. Certify: the seed frame, the two leading singular directions of the
        correlation matrix, is returned at once when its sum of ``(D - P)^2``
@@ -255,47 +302,70 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
        so the seed is then optimal to that accuracy.  This covers every state
        with ``n = 0`` (Werner, Bell-diagonal), where the seed attains the
        bound, and the output of ``canonical.filter_normal_form``.
-    2. Profile: otherwise the search runs on the ridge ``n.s' = 0`` alone,
-       which holds an optimum.  Where both excesses of a frame are positive,
-       turning the frame in its own plane until one axis is perpendicular to
-       ``n`` does not lower the sum; where one excess is 0, turning that
-       axis about the other until it is perpendicular to ``n`` does not
-       either.  A ridge frame has two angles: alpha turns ``s'`` about ``n``
-       and beta tilts ``s`` from ``n`` towards the plane perpendicular to
-       it.  The maximum over beta at fixed alpha is exact: it lies at a
-       root of one quartic in ``tan beta`` or at beta = pi/2, the double
-       ridge ``n.s = n.s' = 0``, whose frames all have the sum
-       ``tr(T T^T) - n^T T T^T n / |n|^2``.  That leaves the profile
-       ``F(alpha)``, a function of one angle.
-    3. Search in alpha: F is screened on 32 angles plus one closed-form
+    2. Profile: otherwise an optimum lies on the ridge ``n.s' = 0``.  Where
+       both excesses of a frame are positive, turning the frame in its own
+       plane until one axis is perpendicular to ``n`` does not lower the
+       sum; where one excess is 0, turning that axis about the other until
+       it is perpendicular to ``n`` does not either.  A ridge frame has two
+       angles: alpha turns ``s'`` about ``n`` and beta tilts ``s`` from ``n``
+       towards the plane perpendicular to it.  The maximum over beta at
+       fixed alpha is exact: it lies at a root of one quartic in ``tan
+       beta`` or at beta = pi/2, the double ridge ``n.s = n.s' = 0``, whose
+       frames all have the sum ``D0 = tr(T T^T) - n^T T T^T n / |n|^2``.
+       That leaves the profile ``F(alpha) >= D0``, a function of one angle.
+    3. Flat: ``_flat._is_flat`` decides in closed form whether ``F(alpha) =
+       D0`` for every alpha, with a margin.  If so, every double-ridge frame
+       is optimal, and one is returned with no search.
+    4. Search in alpha: F is screened on 32 angles plus one closed-form
        angle where a narrow bump of F can rise off the double ridge, all in
        one numpy pass, and the best screened angle is refined by bracketed
        secant steps on the closed-form ``dF/dalpha``.  The best profiled
        frame is returned.
 
     The result's ``check`` is :func:`check_bound` with :func:`optimal_meter`
-    meters on the returned signal pair; ``path`` says which step returned it
-    (``"certified"`` or ``"searched"``) and ``evaluations`` counts the angles
-    alpha profiled (0 when certified).
+    meters on the returned signal pair, with B_max and each Helstrom
+    direction computed once; ``path`` says which step returned it
+    (``"certified"``, ``"flat"`` or ``"searched"``) and ``evaluations``
+    counts the angles alpha profiled (0 unless searched).  ``gap_bound`` is
+    what the step proves of the distance from the sum to the optimum: the
+    bound less the sum (at least 0) when certified or searched, and the
+    rounding ``|D0 - sum|`` when flat.
     """
     form = decompose(state)
-    u = np.linalg.svd(form.T)[0]
     n, t = form.n[None], form.T[None]
-    bound = (float(_bell_max_stack(t)[0]) / 2.0) ** 2
-    seeds = np.ascontiguousarray(u[:, :2].T)
+    b = _bell_max_stack(t)
+    bound = (float(b[0]) / 2.0) ** 2
+    seeds = np.ascontiguousarray(np.linalg.svd(form.T)[0][:, :2].T)
     excess = np.subtract(*_distinguishability_stack(n, t, seeds))
+    evaluations = 0
     if (excess**2).sum() >= bound - CERTIFY_TOL:
-        s, s_prime = u[:, 0], u[:, 1]
-        path, evaluations = "certified", 0
+        frame, path = seeds, "certified"
     else:
-        # The search is compiled only in the processes that run it.
-        from . import _ridge
+        # The flat test and the search are compiled only in the processes that run them.
+        from . import _flat
 
-        (s, s_prime), evaluations = _ridge._search(form)
-        path = "searched"
-    pi_s = QubitMeasurement(s)
-    pi_s_prime = QubitMeasurement(s_prime)
-    pi_m, pi_m_prime = (_optimal_meter(t, pi.axis[None]) for pi in (pi_s, pi_s_prime))
-    axes = (pi.axis[None] for pi in (pi_s, pi_s_prime, pi_m, pi_m_prime))
-    check = _first(_bound_checks(n, t, *axes)[0])
-    return ExcessOptimum(pi_s, pi_s_prime, pi_m, pi_m_prime, check, path, evaluations)
+        basis = np.linalg.svd(form.n[None, :])[2]
+        m = basis @ form.T @ form.T.T @ basis.T
+        nu2 = float(form.n @ form.n)
+        if _flat._is_flat(m, nu2):
+            frame, path = basis[1:], "flat"
+        else:
+            from . import _ridge
+
+            frame, evaluations = _ridge._search(form, basis, m, nu2)
+            path = "searched"
+    pi_s, pi_s_prime = (QubitMeasurement(x) for x in frame)
+    s, s_prime = pi_s.axis[None], pi_s_prime.axis[None]
+    _require_complementary(s, s_prime)
+    directions = [_helstrom_stack(t, x) for x in (s, s_prime)]
+    pi_m, pi_m_prime = (_meter_along(d) for d in directions)
+    dk, dk_prime = (
+        _excess_along(n, d, pi.axis[None], x)
+        for d, pi, x in zip(directions, (pi_m, pi_m_prime), (s, s_prime))
+    )
+    check = _first(_bound_check(dk, dk_prime, b))
+    if path == "flat":
+        gap_bound = abs(float(m[1, 1] + m[2, 2]) - check.sum_of_squares)
+    else:
+        gap_bound = max(check.slack, 0.0)
+    return ExcessOptimum(pi_s, pi_s_prime, pi_m, pi_m_prime, check, path, evaluations, gap_bound)

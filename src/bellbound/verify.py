@@ -227,9 +227,9 @@ def evaluate_instance_json(data: dict) -> tuple[BoundCheck, BoundCheck]:
     """Recompute both bound checks for a dumped instance, the JSON object of a
     replay file (as :func:`io.read_json` returns it), with the screen's own
     code on a block of one."""
-    from .io import _read_key, complex_matrix_from_json
+    from .io import _read_key, state_from_json
 
-    state = validate_state(_read_key(data, "matrix", complex_matrix_from_json, "replay file"))
+    state = _read_key(data, "matrix", state_from_json, "replay file")
     axes = (
         _read_key(data, key, QubitMeasurement, "replay file")
         for key in ("signal_axis", "signal_axis_prime", "meter_axis", "meter_axis_prime")

@@ -193,6 +193,37 @@ class TestAnalyze:
             assert err.startswith("error: state file key 'lambdas' is malformed: ")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "document, key, message",
+        [
+            ('{"factory": "werner", "p": 2}', "p", "werner parameter p = 2.0 outside"),
+            ('{"factory": "bell_diagonal", "lambdas": [1, 0, 0]}', "lambdas",
+             "expected a length-4 Bell weight vector, got shape (3,)"),
+            ('{"factory": "bell_diagonal", "lambdas": [[0.5, 0.5], [0, 0]]}', "lambdas",
+             "got shape (2, 2)"),
+            ('{"factory": "bell_diagonal", "lambdas": 0.25}', "lambdas", "got shape ()"),
+            ('{"factory": "bell_diagonal", "lambdas": [0.5, 0.5, 0.5, 0.5]}', "lambdas",
+             "weights sum to 2.000000000000"),
+            ('{"factory": "bell_diagonal", "lambdas": [1.5, -0.5, 0, 0]}', "lambdas",
+             "weights must be non-negative"),
+            (json.dumps({"matrix": (np.eye(3) / 3).tolist()}), "matrix",
+             "expected a 4x4 matrix, got shape (3, 3)"),
+            (json.dumps({"matrix": np.diag([0.5, 0.7, -0.1, -0.1]).tolist()}), "matrix",
+             "not positive semidefinite"),
+        ],
+        ids=["p", "lambdas-3", "lambdas-2x2", "lambdas-scalar", "lambdas-sum", "lambdas-negative",
+             "matrix-3x3", "matrix-not-positive"],
+    )
+    def test_a_library_error_names_its_key(self, tmp_path, capsys, document, key, message):
+        # the typed error of a file's value once reached the user without its key
+        path = tmp_path / "state.json"
+        path.write_text(document)
+        for command in ("analyze", "filter"):
+            code, out, err = run_cli([command, path], capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: state file key {key!r} is malformed: ")
+            assert message in err and err.count("\n") == 1
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(["analyze", tmp_path / "nope.json"], capsys)
         assert code == 1
@@ -749,7 +780,7 @@ class TestManifestStats:
             (["simulate", "--theta-step", 10], ["points"]),
             (["verify", "--trials", 20], ["draw_s", "screen_s", "instances_per_s"]),
             (["filter", "STATE"], ["filter_iterations", "deviation_log", "optimizer_path",
-                                   "optimizer_evaluations"]),
+                                   "optimizer_evaluations", "optimizer_gap_bound"]),
         ],
     )
     def test_every_command_records_its_stage_times_then_its_work(
@@ -893,6 +924,10 @@ class TestVerify:
             ("[" * 200_000, None),
             ('{"matrix": 5}', "matrix"),
             ("{}", "matrix"),
+            # the state's own errors name the key too
+            (json.dumps({**valid, "matrix": complex_matrix_to_json(np.eye(3) / 3)}), "matrix"),
+            (json.dumps({**valid, "matrix": complex_matrix_to_json(np.diag([1.1, 0, 0, 0]))}),
+             "matrix"),
             (json.dumps({**valid, "signal_axis": [1.0, 0.0]}), "signal_axis"),
             (json.dumps({**valid, "meter_axis": None}), "meter_axis"),
             (json.dumps({**valid, "meter_axis_prime": [2.0, 0.0, 0.0]}), "meter_axis_prime"),
@@ -1141,6 +1176,8 @@ class TestFilter:
         assert log[-1] <= 1e-10 < log[0]
         # The filtered state attains its bound, so the optimizer needs no search.
         assert (stats["optimizer_path"], stats["optimizer_evaluations"]) == ("certified", 0)
+        slack = report["post_filter_check"]["slack"]
+        assert stats["optimizer_gap_bound"] == max(slack, 0.0) <= 1e-9
 
     def test_manifest_records_a_searched_optimum(self, tmp_path, capsys):
         # A loose filter tolerance leaves the state short of its bound.
@@ -1154,6 +1191,8 @@ class TestFilter:
         stats = json.loads((tmp_path / "filter.json.manifest.json").read_text())["stats"]
         assert stats["optimizer_path"] == "searched"
         assert stats["optimizer_evaluations"] > 0
+        # a search proves only the cap: the bound less the sum
+        assert stats["optimizer_gap_bound"] == report["post_filter_check"]["slack"] > 0.0
 
     @pytest.mark.parametrize(
         "args, message",

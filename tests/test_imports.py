@@ -86,14 +86,20 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, args, modules):
 
 
 @pytest.mark.parametrize(
-    "state, report", [("werner(0.82)", "certified False"), ("random_state(0, 4)", "searched True")]
+    "state, report",
+    [
+        ("werner(0.82)", "certified False False"),
+        ("random_state(0, 1)", "flat True False"),
+        ("random_state(0, 4)", "searched True True"),
+    ],
 )
 def test_only_a_search_loads_the_ridge_module(state, report):
+    # a certified state loads neither the flat test nor the search
     script = (
         "import sys\n"
         "from bellbound import optimize_excess_sum, random_state, werner\n"
         f"path = optimize_excess_sum({state}).path\n"
-        "print(path, 'bellbound._ridge' in sys.modules)\n"
+        "print(path, *(f'bellbound.{m}' in sys.modules for m in ('_flat', '_ridge')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

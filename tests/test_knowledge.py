@@ -350,7 +350,7 @@ class TestOptimizeExcessSum:
             "import sys\n"
             "import bellbound.cli\n"
             "import bellbound as bb\n"
-            "optimum = bb.optimize_excess_sum(bb.random_state(0, 1))\n"
+            "optimum = bb.optimize_excess_sum(bb.random_state(0, 4))\n"
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "assert not loaded, loaded\n"
             "print(optimum.path, optimum.check.slack)\n"
@@ -564,5 +564,210 @@ class TestOptimizeExcessSum:
             assert np.all(np.isfinite(values))
             assert check.slack >= -1e-12
             assert bb.are_complementary(optimum.pi_s, optimum.pi_s_prime)
-            assert optimum.path in ("certified", "searched")
-            assert (optimum.evaluations == 0) == (optimum.path == "certified")
+            assert optimum.path in ("certified", "flat", "searched")
+            assert (optimum.evaluations == 0) == (optimum.path != "searched")
+
+
+def ridge_terms(form):
+    """The basis ``(n_hat, a, b)``, ``M = T T^T`` in it and ``|n|^2``, as
+    optimize_excess_sum computes them for its flat test."""
+    basis = np.linalg.svd(form.n[None, :])[2]
+    return basis, basis @ form.T @ form.T.T @ basis.T, float(form.n @ form.n)
+
+
+def criterion_max(m, nu2, turns=2000, sections=40):
+    """The maximum over alpha of ``f = max(P, 0)^2 + 4 w^T H w`` (``H`` for
+    ``|n|^2 = nu2``) found without the library's roots: the best of ``turns``
+    angles, and golden sections within one step of the best three."""
+    c, plane = m[0, 1:], m[1:, 1:]
+    h = np.outer(c, c) - nu2 * plane
+
+    def f(alpha):
+        sin, cos = np.sin(alpha), np.cos(alpha)
+
+        def quadratic(x):
+            return x[0, 0] * sin * sin - (x[0, 1] + x[1, 0]) * sin * cos + x[1, 1] * cos * cos
+
+        return np.maximum(m[0, 0] - nu2 - quadratic(plane), 0.0) ** 2 + 4.0 * quadratic(h)
+
+    step = np.pi / turns
+    grid = np.arange(turns) * step
+    values = f(grid)
+    lo = grid[np.argsort(values)[-3:]] - step
+    hi = lo + 2.0 * step
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(sections):
+        # keep the part of each bracket that holds the larger value, and the inner point in it
+        rising = f1 < f2
+        lo, hi = np.where(rising, x1, lo), np.where(rising, hi, x2)
+        inner, f_inner = np.where(rising, x2, x1), np.where(rising, f2, f1)
+        new = np.where(rising, lo + golden * (hi - lo), hi - golden * (hi - lo))
+        f_new = f(new)
+        x1, f1 = np.where(rising, inner, new), np.where(rising, f_inner, f_new)
+        x2, f2 = np.where(rising, new, inner), np.where(rising, f_new, f_inner)
+    return max(values.max(), f1.max(), f2.max())
+
+
+def spin_flip_mixture(state, weight):
+    """``state`` mixed with its spin flip, which scales n and m by ``weight`` and keeps T."""
+    flip = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    rho = state.matrix
+    return bb.validate_state(
+        0.5 * (1 + weight) * rho + 0.5 * (1 - weight) * (flip @ rho.conj() @ flip)
+    )
+
+
+def boundary_weight(m, nu2, steps=40):
+    """The spin-flip weight in (0, 1] at which the criterion's maximum crosses 0:
+    scaling n by a weight w scales nu2 by w^2, and the maximum falls as w grows."""
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if criterion_max(m, mid * mid * nu2, turns=360) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestFlatPath:
+    """The closed-form flat test of ``_flat._is_flat`` and the flat path of
+    ``optimize_excess_sum``: a flat state's profile F(alpha) equals the
+    double-ridge sum D0 = tr M - A for every alpha."""
+
+    # (seed, rank) of flat states whose spin-flip mixtures are tuned towards
+    # the boundary of the flat set
+    TUNED = [
+        (0, 1), (0, 2), (0, 3), (1, 1), (1, 4), (2, 1), (4, 3), (5, 1), (7, 4), (9, 1), (13, 2),
+        (14, 2),
+    ]
+
+    def test_verdict_agrees_with_a_dense_grid(self):
+        flat_test = importlib.import_module("bellbound._flat")
+        states = [bb.random_state(seed, 1 + seed % 4) for seed in range(400)]
+        near = []
+        for seed, rank in self.TUNED:
+            state = bb.random_state(seed, rank)
+            _, m, nu2 = ridge_terms(bb.decompose(state))
+            weight = boundary_weight(m, nu2)
+            # flat just above the boundary weight, not flat just below it
+            near += [(spin_flip_mixture(state, weight * (1 + 1e-9)), True),
+                     (spin_flip_mixture(state, weight * (1 - 1e-9)), False)]
+        # ridge frames s' = cos(alpha) a + sin(alpha) b, s = cos(beta) n_hat + sin(beta) w
+        # with w = cos(alpha) b - sin(alpha) a, on a grid of 90 x 181 angles
+        alpha, beta = np.meshgrid(
+            np.linspace(0.0, np.pi, 90, endpoint=False), np.linspace(-np.pi / 2, np.pi / 2, 181)
+        )
+        ca, sa, cb, sb = (x.reshape(-1, 1) for x in (np.cos(alpha), np.sin(alpha), np.cos(beta),
+                                                      np.sin(beta)))
+        counts = {"flat": 0, "not flat": 0, "flat with P > 0 somewhere": 0}
+        for state, expected in [(s, None) for s in states] + near:
+            form = bb.decompose(state)
+            basis, m, nu2 = ridge_terms(form)
+            flat = flat_test._is_flat(m, nu2)
+            d0 = m[1, 1] + m[2, 2]
+            n_hat, a, b = basis
+            s = cb * n_hat + sb * (ca * b - sa * a)
+            rise = _excess_sum(form, s, ca * a + sa * b).max() - d0
+            if flat:
+                # no frame of the grid beats the double ridge
+                assert rise <= 1e-12
+            top = criterion_max(m, nu2)
+            margin = flat_test.FLAT_MARGIN * (np.trace(m) + nu2) ** 2
+            # never called flat where f rises to 0; always where f stays below twice the margin
+            assert not (flat and top > -margin)
+            assert flat or top > -2.0 * margin
+            if expected is not None:
+                assert flat == expected
+            counts["flat" if flat else "not flat"] += 1
+            q = (m[0, 0] - nu2) * np.eye(2) - m[1:, 1:]
+            counts["flat with P > 0 somewhere"] += flat and np.linalg.eigvalsh(q)[-1] > 0.0
+        assert counts["flat"] >= 250 and counts["not flat"] >= 50
+        assert counts["flat with P > 0 somewhere"] >= 100
+
+    def test_flat_states_return_a_double_ridge_frame(self):
+        flat_test = importlib.import_module("bellbound._flat")
+        ridge = importlib.import_module("bellbound._ridge")
+        flat = 0
+        for seed in range(120):
+            state = bb.random_state(seed, 1 + seed % 4)
+            optimum = bb.optimize_excess_sum(state)
+            if optimum.path != "flat":
+                continue
+            flat += 1
+            form = bb.decompose(state)
+            basis, m, nu2 = ridge_terms(form)
+            d0 = m[1, 1] + m[2, 2]
+            assert optimum.evaluations == 0
+            assert abs(optimum.pi_s.axis @ form.n) < 1e-12
+            assert abs(optimum.pi_s_prime.axis @ form.n) < 1e-12
+            assert optimum.gap_bound == abs(d0 - optimum.check.sum_of_squares) < 1e-15
+            # the search finds no more on a flat state, up to rounding
+            frame, _ = ridge._search(form, basis, m, nu2)
+            searched = bb.check_bound(
+                state, *(bb.QubitMeasurement(x) for x in frame),
+                *(bb.optimal_meter(state, bb.QubitMeasurement(x)) for x in frame),
+            )
+            assert searched.sum_of_squares <= optimum.check.sum_of_squares * (1 + 1e-12)
+            assert flat_test._is_flat(m, nu2)
+        assert flat >= 60
+
+    def test_each_path_reports_the_gap_it_proves(self):
+        certified = bb.optimize_excess_sum(bb.filter_normal_form(bb.random_state(3, 4)).state_out)
+        assert certified.path == "certified"
+        assert certified.gap_bound == max(certified.check.slack, 0.0) <= 1e-9
+        searched = bb.optimize_excess_sum(bb.random_state(0, 4))
+        assert searched.path == "searched"
+        # a search proves only the cap (B_max/2)^2 - sum
+        assert searched.gap_bound == searched.check.slack > 0.0
+        flat = bb.optimize_excess_sum(bb.random_state(0, 1))
+        assert flat.path == "flat"
+        assert 0.0 <= flat.gap_bound < 1e-15 < flat.check.slack
+
+    def test_top_eigenvalue_of_a_symmetric_2x2(self, rng):
+        flat_test = importlib.import_module("bellbound._flat")
+        for x, y, z in rng.normal(size=(200, 3)):
+            expected = np.linalg.eigvalsh([[x, y], [y, z]])[-1]
+            assert flat_test._top_eigenvalue(x, y, z) == pytest.approx(expected, abs=1e-14)
+
+    def test_the_criterion_holds_symbolically(self):
+        sp = pytest.importorskip("sympy")
+        flat_test = importlib.import_module("bellbound._flat")
+        alpha, beta, theta = sp.symbols("alpha beta theta", real=True)
+        a, nu, c1, c2, p11, p21, p22 = sp.symbols("A nu c1 c2 p11 p21 p22", real=True)
+        w = sp.Matrix([-sp.sin(alpha), sp.cos(alpha)])
+        c = sp.Matrix([c1, c2])
+        plane = sp.Matrix([[p11, p21], [p21, p22]])
+        h = c * c.T - nu**2 * plane
+        b, cc, whw = (w.T * c)[0], (w.T * plane * w)[0], (w.T * h * w)[0]
+        # the identity that turns the test on B and C into a quadratic form in w
+        assert sp.expand((2 * b) ** 2 - 4 * nu**2 * cc - 4 * whw) == 0
+        # squaring sqrt(q) <= sqrt(C) + nu cos(beta) leaves cos(beta) times the linear test
+        big_b, big_c = sp.symbols("B C", positive=True)
+        q = a * sp.cos(beta) ** 2 + 2 * big_b * sp.cos(beta) * sp.sin(beta)
+        q += big_c * sp.sin(beta) ** 2
+        p = a - big_c - nu**2
+        linear = 2 * nu * sp.sqrt(big_c) - p * sp.cos(beta) - 2 * big_b * sp.sin(beta)
+        squared = (sp.sqrt(big_c) + nu * sp.cos(beta)) ** 2 - q - sp.cos(beta) * linear
+        assert sp.simplify(sp.expand(squared)) == 0
+        # the Fourier terms of P and w^T H w in 2 alpha
+        p0, p1, p2, q0, q1, q2 = flat_test._flat_terms(
+            a, nu**2, p11, p21, p22, h[0, 0], h[1, 0], h[1, 1]
+        )
+        two = 2 * alpha
+        for series, target in [
+            (p0 + p1 * sp.cos(two) + p2 * sp.sin(two), a - cc - nu**2),
+            (q0 + q1 * sp.cos(two) + q2 * sp.sin(two), whw),
+        ]:
+            assert sp.expand((series - target).rewrite(sp.exp)) == 0
+        # the quartic is (1 + t^2)^2 g'(theta) at t = tan(theta / 2), g = P^2 + 4 w^T H w
+        x0, x1, x2, y0, y1, y2 = sp.symbols("p0 p1 p2 q0 q1 q2", real=True)
+        g = (x0 + x1 * sp.cos(theta) + x2 * sp.sin(theta)) ** 2
+        g += 4 * (y0 + y1 * sp.cos(theta) + y2 * sp.sin(theta))
+        t = sp.symbols("t", real=True)
+        half_angle = {sp.cos(theta): (1 - t**2) / (1 + t**2), sp.sin(theta): 2 * t / (1 + t**2)}
+        slope = (1 + t**2) ** 2 * sp.diff(g, theta).subs(half_angle)
+        quartic = flat_test._slope_quartic(x0, x1, x2, y1, y2)
+        assert sp.cancel(slope - sum(k * t ** (4 - j) for j, k in enumerate(quartic))) == 0

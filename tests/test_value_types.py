@@ -48,8 +48,11 @@ def sample(name):
         return bb.BoundCheck, {"sum_of_squares": 0.3, "bound": 0.5, "slack": 0.2, "b_max": 1.4}, {}
     if name == "ExcessOptimum":
         optimum = bb.optimize_excess_sum(bb.random_state(65, 3))
-        names = ("pi_s", "pi_s_prime", "pi_m", "pi_m_prime", "check", "path", "evaluations")
-        return bb.ExcessOptimum, fields_of(optimum, names), {"path": "certified", "evaluations": 0}
+        names = (
+            "pi_s", "pi_s_prime", "pi_m", "pi_m_prime", "check", "path", "evaluations", "gap_bound",
+        )
+        defaults = {"path": "certified", "evaluations": 0, "gap_bound": math.inf}
+        return bb.ExcessOptimum, fields_of(optimum, names), defaults
     if name == "CanonicalForm":
         form = bb.canonical_form(state)
         names = ("state_bar", "o_signal", "o_meter", "u_signal", "u_meter", "diag")
@@ -143,6 +146,28 @@ def test_array_fields_are_read_only(name):
     assert bool(arrays) == (name in HOLD_ARRAYS)
     for field in arrays:
         assert not getattr(value, field).flags.writeable, field
+
+
+# The array fields that a type reads from its caller by core._array, which
+# returns a new array: the type freezes that array and copies it no more.
+CALLER_ARRAYS = {
+    "TwoQubitState": ("matrix",), "BlochForm": ("n", "m", "T"), "QubitMeasurement": ("axis",),
+}
+
+
+@pytest.mark.parametrize("name", list(CALLER_ARRAYS))
+def test_array_fields_share_no_memory_with_the_caller(name):
+    cls, kwargs, _ = sample(name)
+    given = {k: np.array(v) if isinstance(v, np.ndarray) else v for k, v in kwargs.items()}
+    value = cls(**given)
+    for field in CALLER_ARRAYS[name]:
+        array, kept = getattr(value, field), getattr(value, field).copy()
+        assert not np.shares_memory(array, given[field]), field
+        given[field][...] = 0
+        assert np.array_equal(array, kept), field
+        assert not array.flags.writeable, field
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 @pytest.mark.parametrize("name", HOLD_ARRAYS)
