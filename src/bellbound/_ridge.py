@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from .core import BlochForm
-
 # The screen profiles RIDGE_TURNS angles alpha in [0, pi), a period of the profile.
 RIDGE_TURNS = 32
 # A slope of the profile no larger than FLAT_SLOPE times the double-ridge sum
@@ -34,12 +32,13 @@ def _ridge_frames(basis: np.ndarray, alpha, beta) -> np.ndarray:
     return np.stack([s, s_prime], axis=-2)
 
 
-def _profile(form: BlochForm, basis: np.ndarray, alpha: np.ndarray):
+def _profile(m: np.ndarray, nu2: float, alpha: np.ndarray):
     """The ridge profile ``F(alpha) = max_beta G(alpha, beta)``, ``G`` the excess
     sum of ``_ridge_frames(basis, alpha, beta)``, with ``dF/dalpha`` and the
-    maximizing beta, at each angle of the 1-D array ``alpha``.
+    maximizing beta, at each angle of the 1-D array ``alpha``; ``m`` and ``nu2``
+    are ``M = T T^T`` in the basis and ``|n|^2``, as :func:`_search` takes them.
 
-    With ``M = T T^T``, ``nu = |n|``, ``A = n_hat^T M n_hat``, ``B = n_hat^T M w``
+    With ``nu = |n|``, ``A = n_hat^T M n_hat``, ``B = n_hat^T M w``
     and ``C = w^T M w``, ``|T^T s'|^2 = tr M - A - C`` and ``|T^T s|^2 = q =
     A cos^2 beta + 2B cos beta sin beta + C sin^2 beta``, so for beta in
     [-pi/2, pi/2] (``s -> -s`` covers the rest)
@@ -53,8 +52,6 @@ def _profile(form: BlochForm, basis: np.ndarray, alpha: np.ndarray):
     the maximizing beta, ``dF/dalpha = dG/dalpha = -C' + e (2B' cos beta sin
     beta + C' sin^2 beta) / sqrt(q)``, ``e`` the excess of ``s`` and ``'`` the
     derivative by alpha (``w' = -s'``)."""
-    m = basis @ form.T @ form.T.T @ basis.T
-    nu2 = float(form.n @ form.n)
     c, plane = m[0, 1:], m[1:, 1:]
     w = np.stack([-np.sin(alpha), np.cos(alpha)], axis=-1)
     s_prime = np.stack([w[:, 1], -w[:, 0]], axis=-1)
@@ -87,7 +84,7 @@ def _profile(form: BlochForm, basis: np.ndarray, alpha: np.ndarray):
     return np.trace(m) - a_ - c_ + e**2, slope, beta[lanes, best]
 
 
-def _search(form: BlochForm, basis: np.ndarray, m: np.ndarray, nu2: float):
+def _search(basis: np.ndarray, m: np.ndarray, nu2: float):
     """Maximize the ridge profile ``F(alpha)`` of :func:`_profile`: the best
     frame (2, 3) and the number of angles alpha profiled.  ``basis``, ``m`` and
     ``nu2`` are ``(n_hat, a, b)``, ``M = T T^T`` in that basis and ``|n|^2``, as
@@ -107,7 +104,7 @@ def _search(form: BlochForm, basis: np.ndarray, m: np.ndarray, nu2: float):
     top = np.linalg.eigh(h)[1][:, -1]
     turns = np.arange(RIDGE_TURNS) * math.pi / RIDGE_TURNS
     alpha = np.sort(np.append(turns, math.atan2(-top[0], top[1]) % math.pi))
-    values, slopes, betas = _profile(form, basis, alpha)
+    values, slopes, betas = _profile(m, nu2, alpha)
     i = int(np.argmax(values))
     best, evaluations = (values[i], alpha[i], betas[i]), len(alpha)
     # The bracket [lo, hi] holds distances t from alpha[i] uphill, where the
@@ -123,7 +120,7 @@ def _search(form: BlochForm, basis: np.ndarray, m: np.ndarray, nu2: float):
         t = (lo * g_hi - hi * g_lo) / (g_hi - g_lo) if secant else 0.5 * (lo + hi)
         if not lo < t < hi:
             break
-        value, slope, beta = (x[0] for x in _profile(form, basis, np.array([alpha[i] + uphill * t])))
+        value, slope, beta = (x[0] for x in _profile(m, nu2, np.array([alpha[i] + uphill * t])))
         evaluations += 1
         if value > best[0]:
             best = (value, alpha[i] + uphill * t, beta)

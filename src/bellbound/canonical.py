@@ -8,18 +8,18 @@ import math
 import numpy as np
 
 from .core import (
-    ID2,
-    BlochForm,
     TwoQubitState,
-    apply_local_unitary,
-    decompose,
-    recompose,
-    unitary_from_rotation,
+    _array,
+    _bloch_split,
+    _correlation_stack,
+    _density,
     _Frozen,
+    _frozen,
     _integer,
-    _readonly,
     _real,
     _set,
+    _unitary,
+    _validate_stack,
 )
 from .errors import NoConvergence, SingularReduction
 from .knowledge import BoundCheck, _bell_max_stack, _proper_rotation_factors, optimize_excess_sum
@@ -42,20 +42,14 @@ class CanonicalForm(_Frozen):
     __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(
-        self,
-        state_bar: TwoQubitState,
-        o_signal: np.ndarray,
-        o_meter: np.ndarray,
-        u_signal: np.ndarray,
-        u_meter: np.ndarray,
-        diag: np.ndarray,
+        self, state_bar: TwoQubitState, o_signal: np.ndarray, o_meter: np.ndarray,
+        u_signal: np.ndarray, u_meter: np.ndarray, diag: np.ndarray,
     ):
         _set(self, "state_bar", state_bar)
-        _set(self, "o_signal", _readonly(np.asarray(o_signal, dtype=float)))
-        _set(self, "o_meter", _readonly(np.asarray(o_meter, dtype=float)))
-        _set(self, "u_signal", _readonly(np.asarray(u_signal, dtype=complex)))
-        _set(self, "u_meter", _readonly(np.asarray(u_meter, dtype=complex)))
-        _set(self, "diag", _readonly(np.asarray(diag, dtype=float)))
+        values = (o_signal, o_meter, u_signal, u_meter, diag)
+        shapes = [((3, 3), float)] * 2 + [((2, 2), complex)] * 2 + [((3,), float)]
+        for name, value, (shape, dtype) in zip(self.__slots__[1:], values, shapes):
+            _set(self, name, _frozen(_array(value, name, shape, dtype)))
 
 
 class FilterResult(_Frozen):
@@ -68,31 +62,19 @@ class FilterResult(_Frozen):
     """
 
     __slots__ = (
-        "state_out",
-        "f_signal",
-        "f_meter",
-        "success_probability",
-        "iterations",
-        "b_max_in",
-        "b_max_out",
-        "deviation_log",
+        "state_out", "f_signal", "f_meter", "success_probability", "iterations", "b_max_in",
+        "b_max_out", "deviation_log",
     )
     __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(
-        self,
-        state_out: TwoQubitState,
-        f_signal: np.ndarray,
-        f_meter: np.ndarray,
-        success_probability: float,
-        iterations: int,
-        b_max_in: float,
-        b_max_out: float,
+        self, state_out: TwoQubitState, f_signal: np.ndarray, f_meter: np.ndarray,
+        success_probability: float, iterations: int, b_max_in: float, b_max_out: float,
         deviation_log: tuple[float, ...] = (),
     ):
         _set(self, "state_out", state_out)
-        _set(self, "f_signal", _readonly(np.asarray(f_signal, dtype=complex)))
-        _set(self, "f_meter", _readonly(np.asarray(f_meter, dtype=complex)))
+        _set(self, "f_signal", _frozen(_array(f_signal, "f_signal", (2, 2), complex)))
+        _set(self, "f_meter", _frozen(_array(f_meter, "f_meter", (2, 2), complex)))
         _set(self, "success_probability", success_probability)
         _set(self, "iterations", iterations)
         _set(self, "b_max_in", b_max_in)
@@ -113,17 +95,26 @@ def canonical_form(state: TwoQubitState) -> CanonicalForm:
     returned unchanged with identity rotations; under degenerate singular
     values any valid factorization branch may be returned.
     """
-    t = decompose(state).T
+    rho, *arrays = _canonical(state.matrix)
+    if rho is not state.matrix:
+        state = TwoQubitState._of(_frozen(_validate_stack(rho[np.newaxis])[0]))
+    return CanonicalForm._of(state, *map(_frozen, arrays))
+
+
+def _canonical(rho: np.ndarray) -> tuple:
+    """:func:`canonical_form` of a Hermitian matrix ``rho``, which no rule
+    checks: the rotated matrix, unvalidated (``rho`` itself when it is returned
+    unchanged), then the arrays of the fields after ``state_bar``."""
+    t = _bloch_split(rho[np.newaxis])[2][0]
     diag_entries = np.diag(t).copy()
     squares = diag_entries**2
     if _is_diagonal(t) and squares[0] >= squares[1] >= squares[2]:
-        eye3 = np.eye(3)
-        return CanonicalForm(state, eye3, eye3, ID2, ID2, diag_entries)
+        eye3, eye2 = np.eye(3), np.eye(2, dtype=complex)
+        return rho, eye3, eye3, eye2, eye2, diag_entries
     o_s, d, o_m = _proper_rotation_factors(t)
-    u_s = unitary_from_rotation(o_s)
-    u_m = unitary_from_rotation(o_m)
-    state_bar = apply_local_unitary(state, u_s.conj().T, u_m.conj().T)
-    return CanonicalForm(state_bar, o_s, o_m, u_s, u_m, d)
+    u_s, u_m = _unitary(o_s), _unitary(o_m)
+    big = np.kron(u_s.conj().T, u_m.conj().T)
+    return big @ rho @ big.conj().T, o_s, o_m, u_s, u_m, d
 
 
 def _half_step(corr: np.ndarray, f: tuple, side: str) -> tuple[np.ndarray, tuple]:
@@ -184,8 +175,10 @@ def filter_normal_form(
         raise ValueError(f"filter tol must be a finite number > 0, got {tol}")
     if _integer(max_iter, "filter max_iter") < 1:
         raise ValueError(f"filter max_iter must be >= 1, got {max_iter}")
-    form = decompose(state)
-    corr = form.R
+    # R with R_00 = 1, as BlochForm.R sets it, and C-contiguous as that is.
+    corr = np.ascontiguousarray(_correlation_stack(state.matrix[np.newaxis])[0])
+    corr[0, 0] = 1.0
+    t_in = corr[1:, 1:]
     f_signal = f_meter = (1.0, 0.0, 0.0, 1.0)
     deviations: list[float] = []
     iterations = 0
@@ -201,28 +194,23 @@ def filter_normal_form(
             raise NoConvergence(max_iter, deviations[-1])
 
     f_signal, f_meter = (np.array(f, dtype=complex).reshape(2, 2) for f in (f_signal, f_meter))
-    filtered_form = BlochForm(corr[1:, 0], corr[0, 1:], corr[1:, 1:])
-    state_out = recompose(filtered_form)
-    if not _is_diagonal(filtered_form.T):
-        cf = canonical_form(state_out)
-        state_out = cf.state_bar
-        f_signal = cf.u_signal.conj().T @ f_signal
-        f_meter = cf.u_meter.conj().T @ f_meter
+    # Validated only at exit: mirrored entries sum the same exact Pauli
+    # products in the same order, so the matrix is Hermitian to the bit.
+    rho = _density(corr)
+    if not _is_diagonal(corr[1:, 1:]):
+        rho, _, _, u_s, u_m, _ = _canonical(rho)
+        f_signal = u_s.conj().T @ f_signal
+        f_meter = u_m.conj().T @ f_meter
+    state_out = TwoQubitState._of(_frozen(_validate_stack(rho[np.newaxis])[0]))
 
     f_signal = f_signal / np.linalg.svd(f_signal, compute_uv=False)[0]
     f_meter = f_meter / np.linalg.svd(f_meter, compute_uv=False)[0]
     big = np.kron(f_signal, f_meter)
     success = float((big @ state.matrix @ big.conj().T).trace().real)
-    b_max_in, b_max_out = _bell_max_stack(np.stack([form.T, filtered_form.T])).tolist()
-    return FilterResult(
-        state_out=state_out,
-        f_signal=f_signal,
-        f_meter=f_meter,
-        success_probability=success,
-        iterations=iterations,
-        b_max_in=b_max_in,
-        b_max_out=b_max_out,
-        deviation_log=tuple(deviations),
+    b_max_in, b_max_out = _bell_max_stack(np.stack([t_in, corr[1:, 1:]])).tolist()
+    return FilterResult._of(
+        state_out, _frozen(f_signal), _frozen(f_meter), success, iterations, b_max_in, b_max_out,
+        tuple(deviations),
     )
 
 

@@ -13,6 +13,11 @@ Conventions, fixed once and asserted in the tests:
 
 All functions are pure and all returned arrays are read-only, so values can
 be shared freely between threads.
+
+A value type has two doors.  Its ``__init__`` takes a caller's values through
+the rules (:func:`_array`, :func:`_real`, :func:`_integer`, :func:`_unit_axes`,
+:func:`_validate_stack`), the only code that decides validity; ``_Frozen._of``
+builds a result from values the library has checked and frozen, with no rule.
 """
 
 from __future__ import annotations
@@ -102,11 +107,6 @@ def _angle(value, name: str) -> float:
     return theta
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of ``a``."""
-    return _frozen(np.array(a))
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, a new array that no caller holds, set read-only in place."""
     a.setflags(write=False)
@@ -125,9 +125,18 @@ class _Frozen:
     and ``_asdict`` go by the fields, with array fields compared by
     ``np.array_equal``.  Hashing goes by the fields too, but a subclass that
     holds arrays sets ``__hash__ = None``: equal arrays may differ in their
-    bytes (``0.0`` and ``-0.0``), so hashing the bytes would break equality."""
+    bytes (``0.0`` and ``-0.0``), so hashing the bytes would break equality.
+    ``__init__`` checks a caller's values; ``_of`` sets fields that the library
+    has checked, each array frozen, in slot order, and checks none."""
 
     __slots__ = ()
+
+    @classmethod
+    def _of(cls, *fields):
+        value = object.__new__(cls)
+        for name, field in zip(cls.__slots__, fields):
+            _set(value, name, field)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -224,7 +233,7 @@ class QubitMeasurement(_Frozen):
 
     def flipped(self) -> "QubitMeasurement":
         """Same measurement with the outcome labels swapped."""
-        return QubitMeasurement(-self.axis, degenerate=self.degenerate)
+        return QubitMeasurement._of(_frozen(-self.axis), self.degenerate)
 
 
 class ConditionalDecomposition(_Frozen):
@@ -241,19 +250,13 @@ class ConditionalDecomposition(_Frozen):
     __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(
-        self,
-        w: float,
-        w_perp: float,
-        rho_M: np.ndarray,
-        rho_M_perp: np.ndarray,
-        chi_M: np.ndarray,
-        degenerate: bool = False,
+        self, w: float, w_perp: float, rho_M: np.ndarray, rho_M_perp: np.ndarray,
+        chi_M: np.ndarray, degenerate: bool = False,
     ):
         _set(self, "w", w)
         _set(self, "w_perp", w_perp)
-        _set(self, "rho_M", _readonly(np.asarray(rho_M, dtype=complex)))
-        _set(self, "rho_M_perp", _readonly(np.asarray(rho_M_perp, dtype=complex)))
-        _set(self, "chi_M", _readonly(np.asarray(chi_M, dtype=complex)))
+        for name, block in zip(self.__slots__[2:5], (rho_M, rho_M_perp, chi_M)):
+            _set(self, name, _frozen(_array(block, name, (2, 2), complex)))
         _set(self, "degenerate", degenerate)
 
 
@@ -303,8 +306,7 @@ def decompose(state: TwoQubitState) -> BlochForm:
     """Bloch expansion read off ``R_ij = tr[rho (sigma_i x sigma_j)]``
     (``sigma_0 = 1``, the table ``_PAULI_PAIRS``): n_k = R_k0, m_l = R_0l,
     T_kl = R_kl."""
-    corr = _correlation_stack(state.matrix[np.newaxis])[0]
-    return BlochForm(corr[1:, 0], corr[0, 1:], corr[1:, 1:])
+    return BlochForm._of(*(_frozen(x)[0] for x in _bloch_split(state.matrix[np.newaxis])))
 
 
 def _correlation_stack(rho: np.ndarray) -> np.ndarray:
@@ -313,6 +315,14 @@ def _correlation_stack(rho: np.ndarray) -> np.ndarray:
     leaves only floating noise in the imaginary parts, which are dropped."""
     coefficients = np.einsum("aij,Nji->Na", _PAULI_PAIRS.reshape(16, 4, 4), rho)
     return coefficients.real.reshape(-1, 4, 4)
+
+
+def _bloch_split(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Bloch stacks ``n`` (N, 3), ``m`` (N, 3) and ``T`` (N, 3, 3) of a stack
+    of validated states, read off :func:`_correlation_stack`, each a new
+    C-contiguous array: the one split of R, so a row is computed as in a 1-stack."""
+    corr = _correlation_stack(rho)
+    return corr[:, 1:, 0].copy(), corr[:, 0, 1:].copy(), corr[:, 1:, 1:].copy()
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -346,7 +356,12 @@ def recompose(form: BlochForm) -> TwoQubitState:
     """Rebuild the density matrix ``1/4 sum_ij R_ij sigma_i x sigma_j`` from a
     Bloch form's ``R`` over the table ``_PAULI_PAIRS``; raises NotPositive for
     Bloch data with no physical state."""
-    return validate_state(0.25 * np.einsum("ij,ijab->ab", form.R, _PAULI_PAIRS))
+    return validate_state(_density(form.R))
+
+
+def _density(corr: np.ndarray) -> np.ndarray:
+    """The unvalidated matrix ``1/4 sum_ij R_ij sigma_i x sigma_j`` of a 4x4 ``R``."""
+    return 0.25 * np.einsum("ij,ijab->ab", corr, _PAULI_PAIRS)
 
 
 def _check_unitary(u, name: str = "U") -> np.ndarray:
@@ -374,7 +389,7 @@ def rotation_of_unitary(u) -> np.ndarray:
     u = _check_unitary(u)
     conjugated = np.einsum("ab,lbc,dc->lad", u, PAULI, u.conj())
     o = 0.5 * np.einsum("kab,lba->kl", PAULI, conjugated).real
-    return _readonly(o)
+    return _frozen(o)
 
 
 def _quaternion_from_rotation(o: np.ndarray) -> np.ndarray:
@@ -441,6 +456,11 @@ def unitary_from_rotation(o) -> np.ndarray:
     det = float(np.linalg.det(o))
     if abs(det - 1.0) > ROTATION_TOL:
         raise NotRotation(f"det O = {det:.12f}, expected +1 (limit {ROTATION_TOL})")
+    return _frozen(_unitary(o))
+
+
+def _unitary(o: np.ndarray) -> np.ndarray:
+    """:func:`unitary_from_rotation` of a proper rotation that no rule checks."""
     q = _quaternion_from_rotation(o)
     for component in q:
         if abs(component) > 1e-8:
@@ -448,8 +468,7 @@ def unitary_from_rotation(o) -> np.ndarray:
                 q = -q
             break
     w, x, y, z = q
-    u = w * ID2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
-    return _readonly(u)
+    return w * ID2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
 def measurement_from_polarization_angle(theta_deg: float) -> QubitMeasurement:
@@ -490,7 +509,7 @@ def measurement_kets(measurement: QubitMeasurement) -> tuple[np.ndarray, np.ndar
         plus = np.array([x - 1j * y, 1.0 - z])
     plus = plus / np.linalg.norm(plus)
     minus = np.array([-np.conj(plus[1]), np.conj(plus[0])])
-    return _readonly(plus), _readonly(minus)
+    return _frozen(plus), _frozen(minus)
 
 
 def conditional_decompose(state: TwoQubitState, pi_signal: QubitMeasurement) -> ConditionalDecomposition:
@@ -511,4 +530,5 @@ def conditional_decompose(state: TwoQubitState, pi_signal: QubitMeasurement) -> 
     rho_m = block_pp / w if w >= DEGENERATE_WEIGHT else zero
     rho_m_perp = block_mm / w_perp if w_perp >= DEGENERATE_WEIGHT else zero
     chi = block_pm / math.sqrt(w * w_perp) if not degenerate else zero
-    return ConditionalDecomposition(w, w_perp, rho_m, rho_m_perp, chi, degenerate)
+    blocks = map(_frozen, (rho_m, rho_m_perp, chi))
+    return ConditionalDecomposition._of(w, w_perp, *blocks, degenerate)

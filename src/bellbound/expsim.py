@@ -216,7 +216,7 @@ def _simulate_stack(
         int(rng.poisson(max(mean, 0.0)))
         for rng, mean in zip(_philox_streams(config.seed, words), means.ravel().tolist())
     ]
-    return [CountRecord(*counts[i : i + 4]) for i in range(0, len(counts), 4)]
+    return [CountRecord._of(*counts[i : i + 4]) for i in range(0, len(counts), 4)]
 
 
 def simulate_counts(

@@ -5,8 +5,10 @@ Every quantity is evaluated in closed form on the Bloch decomposition
 ``T`` (N, 3, 3), unit axes (N, 3)) whose 1-stacks are the public functions.
 One form, ``n`` (1, 3) and ``T`` (1, 3, 3), broadcasts against N axes.
 A row repeats one instance's operations, so it is the same bit for bit in
-any stack of C-contiguous ``n`` and ``T``.  The test suite checks these
-forms against a direct trace over the conditional meter states.
+any stack of C-contiguous ``n`` and ``T``; ``core._bloch_split``, the one
+split of a state's R into ``n``, ``m`` and ``T``, keeps them so for every
+caller.  The test suite checks these forms against a direct trace over the
+conditional meter states.
 
 A bound check is put together from pieces its caller holds: the knowledge
 excesses, each from its Helstrom direction ``T^T s`` (:func:`_excess_along`),
@@ -30,9 +32,11 @@ import numpy as np
 from .core import (
     QubitMeasurement,
     TwoQubitState,
+    _bloch_split,
     _complementary_stack,
+    _frozen,
     _row_dot,
-    decompose,
+    _unit_axes,
 )
 from .errors import NotComplementary
 
@@ -151,8 +155,8 @@ def _bound_checks(n, t, s, s_prime, m, m_prime) -> tuple[BoundCheck, BoundCheck]
 
 def _one(state: TwoQubitState, *measurements: QubitMeasurement) -> tuple[np.ndarray, ...]:
     """The 1-stack of a state and its measurements: ``n``, ``T`` and each axis."""
-    form = decompose(state)
-    return (form.n[None], form.T[None], *(pi.axis[None] for pi in measurements))
+    n, _, t = _bloch_split(state.matrix[None])
+    return (n, t, *(pi.axis[None] for pi in measurements))
 
 
 def _first(check: BoundCheck) -> BoundCheck:
@@ -207,13 +211,15 @@ def knowledge_report(
     return KnowledgeReport(K=k, P=p, deltaK=k - p, D=d, deltaD=d - p)
 
 
-def _meter_along(direction) -> QubitMeasurement:
-    """The Helstrom measurement along the 1-stack ``direction``, ``T^T s``
+def _meter_along(directions) -> tuple[np.ndarray, np.ndarray]:
+    """The Helstrom meter axes along the stack ``directions`` (N, 3), each
+    ``T^T s`` divided by its norm, for :func:`_unit_axes` to check and
+    normalize once more, and whether each is degenerate, +z in its place
     (see :func:`optimal_meter`)."""
-    norm = float(np.linalg.norm(direction[0]))
-    if norm < DEGENERATE_DIRECTION:
-        return QubitMeasurement(np.array([0.0, 0.0, 1.0]), degenerate=True)
-    return QubitMeasurement(direction[0] / norm)
+    norm = np.sqrt(_row_dot(directions, directions))
+    degenerate = norm < DEGENERATE_DIRECTION
+    rows = directions / np.where(degenerate, 1.0, norm)[:, None]
+    return np.where(degenerate[:, None], [0.0, 0.0, 1.0], rows), degenerate
 
 
 def optimal_meter(state: TwoQubitState, pi_signal: QubitMeasurement) -> QubitMeasurement:
@@ -222,7 +228,8 @@ def optimal_meter(state: TwoQubitState, pi_signal: QubitMeasurement) -> QubitMea
     When ``|T^T s|`` vanishes every meter measurement is equally
     uninformative; the +z axis is returned with ``degenerate`` set.
     """
-    return _meter_along(_helstrom_stack(*_one(state, pi_signal)[1:]))
+    rows, degenerate = _meter_along(_helstrom_stack(*_one(state, pi_signal)[1:]))
+    return QubitMeasurement._of(_frozen(_unit_axes(rows))[0], bool(degenerate[0]))
 
 
 def bell_max(state: TwoQubitState) -> float:
@@ -331,11 +338,10 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
     bound less the sum (at least 0) when certified or searched, and the
     rounding ``|D0 - sum|`` when flat.
     """
-    form = decompose(state)
-    n, t = form.n[None], form.T[None]
+    n, _, t = _bloch_split(state.matrix[None])
     b = _bell_max_stack(t)
     bound = (float(b[0]) / 2.0) ** 2
-    seeds = np.ascontiguousarray(np.linalg.svd(form.T)[0][:, :2].T)
+    seeds = np.ascontiguousarray(np.linalg.svd(t[0])[0][:, :2].T)
     excess = np.subtract(*_distinguishability_stack(n, t, seeds))
     evaluations = 0
     if (excess**2).sum() >= bound - CERTIFY_TOL:
@@ -344,28 +350,26 @@ def optimize_excess_sum(state: TwoQubitState) -> ExcessOptimum:
         # The flat test and the search are compiled only in the processes that run them.
         from . import _flat
 
-        basis = np.linalg.svd(form.n[None, :])[2]
-        m = basis @ form.T @ form.T.T @ basis.T
-        nu2 = float(form.n @ form.n)
+        basis = np.linalg.svd(n)[2]
+        m = basis @ t[0] @ t[0].T @ basis.T
+        nu2 = float(n[0] @ n[0])
         if _flat._is_flat(m, nu2):
             frame, path = basis[1:], "flat"
         else:
             from . import _ridge
 
-            frame, evaluations = _ridge._search(form, basis, m, nu2)
+            frame, evaluations = _ridge._search(basis, m, nu2)
             path = "searched"
-    pi_s, pi_s_prime = (QubitMeasurement(x) for x in frame)
-    s, s_prime = pi_s.axis[None], pi_s_prime.axis[None]
-    _require_complementary(s, s_prime)
-    directions = [_helstrom_stack(t, x) for x in (s, s_prime)]
-    pi_m, pi_m_prime = (_meter_along(d) for d in directions)
-    dk, dk_prime = (
-        _excess_along(n, d, pi.axis[None], x)
-        for d, pi, x in zip(directions, (pi_m, pi_m_prime), (s, s_prime))
-    )
-    check = _first(_bound_check(dk, dk_prime, b))
+    s = _unit_axes(frame)
+    _require_complementary(s[:1], s[1:])
+    directions = _helstrom_stack(t, s)
+    rows, degenerate = _meter_along(directions)
+    axes = _frozen(np.concatenate([s, _unit_axes(rows)]))
+    excess = _excess_along(n, directions, axes[2:], s)
+    check = _first(_bound_check(excess[:1], excess[1:], b))
     if path == "flat":
         gap_bound = abs(float(m[1, 1] + m[2, 2]) - check.sum_of_squares)
     else:
         gap_bound = max(check.slack, 0.0)
-    return ExcessOptimum(pi_s, pi_s_prime, pi_m, pi_m_prime, check, path, evaluations, gap_bound)
+    pis = map(QubitMeasurement._of, axes, (False, False, *map(bool, degenerate)))
+    return ExcessOptimum(*pis, check, path, evaluations, gap_bound)

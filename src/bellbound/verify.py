@@ -27,16 +27,16 @@ import numpy as np
 from .core import (
     QubitMeasurement,
     TwoQubitState,
-    _correlation_stack,
+    _array,
+    _bloch_split,
     _Frozen,
+    _frozen,
     _integer,
     _normalized,
-    _readonly,
     _rotation_stack,
     _set,
     _unit_axes,
     _validate_stack,
-    validate_state,
 )
 from .factories import _density_stack, _philox_streams
 from .knowledge import BoundCheck, _bound_checks, _first
@@ -53,34 +53,20 @@ class FuzzInstance(_Frozen):
     """One random (state, measurement quadruple) draw and its bound checks."""
 
     __slots__ = (
-        "trial",
-        "state",
-        "s_axis",
-        "s_prime_axis",
-        "m_axis",
-        "m_prime_axis",
-        "check",
+        "trial", "state", "s_axis", "s_prime_axis", "m_axis", "m_prime_axis", "check",
         "same_meter_check",
     )
     __hash__ = None  # it holds arrays (see _Frozen)
 
     def __init__(
-        self,
-        trial: int,
-        state: TwoQubitState,
-        s_axis: np.ndarray,
-        s_prime_axis: np.ndarray,
-        m_axis: np.ndarray,
-        m_prime_axis: np.ndarray,
-        check: BoundCheck,
+        self, trial: int, state: TwoQubitState, s_axis: np.ndarray, s_prime_axis: np.ndarray,
+        m_axis: np.ndarray, m_prime_axis: np.ndarray, check: BoundCheck,
         same_meter_check: BoundCheck,
     ):
         _set(self, "trial", trial)
         _set(self, "state", state)
-        _set(self, "s_axis", s_axis)
-        _set(self, "s_prime_axis", s_prime_axis)
-        _set(self, "m_axis", m_axis)
-        _set(self, "m_prime_axis", m_prime_axis)
+        for name, axis in zip(self.__slots__[2:6], (s_axis, s_prime_axis, m_axis, m_prime_axis)):
+            _set(self, name, _frozen(_array(axis, name, (3,))))
         _set(self, "check", check)
         _set(self, "same_meter_check", same_meter_check)
 
@@ -153,9 +139,7 @@ def _screen(states, s, s_prime, m, m_prime) -> tuple[BoundCheck, BoundCheck]:
     """Both bound checks of a block of validated states (N, 4, 4) and its
     unit axes, checked where they were drawn or read, as BoundChecks of (N,)
     arrays."""
-    corr = _correlation_stack(states)
-    # C-contiguous as in a BlochForm, so each row is computed as in a 1-stack.
-    n, t = np.ascontiguousarray(corr[:, 1:, 0]), np.ascontiguousarray(corr[:, 1:, 1:])
+    n, _, t = _bloch_split(states)
     return _bound_checks(n, t, s, s_prime, m, m_prime)
 
 
@@ -164,13 +148,9 @@ def run_trial(seed: int, trial: int) -> FuzzInstance:
     two random meter axes; checks both bounds.  This is the block path on a
     block of one trial."""
     rho, *axes = _draw_block(seed, [trial])
-    state = validate_state(rho[0])
-    return FuzzInstance(
-        trial,
-        state,
-        *(_readonly(a[0]) for a in axes),
-        *map(_first, _screen(state.matrix[None], *axes)),
-    )
+    state = TwoQubitState._of(_frozen(_validate_stack(rho)[0]))
+    checks = map(_first, _screen(state.matrix[None], *axes))
+    return FuzzInstance._of(trial, state, *(_frozen(a)[0] for a in axes), *checks)
 
 
 def fuzz_bounds(trials: int, seed: int) -> FuzzSummary:

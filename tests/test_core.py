@@ -357,6 +357,16 @@ class TestMeasurements:
             with pytest.raises(ValueError, match="unit vector"):
                 bb.QubitMeasurement(np.array(axis))
 
+    def test_flipped_negates_the_axis_bit_for_bit(self):
+        # Normalizing -axis again would move the last bit of about 1 axis in 120.
+        directions = np.random.default_rng(26).normal(size=(20_000, 3))
+        for direction in directions:
+            pi = bb.QubitMeasurement(direction / np.linalg.norm(direction), degenerate=True)
+            flipped = pi.flipped()
+            assert flipped.axis.tobytes() == (-pi.axis).tobytes()
+            assert flipped.degenerate and not flipped.axis.flags.writeable
+            assert flipped.flipped().axis.tobytes() == pi.axis.tobytes()
+
 
 class TestComplementarity:
     def test_hv_vs_xy(self):

@@ -503,9 +503,9 @@ class TestOptimizeExcessSum:
         beta = np.linspace(-np.pi / 2, np.pi / 2, 20_001)
         for seed in range(40):
             form = bb.decompose(bb.random_state(seed, 1 + seed % 4))
-            basis = np.linalg.svd(form.n[None, :])[2]
+            basis, m, nu2 = ridge_terms(form)
             alpha = rng.uniform(0.0, np.pi, size=6)
-            values, _, best = ridge._profile(form, basis, alpha)
+            values, _, best = ridge._profile(m, nu2, alpha)
             frames = ridge._ridge_frames(basis, *np.meshgrid(alpha, beta, indexing="ij"))
             s, s_prime = frames.reshape(-1, 2, 3).swapaxes(0, 1)
             grid = _excess_sum(form, s, s_prime).reshape(len(alpha), -1)
@@ -525,10 +525,10 @@ class TestOptimizeExcessSum:
         checked = 0
         for seed in range(40):
             form = bb.decompose(bb.random_state(seed, 1 + seed % 4))
-            basis = np.linalg.svd(form.n[None, :])[2]
-            values, slopes, beta = ridge._profile(form, basis, alpha)
-            above, _, beta_above = ridge._profile(form, basis, alpha + h)
-            below, _, beta_below = ridge._profile(form, basis, alpha - h)
+            basis, m, nu2 = ridge_terms(form)
+            values, slopes, beta = ridge._profile(m, nu2, alpha)
+            above, _, beta_above = ridge._profile(m, nu2, alpha + h)
+            below, _, beta_below = ridge._profile(m, nu2, alpha - h)
             frames = ridge._ridge_frames(basis, alpha, beta)
             s = frames[:, 0]
             excess = np.linalg.norm(s @ form.T, axis=1) - np.abs(s @ form.n)
@@ -705,7 +705,7 @@ class TestFlatPath:
             assert abs(optimum.pi_s_prime.axis @ form.n) < 1e-12
             assert optimum.gap_bound == abs(d0 - optimum.check.sum_of_squares) < 1e-15
             # the search finds no more on a flat state, up to rounding
-            frame, _ = ridge._search(form, basis, m, nu2)
+            frame, _ = ridge._search(basis, m, nu2)
             searched = bb.check_bound(
                 state, *(bb.QubitMeasurement(x) for x in frame),
                 *(bb.optimal_meter(state, bb.QubitMeasurement(x)) for x in frame),

@@ -4,10 +4,13 @@ Every value type is immutable, holds its arrays read-only, builds from
 keywords with its defaults, survives a pickle round trip and, where it holds
 arrays, is not a sequence that numpy would unpack.  The types that check
 their input, TwoQubitState among them, reject it with the messages pinned
-here.
+here.  A type's ``__init__`` is the door for a caller's values; the library
+builds its results by ``_Frozen._of`` from values it has checked once.
 """
 
+import collections
 import importlib
+import sys
 import math
 import pickle
 import re
@@ -18,6 +21,8 @@ import numpy as np
 import pytest
 
 import bellbound as bb
+from bellbound.core import _Frozen
+from bellbound.factories import BELL_KETS
 from bellbound.verify import FuzzInstance, FuzzSummary, fuzz_bounds, run_trial
 
 
@@ -152,6 +157,10 @@ def test_array_fields_are_read_only(name):
 # returns a new array: the type freezes that array and copies it no more.
 CALLER_ARRAYS = {
     "TwoQubitState": ("matrix",), "BlochForm": ("n", "m", "T"), "QubitMeasurement": ("axis",),
+    "ConditionalDecomposition": ("rho_M", "rho_M_perp", "chi_M"),
+    "CanonicalForm": ("o_signal", "o_meter", "u_signal", "u_meter", "diag"),
+    "FilterResult": ("f_signal", "f_meter"),
+    "FuzzInstance": ("s_axis", "s_prime_axis", "m_axis", "m_prime_axis"),
 }
 
 
@@ -430,6 +439,15 @@ def _unitary_site(slot):
     return call
 
 
+def _field_site(name, field):
+    """The value type ``name`` built from its sample with ``field`` replaced."""
+    def call(value):
+        cls, kwargs, _ = sample(name)
+        return cls(**{**kwargs, field: value})
+
+    return call
+
+
 # Every parameter that takes an array from its caller: (call, the name its
 # messages give it, a valid value as nested lists, whether it takes complex
 # entries, the error that a value of another shape raises).  Each reads the
@@ -478,6 +496,23 @@ ARRAY_SITES = {
     "mixing_model_from_schedule.rates": (
         lambda v: bb.mixing_model_from_schedule(0.75, [20, 10, 8], v),
         "schedule rate vector", [0.04, 0.01, 0.0125], False, ValueError,
+    ),
+    "ConditionalDecomposition.rho_M": (
+        _field_site("ConditionalDecomposition", "rho_M"), "rho_M", np.eye(2).tolist(), True,
+        ValueError,
+    ),
+    "CanonicalForm.o_signal": (
+        _field_site("CanonicalForm", "o_signal"), "o_signal", np.eye(3).tolist(), False,
+        ValueError,
+    ),
+    "CanonicalForm.u_meter": (
+        _field_site("CanonicalForm", "u_meter"), "u_meter", np.eye(2).tolist(), True, ValueError
+    ),
+    "FilterResult.f_signal": (
+        _field_site("FilterResult", "f_signal"), "f_signal", np.eye(2).tolist(), True, ValueError
+    ),
+    "FuzzInstance.s_axis": (
+        _field_site("FuzzInstance", "s_axis"), "s_axis", [1.0, 0.0, 0.0], False, ValueError
     ),
 }
 
@@ -547,6 +582,11 @@ INTEGRAL_INPUTS = {
     "bell_diagonal.lambdas": [0, 1, 0, 0],
     "mixing_model_from_schedule.durations": [20, 10, 8],
     "mixing_model_from_schedule.rates": [4, 1, 1],
+    "ConditionalDecomposition.rho_M": [[1, 0], [0, 0]],
+    "CanonicalForm.o_signal": [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+    "CanonicalForm.u_meter": [[0, 1], [1, 0]],
+    "FilterResult.f_signal": [[0, 1], [1, 0]],
+    "FuzzInstance.s_axis": [0, 0, 1],
 }
 
 
@@ -558,3 +598,82 @@ def test_int_lists_tuples_and_numeric_arrays_build_equal_values(site):
     expected = call(ints)
     for value in (tuples, *(np.array(ints, dtype=t) for t in (np.float32, np.int64, np.float64))):
         assert same(call(value), expected), value
+
+
+# The rules that decide whether a value is valid.
+RULES = ("_array", "_real", "_integer", "_unit_axes", "_validate_stack")
+
+
+@pytest.fixture
+def rule_runs(monkeypatch):
+    """How often each rule runs, by name: each rule is counted in every
+    bellbound module that looks it up."""
+    for name in ("canonical", "expsim", "io", "verify"):
+        importlib.import_module(f"bellbound.{name}")
+    runs = collections.Counter()
+
+    def counted(rule, name):
+        def run(*args, **kwargs):
+            runs[name] += 1
+            return rule(*args, **kwargs)
+
+        return run
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("bellbound."):
+            for name in RULES:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    return runs
+
+
+def _half_bell_half_hh():
+    """1/2 |Phi+><Phi+| + 1/2 |HH><HH|, which the filter brings to its normal form in one round."""
+    phi = BELL_KETS[0]
+    return bb.validate_state(0.5 * np.outer(phi, phi.conj()) + 0.5 * np.diag([1.0, 0, 0, 0]))
+
+
+def test_the_library_checks_each_value_once(rule_runs):
+    # certified, flat and searched optima
+    for state in (bb.werner(0.82), bb.random_state(0, 1), bb.random_state(65, 3)):
+        rule_runs.clear()
+        bb.optimize_excess_sum(state)
+        # the signal frame and the meter axes, each a stack of two
+        assert set(rule_runs) <= {"_unit_axes"} and rule_runs["_unit_axes"] <= 2, rule_runs
+    # the output is validated once, whether or not it needs the final rotation
+    for state in (_half_bell_half_hh(), bb.random_state(7, 3), bb.werner(0.82)):
+        rule_runs.clear()
+        bb.filter_normal_form(state)
+        assert rule_runs == collections.Counter(_real=1, _integer=1, _validate_stack=1)
+    # a rotated state is validated once, and a diagonal one is not rotated
+    for state, runs in ((bb.random_state(7, 3), 1), (bb.werner(0.82), 0)):
+        rule_runs.clear()
+        bb.canonical_form(state)
+        assert rule_runs == collections.Counter(_validate_stack=runs)
+
+
+def rebuilt(value):
+    """``value`` built again through its type's ``__init__``, with each of its
+    fields rebuilt the same way."""
+    if isinstance(value, _Frozen):
+        return type(value)(*map(rebuilt, value._values()))
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return type(value)(*map(rebuilt, value))
+    return value
+
+
+def test_each_result_passes_its_types_caller_rule():
+    # A rebuild may re-normalize an axis to other bits, so it need not be equal.
+    filtered = [bb.random_state(seed, 1 + seed % 4) for seed in range(40)]
+    filtered += [bb.werner(0.82), bb.bell_diagonal([0.1, 0.2, 0.3, 0.4]), _half_bell_half_hh()]
+    filtered += [bb.validate_state(np.eye(4) / 4)]
+    # |HH><HH|, whose pure reductions no filter can take, has degenerate meters
+    product = bb.validate_state(np.diag([1.0, 0, 0, 0]))
+    pi = bb.measurement_from_polarization_angle(30.0)
+    values = [run_trial(3, trial) for trial in range(20)]
+    values += [bb.filter_normal_form(state) for state in filtered]
+    for state in [*filtered, product]:
+        values += [bb.optimize_excess_sum(state), bb.canonical_form(state)]
+        values += [bb.conditional_decompose(state, pi), bb.conditional_decompose(state, pi.flipped())]
+    for value in values:
+        assert type(rebuilt(value)) is type(value)
