@@ -1,0 +1,64 @@
+"""The handlers of ``analyze`` and ``filter``, the commands that read a state
+file; :func:`bellbound.cli.main` imports this module once it has parsed one of
+them."""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from .cli import _emit, _resolve
+
+
+def cmd_analyze(ns: argparse.Namespace) -> int:
+    from .canonical import canonical_form
+    from .core import QubitMeasurement, decompose
+    from .io import StageClock, bloch_to_json, dumps_json, load_state
+    from .knowledge import bell_max, distinguishability_excess
+
+    clock = StageClock()
+    params = _resolve(ns)
+    state = load_state(ns.state_file)
+    clock.mark("load")
+    form = decompose(state)
+    cf = canonical_form(state)
+    pair = [QubitMeasurement(cf.o_signal[:, 0]), QubitMeasurement(cf.o_signal[:, 1])]
+    report = {
+        "bloch": bloch_to_json(form),
+        "canonical_diag": cf.diag.tolist(),
+        "b_max": bell_max(state),
+        "delta_d_canonical_pair": [distinguishability_excess(state, pi) for pi in pair],
+    }
+    clock.mark("compute")
+    _emit(ns, clock, params, (dumps_json(report),))
+    return 0
+
+
+def cmd_filter(ns: argparse.Namespace) -> int:
+    from .canonical import filter_normal_form
+    from .io import StageClock, bound_check_to_json, dumps_json, filter_result_to_json, load_state
+    from .knowledge import optimize_excess_sum
+
+    clock = StageClock()
+    params = _resolve(ns)
+    state = load_state(ns.state_file)
+    clock.mark("load")
+    result = filter_normal_form(state, tol=params["tol"], max_iter=params["max_iter"])
+    optimum = optimize_excess_sum(result.state_out)
+    report = dict(filter_result_to_json(result))
+    report["post_filter_check"] = bound_check_to_json(optimum.check)
+    clock.mark("compute")
+    print(
+        f"b_max_in = {result.b_max_in:.6f}, b_max_out = {result.b_max_out:.6f}, "
+        f"post-filter slack = {optimum.check.slack:.3e}",
+        file=sys.stderr,
+    )
+    _emit(
+        ns, clock, params, (dumps_json(report),),
+        filter_iterations=result.iterations,
+        deviation_log=list(result.deviation_log),
+        optimizer_path=optimum.path,
+        optimizer_evaluations=optimum.evaluations,
+        optimizer_gap_bound=optimum.gap_bound,
+    )
+    return 0

@@ -163,11 +163,18 @@ class _Frozen:
         return hash(self._values())
 
     def __reduce__(self):
-        return type(self), self._values()
+        return _unpickled, (type(self), self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__name__}({fields})"
+
+
+def _unpickled(cls, fields: tuple) -> _Frozen:
+    """The value of ``cls`` that pickled ``fields``, rebuilt by ``_of`` from frozen copies of its
+    arrays, so that it keeps every bit: ``__init__`` would check and normalize them again.
+    Unpickle only trusted bytes; they are not checked."""
+    return cls._of(*(_frozen(np.array(f)) if isinstance(f, np.ndarray) else f for f in fields))
 
 
 class TwoQubitState(_Frozen):

@@ -21,16 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellbound as bb
+from bellbound._cli_experiment import (
+    CSV_BLOCK_ROWS,
+    MAX_GRID_POINTS,
+    SURFACE_HEADER,
+    SWEEP_HEADER,
+    _grid,
+)
 from bellbound.cli import (
     CONFIG_KEYS,
     COMMANDS,
-    CSV_BLOCK_ROWS,
-    MAX_GRID_POINTS,
     STATE_FILE_COMMANDS,
-    SURFACE_HEADER,
-    SWEEP_HEADER,
     _flag,
-    _grid,
     _resolve,
     build_parser,
     main,
@@ -490,7 +492,7 @@ class TestGridSize:
     )
     def test_grid_above_the_bound_exits_1(self, capsys, monkeypatch, args, text):
         # 181 points against a lowered bound, so no large grid is ever built
-        monkeypatch.setattr("bellbound.cli.MAX_GRID_POINTS", 100)
+        monkeypatch.setattr("bellbound._cli_experiment.MAX_GRID_POINTS", 100)
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {text}") and err.count("\n") == 1

@@ -1,8 +1,9 @@
 """Which modules each entry point loads, and the lazy package's name binding.
 
 ``import bellbound`` loads nothing, and each CLI subcommand imports only the
-modules it uses, so these tests run each entry point in a fresh interpreter
-and pin the set of ``bellbound`` modules it loaded, whether it loaded numpy,
+modules it uses, its own handler module among them, so these tests run each
+entry point in a fresh interpreter and pin the set of ``bellbound`` modules it
+loaded, whether it loaded numpy,
 whether it loaded ``numpy.ma`` (which ``np.unique`` and everything built on
 it import on first use, at about 12 ms per process) and whether it loaded
 ``dataclasses`` (defining a frozen dataclass costs about 1.3 ms).
@@ -64,14 +65,17 @@ def test_version_help_and_usage_errors_load_no_numpy(tmp_path, args):
 @pytest.mark.parametrize(
     "args, modules",
     [
-        (["sweep", "--noise", "--theta-step", 30], BASE | {"expsim"}),
-        (["simulate", "--theta-step", 30], BASE | {"expsim"}),
-        (["sweep", "--theta-step", 30], BASE | {"expsim", "knowledge"}),
-        (["surface", "--theta-step", 30, "--theta-prime-step", 30], BASE | {"expsim", "knowledge"}),
-        (["verify", "--trials", 10], BASE | {"knowledge", "verify"}),
-        (["analyze", "state.json"], BASE | {"knowledge", "canonical"}),
+        (["sweep", "--noise", "--theta-step", 30], BASE | {"_cli_experiment", "expsim"}),
+        (["simulate", "--theta-step", 30], BASE | {"_cli_experiment", "expsim"}),
+        (["sweep", "--theta-step", 30], BASE | {"_cli_experiment", "expsim", "knowledge"}),
+        (
+            ["surface", "--theta-step", 30, "--theta-prime-step", 30],
+            BASE | {"_cli_experiment", "expsim", "knowledge"},
+        ),
+        (["verify", "--trials", 10], BASE | {"_cli_verify", "knowledge", "verify"}),
+        (["analyze", "state.json"], BASE | {"_cli_state", "knowledge", "canonical"}),
         # the filtered state is certified optimal, so no search loads _ridge
-        (["filter", "state.json"], BASE | {"knowledge", "canonical"}),
+        (["filter", "state.json"], BASE | {"_cli_state", "knowledge", "canonical"}),
     ],
 )
 def test_each_subcommand_loads_only_its_modules(tmp_path, args, modules):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import bellbound as bb
-from bellbound.cli import _csv_chunks, main
+from bellbound._cli_experiment import _csv_chunks
+from bellbound.cli import main
 from bellbound.io import (
     StageClock,
     bloch_to_json,

@@ -7,7 +7,9 @@ frozen dataclass runs generated code, about 1.3 ms per class in every process
 that imports it, where a ``__slots__`` class takes about 0.013 ms.  Each
 function that takes an array from its caller reads it by ``core._array``, and
 the library builds the values it returns by ``_Frozen._of``, not through the
-door for a caller's values.
+door for a caller's values.  ``cli.py`` holds no command's handler: ``main``
+imports the handler module of the command it parsed, so a process compiles
+only its own command's handlers.
 """
 
 import ast
@@ -89,10 +91,29 @@ def test_no_private_function_builds_a_value_through_the_callers_door():
     assert {"TwoQubitState", "QubitMeasurement", "CountRecord", "FuzzInstance"} <= value_types
     hits = [
         f"{path.name}: {name} calls {node.func.id}"
-        for path, tree in trees.items() if path.name != "cli.py"
+        for path, tree in trees.items()
+        if path.name != "cli.py" and not path.name.startswith("_cli_")
         for name, function in functions(tree) if name.rsplit(".", 1)[-1].startswith("_")
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id in value_types
+    ]
+    assert not hits, "\n".join(hits)
+
+
+def test_the_cli_front_holds_and_imports_no_handler():
+    # main imports a command's handler module by name once it has parsed the
+    # command; no import statement in src/ names a handler module, so neither
+    # cli.py nor one handler module loads another's handlers
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))}
+    cli = trees[SRC / "bellbound" / "cli.py"]
+    assert not [name for name, _ in functions(cli) if name.startswith("cmd_")]
+    handler_modules = sorted(path.name for path in trees if path.name.startswith("_cli_"))
+    assert handler_modules == ["_cli_experiment.py", "_cli_state.py", "_cli_verify.py"]
+    hits = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "_cli_" in ast.unparse(node)
     ]
     assert not hits, "\n".join(hits)

@@ -202,6 +202,29 @@ def test_pickle_round_trip(name):
             assert type(got) is type(given), field
 
 
+def same_bits(a, b) -> bool:
+    """Whether ``b`` holds the bits of ``a``: an array by dtype, shape and
+    bytes (and read-only), a float by its hex, a value field by field."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        equal = (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        return equal and not b.flags.writeable
+    if isinstance(a, (_Frozen, tuple)):
+        fields = (a._values(), b._values()) if isinstance(a, _Frozen) else (a, b)
+        return all(map(same_bits, *fields))
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+def test_pickle_keeps_every_bit_of_an_optimum():
+    # An unpickled axis is not normalized again: at 60 of these 1,200 optima
+    # the second normalization moved an axis's last bit.
+    for seed in range(300):
+        for rank in range(1, 5):
+            optimum = bb.optimize_excess_sum(bb.random_state(seed, rank))
+            assert same_bits(optimum, pickle.loads(pickle.dumps(optimum))), (seed, rank)
+
+
 # The types whose values hold arrays, directly or in a field; none is hashable.
 UNHASHABLE = [*HOLD_ARRAYS, "ExcessOptimum", "FuzzSummary"]
 
