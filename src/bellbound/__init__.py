@@ -6,7 +6,6 @@ access, so a rebinding of the module attribute (a patch or a tracer) is seen
 through the package too.
 """
 
-import importlib as _importlib
 import sys as _sys
 import types as _types
 
@@ -99,13 +98,14 @@ __all__ = sorted([*_ORIGIN, *_SUBMODULES])
 
 
 class _LazyPackage(_types.ModuleType):
+    # __import__, unlike importlib.import_module, is timed by -X importtime.
     def __getattr__(self, name):
         origin = _ORIGIN.get(name)
         if origin is not None:
-            module = _sys.modules.get(origin) or _importlib.import_module(origin)
+            module = _sys.modules.get(origin) or __import__(origin, fromlist=[name])
             return getattr(module, name)
         if name in _SUBMODULES:
-            return _importlib.import_module(f"{__name__}.{name}")
+            return __import__(f"{__name__}.{name}", fromlist=[name])
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
     def __setattr__(self, name, value):

@@ -35,7 +35,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
 
 def cmd_filter(ns: argparse.Namespace) -> int:
-    from .canonical import filter_normal_form
+    from .canonical import _filter
     from .io import StageClock, bound_check_to_json, dumps_json, filter_result_to_json, load_state
     from .knowledge import optimize_excess_sum
 
@@ -43,7 +43,7 @@ def cmd_filter(ns: argparse.Namespace) -> int:
     params = _resolve(ns)
     state = load_state(ns.state_file)
     clock.mark("load")
-    result = filter_normal_form(state, tol=params["tol"], max_iter=params["max_iter"])
+    result, closed_form_deviation = _filter(state, params["tol"], params["max_iter"])
     optimum = optimize_excess_sum(result.state_out)
     report = dict(filter_result_to_json(result))
     report["post_filter_check"] = bound_check_to_json(optimum.check)
@@ -55,6 +55,7 @@ def cmd_filter(ns: argparse.Namespace) -> int:
     )
     _emit(
         ns, clock, params, (dumps_json(report),),
+        closed_form_deviation=closed_form_deviation,
         filter_iterations=result.iterations,
         deviation_log=list(result.deviation_log),
         optimizer_path=optimum.path,

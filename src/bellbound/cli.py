@@ -276,7 +276,3 @@ def main(argv=None) -> int:
     except (BellboundError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -291,8 +291,8 @@ def _proper_rotation_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 # A frame whose sum is within CERTIFY_TOL of the bound is within CERTIFY_TOL of
 # the optimum, the accuracy the library promises (slacks are floored at -1e-9).
-# It covers filtered states: the filter's tolerance leaves |n| ~ 1e-10, which
-# puts the seed ~1e-10 below the bound.
+# It covers filtered states: the filter leaves |n| within its tolerance (1e-10;
+# the closed form leaves ~1e-15), which puts the seed at most ~1e-10 below the bound.
 CERTIFY_TOL = 1e-9
 
 

@@ -187,15 +187,22 @@ def _projector(ket):
     return np.outer(ket, ket.conj())
 
 
+def defective_mixtures():
+    """``1/2 |psi><psi| + 1/2 |HH><HH|`` with ``psi = (|HV> +- |VH>)/sqrt(2)``:
+    the states whose ``eta R eta R^T`` is defective, so that filtering
+    reaches Bell-diagonal form only in the limit of an infinite boost."""
+    hh, hv, vh, _ = np.eye(4)
+    return [0.5 * _projector((hv + sign * vh) / np.sqrt(2)) + 0.5 * _projector(hh) for sign in (1, -1)]
+
+
 def filter_edge_states(floor):
-    """``(id, matrix, max_iter)`` for states at the edges of the filter's domain.
+    """``(id, matrix)`` for states at the edges of the filter's domain.
 
     A reduced state's smaller eigenvalue just below and just above ``floor``,
     on the signal side (``(1 - e)|HH><HH| + e|VV><VV|``) and on the meter side
     (``1/2 x ((1 - e)|H><H| + e|V><V|)``); rank-1 product states; the Werner
-    states at ``p = -1/3`` and ``p = 1``; and ``1/2 |psi><psi| + 1/2 |HH><HH|``
-    with ``psi = (|HV> + |VH>)/sqrt(2)``, whose filtering reaches Bell-diagonal
-    form only in the limit, run at a cap of 200 iterations.
+    states at ``p = -1/3`` and ``p = 1``; and the first of
+    :func:`defective_mixtures`, ``psi-plus-with-hh``.
     """
     hh, hv, vh, vv = np.eye(4)
     singlet = _projector((hv - vh) / np.sqrt(2))
@@ -204,18 +211,17 @@ def filter_edge_states(floor):
     for factor in (0.5, 0.999, 1.001, 2.0):
         e = factor * floor
         signal = (1 - e) * _projector(hh) + e * _projector(vv)
-        cases.append((f"signal-{factor}-floor", signal, None))
+        cases.append((f"signal-{factor}-floor", signal))
         meter = np.kron(I2 / 2, np.diag([1 - e, e]))
-        cases.append((f"meter-{factor}-floor", meter, None))
+        cases.append((f"meter-{factor}-floor", meter))
     for i in range(3):
         kets = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-        cases.append((f"product-{i}", _projector(np.kron(kets[0], kets[1])), None))
-    cases.append(("product-hh", _projector(hh), None))
+        cases.append((f"product-{i}", _projector(np.kron(kets[0], kets[1]))))
+    cases.append(("product-hh", _projector(hh)))
     for p in (-1 / 3, 1.0):
-        cases.append((f"werner-{p:.3f}", p * singlet + (1 - p) / 4 * np.eye(4), None))
-    limit = 0.5 * _projector((hv + vh) / np.sqrt(2)) + 0.5 * _projector(hh)
-    cases.append(("psi-plus-with-hh", limit, 200))
+        cases.append((f"werner-{p:.3f}", p * singlet + (1 - p) / 4 * np.eye(4)))
+    cases.append(("psi-plus-with-hh", defective_mixtures()[0]))
     return cases
 
 

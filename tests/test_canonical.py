@@ -1,11 +1,27 @@
 """Tests for the diagonal-T canonical form and the local-filtering normal form."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellbound as bb
-from bellbound.canonical import REDUCTION_EIGENVALUE_FLOOR, _half_step
-from conftest import filter_edge_states, partial_trace_meter, partial_trace_signal, random_unitary
+from bellbound.canonical import (
+    DEFAULT_FILTER_MAX_ITER,
+    DEFAULT_FILTER_TOL,
+    REDUCTION_EIGENVALUE_FLOOR,
+    _boost,
+    _filter,
+)
+from conftest import (
+    defective_mixtures,
+    filter_edge_states,
+    partial_trace_meter,
+    partial_trace_signal,
+    random_unitary,
+)
 
 I2 = np.eye(2)
 
@@ -60,38 +76,37 @@ def _error_outcome(error):
 
 
 def oracle_outcome(state, **kwargs):
-    """What ``filter_normal_form`` must report, from the oracle: the error's type,
-    side and number, or iterations, deviation log, success probability and B_max out."""
+    """What the oracle iteration reports: the error's type, side and number,
+    or B_max of the state it converges to."""
     try:
-        iterations, deviations, rho, f_signal, f_meter = oracle_filter(state, **kwargs)
+        rho = oracle_filter(state, **kwargs)[2]
     except bb.BellboundError as error:
         return _error_outcome(error)
-    big = np.kron(f_signal, f_meter) / (np.linalg.norm(f_signal, 2) * np.linalg.norm(f_meter, 2))
-    success = float((big @ state.matrix @ big.conj().T).trace().real)
-    return iterations, deviations, success, bb.bell_max(bb.validate_state(rho))
+    return bb.bell_max(bb.validate_state(rho))
 
 
-def library_outcome(state, **kwargs):
+def assert_same_outcome(state, tol=DEFAULT_FILTER_TOL, b_max_tol=1e-9):
+    """The oracle's error (same type and side, its number within 1e-12), or a
+    result whose success probability is the trace of its filters applied to
+    the input by np.kron within 1e-12, whose reductions are within ``tol`` of
+    1/2, and whose B_max out is the oracle's within ``b_max_tol``; returns the
+    result."""
+    expected = oracle_outcome(state, tol=tol)
     try:
-        result = bb.filter_normal_form(state, **kwargs)
+        result = bb.filter_normal_form(state, tol=tol)
     except bb.BellboundError as error:
-        return _error_outcome(error)
-    return result.iterations, result.deviation_log, result.success_probability, result.b_max_out
-
-
-def assert_same_outcome(state, **kwargs):
-    """Same error type, side and number, or the same iterations, and the rest
-    within 1e-12."""
-    expected, got = oracle_outcome(state, **kwargs), library_outcome(state, **kwargs)
-    assert len(got) == len(expected)
-    assert got[0] == expected[0]
-    if len(expected) == 3:
-        assert got[1] == expected[1]
+        got = _error_outcome(error)
+        assert isinstance(expected, tuple), (got, expected)
+        assert got[:2] == expected[:2]
         assert got[2] == pytest.approx(expected[2], rel=0, abs=1e-12)
-        return
-    np.testing.assert_allclose(got[1], expected[1], rtol=0, atol=1e-12)
-    assert got[2] == pytest.approx(expected[2], rel=0, abs=1e-12)
-    assert got[3] == pytest.approx(expected[3], rel=0, abs=1e-12)
+        return None
+    assert not isinstance(expected, tuple), (result, expected)
+    big = np.kron(result.f_signal, result.f_meter)
+    success = (big @ state.matrix @ big.conj().T).trace().real
+    assert result.success_probability == pytest.approx(success, rel=0, abs=1e-12)
+    assert _oracle_deviation(result.state_out.matrix) <= tol
+    assert result.b_max_out == pytest.approx(expected, rel=0, abs=b_max_tol)
+    return result
 
 
 def correlation_matrix(state):
@@ -106,8 +121,14 @@ def state_of(corr):
 
 
 STATES = [(seed, rank) for seed in range(100) for rank in (2, 3, 4)]
-# The identity filter, as the row-major 4-tuple that ``_half_step`` multiplies.
+# The identity filter, as the row-major 4-tuple that ``_boost`` multiplies.
 IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def half_step(corr, side):
+    """The filter that takes the reduced state of the side ``corr``'s rows
+    index to 1/2 (``corr`` is R for the signal, R^T for the meter)."""
+    return _boost(corr, corr[1:, 0].tolist(), IDENTITY, side)
 
 
 class TestCanonicalForm:
@@ -193,9 +214,23 @@ class TestFilterNormalForm:
             bb.filter_normal_form(bb.validate_state(hh))
 
     def test_max_iter_exhaustion_raises(self):
+        # A tolerance below rounding leaves the closed form short of it, so the
+        # polish runs, and stops at the cap.
         state = bb.random_state(7, 4)
-        with pytest.raises(bb.NoConvergence):
-            bb.filter_normal_form(state, max_iter=1)
+        with pytest.raises(bb.NoConvergence) as error:
+            bb.filter_normal_form(state, tol=1e-17, max_iter=1)
+        assert error.value.iterations == 1
+
+    def test_a_polish_that_gains_nothing_stops_at_once(self):
+        # Each polish round must lower the deviation: one that stalls at the
+        # rounding floor raises long before the cap.
+        for seed in range(8):
+            try:
+                result = bb.filter_normal_form(bb.random_state(seed, 4), tol=1e-300)
+            except bb.NoConvergence as error:
+                assert 1 <= error.iterations <= 50
+            else:
+                assert result.deviation_log[-1:] in ((), (0.0,))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -240,32 +275,83 @@ class TestFilterAgainstDensityMatrixOracle:
     def test_half_steps_match_the_oracle(self):
         for seed, rank in STATES:
             state = bb.random_state(seed, rank)
-            corr, a = _half_step(correlation_matrix(state), IDENTITY, "signal")
+            corr, a = half_step(correlation_matrix(state), "signal")
             rho, a_oracle = oracle_half_step(state.matrix, "signal")
             np.testing.assert_allclose(state_of(corr), rho, rtol=0, atol=1e-13)
             np.testing.assert_allclose(np.reshape(a, (2, 2)), a_oracle, rtol=1e-13, atol=1e-13)
-            corr_t, b = _half_step(corr.T, IDENTITY, "meter")
+            corr_t, b = half_step(corr.T, "meter")
             rho, b_oracle = oracle_half_step(rho, "meter")
             np.testing.assert_allclose(state_of(corr_t.T), rho, rtol=0, atol=1e-13)
             np.testing.assert_allclose(np.reshape(b, (2, 2)), b_oracle, rtol=1e-13, atol=1e-13)
 
     def test_full_runs_match_the_oracle(self):
         for seed, rank in STATES:
-            assert_same_outcome(bb.random_state(seed, rank))
+            state = bb.random_state(seed, rank)
+            result = assert_same_outcome(state)
+            # the filters applied to the input by np.kron give the returned state
+            big = np.kron(result.f_signal, result.f_meter)
+            rho = big @ state.matrix @ big.conj().T
+            np.testing.assert_allclose(
+                result.state_out.matrix, rho / result.success_probability, rtol=0, atol=1e-12
+            )
 
     def test_iteration_counts_of_the_benchmark_corpus(self):
-        # the full-rank states that the optimize benchmark filters
+        # the full-rank states that the optimize benchmark filters: the closed
+        # form leaves no polish round
         counts = [bb.filter_normal_form(bb.random_state(seed, 4)).iterations for seed in range(8)]
-        assert counts == [18, 24, 31, 21, 14, 55, 40, 11]
+        assert counts == [0] * 8
 
     @pytest.mark.parametrize(
-        "matrix, max_iter",
-        [case[1:] for case in filter_edge_states(REDUCTION_EIGENVALUE_FLOOR)],
+        "name, matrix",
+        filter_edge_states(REDUCTION_EIGENVALUE_FLOOR),
         ids=[case[0] for case in filter_edge_states(REDUCTION_EIGENVALUE_FLOOR)],
     )
-    def test_edge_states_match_the_oracle(self, matrix, max_iter):
-        kwargs = {} if max_iter is None else {"max_iter": max_iter}
-        assert_same_outcome(bb.validate_state(matrix), **kwargs)
+    def test_edge_states_match_the_oracle(self, name, matrix):
+        if name == "psi-plus-with-hh":
+            # the oracle runs every round towards a limit; the filter raises at once
+            assert_defective(bb.validate_state(matrix))
+        else:
+            # R's rounding of about 1e-17, amplified by the boost's 1/floor,
+            # bounds how closely the filter on R can follow the oracle on rho
+            b_max_tol = 1e-16 / REDUCTION_EIGENVALUE_FLOOR
+            assert_same_outcome(bb.validate_state(matrix), b_max_tol=b_max_tol)
+
+
+def assert_defective(state):
+    """The normal form needs a boost of infinite speed: SingularReduction on
+    the signal side, reporting 0, or a rounding of it, below the floor."""
+    with pytest.raises(bb.SingularReduction) as error:
+        bb.filter_normal_form(state)
+    assert error.value.side == "signal"
+    assert 0.0 <= error.value.min_eigenvalue < REDUCTION_EIGENVALUE_FLOOR
+
+
+@st.composite
+def filter_domain_states(draw):
+    """A state from one of three families: a random state of rank 1 to 4 mixed
+    with a product state; ``(1 - e)|HH><HH| + e|VV><VV|`` or ``1/2 x ((1 - e)|H><H|
+    + e|V><V|)`` with e from 0.5 to 1000 times the floor; or a defective mixture;
+    the last two turned by random local unitaries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["mixture", "near-floor", "defective"]))
+    if family == "mixture":
+        weight = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        kets = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        product = np.kron(kets[0], kets[1])
+        state = bb.random_state(draw(st.integers(0, 10**6)), draw(st.integers(1, 4)))
+        return bb.validate_state(
+            weight * state.matrix + (1.0 - weight) * np.outer(product, product.conj())
+        )
+    if family == "near-floor":
+        e = REDUCTION_EIGENVALUE_FLOOR * 10 ** draw(st.floats(np.log10(0.5), 3.0))
+        matrix = draw(st.sampled_from([
+            np.diag([1.0 - e, 0.0, 0.0, e]), np.kron(np.eye(2) / 2, np.diag([1.0 - e, e]))
+        ]))
+    else:
+        matrix = draw(st.sampled_from(defective_mixtures()))
+    big = np.kron(random_unitary(rng), random_unitary(rng))
+    return bb.validate_state(big @ matrix @ big.conj().T)
 
 
 class TestSaturateAfterFilter:
@@ -284,3 +370,46 @@ class TestSaturateAfterFilter:
         for seed in range(20):
             _, check = bb.saturate_after_filter(bb.random_state(seed, 4))
             assert abs(check.slack) < 1e-6
+
+
+class TestWholeDomain:
+    def test_the_sweep_filters_in_closed_form(self):
+        # random_state(143, 3) once ran 10,000 rounds and raised NoConvergence
+        for seed, rank in [(143, 3), *((seed, rank) for seed in range(300) for rank in range(1, 5))]:
+            result, closed = _filter(bb.random_state(seed, rank), DEFAULT_FILTER_TOL, 1)
+            assert result.iterations == 0
+            assert closed <= DEFAULT_FILTER_TOL
+
+    def test_defective_mixtures_raise_at_once(self, rng):
+        for matrix in defective_mixtures():
+            for _ in range(5):
+                big = np.kron(random_unitary(rng), random_unitary(rng))
+                assert_defective(bb.validate_state(big @ matrix @ big.conj().T))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(state=filter_domain_states())
+    def test_every_state_gets_a_result_or_a_one_line_error_at_once(self, state):
+        # Each state is answered within 10 ms (the faster of two runs), with a
+        # deviation of at most tol, or with a library error, and never at the cap.
+        timings = []
+        for _ in range(2):
+            start = time.perf_counter()
+            try:
+                result, closed = _filter(state, DEFAULT_FILTER_TOL, DEFAULT_FILTER_MAX_ITER)
+            except bb.BellboundError as error:
+                outcome = error
+            else:
+                outcome = result
+            timings.append(time.perf_counter() - start)
+        assert min(timings) < 0.010
+        if isinstance(outcome, bb.BellboundError):
+            assert str(outcome).count("\n") == 0
+            assert getattr(outcome, "iterations", 0) < DEFAULT_FILTER_MAX_ITER
+            return
+        assert outcome.iterations < DEFAULT_FILTER_MAX_ITER
+        if outcome.deviation_log:
+            assert outcome.deviation_log[-1] <= DEFAULT_FILTER_TOL
+        elif closed is not None:
+            assert closed <= DEFAULT_FILTER_TOL
+        else:
+            assert _oracle_deviation(state.matrix) <= DEFAULT_FILTER_TOL

@@ -781,8 +781,9 @@ class TestManifestStats:
             (["surface", "--noise", "--theta-step", 10, "--theta-prime-step", 15], ["points"]),
             (["simulate", "--theta-step", 10], ["points"]),
             (["verify", "--trials", 20], ["draw_s", "screen_s", "instances_per_s"]),
-            (["filter", "STATE"], ["filter_iterations", "deviation_log", "optimizer_path",
-                                   "optimizer_evaluations", "optimizer_gap_bound"]),
+            (["filter", "STATE"], ["closed_form_deviation", "filter_iterations", "deviation_log",
+                                   "optimizer_path", "optimizer_evaluations",
+                                   "optimizer_gap_bound"]),
         ],
     )
     def test_every_command_records_its_stage_times_then_its_work(
@@ -1172,21 +1173,38 @@ class TestFilter:
         report = json.loads(out_file.read_text())
         assert "stats" not in report and "deviation_log" not in report
         stats = json.loads((tmp_path / "filter.json.manifest.json").read_text())["stats"]
-        assert stats["filter_iterations"] == report["iterations"] > 0
-        log = stats["deviation_log"]
-        assert len(log) == report["iterations"]
-        assert log[-1] <= 1e-10 < log[0]
+        # The closed form ran and left the state within tol: no polish round.
+        assert 0.0 <= stats["closed_form_deviation"] <= 1e-10
+        assert stats["filter_iterations"] == report["iterations"] == 0
+        assert stats["deviation_log"] == []
         # The filtered state attains its bound, so the optimizer needs no search.
         assert (stats["optimizer_path"], stats["optimizer_evaluations"]) == ("certified", 0)
         slack = report["post_filter_check"]["slack"]
         assert stats["optimizer_gap_bound"] == max(slack, 0.0) <= 1e-9
 
-    def test_manifest_records_a_searched_optimum(self, tmp_path, capsys):
-        # A loose filter tolerance leaves the state short of its bound.
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps({"factory": "random", "seed": 12, "ancilla_dim": 4}))
+    def test_manifest_records_a_closed_form_that_did_not_run(self, tmp_path, capsys):
         out_file = tmp_path / "filter.json"
-        code, _, _ = run_cli(["filter", path, "--tol", "1e-2", "--out", out_file], capsys)
+        code, _, _ = run_cli(["filter", write_werner_file(tmp_path), "--out", out_file], capsys)
+        assert code == 0
+        stats = json.loads((tmp_path / "filter.json.manifest.json").read_text())["stats"]
+        assert stats["closed_form_deviation"] is None
+        assert (stats["filter_iterations"], stats["deviation_log"]) == (0, [])
+
+    def test_manifest_records_a_searched_optimum(self, tmp_path, capsys, monkeypatch):
+        # A filter that returns the state as it came leaves it short of its
+        # bound, so the optimizer searches.
+        from bellbound import canonical
+
+        def unfiltered(state, tol, max_iter):
+            b_max = bb.bell_max(state)
+            identity = canonical._frozen(np.eye(2, dtype=complex))
+            return canonical.FilterResult._of(state, identity, identity, 1.0, 0, b_max, b_max, ()), None
+
+        monkeypatch.setattr(canonical, "_filter", unfiltered)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"factory": "random", "seed": 0, "ancilla_dim": 4}))
+        out_file = tmp_path / "filter.json"
+        code, _, _ = run_cli(["filter", path, "--out", out_file], capsys)
         assert code == 0
         report = json.loads(out_file.read_text())
         assert "optimizer_path" not in report and "optimizer_evaluations" not in report
@@ -1218,17 +1236,16 @@ class TestFilter:
         assert err == f"error: filter {message}\n"
 
     @pytest.mark.parametrize(
-        "matrix, max_iter",
-        [case[1:] for case in filter_edge_states(REDUCTION_EIGENVALUE_FLOOR)],
+        "matrix",
+        [case[1] for case in filter_edge_states(REDUCTION_EIGENVALUE_FLOOR)],
         ids=[case[0] for case in filter_edge_states(REDUCTION_EIGENVALUE_FLOOR)],
     )
-    def test_edge_states_exit_0_or_1_with_at_most_one_line(self, tmp_path, matrix, max_iter):
+    def test_edge_states_exit_0_or_1_with_at_most_one_line(self, tmp_path, matrix):
         from bellbound.io import complex_matrix_to_json
 
         path = tmp_path / "edge.json"
         path.write_text(json.dumps({"matrix": complex_matrix_to_json(matrix)}))
-        args = ["filter", path] + ([] if max_iter is None else ["--max-iter", max_iter])
-        code, _, err = run_in_process(args)
+        code, _, err = run_in_process(["filter", path])
         assert code in (0, 1)
         assert err.count("error:") <= 1 and (code == 0 or err.count("\n") == 1)
 

@@ -41,11 +41,10 @@ def state_readers():
     return names
 
 
-def calls(matrix, max_iter, results):
+def calls(matrix, results):
     """``(name, call)`` for every state reader.  A call reads its inputs
     from ``results``, which must hold by then what the calls before it
     returned, by name."""
-    filter_kwargs = {} if max_iter is None else {"max_iter": max_iter}
 
     def state():
         return results["validate_state"]
@@ -83,7 +82,7 @@ def calls(matrix, max_iter, results):
     ]
     yield "optimize_excess_sum", lambda: bb.optimize_excess_sum(state())
     yield "canonical_form", lambda: bb.canonical_form(state())
-    yield "filter_normal_form", lambda: bb.filter_normal_form(state(), **filter_kwargs)
+    yield "filter_normal_form", lambda: bb.filter_normal_form(state())
     yield "saturate_after_filter", lambda: bb.saturate_after_filter(state())
     yield "simulate_counts", lambda: bb.simulate_counts(state(), OBLIQUE, X, CONFIG, stream=7)
     yield "simulate_bell_records", lambda: bb.simulate_bell_records(state(), CONFIG)
@@ -94,19 +93,19 @@ def calls(matrix, max_iter, results):
 
 
 def test_the_calls_cover_every_state_reader():
-    names = [name for name, _ in calls(np.eye(4) / 4, None, {})]
+    names = [name for name, _ in calls(np.eye(4) / 4, {})]
     assert len(names) == len(set(names))
     assert set(names) == state_readers()
 
 
 @pytest.mark.parametrize(
-    "matrix, max_iter", [case[1:] for case in EDGE_STATES], ids=[case[0] for case in EDGE_STATES]
+    "matrix", [case[1] for case in EDGE_STATES], ids=[case[0] for case in EDGE_STATES]
 )
-def test_every_state_reader_returns_or_raises_a_library_error(matrix, max_iter):
+def test_every_state_reader_returns_or_raises_a_library_error(matrix):
     results = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for name, call in calls(matrix, max_iter, results):
+        for name, call in calls(matrix, results):
             try:
                 results[name] = call()
             except bb.BellboundError as exc:

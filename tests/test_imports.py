@@ -151,6 +151,24 @@ def test_knowledge_is_the_function_after_any_import_order(imports):
     assert proc.stdout.splitlines()[-1] == "ok"
 
 
+def test_lazy_loads_are_timed_by_importtime():
+    # -X importtime times __import__ but not importlib.import_module, so a lazy
+    # load through the latter once left its module out of the table.
+    script = (
+        "import bellbound\n"
+        "bellbound.random_state(0, 4)\n"
+        "bellbound.canonical\n"
+        "assert callable(bellbound.knowledge)\n"
+        "bellbound.knowledge(bellbound.werner(0.5), *[bellbound.QubitMeasurement([0, 0, 1])] * 2)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    timed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {"bellbound.factories", "bellbound.canonical", "bellbound.knowledge"} <= timed
+
+
 def test_exports_are_resolved_on_every_access(monkeypatch):
     # A patch of the defining module (or a tracer's wrapper) is seen through
     # the package, because the package caches nothing.

@@ -117,3 +117,16 @@ def test_the_cli_front_holds_and_imports_no_handler():
         if isinstance(node, (ast.Import, ast.ImportFrom)) and "_cli_" in ast.unparse(node)
     ]
     assert not hits, "\n".join(hits)
+
+
+def test_only_the_package_runs_as_a_script():
+    # python -m bellbound.cli once ran cli.py as __main__, and the handler
+    # module's import of bellbound.cli compiled it a second time; the package's
+    # __main__.py and the installed script are the ways to run the CLI
+    hits = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py")) if path.name != "__main__.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare) and "__main__" in ast.unparse(node)
+    ]
+    assert not hits, "\n".join(hits)
