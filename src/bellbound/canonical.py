@@ -21,7 +21,7 @@ from .core import (
     _unitary,
     _validate_stack,
 )
-from .errors import NoConvergence, SingularReduction
+from .errors import NoConvergence, NotPositive, SingularReduction
 from .knowledge import BoundCheck, _bell_max_stack, _proper_rotation_factors, optimize_excess_sum
 
 DIAGONAL_TOL = 1e-10
@@ -283,9 +283,12 @@ def _filter(state: TwoQubitState, tol: float, max_iter: int) -> tuple[FilterResu
         corr = rotated
         f_signal = _unitary(o_s).conj().T @ f_signal
         f_meter = _unitary(o_m).conj().T @ f_meter
-    # Validated only at exit: mirrored entries sum the same exact Pauli
-    # products in the same order, so the matrix is Hermitian to the bit.
-    state_out = TwoQubitState._of(_frozen(_validate_stack(_density(corr)[np.newaxis])[0]))
+    # Validated only at exit: mirrored entries sum the same exact Pauli products in the same
+    # order, so the matrix is Hermitian to the bit; the boosts' rounding can leave it not positive.
+    try:
+        state_out = TwoQubitState._of(_frozen(_validate_stack(_density(corr)[np.newaxis])[0]))
+    except NotPositive as exc:
+        raise SingularReduction("filtered", exc.min_eigenvalue, "state") from None
     b_max_in, b_max_out = _bell_max_stack(np.stack([corr_in[1:, 1:], t_out])).tolist()
     result = FilterResult._of(
         state_out, _frozen(f_signal), _frozen(f_meter), success, len(deviations), b_max_in,
@@ -314,10 +317,10 @@ def filter_normal_form(
     diagonal) brings the state to Bell-diagonal form with a Bell factor at
     least as large as the input's.  A reduced state, or one that a filter
     would have to reach, with smaller eigenvalue below
-    ``REDUCTION_EIGENVALUE_FLOOR`` raises SingularReduction, as does a
-    defective spectrum, whose normal form is reached only in a limit.  ``tol``
-    must be a finite int or float > 0 and ``max_iter`` an integer, at least 1
-    (ValueError).
+    ``REDUCTION_EIGENVALUE_FLOOR`` raises SingularReduction, as do a defective
+    spectrum, whose normal form is reached only in a limit, and a filtered
+    state that the boosts' rounding leaves not positive.  ``tol`` must be a
+    finite int or float > 0 and ``max_iter`` an integer, at least 1 (ValueError).
     """
     return _filter(state, tol, max_iter)[0]
 

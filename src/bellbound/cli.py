@@ -276,3 +276,14 @@ def main(argv=None) -> int:
     except (BellboundError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def run() -> int:
+    """:func:`main` as the exit path of ``python -m bellbound`` and the ``bellbound``
+    script: it then freezes what is left, so no collection at exit walks it."""
+    try:
+        return main()
+    finally:
+        import gc
+
+        gc.freeze()

@@ -78,12 +78,12 @@ class NotAProbabilityVector(BellboundError):
 
 
 class SingularReduction(BellboundError):
-    def __init__(self, side: str, min_eigenvalue: float):
+    def __init__(self, side: str, min_eigenvalue: float, state: str = "reduced state"):
         from .canonical import REDUCTION_EIGENVALUE_FLOOR as limit
         self.side = side
         self.min_eigenvalue = float(min_eigenvalue)
         super().__init__(
-            f"{side} reduced state is rank deficient: min eigenvalue = {self.min_eigenvalue:.6e}"
+            f"{side} {state} is rank deficient: min eigenvalue = {self.min_eigenvalue:.6e}"
             f" (floor {limit}); the filtering normal form degenerates"
         )
 

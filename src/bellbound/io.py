@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import time
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -30,7 +31,18 @@ def format_float(x: float) -> str:
 def _render_json(obj, indent: int) -> str:
     """``obj`` as pretty JSON at ``indent``.  numpy integers, floats and
     arrays render as their Python values; a dict, list or tuple subclass (a
-    NamedTuple) renders as its items."""
+    NamedTuple) renders as its items.  A float, dict, list or tuple, the bulk
+    of a report, is told by its exact type before the isinstance chain."""
+    kind = type(obj)
+    if kind is float:
+        return format(obj, ".17g")
+    pad = "  " * indent
+    if kind is dict:
+        items = [f"{_quote(str(k))}: {_render_json(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "}" if obj else "{}"
+    if kind is list or kind is tuple:
+        items = [_render_json(v, indent + 1) for v in obj]
+        return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]" if obj else "[]"
     if isinstance(obj, (bool, str)) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -39,19 +51,8 @@ def _render_json(obj, indent: int) -> str:
         return format_float(obj)
     if isinstance(obj, np.ndarray):
         return _render_json(obj.tolist(), indent)
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{pad}  {json.dumps(str(k))}: {_render_json(v, indent + 1)}" for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, (dict, list, tuple)):
+        return _render_json(dict(obj) if isinstance(obj, dict) else list(obj), indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -225,6 +225,27 @@ def filter_edge_states(floor):
     return cases
 
 
+def turned_near_floor_draws(count=300):
+    """``(e, matrix)`` for ``diag(1 - e, 0, 0, e)`` with ``e = 10**u``, u uniform
+    on [-7, -6.3), turned by ``U_s x U_m``; each U is Haar, the Q of the QR of
+    a complex Gaussian matrix with R's diagonal phases divided out.  The
+    boosts amplify R's rounding by about 1/e, so some filtered states end just
+    past the positivity limit (``default_rng(7)``, draws 4, 21 and 49)."""
+    rng = np.random.default_rng(7)
+
+    def haar():
+        z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    draws = []
+    for _ in range(count):
+        e = 10 ** rng.uniform(-7, -6.3)
+        big = np.kron(haar(), haar())
+        draws.append((e, big @ np.diag([1 - e, 0, 0, e]) @ big.conj().T))
+    return draws
+
+
 def random_unit_vector(rng, dim=3):
     v = rng.normal(size=dim)
     return v / np.linalg.norm(v)

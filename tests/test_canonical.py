@@ -21,6 +21,7 @@ from conftest import (
     partial_trace_meter,
     partial_trace_signal,
     random_unitary,
+    turned_near_floor_draws,
 )
 
 I2 = np.eye(2)
@@ -385,6 +386,32 @@ class TestWholeDomain:
             for _ in range(5):
                 big = np.kron(random_unitary(rng), random_unitary(rng))
                 assert_defective(bb.validate_state(big @ matrix @ big.conj().T))
+
+    def test_a_filtered_state_past_the_positivity_limit_names_the_filter(self):
+        # These valid inputs once raised NotPositive, a validation error that
+        # blames the input, from the filter's exit check of its own output.
+        draws = turned_near_floor_draws(50)
+        for i, e in [(4, 1.414e-7), (21, 2.298e-7), (49, 3.123e-7)]:
+            assert draws[i][0] == pytest.approx(e, rel=1e-3)
+            with pytest.raises(bb.SingularReduction) as error:
+                bb.filter_normal_form(bb.validate_state(draws[i][1]))
+            assert error.value.side == "filtered"
+            assert -2e-10 < error.value.min_eigenvalue < -1e-10
+            assert str(error.value).startswith("filtered state is rank deficient:")
+            assert f"(floor {REDUCTION_EIGENVALUE_FLOOR})" in str(error.value)
+
+    def test_no_turned_near_floor_state_fails_as_an_input(self):
+        outcomes = set()
+        for _, matrix in turned_near_floor_draws():
+            try:
+                bb.filter_normal_form(bb.validate_state(matrix))
+            except bb.StateValidationError as error:
+                pytest.fail(f"the filter blamed a valid input: {error}")
+            except (bb.SingularReduction, bb.NoConvergence) as error:
+                outcomes.add(type(error).__name__)
+            else:
+                outcomes.add("result")
+        assert outcomes == {"result", "SingularReduction", "NoConvergence"}
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(state=filter_domain_states())

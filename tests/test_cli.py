@@ -39,9 +39,10 @@ from bellbound.cli import (
 )
 from bellbound.canonical import REDUCTION_EIGENVALUE_FLOOR
 from bellbound.io import format_float
-from conftest import filter_edge_states
+from conftest import filter_edge_states, turned_near_floor_draws
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def write_werner_file(tmp_path, p=0.82):
@@ -1249,6 +1250,21 @@ class TestFilter:
         assert code in (0, 1)
         assert err.count("error:") <= 1 and (code == 0 or err.count("\n") == 1)
 
+    def test_a_filtered_state_past_the_positivity_limit_exits_1_naming_the_filter(
+        self, tmp_path
+    ):
+        from bellbound.io import complex_matrix_to_json
+
+        draws = turned_near_floor_draws(50)
+        for i in (4, 21, 49):
+            path = tmp_path / f"draw_{i}.json"
+            path.write_text(json.dumps({"matrix": complex_matrix_to_json(draws[i][1])}))
+            code, out, err = run_in_process(["filter", path])
+            assert code == 1
+            assert out == ""
+            assert err.count("\n") == 1
+            assert err.startswith("error: filtered state is rank deficient:")
+
     def test_pure_product_exits_1(self, tmp_path, capsys):
         matrix = np.zeros((4, 4))
         matrix[0, 0] = 1.0
@@ -1280,6 +1296,22 @@ def test_every_readme_command_runs(tmp_path, capsys, monkeypatch):
         assert code == 0, (argv, err)
 
 
+# Registers an atexit probe, which runs after the program's exit path, then
+# runs the program as ``python -m bellbound`` ("module"), or as the installed
+# script does, by the function that pyproject.toml's [project.scripts] names.
+EXIT_PROBE = (
+    "import atexit, gc, importlib, runpy, sys\n"
+    "atexit.register(lambda: sys.__stderr__.write(f'frozen {gc.get_freeze_count() > 0}\\n'))\n"
+    "how, entry, *argv = sys.argv[1:]\n"
+    "sys.argv = ['bellbound', *argv]\n"
+    "if how == 'module':\n"
+    "    runpy.run_module('bellbound', run_name='__main__', alter_sys=True)\n"
+    "module, function = entry.split(':')\n"
+    "sys.exit(getattr(importlib.import_module(module), function)())\n"
+)
+EXITS = [(["verify", "--trials", "10"], 0), (["--version"], 0), (["--no-such-flag"], 1)]
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = write_werner_file(tmp_path)
@@ -1290,6 +1322,28 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["b_max"] - 2.319) < 1e-3
+
+    @pytest.mark.parametrize("how", ["module", "script"])
+    @pytest.mark.parametrize("args, code", EXITS)
+    def test_the_exit_path_freezes_the_collector(self, how, args, code):
+        # every object left is frozen, so no collection at interpreter exit walks it
+        entry = re.search(r'^bellbound = "(.+)"$', PYPROJECT.read_text(), re.M).group(1)
+        proc = subprocess.run(
+            [sys.executable, "-c", EXIT_PROBE, how, entry, *args], capture_output=True, text=True
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "frozen True"
+
+    @pytest.mark.parametrize("args, code", EXITS)
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, args, code):
+        import gc
+
+        before = gc.isenabled(), gc.get_freeze_count()
+        try:
+            assert main(args) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
 
     def test_outputs_accompanied_by_manifest(self, tmp_path):
         out_file = tmp_path / "out.csv"

@@ -9,7 +9,8 @@ function that takes an array from its caller reads it by ``core._array``, and
 the library builds the values it returns by ``_Frozen._of``, not through the
 door for a caller's values.  ``cli.py`` holds no command's handler: ``main``
 imports the handler module of the command it parsed, so a process compiles
-only its own command's handlers.
+only its own command's handlers.  Only the program's exit path, ``cli.run``,
+imports ``gc``, so a library call and ``cli.main`` leave the collector alone.
 """
 
 import ast
@@ -130,3 +131,18 @@ def test_only_the_package_runs_as_a_script():
         if isinstance(node, ast.Compare) and "__main__" in ast.unparse(node)
     ]
     assert not hits, "\n".join(hits)
+
+
+def test_only_the_exit_path_imports_gc():
+    # cli.run freezes the objects left once the command is done
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {id(node): name for name, function in functions(tree) for node in ast.walk(function)}
+        hits += [
+            f"{path.relative_to(SRC)}:{owners.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and "gc" in [alias.name for alias in node.names]
+            or isinstance(node, ast.ImportFrom) and node.module == "gc"
+        ]
+    assert hits == [str(Path("bellbound", "cli.py:run"))]
