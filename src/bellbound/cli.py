@@ -138,7 +138,11 @@ def _flag(key: str) -> str:
 def _load_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -147,9 +151,7 @@ def _load_config_file(path: Path) -> dict[str, str]:
         key, value = line.split("=", 1)
         key = key.strip()
         if key not in CONFIG_KEYS:
-            raise ValueError(
-                f"{path}:{lineno}: config key {key!r} is not a parameter of any subcommand"
-            )
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is not a parameter of any subcommand")
         if key in lines:
             raise ValueError(f"{path}: config key {key!r} is set on lines {lines[key]} and {lineno}")
         values[key], lines[key] = value.strip(), lineno
@@ -213,11 +215,10 @@ def _replay_argv(command: str, params: dict) -> list[str]:
 
     argv = [command]
     for key, value in params.items():
-        if value is None:
+        if value is None or value is False:
             continue
-        if isinstance(value, bool):
-            if value:
-                argv.append(_flag(key))
+        if value is True:
+            argv.append(_flag(key))
         else:
             argv += [_flag(key), format_float(value) if isinstance(value, float) else str(value)]
     return argv
@@ -279,11 +280,12 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """:func:`main` as the exit path of ``python -m bellbound`` and the ``bellbound``
-    script: it then freezes what is left, so no collection at exit walks it."""
+    """:func:`main` with the collector off, as the entry of ``python -m bellbound`` and
+    the ``bellbound`` script; it then freezes what is left, so no exit collection walks it."""
+    import gc
+
+    gc.disable()
     try:
         return main()
     finally:
-        import gc
-
         gc.freeze()

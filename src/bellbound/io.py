@@ -94,11 +94,12 @@ def read_json(path, document: str) -> dict:
     A file that is not JSON, that nests too deeply to decode, or whose value
     is not an object raises ValueError; ``document`` names the file in it.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except RecursionError:
-            raise ValueError(f"{document} nests too deeply to decode") from None
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{document} nests too deeply to decode") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+        raise ValueError(f"{document} is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{document} must contain a JSON object")
     return data

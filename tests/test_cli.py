@@ -374,6 +374,14 @@ class TestSweep:
         assert code == 1 and out == ""
         assert err == f"error: {config}: config key 'trials' is set on lines 1 and 4\n"
 
+    def test_config_file_that_is_not_utf8_exits_1_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "conf.txt"
+        config.write_bytes(b"seed = 2\n# \xff\n")
+        code, out, err = run_cli(["verify", "--config", config], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {config}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
     def test_config_key_of_another_subcommand_is_allowed(self, tmp_path, capsys):
         # one config file may serve several subcommands
         config = tmp_path / "conf.txt"
@@ -1301,7 +1309,8 @@ def test_every_readme_command_runs(tmp_path, capsys, monkeypatch):
 # script does, by the function that pyproject.toml's [project.scripts] names.
 EXIT_PROBE = (
     "import atexit, gc, importlib, runpy, sys\n"
-    "atexit.register(lambda: sys.__stderr__.write(f'frozen {gc.get_freeze_count() > 0}\\n'))\n"
+    "atexit.register(lambda: sys.__stderr__.write(\n"
+    "    f'frozen {gc.get_freeze_count() > 0} enabled {gc.isenabled()}\\n'))\n"
     "how, entry, *argv = sys.argv[1:]\n"
     "sys.argv = ['bellbound', *argv]\n"
     "if how == 'module':\n"
@@ -1326,13 +1335,14 @@ class TestEntryPoint:
     @pytest.mark.parametrize("how", ["module", "script"])
     @pytest.mark.parametrize("args, code", EXITS)
     def test_the_exit_path_freezes_the_collector(self, how, args, code):
-        # every object left is frozen, so no collection at interpreter exit walks it
+        # the command runs with the collector off, and every object left is
+        # frozen, so the collection at interpreter exit, which runs even so, walks none
         entry = re.search(r'^bellbound = "(.+)"$', PYPROJECT.read_text(), re.M).group(1)
         proc = subprocess.run(
             [sys.executable, "-c", EXIT_PROBE, how, entry, *args], capture_output=True, text=True
         )
         assert proc.returncode == code, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "frozen True"
+        assert proc.stderr.splitlines()[-1] == "frozen True enabled False"
 
     @pytest.mark.parametrize("args, code", EXITS)
     def test_main_leaves_the_collector_as_it_found_it(self, capsys, args, code):
@@ -1344,6 +1354,38 @@ class TestEntryPoint:
         except SystemExit as exc:
             assert exc.code == code
         assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize(
+        "command, small, large",
+        [
+            (["verify"], ["--trials", 10], ["--trials", 3000]),
+            (["sweep", "--noise"], ["--theta-step", 10], ["--theta-step", 0.5]),
+            (["surface", "--noise"], ["--theta-step", 45, "--theta-prime-step", 45],
+             ["--theta-step", 2, "--theta-prime-step", 2]),
+            (["simulate"], ["--theta-step", 45], ["--theta-step", 1]),
+        ],
+        ids=["verify", "sweep", "surface", "simulate"],
+    )
+    def test_a_commands_cyclic_garbage_does_not_grow_with_its_size(
+        self, capsys, command, small, large
+    ):
+        # why cli.run may keep the collector off: a command run 300-1000 times
+        # larger leaves no more unreachable objects than a small run
+        import gc
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_cli(command + small, capsys)  # warm-up: first-import cycles
+            left = []
+            for size in (small, large):
+                gc.collect()
+                assert run_cli(command + size, capsys)[0] == 0
+                left.append(gc.collect())
+        finally:
+            if enabled:
+                gc.enable()
+        assert left[1] <= left[0], left
 
     def test_outputs_accompanied_by_manifest(self, tmp_path):
         out_file = tmp_path / "out.csv"

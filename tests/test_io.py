@@ -235,13 +235,15 @@ class TestStateFiles:
             ("[" * 200_000, "state file nests too deeply to decode"),
             ("[1, 2]", "state file must contain a JSON object"),
             ('"matrix"', "state file must contain a JSON object"),
+            ('{"p":\n', "state file is not JSON: Expecting value: line 2 column 1 (char 6)"),
+            (b"\xff{}", "state file is not JSON: 'utf-8' codec can't decode byte 0xff in position 0"),
         ],
-        ids=["deep", "list", "string"],
+        ids=["deep", "list", "string", "truncated", "not-utf8"],
     )
     def test_file_must_hold_one_json_object(self, tmp_path, text, message):
         # 200,000 nested arrays once escaped the decoder as a RecursionError
         path = tmp_path / "state.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(path)
         with pytest.raises(ValueError, match=re.escape(message.replace("state", "replay"))):

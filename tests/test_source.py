@@ -134,7 +134,8 @@ def test_only_the_package_runs_as_a_script():
 
 
 def test_only_the_exit_path_imports_gc():
-    # cli.run freezes the objects left once the command is done
+    # cli.run turns the collector off for the command and freezes the objects
+    # left once it is done; the library and cli.main leave it as they find it
     hits = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
