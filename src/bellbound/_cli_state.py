@@ -43,7 +43,7 @@ def cmd_filter(ns: argparse.Namespace) -> int:
     params = _resolve(ns)
     state = load_state(ns.state_file)
     clock.mark("load")
-    result, closed_form_deviation = _filter(state, params["tol"], params["max_iter"])
+    result, closed_form_deviation = _filter(state, params["tol"])
     optimum = optimize_excess_sum(result.state_out)
     report = dict(filter_result_to_json(result))
     report["post_filter_check"] = bound_check_to_json(optimum.check)

@@ -10,13 +10,12 @@ import numpy as np
 from .core import (
     TwoQubitState,
     _array,
-    _bloch_split,
     _correlation_stack,
     _density,
     _Frozen,
     _frozen,
-    _integer,
     _real,
+    _rotated,
     _set,
     _unitary,
     _validate_stack,
@@ -27,7 +26,8 @@ from .knowledge import BoundCheck, _bell_max_stack, _proper_rotation_factors, op
 DIAGONAL_TOL = 1e-10
 REDUCTION_EIGENVALUE_FLOOR = 1e-8
 DEFAULT_FILTER_TOL = 1e-10
-DEFAULT_FILTER_MAX_ITER = 10_000
+# A polish round must lower the deviation, so the rounds end long before this cap.
+MAX_POLISH_ROUNDS = 10_000
 # The eigenvalues of eta R eta R^T within CLUSTER_TOL of the largest, relative to
 # it, plus CLUSTER_ABS_TOL (|R_ij| <= 1 keeps the matrix of order 1), are one
 # cluster.  A degenerate eigenvalue differs from it by rounding, 1.7e-13 at most
@@ -107,26 +107,18 @@ def canonical_form(state: TwoQubitState) -> CanonicalForm:
     returned unchanged with identity rotations; under degenerate singular
     values any valid factorization branch may be returned.
     """
-    rho, *arrays = _canonical(state.matrix)
-    if rho is not state.matrix:
-        state = TwoQubitState._of(_frozen(_validate_stack(rho[np.newaxis])[0]))
-    return CanonicalForm._of(state, *map(_frozen, arrays))
-
-
-def _canonical(rho: np.ndarray) -> tuple:
-    """:func:`canonical_form` of a Hermitian matrix ``rho``, which no rule
-    checks: the rotated matrix, unvalidated (``rho`` itself when it is returned
-    unchanged), then the arrays of the fields after ``state_bar``."""
-    t = _bloch_split(rho[np.newaxis])[2][0]
+    corr = _correlation_stack(state.matrix[np.newaxis])[0]
+    t = corr[1:, 1:]
     diag_entries = np.diag(t).copy()
     squares = diag_entries**2
     if _is_diagonal(t) and squares[0] >= squares[1] >= squares[2]:
         eye3, eye2 = np.eye(3), np.eye(2, dtype=complex)
-        return rho, eye3, eye3, eye2, eye2, diag_entries
+        return CanonicalForm._of(state, *map(_frozen, (eye3, eye3, eye2, eye2, diag_entries)))
     o_s, d, o_m = _proper_rotation_factors(t)
-    u_s, u_m = _unitary(o_s), _unitary(o_m)
-    big = np.kron(u_s.conj().T, u_m.conj().T)
-    return big @ rho @ big.conj().T, o_s, o_m, u_s, u_m, d
+    rho = _density(_rotated(corr, o_s.T, o_m.T))
+    state_bar = TwoQubitState._of(_frozen(_validate_stack(rho[np.newaxis])[0]))
+    arrays = o_s, o_m, _unitary(o_s), _unitary(o_m), d
+    return CanonicalForm._of(state_bar, *map(_frozen, arrays))
 
 
 def _check_floor(r: float, side: str) -> None:
@@ -236,14 +228,12 @@ def _normalized_filter(f: tuple) -> tuple[np.ndarray, np.ndarray]:
     return np.array(f, dtype=complex).reshape(2, 2) / math.sqrt(top), x
 
 
-def _filter(state: TwoQubitState, tol: float, max_iter: int) -> tuple[FilterResult, float | None]:
+def _filter(state: TwoQubitState, tol: float) -> tuple[FilterResult, float | None]:
     """:func:`filter_normal_form`, and the deviation that the closed form left
     (None when the input was within ``tol`` and it did not run)."""
     tol = _real(tol, "filter tol")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"filter tol must be a finite number > 0, got {tol}")
-    if _integer(max_iter, "filter max_iter") < 1:
-        raise ValueError(f"filter max_iter must be >= 1, got {max_iter}")
     # R with R_00 = 1, as BlochForm.R sets it, and C-contiguous as that is.
     corr = np.ascontiguousarray(_correlation_stack(state.matrix[np.newaxis])[0])
     corr[0, 0] = 1.0
@@ -259,8 +249,8 @@ def _filter(state: TwoQubitState, tol: float, max_iter: int) -> tuple[FilterResu
         deviation = closed = _deviation(corr)
         # Each polish round is the closed form again, on R as the last left it.
         while deviation > tol:
-            if len(deviations) == max_iter:
-                raise NoConvergence(max_iter, deviation)
+            if len(deviations) == MAX_POLISH_ROUNDS:
+                raise NoConvergence(MAX_POLISH_ROUNDS, deviation)
             corr, f_signal, f_meter = _closed_form(corr, f_signal, f_meter)
             previous, deviation = deviation, _deviation(corr)
             deviations.append(deviation)
@@ -276,11 +266,8 @@ def _filter(state: TwoQubitState, tol: float, max_iter: int) -> tuple[FilterResu
     t_out = corr[1:, 1:]
     if not _is_diagonal(t_out):
         # The canonical rotation, on R's blocks: T -> O_S^T T O_M = diag(d).
-        o_s, d, o_m = _proper_rotation_factors(t_out)
-        rotated = np.diag([1.0, *d.tolist()])
-        rotated[0, 1:] = corr[0, 1:] @ o_m
-        rotated[1:, 0] = corr[1:, 0] @ o_s
-        corr = rotated
+        o_s, _, o_m = _proper_rotation_factors(t_out)
+        corr = _rotated(corr, o_s.T, o_m.T)
         f_signal = _unitary(o_s).conj().T @ f_signal
         f_meter = _unitary(o_m).conj().T @ f_meter
     # Validated only at exit: mirrored entries sum the same exact Pauli products in the same
@@ -297,11 +284,7 @@ def _filter(state: TwoQubitState, tol: float, max_iter: int) -> tuple[FilterResu
     return result, closed
 
 
-def filter_normal_form(
-    state: TwoQubitState,
-    tol: float = DEFAULT_FILTER_TOL,
-    max_iter: int = DEFAULT_FILTER_MAX_ITER,
-) -> FilterResult:
+def filter_normal_form(state: TwoQubitState, tol: float = DEFAULT_FILTER_TOL) -> FilterResult:
     """Drive a state to Bell-diagonal form by local filters, in closed form.
 
     A local filter acts on ``R = [[1, m^T], [n, T]]`` as a Lorentz boost, and
@@ -310,19 +293,20 @@ def filter_normal_form(
     PRA 64, 010101(R), 2001; see ``_closed_form``), read off the spectrum of
     ``eta R eta R^T`` in one pass.  Where that leaves a reduced state more than
     ``tol`` from 1/2 (a state near the floor, whose rounding the boosts
-    amplify), polish rounds run the closed form again on its own output, at
-    most ``max_iter`` of them; a round that does not lower the deviation, or
-    the last, raises NoConvergence.  An input within ``tol`` is returned
-    unfiltered.  A final canonical rotation (skipped when T is already
+    amplify), polish rounds run the closed form again on its own output until
+    it is within ``tol``; the first round that does not lower the deviation
+    raises NoConvergence (as would, in principle, round ``MAX_POLISH_ROUNDS``).
+    An input within ``tol`` is returned unfiltered.  A final canonical
+    rotation of R's blocks (``core._rotated``, skipped when T is already
     diagonal) brings the state to Bell-diagonal form with a Bell factor at
     least as large as the input's.  A reduced state, or one that a filter
     would have to reach, with smaller eigenvalue below
     ``REDUCTION_EIGENVALUE_FLOOR`` raises SingularReduction, as do a defective
     spectrum, whose normal form is reached only in a limit, and a filtered
     state that the boosts' rounding leaves not positive.  ``tol`` must be a
-    finite int or float > 0 and ``max_iter`` an integer, at least 1 (ValueError).
+    finite int or float > 0 (ValueError).
     """
-    return _filter(state, tol, max_iter)[0]
+    return _filter(state, tol)[0]
 
 
 def saturate_after_filter(state: TwoQubitState) -> tuple[FilterResult, BoundCheck]:

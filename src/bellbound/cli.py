@@ -121,7 +121,6 @@ COMMANDS = {
     }),
     "filter": ("local-filtering normal form JSON", {
         "tol": (float, 1e-10, "convergence tolerance of the reduced states"),
-        "max_iter": (int, 10_000, "most filtering iterations"),
     }),
 }
 # The subcommands that read a state file, named by a positional argument.

@@ -45,6 +45,8 @@ ID2 = np.eye(2, dtype=complex)
 # _PAULI_PAIRS[i, j] = sigma_i x sigma_j with sigma_0 = 1, signal slot first.
 _SIGMA = np.stack([ID2, *PAULI])
 _PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
+# O_kl = 1/2 tr(sigma_k U sigma_l U^dag) is _ADJOINT @ (U x U*), indexed (k, l) and (a, b, d, c).
+_ADJOINT = 0.5 * np.einsum("kda,lbc->klabdc", PAULI, PAULI).reshape(9, 16)
 
 
 def _is_integer(value) -> bool:
@@ -382,21 +384,32 @@ def _check_unitary(u, name: str = "U") -> np.ndarray:
 def apply_local_unitary(state: TwoQubitState, u_signal, u_meter) -> TwoQubitState:
     """Conjugate the state by ``u_signal (x) u_meter``, each a complex 2x2 unitary.
 
-    The correlation matrix transforms as ``T -> O_S T O_M^T`` with ``O`` the
-    rotation of each unitary under the adjoint map.
+    The conjugation turns the blocks of R (:func:`_rotated`) by the rotation
+    ``O`` of each unitary under the adjoint map: ``T -> O_S T O_M^T``.
     """
-    u_s = _check_unitary(u_signal, "u_signal")
-    u_m = _check_unitary(u_meter, "u_meter")
-    big = np.kron(u_s, u_m)
-    return validate_state(big @ state.matrix @ big.conj().T)
+    o_s = _rotation(_check_unitary(u_signal, "u_signal"))
+    o_m = _rotation(_check_unitary(u_meter, "u_meter"))
+    rho = _density(_rotated(_correlation_stack(state.matrix[np.newaxis])[0], o_s, o_m))
+    return TwoQubitState._of(_frozen(_validate_stack(rho[np.newaxis])[0]))
+
+
+def _rotated(corr: np.ndarray, o_s: np.ndarray, o_m: np.ndarray) -> np.ndarray:
+    """``diag(1, o_s) R diag(1, o_m)^T``: R of a state turned by the local unitaries of
+    rotations ``o_s`` and ``o_m`` (``n -> o_s n``, ``m -> o_m m``, ``T -> o_s T o_m^T``)."""
+    out = corr.copy()
+    out[1:] = o_s @ corr[1:]  # the rows of n and T
+    out[:, 1:] = out[:, 1:] @ o_m.T  # the columns of m and T
+    return out
 
 
 def rotation_of_unitary(u) -> np.ndarray:
     """The unique rotation O with ``U (v.sigma) U^dag = (O v).sigma`` for all v (U 2x2)."""
-    u = _check_unitary(u)
-    conjugated = np.einsum("ab,lbc,dc->lad", u, PAULI, u.conj())
-    o = 0.5 * np.einsum("kab,lba->kl", PAULI, conjugated).real
-    return _frozen(o)
+    return _frozen(_rotation(_check_unitary(u)))
+
+
+def _rotation(u: np.ndarray) -> np.ndarray:
+    """:func:`rotation_of_unitary` of a 2x2 unitary that no rule checks."""
+    return (_ADJOINT @ np.outer(u, u.conj()).ravel()).real.reshape(3, 3)
 
 
 def _quaternion_from_rotation(o: np.ndarray) -> np.ndarray:

@@ -242,11 +242,12 @@ def exact_counts(
     pi_signal: QubitMeasurement,
     total: int = 10**8,
 ) -> CountRecord:
-    """Noise-free counts: channel probabilities scaled to ``total`` (>= 0) and rounded."""
+    """Noise-free counts: channel probabilities, each clamped at 0 (a valid state's may be
+    as low as ``-VALIDATION_TOL``), scaled to ``total`` (>= 0) and rounded."""
     if _integer(total, "total") < 0:
         raise ValueError(f"total must be >= 0, got {total}")
     probs = coincidence_probs(state, pi_meter, pi_signal)
-    return CountRecord(*(int(round(total * p)) for p in probs))
+    return CountRecord(*(int(round(total * max(p, 0.0))) for p in probs))
 
 
 def _require_counts(record: CountRecord, context: str = "") -> int:

@@ -33,6 +33,13 @@ def partial_trace_signal(rho):
     return rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
 
 
+def locally_acted(rho, a_signal, a_meter):
+    """``(A_s x A_m) rho (A_s x A_m)^dag`` by np.kron, for 2x2 ``A``: the reference
+    for a local unitary or filter, independent of the library's rotation of R."""
+    big = np.kron(a_signal, a_meter)
+    return big @ rho @ big.conj().T
+
+
 def trace_oracle(rho, s_axis, m_axis):
     """(K, P, D) by the raw trace path, gamma = tr_S[((S+ - S-) x 1) rho]."""
     s_plus, s_minus = axis_projectors(s_axis)
@@ -241,8 +248,7 @@ def turned_near_floor_draws(count=300):
     draws = []
     for _ in range(count):
         e = 10 ** rng.uniform(-7, -6.3)
-        big = np.kron(haar(), haar())
-        draws.append((e, big @ np.diag([1 - e, 0, 0, e]) @ big.conj().T))
+        draws.append((e, locally_acted(np.diag([1 - e, 0, 0, e]), haar(), haar())))
     return draws
 
 

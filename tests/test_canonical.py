@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import bellbound as bb
 from bellbound.canonical import (
-    DEFAULT_FILTER_MAX_ITER,
     DEFAULT_FILTER_TOL,
+    MAX_POLISH_ROUNDS,
     REDUCTION_EIGENVALUE_FLOOR,
     _boost,
     _filter,
@@ -18,6 +18,7 @@ from bellbound.canonical import (
 from conftest import (
     defective_mixtures,
     filter_edge_states,
+    locally_acted,
     partial_trace_meter,
     partial_trace_signal,
     random_unitary,
@@ -47,8 +48,7 @@ def oracle_half_step(rho, side):
     if eigenvalues[0] < REDUCTION_EIGENVALUE_FLOOR:
         raise bb.SingularReduction(side, float(eigenvalues[0]))
     a = (vectors * (1.0 / np.sqrt(2.0 * eigenvalues))) @ vectors.conj().T
-    big = np.kron(a, I2) if side == "signal" else np.kron(I2, a)
-    rho = big @ rho @ big.conj().T
+    rho = locally_acted(rho, a, I2) if side == "signal" else locally_acted(rho, I2, a)
     return rho / rho.trace().real, a
 
 
@@ -102,8 +102,7 @@ def assert_same_outcome(state, tol=DEFAULT_FILTER_TOL, b_max_tol=1e-9):
         assert got[2] == pytest.approx(expected[2], rel=0, abs=1e-12)
         return None
     assert not isinstance(expected, tuple), (result, expected)
-    big = np.kron(result.f_signal, result.f_meter)
-    success = (big @ state.matrix @ big.conj().T).trace().real
+    success = locally_acted(state.matrix, result.f_signal, result.f_meter).trace().real
     assert result.success_probability == pytest.approx(success, rel=0, abs=1e-12)
     assert _oracle_deviation(result.state_out.matrix) <= tol
     assert result.b_max_out == pytest.approx(expected, rel=0, abs=b_max_tol)
@@ -184,6 +183,21 @@ class TestCanonicalForm:
             assert np.max(np.abs(back.matrix - state.matrix)) < 1e-10
 
 
+    def test_state_bar_and_its_round_trip_match_the_kronecker_reference(self):
+        # state_bar is the input turned by (u_signal x u_meter)^dag, and
+        # apply_local_unitary turns it back to the input
+        for seed in range(25):
+            for rank in range(1, 5):
+                state = bb.random_state(seed, rank)
+                cf = bb.canonical_form(state)
+                u_s, u_m = cf.u_signal, cf.u_meter
+                expected = locally_acted(state.matrix, u_s.conj().T, u_m.conj().T)
+                assert np.max(np.abs(cf.state_bar.matrix - expected)) <= 1e-14
+                back = bb.apply_local_unitary(cf.state_bar, u_s, u_m).matrix
+                assert np.max(np.abs(back - locally_acted(cf.state_bar.matrix, u_s, u_m))) <= 1e-14
+                assert np.max(np.abs(back - state.matrix)) <= 1e-14
+
+
 class TestFilterNormalForm:
     def test_bell_diagonal_input_is_untouched(self):
         state = bb.bell_diagonal([0.1, 0.2, 0.3, 0.4])
@@ -214,14 +228,6 @@ class TestFilterNormalForm:
         with pytest.raises(bb.SingularReduction):
             bb.filter_normal_form(bb.validate_state(hh))
 
-    def test_max_iter_exhaustion_raises(self):
-        # A tolerance below rounding leaves the closed form short of it, so the
-        # polish runs, and stops at the cap.
-        state = bb.random_state(7, 4)
-        with pytest.raises(bb.NoConvergence) as error:
-            bb.filter_normal_form(state, tol=1e-17, max_iter=1)
-        assert error.value.iterations == 1
-
     def test_a_polish_that_gains_nothing_stops_at_once(self):
         # Each polish round must lower the deviation: one that stalls at the
         # rounding floor raises long before the cap.
@@ -240,19 +246,18 @@ class TestFilterNormalForm:
             {"tol": float("inf")},
             {"tol": 0.0},
             {"tol": -1.0},
-            {"max_iter": 0},
-            {"max_iter": -1},
-            # True once ran one round, and 1.5 raised range()'s TypeError
-            {"max_iter": True},
-            {"max_iter": 1.5},
-            {"max_iter": 10.0},
         ],
     )
-    def test_invalid_tol_or_max_iter_raises(self, kwargs):
+    def test_invalid_tol_raises(self, kwargs):
         # applies even where no iteration is needed
         for state in (bb.random_state(3, 4), bb.werner(0.5)):
             with pytest.raises(ValueError, match=next(iter(kwargs))):
                 bb.filter_normal_form(state, **kwargs)
+
+    def test_the_polish_has_no_cap_to_set(self):
+        # the rounds end at the first that gains nothing, long before MAX_POLISH_ROUNDS
+        with pytest.raises(TypeError, match="max_iter"):
+            bb.filter_normal_form(bb.werner(0.5), max_iter=5)
 
     def test_random_states_filter_properties(self):
         for seed in range(30):
@@ -290,8 +295,7 @@ class TestFilterAgainstDensityMatrixOracle:
             state = bb.random_state(seed, rank)
             result = assert_same_outcome(state)
             # the filters applied to the input by np.kron give the returned state
-            big = np.kron(result.f_signal, result.f_meter)
-            rho = big @ state.matrix @ big.conj().T
+            rho = locally_acted(state.matrix, result.f_signal, result.f_meter)
             np.testing.assert_allclose(
                 result.state_out.matrix, rho / result.success_probability, rtol=0, atol=1e-12
             )
@@ -351,8 +355,7 @@ def filter_domain_states(draw):
         ]))
     else:
         matrix = draw(st.sampled_from(defective_mixtures()))
-    big = np.kron(random_unitary(rng), random_unitary(rng))
-    return bb.validate_state(big @ matrix @ big.conj().T)
+    return bb.validate_state(locally_acted(matrix, random_unitary(rng), random_unitary(rng)))
 
 
 class TestSaturateAfterFilter:
@@ -377,15 +380,15 @@ class TestWholeDomain:
     def test_the_sweep_filters_in_closed_form(self):
         # random_state(143, 3) once ran 10,000 rounds and raised NoConvergence
         for seed, rank in [(143, 3), *((seed, rank) for seed in range(300) for rank in range(1, 5))]:
-            result, closed = _filter(bb.random_state(seed, rank), DEFAULT_FILTER_TOL, 1)
+            result, closed = _filter(bb.random_state(seed, rank), DEFAULT_FILTER_TOL)
             assert result.iterations == 0
             assert closed <= DEFAULT_FILTER_TOL
 
     def test_defective_mixtures_raise_at_once(self, rng):
         for matrix in defective_mixtures():
             for _ in range(5):
-                big = np.kron(random_unitary(rng), random_unitary(rng))
-                assert_defective(bb.validate_state(big @ matrix @ big.conj().T))
+                turned = locally_acted(matrix, random_unitary(rng), random_unitary(rng))
+                assert_defective(bb.validate_state(turned))
 
     def test_a_filtered_state_past_the_positivity_limit_names_the_filter(self):
         # These valid inputs once raised NotPositive, a validation error that
@@ -422,7 +425,7 @@ class TestWholeDomain:
         for _ in range(2):
             start = time.perf_counter()
             try:
-                result, closed = _filter(state, DEFAULT_FILTER_TOL, DEFAULT_FILTER_MAX_ITER)
+                result, closed = _filter(state, DEFAULT_FILTER_TOL)
             except bb.BellboundError as error:
                 outcome = error
             else:
@@ -431,9 +434,9 @@ class TestWholeDomain:
         assert min(timings) < 0.010
         if isinstance(outcome, bb.BellboundError):
             assert str(outcome).count("\n") == 0
-            assert getattr(outcome, "iterations", 0) < DEFAULT_FILTER_MAX_ITER
+            assert getattr(outcome, "iterations", 0) < MAX_POLISH_ROUNDS
             return
-        assert outcome.iterations < DEFAULT_FILTER_MAX_ITER
+        assert outcome.iterations < MAX_POLISH_ROUNDS
         if outcome.deviation_log:
             assert outcome.deviation_log[-1] <= DEFAULT_FILTER_TOL
         elif closed is not None:

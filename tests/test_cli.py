@@ -241,11 +241,10 @@ class TestAnalyze:
     @settings(max_examples=150, deadline=None)
     @given(document=state_documents())
     def test_any_json_state_file_exits_0_or_1_with_one_line(self, tmp_path_factory, document):
-        # filter's iteration cap keeps each example fast; a state it cannot
-        # filter within the cap exits 1
+        # a state that filter cannot bring to its normal form exits 1
         path = tmp_path_factory.mktemp("state") / "state.json"
         path.write_text(json.dumps(document))
-        for args in (["analyze", path], ["filter", path, "--max-iter", 50]):
+        for args in (["analyze", path], ["filter", path]):
             code, out, err = run_in_process(args)
             assert code in (0, 1)
             if code == 0:
@@ -295,7 +294,7 @@ class TestSweep:
             (["surface", "--noise", "--theta-step", 30], "theta_prime_step = 45\nseed = -4\n"),
             (["simulate", "--theta-step", 45], "p = 0.45\nseed = 9\nduration = 3\n"),
             (["verify", "--trials", 20], "seed = 5\n"),
-            (["filter", "state.json"], "tol = 1e-4\nmax_iter = 500\n"),
+            (["filter", "state.json"], "tol = 1e-4\n"),
         ],
         ids=["sweep", "sweep-noise-off", "surface", "simulate", "verify", "filter"],
     )
@@ -515,7 +514,7 @@ NUMERIC_FLAGS = {
                 "--theta-prime-step", *_EXPERIMENT_FLAGS],
     "simulate": ["--p", *_GRID_FLAGS, "--visibility", *_EXPERIMENT_FLAGS],
     "verify": ["--trials", "--seed"],
-    "filter": ["--tol", "--max-iter"],
+    "filter": ["--tol"],
 }
 
 
@@ -1204,7 +1203,7 @@ class TestFilter:
         # bound, so the optimizer searches.
         from bellbound import canonical
 
-        def unfiltered(state, tol, max_iter):
+        def unfiltered(state, tol):
             b_max = bb.bell_max(state)
             identity = canonical._frozen(np.eye(2, dtype=complex))
             return canonical.FilterResult._of(state, identity, identity, 1.0, 0, b_max, b_max, ()), None
@@ -1230,19 +1229,30 @@ class TestFilter:
             (["--tol", "inf"], "tol must be a finite number > 0, got inf"),
             (["--tol", "-1"], "tol must be a finite number > 0, got -1.0"),
             (["--tol", "0"], "tol must be a finite number > 0, got 0.0"),
-            (["--max-iter", "0"], "max_iter must be >= 1, got 0"),
-            (["--max-iter", "-5"], "max_iter must be >= 1, got -5"),
         ],
     )
     def test_invalid_filter_parameters_exit_1(self, tmp_path, capsys, args, message):
-        # --tol nan once returned the state unfiltered, --max-iter 0 crashed
-        # with an IndexError and --tol -1 ran every iteration before failing
+        # --tol nan once returned the state unfiltered and --tol -1 ran every
+        # iteration before failing
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"factory": "random", "seed": 3, "ancilla_dim": 4}))
         out_file = tmp_path / "filter.json"
         code, out, err = run_cli(["filter", path, *args, "--out", out_file], capsys)
         assert code == 1 and out == "" and not out_file.exists()
         assert err == f"error: filter {message}\n"
+
+    def test_the_removed_max_iter_flag_exits_1_with_one_line(self, tmp_path, capsys):
+        # the polish stops at the first round that gains nothing, so no cap is an option
+        code, out, err = run_cli(["filter", write_werner_file(tmp_path), "--max-iter", "5"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: bellbound: unrecognized arguments: --max-iter 5\n"
+
+    def test_a_config_file_setting_max_iter_exits_1_naming_the_key(self, tmp_path, capsys):
+        config = tmp_path / "conf.txt"
+        config.write_text("tol = 1e-4\nmax_iter = 500\n")
+        code, out, err = run_cli(["filter", write_werner_file(tmp_path), "--config", config], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {config}:2: config key 'max_iter' is not a parameter of any subcommand\n"
 
     @pytest.mark.parametrize(
         "matrix",

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import bellbound as bb
 from bellbound.core import COMPLEMENTARITY_TOL, _analyzer_directions, _unit_axes
 from conftest import (
-    PAULI, I2, axis_projectors, polarization_ket, quaternion_rotation, random_unitary
+    PAULI, I2, axis_projectors, locally_acted, polarization_ket, quaternion_rotation,
+    random_unitary,
 )
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -188,15 +189,23 @@ class TestLocalUnitaries:
             np.testing.assert_allclose(out.matrix, singlet.matrix, atol=1e-12)
 
     def test_correlation_matrix_transforms_by_rotations(self, rng):
-        # oracle: rotations obtained independently through the adjoint map
+        # oracle: the Kronecker conjugation, which shares no code with
+        # rotation_of_unitary (apply_local_unitary turns R by the same rotations)
         for seed in range(10):
             state = bb.random_state(seed, 4)
             u_s, u_m = random_unitary(rng), random_unitary(rng)
             o_s = bb.rotation_of_unitary(u_s)
             o_m = bb.rotation_of_unitary(u_m)
-            out = bb.apply_local_unitary(state, u_s, u_m)
-            expected = o_s @ bb.decompose(state).T @ o_m.T
-            assert np.max(np.abs(bb.decompose(out).T - expected)) < 1e-10
+            expected = bb.decompose(bb.validate_state(locally_acted(state.matrix, u_s, u_m))).T
+            assert np.max(np.abs(o_s @ bb.decompose(state).T @ o_m.T - expected)) < 1e-10
+
+    def test_matches_the_kronecker_reference(self, rng):
+        for seed in range(25):
+            for rank in range(1, 5):
+                state = bb.random_state(seed, rank)
+                u_s, u_m = random_unitary(rng), random_unitary(rng)
+                out = bb.apply_local_unitary(state, u_s, u_m)
+                assert np.max(np.abs(out.matrix - locally_acted(state.matrix, u_s, u_m))) <= 1e-14
 
     def test_eigenvalues_preserved(self, rng):
         state = bb.random_state(11, 4)

@@ -11,6 +11,9 @@ door for a caller's values.  ``cli.py`` holds no command's handler: ``main``
 imports the handler module of the command it parsed, so a process compiles
 only its own command's handlers.  Only the program's exit path, ``cli.run``,
 imports ``gc``, so a library call and ``cli.main`` leave the collector alone.
+A local unitary or filter acts on the correlation matrix R, never on the 4x4
+density matrix by a Kronecker product: ``core._rotated`` is the one rotation
+of R's blocks.
 """
 
 import ast
@@ -147,3 +150,17 @@ def test_only_the_exit_path_imports_gc():
             or isinstance(node, ast.ImportFrom) and node.module == "gc"
         ]
     assert hits == [str(Path("bellbound", "cli.py:run"))]
+
+
+def test_no_module_builds_a_kronecker_product():
+    # canonical_form, the filter's final rotation and apply_local_unitary all
+    # turn R's blocks by core._rotated and build the matrix once by _density
+    hits = [
+        f"{path.relative_to(SRC)}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "kron"
+        or isinstance(node, ast.Name) and node.id == "kron"
+        or isinstance(node, ast.alias) and node.name == "kron"
+    ]
+    assert not hits, "\n".join(hits)
