@@ -228,6 +228,17 @@ class TestFilterNormalForm:
         with pytest.raises(bb.SingularReduction):
             bb.filter_normal_form(bb.validate_state(hh))
 
+    def test_max_iter_exhaustion_raises(self, monkeypatch):
+        # A tolerance below rounding leaves the closed form short of it, so the
+        # polish runs, and stops at the cap: uncapped, this state runs 3 rounds.
+        from bellbound import canonical
+
+        monkeypatch.setattr(canonical, "MAX_POLISH_ROUNDS", 1)
+        state = bb.random_state(0, 4)
+        with pytest.raises(bb.NoConvergence) as error:
+            bb.filter_normal_form(state, tol=1e-17)
+        assert error.value.iterations == 1
+
     def test_a_polish_that_gains_nothing_stops_at_once(self):
         # Each polish round must lower the deviation: one that stalls at the
         # rounding floor raises long before the cap.
@@ -246,6 +257,8 @@ class TestFilterNormalForm:
             {"tol": float("inf")},
             {"tol": 0.0},
             {"tol": -1.0},
+            # a bool is not a tolerance, as True once was not a round count
+            {"tol": True},
         ],
     )
     def test_invalid_tol_raises(self, kwargs):

@@ -1198,6 +1198,13 @@ class TestFilter:
         assert stats["closed_form_deviation"] is None
         assert (stats["filter_iterations"], stats["deviation_log"]) == (0, [])
 
+    def test_manifest_parameters_hold_tol_and_no_round_cap(self, tmp_path, capsys):
+        out_file = tmp_path / "filter.json"
+        code, _, _ = run_cli(["filter", write_werner_file(tmp_path), "--out", out_file], capsys)
+        assert code == 0
+        parameters = json.loads((tmp_path / "filter.json.manifest.json").read_text())["parameters"]
+        assert parameters["tol"] == 1e-10 and "max_iter" not in parameters
+
     def test_manifest_records_a_searched_optimum(self, tmp_path, capsys, monkeypatch):
         # A filter that returns the state as it came leaves it short of its
         # bound, so the optimizer searches.
