@@ -14,19 +14,21 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "BlochForm",
-        "ConditionalDecomposition",
         "QubitMeasurement",
         "TwoQubitState",
-        "apply_local_unitary",
         "are_complementary",
-        "conditional_decompose",
         "decompose",
         "measurement_from_polarization_angle",
         "recompose",
+        "validate_state",
+    ),
+    "_local": (
+        "ConditionalDecomposition",
+        "apply_local_unitary",
+        "conditional_decompose",
         "rotation_from_quaternion",
         "rotation_of_unitary",
         "unitary_from_rotation",
-        "validate_state",
     ),
     "errors": (
         "BellboundError",
@@ -46,7 +48,6 @@ _EXPORTS = {
     "factories": ("WernerPrediction", "bell_diagonal", "random_state", "werner", "werner_prediction"),
     "knowledge": (
         "BoundCheck",
-        "ExcessOptimum",
         "KnowledgeReport",
         "apriori",
         "bell_max",
@@ -60,6 +61,7 @@ _EXPORTS = {
         "optimal_meter",
         "optimize_excess_sum",
     ),
+    "_optimum": ("ExcessOptimum",),
     "canonical": (
         "CanonicalForm",
         "FilterResult",
@@ -71,7 +73,6 @@ _EXPORTS = {
         "BELL_ANGLE_PAIRS",
         "CountRecord",
         "ExperimentConfig",
-        "MixingModel",
         "SweepPoint",
         "bell_estimate_stderr",
         "coincidence_probs",
@@ -80,12 +81,15 @@ _EXPORTS = {
         "estimate_correlation",
         "estimate_knowledge",
         "exact_counts",
-        "mixed_state_from_model",
-        "mixing_model_from_schedule",
         "run_sweep_experiment",
         "signal_measurement",
         "simulate_bell_records",
         "simulate_counts",
+    ),
+    "_mixing": (
+        "MixingModel",
+        "mixed_state_from_model",
+        "mixing_model_from_schedule",
         "werner_mixing_model",
     ),
 }

@@ -8,7 +8,7 @@ import argparse
 import math
 import sys
 
-from .cli import _emit, _flag, _resolve, _schedule_values
+from .cli import _emit, _flag, _import_stage, _resolve, _schedule_values
 
 SWEEP_HEADER = ["theta_deg", "K_hat", "P_hat", "dK_hat", "dK_theory"]
 SURFACE_HEADER = ["theta_deg", "theta_prime_deg", "dK2", "dKp2", "sum", "bound"]
@@ -78,6 +78,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     # validated with or without noise
     config = _experiment_config(params)
     clock.mark("load")
+    # the exact points are computed by knowledge
+    _import_stage(clock, params["noise"], *(() if params["noise"] else ("knowledge",)))
     points = run_sweep_experiment(params["p"], angles, config if params["noise"] else None)
     rows = [
         (point.theta_deg, point.k_hat, point.p_hat, point.dk_hat, point.dk_theory)
@@ -139,6 +141,7 @@ def cmd_surface(ns: argparse.Namespace) -> int:
     # validated with or without noise
     config = _experiment_config(params)
     clock.mark("load")
+    _import_stage(clock, params["noise"])
     # The two 1-D excess profiles are computed once per axis and combined
     # (each analyzer setting is measured once, as in the real sweep); the
     # points of theta draw the even streams, those of theta' the odd ones.
@@ -164,8 +167,8 @@ def _resolve_simulated_state(params) -> tuple[float, dict | None]:
         raise ValueError(f"schedule preparation needs all of {flags}")
     import numpy as np
 
+    from ._mixing import mixed_state_from_model, mixing_model_from_schedule
     from .core import decompose
-    from .expsim import mixed_state_from_model, mixing_model_from_schedule
 
     model = mixing_model_from_schedule(
         params["visibility"],
@@ -215,6 +218,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
             f" {BELL_STREAM_OFFSET // 2} angles"
         )
     clock.mark("load")
+    _import_stage(clock, True)
     points = run_sweep_experiment(p, angles, config)
     records = simulate_bell_records(werner(p), config)
     b_hat = estimate_bell_max(records)

@@ -7,19 +7,21 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cli import _emit, _resolve
+from .cli import _emit, _import_stage, _resolve
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
+    from ._readers import load_state
     from .canonical import canonical_form
     from .core import QubitMeasurement, decompose
-    from .io import StageClock, bloch_to_json, dumps_json, load_state
+    from .io import StageClock, bloch_to_json, dumps_json
     from .knowledge import bell_max, distinguishability_excess
 
     clock = StageClock()
     params = _resolve(ns)
     state = load_state(ns.state_file)
     clock.mark("load")
+    _import_stage(clock, False)
     form = decompose(state)
     cf = canonical_form(state)
     pair = [QubitMeasurement(cf.o_signal[:, 0]), QubitMeasurement(cf.o_signal[:, 1])]
@@ -35,14 +37,16 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
 
 def cmd_filter(ns: argparse.Namespace) -> int:
+    from ._readers import load_state
     from .canonical import _filter
-    from .io import StageClock, bound_check_to_json, dumps_json, filter_result_to_json, load_state
+    from .io import StageClock, bound_check_to_json, dumps_json, filter_result_to_json
     from .knowledge import optimize_excess_sum
 
     clock = StageClock()
     params = _resolve(ns)
     state = load_state(ns.state_file)
     clock.mark("load")
+    _import_stage(clock, False, "_optimum")
     result, closed_form_deviation = _filter(state, params["tol"])
     optimum = optimize_excess_sum(result.state_out)
     report = dict(filter_result_to_json(result))

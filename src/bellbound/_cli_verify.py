@@ -8,11 +8,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cli import _emit, _flag, _resolve
+from .cli import _emit, _flag, _import_stage, _resolve
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    from .io import StageClock, bound_check_to_json, dumps_json, read_json, write_json
+    from .io import StageClock, bound_check_to_json, dumps_json, write_json
     from .verify import SLACK_FLOOR, evaluate_instance_json, fuzz_bounds, instance_to_json
 
     clock = StageClock()
@@ -22,6 +22,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         given = [key for key in ("out", "trials", "seed", "dump") if getattr(ns, key) is not None]
         if given:
             raise ValueError(f"--replay cannot be combined with {', '.join(map(_flag, given))}")
+        from ._readers import read_json
+
         check, same = evaluate_instance_json(read_json(ns.replay, "replay file"))
         report = {
             "replayed": str(ns.replay),
@@ -31,6 +33,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         sys.stdout.write(dumps_json(report))
         return 0 if check.slack >= SLACK_FLOOR and same.slack >= SLACK_FLOOR else 2
     clock.mark("load")
+    _import_stage(clock, True)
     summary = fuzz_bounds(params["trials"], params["seed"])
     clock.mark("compute")
     compute_s = clock.stages["compute_s"]

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from ._local import _rotated, _unitary
 from .core import (
     TwoQubitState,
     _array,
@@ -15,13 +16,11 @@ from .core import (
     _Frozen,
     _frozen,
     _real,
-    _rotated,
     _set,
-    _unitary,
     _validate_stack,
 )
 from .errors import NoConvergence, NotPositive, SingularReduction
-from .knowledge import BoundCheck, _bell_max_stack, _proper_rotation_factors, optimize_excess_sum
+from .knowledge import BoundCheck, _bell_max_stack, optimize_excess_sum
 
 DIAGONAL_TOL = 1e-10
 REDUCTION_EIGENVALUE_FLOOR = 1e-8
@@ -96,6 +95,23 @@ class FilterResult(_Frozen):
 
 def _is_diagonal(t: np.ndarray) -> bool:
     return float(np.max(np.abs(t - np.diag(np.diag(t))))) < DIAGONAL_TOL
+
+
+def _proper_rotation_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD ``T = O_S diag(d) O_M^T`` with both factors proper rotations.
+
+    Reflection parity is absorbed into the sign of the smallest diagonal
+    entry, so ``|d|`` stays in descending order.
+    """
+    o_s, d, vt = np.linalg.svd(t)
+    o_m = vt.T.copy()
+    if np.linalg.det(o_s) < 0.0:
+        o_s[:, 2] *= -1.0
+        d[2] = -d[2]
+    if np.linalg.det(o_m) < 0.0:
+        o_m[:, 2] *= -1.0
+        d[2] = -d[2]
+    return o_s, d, o_m
 
 
 def canonical_form(state: TwoQubitState) -> CanonicalForm:
@@ -297,7 +313,7 @@ def filter_normal_form(state: TwoQubitState, tol: float = DEFAULT_FILTER_TOL) ->
     it is within ``tol``; the first round that does not lower the deviation
     raises NoConvergence (as would, in principle, round ``MAX_POLISH_ROUNDS``).
     An input within ``tol`` is returned unfiltered.  A final canonical
-    rotation of R's blocks (``core._rotated``, skipped when T is already
+    rotation of R's blocks (``_local._rotated``, skipped when T is already
     diagonal) brings the state to Bell-diagonal form with a Bell factor at
     least as large as the input's.  A reduced state, or one that a filter
     would have to reach, with smaller eigenvalue below
@@ -317,7 +333,7 @@ def saturate_after_filter(state: TwoQubitState) -> tuple[FilterResult, BoundChec
     at rounding level (at most 2.1e-15 on ``random_state(seed, 4)``, seeds
     0-99, whose sums end at most 2.9e-15 from the bound); a polished state may
     end anywhere within the filter's tolerance, about 1e-10 below the bound.
-    Both are within ``knowledge.CERTIFY_TOL`` (1e-9), so ``optimize_excess_sum``
+    Both are within ``_optimum.CERTIFY_TOL`` (1e-9), so ``optimize_excess_sum``
     returns the seed frame without a search, certified optimal to that accuracy.
     """
     result = filter_normal_form(state)

@@ -18,6 +18,9 @@ A value type has two doors.  Its ``__init__`` takes a caller's values through
 the rules (:func:`_array`, :func:`_real`, :func:`_integer`, :func:`_unit_axes`,
 :func:`_validate_stack`), the only code that decides validity; ``_Frozen._of``
 builds a result from values the library has checked and frozen, with no rule.
+
+Local unitaries, their rotations and the conditional decomposition over a
+signal measurement live in ``_local``, which only their callers compile.
 """
 
 from __future__ import annotations
@@ -27,14 +30,12 @@ import numbers
 
 import numpy as np
 
-from .errors import NotHermitian, NotPositive, NotRotation, NotUnitary, TraceNotOne
+from .errors import NotHermitian, NotPositive, TraceNotOne
 
 # Validation tolerances (double precision leaves >= 4 orders of margin on 4x4 problems).
 VALIDATION_TOL = 1e-10
 UNIT_AXIS_TOL = 1e-12
 COMPLEMENTARITY_TOL = 1e-9
-ROTATION_TOL = 1e-8
-DEGENERATE_WEIGHT = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -45,8 +46,6 @@ ID2 = np.eye(2, dtype=complex)
 # _PAULI_PAIRS[i, j] = sigma_i x sigma_j with sigma_0 = 1, signal slot first.
 _SIGMA = np.stack([ID2, *PAULI])
 _PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
-# O_kl = 1/2 tr(sigma_k U sigma_l U^dag) is _ADJOINT @ (U x U*), indexed (k, l) and (a, b, d, c).
-_ADJOINT = 0.5 * np.einsum("kda,lbc->klabdc", PAULI, PAULI).reshape(9, 16)
 
 
 def _is_integer(value) -> bool:
@@ -245,30 +244,6 @@ class QubitMeasurement(_Frozen):
         return QubitMeasurement._of(_frozen(-self.axis), self.degenerate)
 
 
-class ConditionalDecomposition(_Frozen):
-    """Expansion of a state over the two outcomes of a signal measurement.
-
-    ``w`` and ``w_perp`` are the outcome probabilities, ``rho_M`` and
-    ``rho_M_perp`` the conditional meter states, and ``chi_M`` the coherence
-    block between the two signal outcomes.  When a weight falls below 1e-12
-    the corresponding conditional is undefined; it is stored as a zero matrix
-    and ``degenerate`` is set.
-    """
-
-    __slots__ = ("w", "w_perp", "rho_M", "rho_M_perp", "chi_M", "degenerate")
-    __hash__ = None  # it holds arrays (see _Frozen)
-
-    def __init__(
-        self, w: float, w_perp: float, rho_M: np.ndarray, rho_M_perp: np.ndarray,
-        chi_M: np.ndarray, degenerate: bool = False,
-    ):
-        _set(self, "w", w)
-        _set(self, "w_perp", w_perp)
-        for name, block in zip(self.__slots__[2:5], (rho_M, rho_M_perp, chi_M)):
-            _set(self, name, _frozen(_array(block, name, (2, 2), complex)))
-        _set(self, "degenerate", degenerate)
-
-
 def validate_state(matrix) -> TwoQubitState:
     """Validate a 4x4 matrix as a density matrix: ``TwoQubitState(matrix)``."""
     return TwoQubitState(matrix)
@@ -373,83 +348,6 @@ def _density(corr: np.ndarray) -> np.ndarray:
     return 0.25 * np.einsum("ij,ijab->ab", corr, _PAULI_PAIRS)
 
 
-def _check_unitary(u, name: str = "U") -> np.ndarray:
-    u = _array(u, f"unitary {name}", (2, 2), complex)
-    deviation = float(np.max(np.abs(u.conj().T @ u - ID2)))
-    if deviation >= VALIDATION_TOL:
-        raise NotUnitary(deviation)
-    return u
-
-
-def apply_local_unitary(state: TwoQubitState, u_signal, u_meter) -> TwoQubitState:
-    """Conjugate the state by ``u_signal (x) u_meter``, each a complex 2x2 unitary.
-
-    The conjugation turns the blocks of R (:func:`_rotated`) by the rotation
-    ``O`` of each unitary under the adjoint map: ``T -> O_S T O_M^T``.
-    """
-    o_s = _rotation(_check_unitary(u_signal, "u_signal"))
-    o_m = _rotation(_check_unitary(u_meter, "u_meter"))
-    rho = _density(_rotated(_correlation_stack(state.matrix[np.newaxis])[0], o_s, o_m))
-    return TwoQubitState._of(_frozen(_validate_stack(rho[np.newaxis])[0]))
-
-
-def _rotated(corr: np.ndarray, o_s: np.ndarray, o_m: np.ndarray) -> np.ndarray:
-    """``diag(1, o_s) R diag(1, o_m)^T``: R of a state turned by the local unitaries of
-    rotations ``o_s`` and ``o_m`` (``n -> o_s n``, ``m -> o_m m``, ``T -> o_s T o_m^T``)."""
-    out = corr.copy()
-    out[1:] = o_s @ corr[1:]  # the rows of n and T
-    out[:, 1:] = out[:, 1:] @ o_m.T  # the columns of m and T
-    return out
-
-
-def rotation_of_unitary(u) -> np.ndarray:
-    """The unique rotation O with ``U (v.sigma) U^dag = (O v).sigma`` for all v (U 2x2)."""
-    return _frozen(_rotation(_check_unitary(u)))
-
-
-def _rotation(u: np.ndarray) -> np.ndarray:
-    """:func:`rotation_of_unitary` of a 2x2 unitary that no rule checks."""
-    return (_ADJOINT @ np.outer(u, u.conj()).ravel()).real.reshape(3, 3)
-
-
-def _quaternion_from_rotation(o: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a proper rotation, Shepperd's method."""
-    trace = float(np.trace(o))
-    if trace > 0.0:
-        s = 2.0 * math.sqrt(1.0 + trace)
-        q = np.array(
-            [0.25 * s, (o[2, 1] - o[1, 2]) / s, (o[0, 2] - o[2, 0]) / s, (o[1, 0] - o[0, 1]) / s]
-        )
-    elif o[0, 0] > o[1, 1] and o[0, 0] > o[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + o[0, 0] - o[1, 1] - o[2, 2])
-        q = np.array(
-            [(o[2, 1] - o[1, 2]) / s, 0.25 * s, (o[0, 1] + o[1, 0]) / s, (o[0, 2] + o[2, 0]) / s]
-        )
-    elif o[1, 1] > o[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + o[1, 1] - o[0, 0] - o[2, 2])
-        q = np.array(
-            [(o[0, 2] - o[2, 0]) / s, (o[0, 1] + o[1, 0]) / s, 0.25 * s, (o[1, 2] + o[2, 1]) / s]
-        )
-    else:
-        s = 2.0 * math.sqrt(1.0 + o[2, 2] - o[0, 0] - o[1, 1])
-        q = np.array(
-            [(o[1, 0] - o[0, 1]) / s, (o[0, 2] + o[2, 0]) / s, (o[1, 2] + o[2, 1]) / s, 0.25 * s]
-        )
-    return q / np.linalg.norm(q)
-
-
-def rotation_from_quaternion(q) -> np.ndarray:
-    """Rotation matrix of a (not necessarily normalized) real quaternion (w, x, y, z),
-    whose norm ``sqrt(q.q)`` must be finite and nonzero (ValueError)."""
-    q = _array(q, "quaternion", (4,))
-    # An overflow leaves an inf norm, and a NaN fails the test.
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(q))
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"quaternion norm must be finite and nonzero, got {norm}")
-    return _rotation_stack(q[np.newaxis])[0]
-
-
 def _rotation_stack(q: np.ndarray) -> np.ndarray:
     """The rotation matrices (N, 3, 3) of a stack of quaternions (w, x, y, z)
     (N, 4), each row normalized first; no norm is checked."""
@@ -459,36 +357,6 @@ def _rotation_stack(q: np.ndarray) -> np.ndarray:
         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
         2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
     ], axis=1).reshape(-1, 3, 3)
-
-
-def unitary_from_rotation(o) -> np.ndarray:
-    """Inverse of the adjoint map: a 2x2 unitary whose rotation is ``o``, a real 3x3 array.
-
-    The result is fixed up to a global phase; the convention is that the
-    first non-vanishing quaternion component is positive.
-    """
-    o = _array(o, "rotation matrix", (3, 3), error=NotRotation)
-    # An overflow leaves an inf or NaN deviation, and a NaN fails the test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        ortho = float(np.max(np.abs(o.T @ o - np.eye(3))))
-    if not ortho <= ROTATION_TOL:
-        raise NotRotation(f"max |O^T O - 1| = {ortho:.6e} (limit {ROTATION_TOL})")
-    det = float(np.linalg.det(o))
-    if abs(det - 1.0) > ROTATION_TOL:
-        raise NotRotation(f"det O = {det:.12f}, expected +1 (limit {ROTATION_TOL})")
-    return _frozen(_unitary(o))
-
-
-def _unitary(o: np.ndarray) -> np.ndarray:
-    """:func:`unitary_from_rotation` of a proper rotation that no rule checks."""
-    q = _quaternion_from_rotation(o)
-    for component in q:
-        if abs(component) > 1e-8:
-            if component < 0.0:
-                q = -q
-            break
-    w, x, y, z = q
-    return w * ID2 - 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
 def measurement_from_polarization_angle(theta_deg: float) -> QubitMeasurement:
@@ -518,37 +386,3 @@ def _complementary_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     ``|a.b|`` is at most COMPLEMENTARITY_TOL; a NaN dot is not."""
     dot = _row_dot(a, b)
     return dot, np.abs(dot) <= COMPLEMENTARITY_TOL
-
-
-def measurement_kets(measurement: QubitMeasurement) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized (+, -) eigenvectors of ``a.sigma`` (phase convention internal)."""
-    x, y, z = measurement.axis
-    if 1.0 + z >= 1.0 - z:
-        plus = np.array([1.0 + z, x + 1j * y])
-    else:
-        plus = np.array([x - 1j * y, 1.0 - z])
-    plus = plus / np.linalg.norm(plus)
-    minus = np.array([-np.conj(plus[1]), np.conj(plus[0])])
-    return _frozen(plus), _frozen(minus)
-
-
-def conditional_decompose(state: TwoQubitState, pi_signal: QubitMeasurement) -> ConditionalDecomposition:
-    """Expand the state over the outcomes of a signal measurement.
-
-    Reassembling ``w |+><+| x rho_M + w_perp |-><-| x rho_M_perp +
-    sqrt(w w_perp) (|+><-| x chi_M + h.c.)`` reproduces the input state.
-    """
-    plus, minus = measurement_kets(pi_signal)
-    rho = state.matrix.reshape(2, 2, 2, 2)  # indices: signal, meter, signal', meter'
-    block_pp = np.einsum("s,smtn,t->mn", plus.conj(), rho, plus)
-    block_mm = np.einsum("s,smtn,t->mn", minus.conj(), rho, minus)
-    block_pm = np.einsum("s,smtn,t->mn", plus.conj(), rho, minus)
-    w = float(block_pp.trace().real)
-    w_perp = float(block_mm.trace().real)
-    degenerate = w < DEGENERATE_WEIGHT or w_perp < DEGENERATE_WEIGHT
-    zero = np.zeros((2, 2), dtype=complex)
-    rho_m = block_pp / w if w >= DEGENERATE_WEIGHT else zero
-    rho_m_perp = block_mm / w_perp if w_perp >= DEGENERATE_WEIGHT else zero
-    chi = block_pm / math.sqrt(w * w_perp) if not degenerate else zero
-    blocks = map(_frozen, (rho_m, rho_m_perp, chi))
-    return ConditionalDecomposition._of(w, w_perp, *blocks, degenerate)

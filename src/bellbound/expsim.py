@@ -27,7 +27,6 @@ from .core import (
     QubitMeasurement,
     TwoQubitState,
     _analyzer_directions,
-    _array,
     _correlation_stack,
     _Frozen,
     _integer,
@@ -36,19 +35,9 @@ from .core import (
     _set,
     _unit_axes,
     measurement_from_polarization_angle,
-    validate_state,
 )
-from .errors import EmptyRecord, OutOfRange
-from .factories import (
-    BELL_KETS,
-    KET_HH,
-    KET_HV,
-    KET_VH,
-    KET_VV,
-    _philox_streams,
-    _werner_prediction,
-    werner,
-)
+from .errors import EmptyRecord
+from .factories import _philox_streams, _werner_prediction, werner
 
 # Meter/signal analyzer angle pairs (degrees) used for the Bell-factor estimate.
 BELL_ANGLE_PAIRS = ((22.5, 45.0), (67.5, 45.0), (22.5, 0.0), (67.5, 0.0))
@@ -104,29 +93,6 @@ class ExperimentConfig(_Frozen):
         _set(self, "seed", _integer(seed, "seed"))
 
 
-class MixingModel(_Frozen):
-    """Three-component preparation of a noisy singlet.
-
-    ``visibility`` is the two-photon interference visibility of the singlet
-    component; the weights are the effective mixing fractions (proportional
-    to rate x duration of each input configuration) of the interferometric
-    component and the two parallel-polarization components, each an int or float.
-    """
-
-    __slots__ = ("visibility", "w_singlet", "w_hh", "w_vv")
-
-    def __init__(self, visibility: float, w_singlet: float, w_hh: float, w_vv: float):
-        visibility, *weights = map(_real, (visibility, w_singlet, w_hh, w_vv), self.__slots__)
-        if not -1e-12 <= visibility <= 1.0 + 1e-12:
-            raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-        if not all(weight >= -1e-12 for weight in weights):
-            raise ValueError(f"mixing weights must be non-negative, got {tuple(weights)}")
-        if not abs(sum(weights) - 1.0) <= 1e-10:
-            raise ValueError(f"mixing weights must sum to 1, got {sum(weights)!r}")
-        for name, value in zip(self.__slots__, (visibility, *weights)):
-            _set(self, name, value)
-
-
 class SweepPoint(NamedTuple):
     """Estimates at one analyzer angle of a simulated (or exact) sweep."""
 
@@ -165,17 +131,20 @@ def _coincidence_stack(
     signal index first), meter outcome ``a`` and signal outcome ``b`` (both
     +-1) along axes ``m`` and ``s`` have ``p_ab = 1/4 (1, b s) R (1, a m)^T``,
     in channel ``2a + b`` with + read as 0 and - as 1.  The four sum to
-    ``R_00 = tr rho = 1``.
+    ``R_00 = tr rho = 1``.  A valid state's may be as low as ``-VALIDATION_TOL``
+    (see :func:`core.validate_state`); each is clamped at 0 here, once, which
+    leaves every non-negative one as it is, bit for bit.
     """
     corr = _correlation_stack(state.matrix[np.newaxis])[0]
     signal_rows, meter_rows = _outcome_rows(signal_axes), _outcome_rows(meter_axes)
-    return 0.25 * np.einsum("Nbi,ij,Naj->Nab", signal_rows, corr, meter_rows).reshape(-1, 4)
+    probs = 0.25 * np.einsum("Nbi,ij,Naj->Nab", signal_rows, corr, meter_rows).reshape(-1, 4)
+    return np.maximum(probs, 0.0)
 
 
 def coincidence_probs(
     state: TwoQubitState, pi_meter: QubitMeasurement, pi_signal: QubitMeasurement
 ) -> np.ndarray:
-    """Born-rule channel probabilities in the order (++, +-, -+, --).
+    """Born-rule channel probabilities in the order (++, +-, -+, --), each at least 0.
 
     Index order matches :class:`CountRecord`: first sign meter, second signal.
     """
@@ -213,7 +182,7 @@ def _simulate_stack(
         )
     words = ((int(stream) << 2) | channel for stream in streams for channel in range(4))
     counts = [
-        int(rng.poisson(max(mean, 0.0)))
+        int(rng.poisson(mean))
         for rng, mean in zip(_philox_streams(config.seed, words), means.ravel().tolist())
     ]
     return [CountRecord._of(*counts[i : i + 4]) for i in range(0, len(counts), 4)]
@@ -242,12 +211,12 @@ def exact_counts(
     pi_signal: QubitMeasurement,
     total: int = 10**8,
 ) -> CountRecord:
-    """Noise-free counts: channel probabilities, each clamped at 0 (a valid state's may be
-    as low as ``-VALIDATION_TOL``), scaled to ``total`` (>= 0) and rounded."""
+    """Noise-free counts: the channel probabilities of :func:`coincidence_probs`
+    scaled to ``total`` (>= 0) and rounded."""
     if _integer(total, "total") < 0:
         raise ValueError(f"total must be >= 0, got {total}")
     probs = coincidence_probs(state, pi_meter, pi_signal)
-    return CountRecord(*(int(round(total * max(p, 0.0))) for p in probs))
+    return CountRecord(*(int(round(total * p)) for p in probs))
 
 
 def _require_counts(record: CountRecord, context: str = "") -> int:
@@ -290,66 +259,6 @@ def estimate_bell_max(records) -> float:
     ``BELL_ANGLE_PAIRS``: |C(22.5,45) + C(67.5,45) + C(22.5,0) - C(67.5,0)|."""
     c1, c2, c3, c4 = (estimate_correlation(record) for record in _bell_records(records))
     return abs(c1 + c2 + c3 - c4)
-
-
-def mixed_state_from_model(model: MixingModel) -> TwoQubitState:
-    """State prepared by the three-component mixing protocol.
-
-    The interferometric component contributes the singlet with weight ``V``
-    and the distinguishable-photon mixture of |HV> and |VH> with weight
-    ``1 - V``; the parallel-polarization inputs contribute |HH> and |VV>.
-    """
-    singlet = np.outer(BELL_KETS[3], BELL_KETS[3].conj())
-    hv = np.outer(KET_HV, KET_HV.conj())
-    vh = np.outer(KET_VH, KET_VH.conj())
-    hh = np.outer(KET_HH, KET_HH.conj())
-    vv = np.outer(KET_VV, KET_VV.conj())
-    v = model.visibility
-    rho = (
-        model.w_singlet * (v * singlet + (1.0 - v) * 0.5 * (hv + vh))
-        + model.w_hh * hh
-        + model.w_vv * vv
-    )
-    return validate_state(rho)
-
-
-def mixing_model_from_schedule(visibility: float, durations, rates) -> MixingModel:
-    """Effective mixing weights of a three-configuration measurement schedule.
-
-    Both hold 3 real numbers, ordered (interferometric, HH, VV); each weight is proportional
-    to that configuration's coincidence rate times its measurement duration.
-    Unequal durations compensate configuration-dependent losses.
-    """
-    durations = _array(durations, "schedule duration vector", (3,))
-    rates = _array(rates, "schedule rate vector", (3,))
-    for name, values in (("durations", durations), ("rates", rates)):
-        if not np.all(values >= 0):
-            raise ValueError(f"schedule {name} must be non-negative, got {values.tolist()}")
-    # An overflow or inf * 0 leaves a total that fails the check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = durations * rates
-        total = weights.sum()
-    if not 0 < total < math.inf:
-        raise ValueError(f"schedule yields total weight {total}, expected a positive finite number")
-    weights = weights / total
-    return MixingModel(visibility, *weights)
-
-
-def werner_mixing_model(p: float) -> MixingModel:
-    """Mixing-protocol parameters that prepare a Werner state of parameter ``p``.
-
-    Inverse of :func:`mixed_state_from_model` on the Werner family:
-    V = 2p/(1+p), w_singlet = (1+p)/2, w_hh = w_vv = (1-p)/4, for an int or float p.
-    """
-    p = _real(p, "p")
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"mixing protocol requires 0 <= p <= 1, got {p}")
-    return MixingModel(
-        visibility=2.0 * p / (1.0 + p),
-        w_singlet=(1.0 + p) / 2.0,
-        w_hh=(1.0 - p) / 4.0,
-        w_vv=(1.0 - p) / 4.0,
-    )
 
 
 def run_sweep_experiment(

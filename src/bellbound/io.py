@@ -1,4 +1,5 @@
-"""File formats: JSON input files and state files, JSON/CSV exports.
+"""File formats: JSON/CSV exports and run manifests; the readers of state
+files and replay files are in ``_readers``.
 
 All floats are rendered with 17 significant digits, which round-trips IEEE
 doubles exactly; CSV files use LF line endings.  Both properties make every
@@ -15,12 +16,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import BlochForm, TwoQubitState, _integer, _real, validate_state
-from .errors import BellboundError
-from .factories import bell_diagonal, random_state, werner
-
-if TYPE_CHECKING:  # annotations only: io loads neither module
+if TYPE_CHECKING:  # annotations only: io loads none of these modules
     from .canonical import FilterResult
+    from .core import BlochForm
     from .knowledge import BoundCheck
 
 
@@ -31,17 +29,24 @@ def format_float(x: float) -> str:
 def _render_json(obj, indent: int) -> str:
     """``obj`` as pretty JSON at ``indent``.  numpy integers, floats and
     arrays render as their Python values; a dict, list or tuple subclass (a
-    NamedTuple) renders as its items.  A float, dict, list or tuple, the bulk
-    of a report, is told by its exact type before the isinstance chain."""
+    NamedTuple) renders as its items.  A float, int, str, dict, list or
+    tuple, the bulk of a report, is told by its exact type before the
+    isinstance chain.  The dicts of a list that have the shape of its first
+    are filled into one template of that shape (:func:`_plan`)."""
     kind = type(obj)
     if kind is float:
         return format(obj, ".17g")
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return _quote(obj)
     pad = "  " * indent
     if kind is dict:
         items = [f"{_quote(str(k))}: {_render_json(v, indent + 1)}" for k, v in obj.items()]
         return "{\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "}" if obj else "{}"
     if kind is list or kind is tuple:
-        items = [_render_json(v, indent + 1) for v in obj]
+        plan = _plan(obj[0], indent + 1) if len(obj) > 1 and type(obj[0]) is dict else None
+        items = [plan and _fill(plan, v) or _render_json(v, indent + 1) for v in obj]
         return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]" if obj else "[]"
     if isinstance(obj, (bool, str)) or obj is None:
         return json.dumps(obj)
@@ -56,6 +61,47 @@ def _render_json(obj, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+# How a template renders a field of each exact type, as _render_json does:
+# "%.17g" is format_float's format; a str is quoted, and a dict rendered by
+# its own template, before it is filled in.
+_FORMATS = {float: "%.17g", int: "%d", str: "%s", dict: "%s"}
+
+
+def _plan(record: dict, indent: int):
+    """How to render the dicts of ``record``'s shape at ``indent``: its keys,
+    its fields' exact types, its %-template, and the index of each str field
+    (with None) and dict field (with its own plan).  None where a key is not a
+    str or a field is not a float, int, str or dict of such a shape."""
+    items, fields = [], []
+    for i, (key, value) in enumerate(record.items()):
+        kind = type(value)
+        if type(key) is not str or kind not in _FORMATS:
+            return None
+        if kind is str or kind is dict:
+            fields.append((i, _plan(value, indent + 1) if kind is dict else None))
+            if kind is dict and fields[-1][1] is None:
+                return None
+        items.append(_quote(key).replace("%", "%%") + ": " + _FORMATS[kind])
+    pad = "  " * indent
+    template = "{\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "}" if items else "{}"
+    return tuple(record), tuple(map(type, record.values())), template, fields
+
+
+def _fill(plan: tuple, record) -> str | None:
+    """``record`` rendered by ``plan``, or None when its shape is not the plan's."""
+    keys, kinds, template, fields = plan
+    if type(record) is not dict or tuple(record) != keys:
+        return None
+    if tuple(map(type, record.values())) != kinds:
+        return None
+    values = list(record.values())
+    for i, nested in fields:
+        values[i] = _quote(values[i]) if nested is None else _fill(nested, values[i])
+        if values[i] is None:
+            return None
+    return template % tuple(values)
+
+
 def dumps_json(obj) -> str:
     """Deterministic pretty JSON with 17-significant-digit floats."""
     return _render_json(obj, 0) + "\n"
@@ -68,102 +114,6 @@ def write_json(path, obj) -> None:
 def complex_matrix_to_json(matrix) -> list[list[dict]]:
     m = np.asarray(matrix, dtype=complex)
     return [[{"re": float(cell.real), "im": float(cell.imag)} for cell in row] for row in m]
-
-
-def _cell_to_complex(cell) -> complex:
-    cell = cell if isinstance(cell, dict) else {"re": cell}
-    unknown = set(cell) - {"re", "im"}
-    if unknown:
-        raise ValueError(f"matrix cell has unknown keys {sorted(unknown)}")
-    return complex(*(_real(cell.get(part, 0.0), f"matrix cell {part}") for part in ("re", "im")))
-
-
-def complex_matrix_from_json(data) -> list[list[complex]]:
-    """The cells of a JSON matrix as complex numbers; the shape is left to ``TwoQubitState``."""
-    return [[_cell_to_complex(cell) for cell in row] for row in data]
-
-
-def state_from_json(data) -> TwoQubitState:
-    """The validated state of a JSON matrix."""
-    return validate_state(complex_matrix_from_json(data))
-
-
-def read_json(path, document: str) -> dict:
-    """The one JSON object that the file at ``path`` holds.
-
-    A file that is not JSON, that nests too deeply to decode, or whose value
-    is not an object raises ValueError; ``document`` names the file in it.
-    """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except RecursionError:
-        raise ValueError(f"{document} nests too deeply to decode") from None
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
-        raise ValueError(f"{document} is not JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{document} must contain a JSON object")
-    return data
-
-
-def _read_key(data: dict, key: str, convert, document: str, default=None):
-    """``convert(data[key])`` for a key of a JSON object read from a file.
-
-    An absent key gives ``default`` when one is set.  A missing required key,
-    or a value that ``convert`` rejects with TypeError, ValueError or a
-    library error (a state that fails validation, a parameter out of range),
-    raises ValueError naming ``document`` and the key.
-    """
-    if key not in data:
-        if default is None:
-            raise ValueError(f"{document} is missing key {key!r}")
-        return default
-    try:
-        return convert(data[key])
-    except (TypeError, ValueError, BellboundError) as exc:
-        raise ValueError(f"{document} key {key!r} is malformed: {exc}") from exc
-
-
-def _check_keys(data: dict, form: str, keys: tuple) -> None:
-    """ValueError naming the keys of a state file that its ``form`` does not read."""
-    unknown = sorted(set(data) - set(keys))
-    if unknown:
-        raise ValueError(f"state file has unknown keys {unknown}: a {form} reads only {list(keys)}")
-
-
-def load_state(path) -> TwoQubitState:
-    """Read a state file: either an explicit matrix or a named factory.
-
-    Supported forms::
-
-        {"matrix": [[{"re": .., "im": ..}, ...] x4]}
-        {"factory": "werner", "p": 0.82}
-        {"factory": "bell_diagonal", "lambdas": [.., .., .., ..]}
-        {"factory": "random", "seed": 7, "ancilla_dim": 4}
-
-    A key that the file's form does not read raises ValueError naming it.
-    """
-    document = "state file"
-    data = read_json(path, document)
-    if "matrix" in data and "factory" in data:
-        raise ValueError("state file must contain either 'matrix' or 'factory', not both")
-    if "matrix" in data:
-        _check_keys(data, "matrix file", ("matrix",))
-        return _read_key(data, "matrix", state_from_json, document)
-    if "factory" in data:
-        name = data["factory"]
-        if name == "werner":
-            _check_keys(data, "werner factory", ("factory", "p"))
-            return _read_key(data, "p", werner, document)
-        if name == "bell_diagonal":
-            _check_keys(data, "bell_diagonal factory", ("factory", "lambdas"))
-            return _read_key(data, "lambdas", bell_diagonal, document)
-        if name == "random":
-            _check_keys(data, "random factory", ("factory", "seed", "ancilla_dim"))
-            seed = _read_key(data, "seed", lambda v: _integer(v, "seed"), document)
-            dim = _read_key(data, "ancilla_dim", lambda v: _integer(v, "ancilla_dim"), document, 4)
-            return random_state(seed, dim)
-        raise ValueError(f"unknown state factory {name!r}")
-    raise ValueError("state file must contain either 'matrix' or 'factory'")
 
 
 def bloch_to_json(form: BlochForm) -> dict:

@@ -205,9 +205,9 @@ def instance_to_json(instance: FuzzInstance) -> dict:
 
 def evaluate_instance_json(data: dict) -> tuple[BoundCheck, BoundCheck]:
     """Recompute both bound checks for a dumped instance, the JSON object of a
-    replay file (as :func:`io.read_json` returns it), with the screen's own
+    replay file (as :func:`_readers.read_json` returns it), with the screen's own
     code on a block of one."""
-    from .io import _read_key, state_from_json
+    from ._readers import _read_key, state_from_json
 
     state = _read_key(data, "matrix", state_from_json, "replay file")
     axes = (

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellbound as bb
+import bellbound.cli
 from bellbound._cli_experiment import (
     CSV_BLOCK_ROWS,
     MAX_GRID_POINTS,
@@ -568,7 +569,7 @@ def help_text(parse, args, capsys):
 
 
 class TestLeanParser:
-    """``main`` builds the flags of the named subcommand only; what it prints
+    """``main`` builds the parser of the named subcommand only; what it prints
     must read as from the parser of every subcommand."""
 
     def test_top_level_help_lists_every_subcommand_with_its_summary(self, capsys):
@@ -596,10 +597,44 @@ class TestLeanParser:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "unrecognized arguments: --no-such-flag" in err
 
-    def test_only_the_named_subcommand_gets_its_flags(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            *([command, "--help"] for command in COMMANDS),
+            ["verify", "--bogus"],
+            [],
+            ["bogus"],
+            ["sweep", "--p"],
+            ["verify", "--trials", "x"],
+            ["--version"],
+        ],
+        ids=" ".join,
+    )
+    def test_prints_and_exits_as_the_parser_of_every_subcommand(self, capsys, monkeypatch, argv):
+        def outcome():
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        lean = outcome()
+        every = build_parser
+        monkeypatch.setattr(bellbound.cli, "build_parser", lambda argv=None: every())
+        assert outcome() == lean
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_a_lean_parser_has_the_usage_of_every_subcommand(self, command):
+        assert build_parser([command]).format_usage() == build_parser().format_usage()
+
+    def test_only_the_named_subcommand_is_added(self):
         assert build_parser(["sweep"]).parse_args(["sweep", "--p", "0.5"]).p == "0.5"
-        with pytest.raises(ValueError, match="unrecognized arguments: --p 0.5"):
+        # a run's argv begins with its subcommand, the only one added
+        with pytest.raises(ValueError, match="invalid choice: 'sweep'"):
             build_parser(["verify"]).parse_args(["sweep", "--p", "0.5"])
+        # any other argv gets every subcommand
+        assert build_parser(["-x", "verify"]).parse_args(["sweep", "--p", "0.5"]).p == "0.5"
 
     def test_a_state_file_may_bear_a_subcommand_name(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -775,7 +810,7 @@ class TestStreamedOutput:
         assert out_file.read_bytes() == out.encode("utf-8")
 
 
-STAGES = ["load_s", "compute_s", "render_s"]
+STAGES = ["load_s", "import_s", "compute_s", "render_s"]
 
 
 class TestManifestStats:

@@ -462,7 +462,7 @@ class TestConditionalDecomposition:
         np.testing.assert_allclose(cd.chi_M, 0 * I2, atol=1e-14)
 
     def test_reassembly_reproduces_state(self, rng):
-        from bellbound.core import measurement_kets
+        from bellbound._local import measurement_kets
 
         for seed in range(200):
             state = bb.random_state(seed, 1 + seed % 4)

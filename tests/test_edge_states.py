@@ -14,7 +14,9 @@ from bellbound.canonical import REDUCTION_EIGENVALUE_FLOOR
 from conftest import filter_edge_states
 
 EDGE_STATES = filter_edge_states(REDUCTION_EIGENVALUE_FLOOR)
-MODULES = tuple(f"bellbound.{name}" for name in ("core", "knowledge", "canonical", "expsim"))
+MODULES = tuple(
+    f"bellbound.{name}" for name in ("core", "_local", "knowledge", "canonical", "expsim")
+)
 # Parameters by which a function reads a state, its Bloch form or its counts.
 STATE_PARAMETERS = ("matrix", "records")
 STATE_TYPES = ("TwoQubitState", "BlochForm", "CountRecord")

@@ -262,8 +262,8 @@ class TestSimulateCounts:
 
     def test_exact_counts_clamp_a_negative_probability_at_zero(self):
         # (1 + e)|Phi+><Phi+| - e|Phi-><Phi-| passes validate_state, and its +- and -+
-        # probabilities along x x are -e/2; they once made a count of -45 and a
-        # count error that named c_pm
+        # Born probabilities along x x are -e/2; they once made a count of -45 and a
+        # count error that named c_pm, and coincidence_probs now clamps them at 0
         e = 0.9e-10
         phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
         phi_minus = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2)
@@ -271,7 +271,7 @@ class TestSimulateCounts:
             (1 + e) * np.outer(phi_plus, phi_plus) - e * np.outer(phi_minus, phi_minus)
         )
         x = bb.QubitMeasurement([1.0, 0.0, 0.0])
-        assert min(bb.coincidence_probs(state, x, x)) < 0.0
+        assert min(bb.coincidence_probs(state, x, x)) >= 0.0
         record = bb.exact_counts(state, x, x, total=10**12)
         assert (record.c_pm, record.c_mp) == (0, 0)
         assert record.c_pp == record.c_mm == round((1 + e) / 2 * 10**12)

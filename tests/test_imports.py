@@ -5,7 +5,8 @@ modules it uses, its own handler module among them, so these tests run each
 entry point in a fresh interpreter and pin the set of ``bellbound`` modules it
 loaded, whether it loaded numpy,
 whether it loaded ``numpy.ma`` (which ``np.unique`` and everything built on
-it import on first use, at about 12 ms per process) and whether it loaded
+it import on first use, at about 12 ms per process), whether it loaded
+``numpy.random`` (about 10 ms and 6 MB, for the commands that draw) and whether it loaded
 ``dataclasses`` (defining a frozen dataclass costs about 1.3 ms).
 """
 
@@ -21,7 +22,7 @@ import bellbound as bb
 
 # Runs ``python -m bellbound ARGV`` in this interpreter, then reports its exit
 # code, the bellbound submodules it loaded and whether it loaded numpy,
-# numpy.ma and dataclasses.
+# numpy.ma, numpy.random and dataclasses.
 ENTRY_POINT = (
     "import json, runpy, sys\n"
     "sys.argv = ['bellbound', *json.loads(sys.argv[1])]\n"
@@ -30,7 +31,8 @@ ENTRY_POINT = (
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
     "loaded = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('bellbound.'))\n"
-    "modules = [code, loaded, *(m in sys.modules for m in ('numpy', 'numpy.ma', 'dataclasses'))]\n"
+    "watched = ('numpy', 'numpy.ma', 'numpy.random', 'dataclasses')\n"
+    "modules = [code, loaded, *(m in sys.modules for m in watched)]\n"
     "sys.__stderr__.write(json.dumps(modules) + '\\n')\n"
 )
 
@@ -49,44 +51,65 @@ def loaded_by(args, cwd):
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
-    code, loaded, numpy, numpy_ma, dataclasses = json.loads(proc.stderr.splitlines()[-1])
-    return code, set(loaded), numpy, numpy_ma, dataclasses
+    code, loaded, numpy, numpy_ma, numpy_random, dataclasses = json.loads(
+        proc.stderr.splitlines()[-1]
+    )
+    return code, set(loaded), numpy, numpy_ma, numpy_random, dataclasses
 
 
 @pytest.mark.parametrize("args", [["--version"], ["--help"], ["--no-such-flag"], ["sweep", "-h"]])
 def test_version_help_and_usage_errors_load_no_numpy(tmp_path, args):
-    code, loaded, numpy, _, dataclasses = loaded_by(args, tmp_path)
+    code, loaded, numpy, _, _, dataclasses = loaded_by(args, tmp_path)
     assert code in (0, 1)
     assert loaded == CLI
     assert not numpy
     assert not dataclasses
 
 
+# The source lines of the bellbound modules (with ``__init__``) that each
+# subcommand loads, which it compiles when no cached bytecode is at hand: a
+# change that moves code into a module that a subcommand loads raises them.
 @pytest.mark.parametrize(
-    "args, modules",
+    "args, modules, lines",
     [
-        (["sweep", "--noise", "--theta-step", 30], BASE | {"_cli_experiment", "expsim"}),
-        (["simulate", "--theta-step", 30], BASE | {"_cli_experiment", "expsim"}),
-        (["sweep", "--theta-step", 30], BASE | {"_cli_experiment", "expsim", "knowledge"}),
+        (["sweep", "--noise", "--theta-step", 30], BASE | {"_cli_experiment", "expsim"}, 1818),
+        (["simulate", "--theta-step", 30], BASE | {"_cli_experiment", "expsim"}, 1818),
+        (["sweep", "--theta-step", 30], BASE | {"_cli_experiment", "expsim", "knowledge"}, 2080),
         (
             ["surface", "--theta-step", 30, "--theta-prime-step", 30],
             BASE | {"_cli_experiment", "expsim", "knowledge"},
+            2080,
         ),
-        (["verify", "--trials", 10], BASE | {"_cli_verify", "knowledge", "verify"}),
-        (["analyze", "state.json"], BASE | {"_cli_state", "knowledge", "canonical"}),
+        (["verify", "--trials", 10], BASE | {"_cli_verify", "knowledge", "verify"}, 1799),
+        (
+            ["analyze", "state.json"],
+            BASE | {"_cli_state", "_readers", "knowledge", "canonical", "_local"},
+            2238,
+        ),
         # the filtered state is certified optimal, so no search loads _ridge
-        (["filter", "state.json"], BASE | {"_cli_state", "knowledge", "canonical"}),
+        (
+            ["filter", "state.json"],
+            BASE | {"_cli_state", "_readers", "knowledge", "canonical", "_local", "_optimum"},
+            2372,
+        ),
     ],
 )
-def test_each_subcommand_loads_only_its_modules(tmp_path, args, modules):
+def test_each_subcommand_loads_only_its_modules(tmp_path, args, modules, lines):
     (tmp_path / "state.json").write_text('{"factory": "werner", "p": 0.82}')
-    code, loaded, numpy, numpy_ma, dataclasses = loaded_by([*args, "--out", "out"], tmp_path)
+    code, loaded, numpy, numpy_ma, numpy_random, dataclasses = loaded_by(
+        [*args, "--out", "out"], tmp_path
+    )
     assert code == 0
     assert loaded == modules
     assert numpy
     # verify once reached numpy.ma through np.union1d
     assert not numpy_ma
+    # only the commands that draw shot noise or random trials
+    assert numpy_random == (args[0] in ("simulate", "verify") or "--noise" in args)
     assert not dataclasses
+    package = Path(bb.__file__).parent
+    files = [package / f"{name}.py" for name in loaded | {"__init__"}]
+    assert sum(len(path.read_text().splitlines()) for path in files) <= lines
 
 
 @pytest.mark.parametrize(

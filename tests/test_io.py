@@ -1,24 +1,26 @@
 """Tests for file formats and JSON/CSV rendering."""
 
 import json
+import math
 import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellbound as bb
+import bellbound.io
 from bellbound._cli_experiment import _csv_chunks
+from bellbound._readers import complex_matrix_from_json, load_state, read_json
 from bellbound.cli import main
 from bellbound.io import (
     StageClock,
     bloch_to_json,
-    complex_matrix_from_json,
     complex_matrix_to_json,
     dumps_json,
     format_float,
-    load_state,
-    read_json,
     write_json,
 )
 
@@ -112,6 +114,87 @@ PINNED_JSON = r"""{
   }
 }
 """
+
+
+# Field values for the records of a list: each kind that a template renders
+# (float, int, str, a dict of those), and each that falls back to the generic
+# path (bool, None, numpy scalars, an empty list, a nested dict of those).
+FIELD_VALUES = st.recursive(
+    st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.integers()
+    | st.sampled_from([2**53 + 1, -(2**64), 10**30])
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.sampled_from(['a "quote"', "back\\slash", "é", "%s", "%", "\n"])
+    | st.floats(allow_nan=False).map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.just([]),
+    lambda inner: st.dictionaries(st.text(max_size=3) | st.just("%d"), inner, max_size=3),
+    max_leaves=6,
+)
+KEYS = st.text(max_size=4) | st.sampled_from(["%", "%s", "%%", 'k"ey', "é"])
+SAME_KIND = {
+    float: st.floats(),
+    int: st.integers(),
+    str: st.text(max_size=4),
+}
+
+
+@st.composite
+def record_lists(draw):
+    """A list of dicts shaped as its first, with some fields redrawn as a
+    value of the same exact type and some as any value (a changed type), and
+    now and then a record of another key order or with a key left out."""
+    keys = draw(st.lists(KEYS, unique=True, max_size=5))
+    first = {key: draw(FIELD_VALUES) for key in keys}
+    records = [first]
+    for _ in range(draw(st.integers(1, 4))):
+        record = {}
+        for key, value in first.items():
+            how = draw(st.sampled_from(["same", "same", "kind", "kind", "any"]))
+            if how == "kind" and type(value) in SAME_KIND:
+                value = draw(SAME_KIND[type(value)])
+            elif how == "any":
+                value = draw(FIELD_VALUES)
+            record[key] = value
+        if record and draw(st.integers(0, 5)) == 0:
+            items = list(record.items())
+            record = dict(items[::-1] if draw(st.booleans()) else items[1:])
+        records.append(record)
+    return records
+
+
+def generic_json(obj) -> str:
+    """``dumps_json(obj)`` with no template: every value by ``_render_json``'s own path."""
+    plan = bellbound.io._plan
+    bellbound.io._plan = lambda record, indent: None
+    try:
+        return dumps_json(obj)
+    finally:
+        bellbound.io._plan = plan
+
+
+class TestRecordTemplates:
+    """A list of same-shaped dicts renders through one %-template, byte for
+    byte as each dict renders on its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=record_lists(), container=st.sampled_from(["list", "tuple", "nested"]))
+    def test_the_template_renders_as_the_generic_path(self, records, container):
+        doc = {"list": records, "tuple": tuple(records), "nested": {"rows": [{"in": records}]}}
+        assert dumps_json(doc[container]) == generic_json(doc[container])
+
+    def test_a_record_of_the_first_shape_fills_its_template(self):
+        record = {"theta_deg": 0.5, "basis": "hv", "counts": {"c_pp": 3, "c_pm": 4}}
+        plan = bellbound.io._plan(record, 1)
+        assert bellbound.io._fill(plan, {**record, "theta_deg": 1.0}) is not None
+        # None, a bool or an int in place of a str, float or int falls back
+        for changed in ({"basis": None}, {"theta_deg": 1}, {"counts": {"c_pp": 3, "c_pm": True}}):
+            assert bellbound.io._fill(plan, {**record, **changed}) is None
+        rows = [record, {**record, "theta_deg": 1.0}, {**record, "basis": None}]
+        assert dumps_json({"sweep": rows}) == generic_json({"sweep": rows})
 
 
 class TestStateFiles:

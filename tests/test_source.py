@@ -12,7 +12,7 @@ imports the handler module of the command it parsed, so a process compiles
 only its own command's handlers.  Only the program's exit path, ``cli.run``,
 imports ``gc``, so a library call and ``cli.main`` leave the collector alone.
 A local unitary or filter acts on the correlation matrix R, never on the 4x4
-density matrix by a Kronecker product: ``core._rotated`` is the one rotation
+density matrix by a Kronecker product: ``_local._rotated`` is the one rotation
 of R's blocks.
 """
 
@@ -51,11 +51,13 @@ def test_src_has_no_assert_statements_or_dataclasses():
 ARRAY_SITES = {
     "bellbound/core.py": (
         "TwoQubitState.__init__", "BlochForm.__init__", "QubitMeasurement.__init__",
+    ),
+    "bellbound/_local.py": (
         "ConditionalDecomposition.__init__", "_check_unitary", "rotation_from_quaternion",
         "unitary_from_rotation",
     ),
     "bellbound/factories.py": ("bell_diagonal",),
-    "bellbound/expsim.py": ("mixing_model_from_schedule",),
+    "bellbound/_mixing.py": ("mixing_model_from_schedule",),
     "bellbound/canonical.py": ("CanonicalForm.__init__", "FilterResult.__init__"),
     "bellbound/verify.py": ("FuzzInstance.__init__",),
 }
@@ -154,7 +156,7 @@ def test_only_the_exit_path_imports_gc():
 
 def test_no_module_builds_a_kronecker_product():
     # canonical_form, the filter's final rotation and apply_local_unitary all
-    # turn R's blocks by core._rotated and build the matrix once by _density
+    # turn R's blocks by _local._rotated and build the matrix once by _density
     hits = [
         f"{path.relative_to(SRC)}:{node.lineno}: {ast.unparse(node)}"
         for path in sorted(SRC.rglob("*.py"))

@@ -631,7 +631,7 @@ RULES = ("_array", "_real", "_integer", "_unit_axes", "_validate_stack")
 def rule_runs(monkeypatch):
     """How often each rule runs, by name: each rule is counted in every
     bellbound module that looks it up."""
-    for name in ("canonical", "expsim", "io", "verify"):
+    for name in ("canonical", "expsim", "io", "verify", "_local", "_mixing", "_readers"):
         importlib.import_module(f"bellbound.{name}")
     runs = collections.Counter()
 
