@@ -8,7 +8,7 @@ import argparse
 import math
 import sys
 
-from .cli import _emit, _flag, _import_stage, _resolve, _schedule_values
+from .cli import _EXPERIMENT, _emit, _flag, _import_stage, _schedule_values
 
 SWEEP_HEADER = ["theta_deg", "K_hat", "P_hat", "dK_hat", "dK_theory"]
 SURFACE_HEADER = ["theta_deg", "theta_prime_deg", "dK2", "dKp2", "sum", "bound"]
@@ -60,24 +60,16 @@ def _grid(params: dict, axis: str) -> list[float]:
 def _experiment_config(params: dict):
     from .expsim import ExperimentConfig
 
-    return ExperimentConfig(
-        pair_rate=params["pair_rate"],
-        duration=params["duration"],
-        dark_coincidence_rate=params["dark_rate"],
-        seed=params["seed"],
-    )
+    # the parameters of _EXPERIMENT are ExperimentConfig's fields, in order
+    return ExperimentConfig(*(params[key] for key in _EXPERIMENT))
 
 
-def cmd_sweep(ns: argparse.Namespace) -> int:
+def cmd_sweep(ns: argparse.Namespace, clock, params: dict) -> None:
     from .expsim import run_sweep_experiment
-    from .io import StageClock
 
-    clock = StageClock()
-    params = _resolve(ns)
     angles = [(theta, params["signal"]) for theta in _grid(params, "theta")]
     # validated with or without noise
     config = _experiment_config(params)
-    clock.mark("load")
     # the exact points are computed by knowledge
     _import_stage(clock, params["noise"], *(() if params["noise"] else ("knowledge",)))
     points = run_sweep_experiment(params["p"], angles, config if params["noise"] else None)
@@ -87,7 +79,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     ]
     clock.mark("compute")
     _emit(ns, clock, params, _csv_chunks(SWEEP_HEADER, rows), points=len(points))
-    return 0
 
 
 def _csv_chunks(header, rows: list):
@@ -121,14 +112,12 @@ def _surface_blocks(thetas, theta_primes, dk2, dkp2, bound: str):
         yield (template % cells) % tuple([a + b for b in dkp2])
 
 
-def cmd_surface(ns: argparse.Namespace) -> int:
+def cmd_surface(ns: argparse.Namespace, clock, params: dict) -> None:
     from .expsim import run_sweep_experiment
     from .factories import werner
-    from .io import StageClock, format_float
+    from .io import format_float
     from .knowledge import bell_max
 
-    clock = StageClock()
-    params = _resolve(ns)
     thetas = _grid(params, "theta")
     theta_primes = _grid(params, "theta_prime")
     rows = len(thetas) * len(theta_primes)
@@ -140,7 +129,6 @@ def cmd_surface(ns: argparse.Namespace) -> int:
     bound = format_float((bell_max(werner(params["p"])) / 2.0) ** 2)
     # validated with or without noise
     config = _experiment_config(params)
-    clock.mark("load")
     _import_stage(clock, params["noise"])
     # The two 1-D excess profiles are computed once per axis and combined
     # (each analyzer setting is measured once, as in the real sweep); the
@@ -153,7 +141,6 @@ def cmd_surface(ns: argparse.Namespace) -> int:
     chunks = _surface_blocks(thetas, theta_primes, dk2, dkp2, bound)
     clock.mark("compute")
     _emit(ns, clock, params, chunks, points=len(points))
-    return 0
 
 
 def _resolve_simulated_state(params) -> tuple[float, dict | None]:
@@ -192,7 +179,7 @@ def _resolve_simulated_state(params) -> tuple[float, dict | None]:
     return p, {**model._asdict(), "derived_p": p}
 
 
-def cmd_simulate(ns: argparse.Namespace) -> int:
+def cmd_simulate(ns: argparse.Namespace, clock, params: dict) -> None:
     from .expsim import (
         BELL_ANGLE_PAIRS,
         BELL_STREAM_OFFSET,
@@ -203,10 +190,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         simulate_bell_records,
     )
     from .factories import werner, werner_prediction
-    from .io import StageClock, dumps_json
+    from .io import dumps_json
 
-    clock = StageClock()
-    params = _resolve(ns)
     p, model_doc = _resolve_simulated_state(params)
     thetas = _grid(params, "theta")
     config = _experiment_config(params)
@@ -217,7 +202,6 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
             f" reach the Bell records' streams from {BELL_STREAM_OFFSET}; use at most"
             f" {BELL_STREAM_OFFSET // 2} angles"
         )
-    clock.mark("load")
     _import_stage(clock, True)
     points = run_sweep_experiment(p, angles, config)
     records = simulate_bell_records(werner(p), config)
@@ -249,4 +233,3 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
             )
     clock.mark("compute")
     _emit(ns, clock, params, (dumps_json(report),), points=len(points) + len(records))
-    return 0

@@ -7,20 +7,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cli import _emit, _import_stage, _resolve
+from .cli import _emit, _import_stage
 
 
-def cmd_analyze(ns: argparse.Namespace) -> int:
+def cmd_analyze(ns: argparse.Namespace, clock, params: dict) -> None:
     from ._readers import load_state
     from .canonical import canonical_form
     from .core import QubitMeasurement, decompose
-    from .io import StageClock, bloch_to_json, dumps_json
+    from .io import bloch_to_json, dumps_json
     from .knowledge import bell_max, distinguishability_excess
 
-    clock = StageClock()
-    params = _resolve(ns)
     state = load_state(ns.state_file)
-    clock.mark("load")
     _import_stage(clock, False)
     form = decompose(state)
     cf = canonical_form(state)
@@ -33,19 +30,15 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     }
     clock.mark("compute")
     _emit(ns, clock, params, (dumps_json(report),))
-    return 0
 
 
-def cmd_filter(ns: argparse.Namespace) -> int:
+def cmd_filter(ns: argparse.Namespace, clock, params: dict) -> None:
     from ._readers import load_state
     from .canonical import _filter
-    from .io import StageClock, bound_check_to_json, dumps_json, filter_result_to_json
+    from .io import bound_check_to_json, dumps_json, filter_result_to_json
     from .knowledge import optimize_excess_sum
 
-    clock = StageClock()
-    params = _resolve(ns)
     state = load_state(ns.state_file)
-    clock.mark("load")
     _import_stage(clock, False, "_optimum")
     result, closed_form_deviation = _filter(state, params["tol"])
     optimum = optimize_excess_sum(result.state_out)
@@ -66,4 +59,3 @@ def cmd_filter(ns: argparse.Namespace) -> int:
         optimizer_evaluations=optimum.evaluations,
         optimizer_gap_bound=optimum.gap_bound,
     )
-    return 0

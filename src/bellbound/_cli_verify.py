@@ -8,15 +8,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cli import _emit, _flag, _import_stage, _resolve
+from .cli import _emit, _flag, _import_stage
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
-    from .io import StageClock, bound_check_to_json, dumps_json, write_json
+def cmd_verify(ns: argparse.Namespace, clock, params: dict) -> int | None:
+    from .io import bound_check_to_json, dumps_json, write_json
     from .verify import SLACK_FLOOR, evaluate_instance_json, fuzz_bounds, instance_to_json
 
-    clock = StageClock()
-    params = _resolve(ns)
     if ns.replay is not None:
         # a replay reports one dumped instance on standard output
         given = [key for key in ("out", "trials", "seed", "dump") if getattr(ns, key) is not None]
@@ -32,7 +30,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         }
         sys.stdout.write(dumps_json(report))
         return 0 if check.slack >= SLACK_FLOOR and same.slack >= SLACK_FLOOR else 2
-    clock.mark("load")
     _import_stage(clock, True)
     summary = fuzz_bounds(params["trials"], params["seed"])
     clock.mark("compute")
@@ -68,4 +65,3 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         f"min same-meter slack {summary.min_same_meter_slack:.3e}",
         file=sys.stderr,
     )
-    return 0

@@ -23,12 +23,12 @@ from .core import (
     QubitMeasurement,
     TwoQubitState,
     _array,
+    _arrays,
     _correlation_stack,
     _density,
     _Frozen,
     _frozen,
     _rotation_stack,
-    _set,
     _validate_stack,
 )
 from .errors import NotRotation, NotUnitary
@@ -51,18 +51,8 @@ class ConditionalDecomposition(_Frozen):
     """
 
     __slots__ = ("w", "w_perp", "rho_M", "rho_M_perp", "chi_M", "degenerate")
-    __hash__ = None  # it holds arrays (see _Frozen)
-
-    def __init__(
-        self, w: float, w_perp: float, rho_M: np.ndarray, rho_M_perp: np.ndarray,
-        chi_M: np.ndarray, degenerate: bool = False,
-    ):
-        _set(self, "w", w)
-        _set(self, "w_perp", w_perp)
-        for name, block in zip(self.__slots__[2:5], (rho_M, rho_M_perp, chi_M)):
-            _set(self, name, _frozen(_array(block, name, (2, 2), complex)))
-        _set(self, "degenerate", degenerate)
-
+    _rules = dict.fromkeys(("rho_M", "rho_M_perp", "chi_M"), _arrays((2, 2), complex))
+    _defaults = {"degenerate": False}
 
 
 def _check_unitary(u, name: str = "U") -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import TwoQubitState, _array, _Frozen, _real, _set, validate_state
+from .core import TwoQubitState, _array, _Frozen, _real, validate_state
 from .errors import OutOfRange
 from .factories import BELL_KETS, KET_HH, KET_HV, KET_VH, KET_VV
 
@@ -27,17 +27,17 @@ class MixingModel(_Frozen):
     """
 
     __slots__ = ("visibility", "w_singlet", "w_hh", "w_vv")
+    _rules = dict.fromkeys(__slots__, _real)
 
-    def __init__(self, visibility: float, w_singlet: float, w_hh: float, w_vv: float):
-        visibility, *weights = map(_real, (visibility, w_singlet, w_hh, w_vv), self.__slots__)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        visibility, *weights = self._values()
         if not -1e-12 <= visibility <= 1.0 + 1e-12:
             raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
         if not all(weight >= -1e-12 for weight in weights):
             raise ValueError(f"mixing weights must be non-negative, got {tuple(weights)}")
         if not abs(sum(weights) - 1.0) <= 1e-10:
             raise ValueError(f"mixing weights must sum to 1, got {sum(weights)!r}")
-        for name, value in zip(self.__slots__, (visibility, *weights)):
-            _set(self, name, value)
 
 
 def mixed_state_from_model(model: MixingModel) -> TwoQubitState:

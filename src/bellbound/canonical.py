@@ -10,13 +10,12 @@ import numpy as np
 from ._local import _rotated, _unitary
 from .core import (
     TwoQubitState,
-    _array,
+    _arrays,
     _correlation_stack,
     _density,
     _Frozen,
     _frozen,
     _real,
-    _set,
     _validate_stack,
 )
 from .errors import NoConvergence, NotPositive, SingularReduction
@@ -49,17 +48,11 @@ class CanonicalForm(_Frozen):
     """
 
     __slots__ = ("state_bar", "o_signal", "o_meter", "u_signal", "u_meter", "diag")
-    __hash__ = None  # it holds arrays (see _Frozen)
-
-    def __init__(
-        self, state_bar: TwoQubitState, o_signal: np.ndarray, o_meter: np.ndarray,
-        u_signal: np.ndarray, u_meter: np.ndarray, diag: np.ndarray,
-    ):
-        _set(self, "state_bar", state_bar)
-        values = (o_signal, o_meter, u_signal, u_meter, diag)
-        shapes = [((3, 3), float)] * 2 + [((2, 2), complex)] * 2 + [((3,), float)]
-        for name, value, (shape, dtype) in zip(self.__slots__[1:], values, shapes):
-            _set(self, name, _frozen(_array(value, name, shape, dtype)))
+    _rules = {
+        **dict.fromkeys(("o_signal", "o_meter"), _arrays((3, 3))),
+        **dict.fromkeys(("u_signal", "u_meter"), _arrays((2, 2), complex)),
+        "diag": _arrays((3,)),
+    }
 
 
 class FilterResult(_Frozen):
@@ -76,21 +69,8 @@ class FilterResult(_Frozen):
         "state_out", "f_signal", "f_meter", "success_probability", "iterations", "b_max_in",
         "b_max_out", "deviation_log",
     )
-    __hash__ = None  # it holds arrays (see _Frozen)
-
-    def __init__(
-        self, state_out: TwoQubitState, f_signal: np.ndarray, f_meter: np.ndarray,
-        success_probability: float, iterations: int, b_max_in: float, b_max_out: float,
-        deviation_log: tuple[float, ...] = (),
-    ):
-        _set(self, "state_out", state_out)
-        _set(self, "f_signal", _frozen(_array(f_signal, "f_signal", (2, 2), complex)))
-        _set(self, "f_meter", _frozen(_array(f_meter, "f_meter", (2, 2), complex)))
-        _set(self, "success_probability", success_probability)
-        _set(self, "iterations", iterations)
-        _set(self, "b_max_in", b_max_in)
-        _set(self, "b_max_out", b_max_out)
-        _set(self, "deviation_log", deviation_log)
+    _rules = dict.fromkeys(("f_signal", "f_meter"), _arrays((2, 2), complex))
+    _defaults = {"deviation_log": ()}
 
 
 def _is_diagonal(t: np.ndarray) -> bool:

@@ -6,13 +6,17 @@ output; diagnostics go to standard error.  Parameter precedence is CLI flags
 over config file over built-in defaults; the config file is a flat
 ``key = value`` text format using the long option names with underscores.
 This module holds what every command shares; each command's handler,
-``cmd_<command>``, lives in the private module that ``HANDLER_MODULES`` names.
+``cmd_<command>(ns, clock, params)``, lives in the private module that
+``HANDLER_MODULES`` names; :func:`main` passes it the parsed namespace, the
+run's :class:`StageClock` and the resolved parameters, and exits with the code
+it returns, 0 when it returns None.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
@@ -177,11 +181,31 @@ def _resolve(ns: argparse.Namespace) -> dict:
     return resolved
 
 
+class StageClock:
+    """Wall-clock seconds of a run's stages, in the order they end.
+
+    Each :meth:`mark` ends a stage that began at the previous mark, or when
+    the clock was made; ``stages`` maps ``"<stage>_s"`` to its seconds, so
+    their sum is the run's duration so far.  It reads ``time.perf_counter``,
+    the clock of ``verify.fuzz_bounds``'s own stage times.
+    """
+
+    def __init__(self):
+        self.stages: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def mark(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.stages[f"{stage}_s"] = now - self._last
+        self._last = now
+
+
 def _import_stage(clock, noisy: bool, *modules: str) -> None:
-    """End the ``import`` stage of ``clock``: import numpy.random (about 10 ms
-    and 6 MB) when the command draws shot noise or random trials, and the
-    bellbound ``modules`` that its compute stage would import on first use, so
-    that ``compute_s`` times the computing alone."""
+    """End the ``load`` stage of ``clock``, then its ``import`` stage: import
+    numpy.random (about 10 ms and 6 MB) when the command draws shot noise or
+    random trials, and the bellbound ``modules`` that its compute stage would
+    import on first use, so that ``compute_s`` times the computing alone."""
+    clock.mark("load")
     if noisy:
         import numpy.random  # noqa: F401
     for module in modules:
@@ -287,7 +311,7 @@ def main(argv=None) -> int:
         # __import__, unlike importlib.import_module, is timed by -X importtime
         handler = f"cmd_{ns.command}"
         module = __import__(f"{__package__}.{HANDLER_MODULES[ns.command]}", fromlist=[handler])
-        return getattr(module, handler)(ns)
+        return getattr(module, handler)(ns, StageClock(), _resolve(ns)) or 0
     except (BellboundError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,10 +14,10 @@ Conventions, fixed once and asserted in the tests:
 All functions are pure and all returned arrays are read-only, so values can
 be shared freely between threads.
 
-A value type has two doors.  Its ``__init__`` takes a caller's values through
-the rules (:func:`_array`, :func:`_real`, :func:`_integer`, :func:`_unit_axes`,
-:func:`_validate_stack`), the only code that decides validity; ``_Frozen._of``
-builds a result from values the library has checked and frozen, with no rule.
+A value type has two doors.  ``_Frozen.__init__`` reads a caller's values by the
+rules of the type's ``_rules`` (:func:`_array`, :func:`_real`, :func:`_integer`,
+:func:`_unit_axes`, :func:`_validate_stack`), the only code that decides validity;
+``_Frozen._of`` builds a result from values the library has checked and frozen.
 
 Local unitaries, their rotations and the conditional decomposition over a
 signal measurement live in ``_local``, which only their callers compile.
@@ -114,23 +114,48 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Sets a field of a _Frozen value, once, in its __init__.
+def _arrays(shape: tuple, dtype=float, label: str | None = None, check=None):
+    """The rule of an array field: :func:`_array` of ``shape`` and ``dtype``, named ``label``
+    or else the field, then ``check`` of it as a 1-stack if given, then :func:`_frozen`."""
+    def rule(value, name: str) -> np.ndarray:
+        a = _array(value, label or name, shape, dtype)
+        return _frozen(a) if check is None else _frozen(check(a[np.newaxis]))[0]
+
+    return rule
+
+
+# Sets a field of a _Frozen value, once, in __init__ or _of.
 _set = object.__setattr__
 
 
 class _Frozen:
     """Base of the immutable value types, which are cheaper to define than
-    frozen dataclasses.  A subclass names its fields in ``__slots__``; its
-    ``__init__`` takes them in that order and sets each once with ``_set``.
+    frozen dataclasses.  A subclass names its fields in ``__slots__``, their
+    rules in ``_rules`` and the values of those that may be left out in
+    ``_defaults``.  ``__init__`` takes the fields by position or keyword and
+    sets each once, read by ``rule(value, name)`` or, with no rule, as given.
     Any later assignment raises AttributeError.  Equality, ``repr``, pickling
     and ``_asdict`` go by the fields, with array fields compared by
-    ``np.array_equal``.  Hashing goes by the fields too, but a subclass that
-    holds arrays sets ``__hash__ = None``: equal arrays may differ in their
-    bytes (``0.0`` and ``-0.0``), so hashing the bytes would break equality.
-    ``__init__`` checks a caller's values; ``_of`` sets fields that the library
-    has checked, each array frozen, in slot order, and checks none."""
+    ``np.array_equal``.  So does hashing, and an array field is unhashable:
+    equal arrays may differ in their bytes (``0.0`` and ``-0.0``).  ``_of``
+    sets fields that the library has checked, each array frozen, in slot
+    order, and checks none."""
 
     __slots__ = ()
+    _rules: dict = {}
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        fields = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        # a field too many, given twice, unknown or missing
+        doubled = kwargs.keys() & names[: len(args)]
+        if len(args) > len(names) or doubled or fields.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)} once"
+                            f" each, got {len(args)} by position and {list(kwargs)} by keyword")
+        for name in names:
+            rule = self._rules.get(name)
+            _set(self, name, fields[name] if rule is None else rule(fields[name], name))
 
     @classmethod
     def _of(cls, *fields):
@@ -178,77 +203,6 @@ def _unpickled(cls, fields: tuple) -> _Frozen:
     return cls._of(*(_frozen(np.array(f)) if isinstance(f, np.ndarray) else f for f in fields))
 
 
-class TwoQubitState(_Frozen):
-    """A complex 4x4 density matrix (read by :func:`_array`), validated when it is built.
-
-    The input is symmetrized to ``(A + A^dag)/2`` before the trace and
-    positivity checks, but only if its asymmetry is already below 1e-10;
-    otherwise :class:`NotHermitian` is raised.  Check order is shape,
-    finiteness, Hermiticity, trace, positivity.  :func:`validate_state` is
-    this same check.
-    """
-
-    __slots__ = ("matrix",)
-    __hash__ = None  # it holds arrays (see _Frozen)
-
-    def __init__(self, matrix: np.ndarray):
-        m = _array(matrix, "matrix", (4, 4), complex)
-        _set(self, "matrix", _frozen(_validate_stack(m[np.newaxis]))[0])
-
-
-class BlochForm(_Frozen):
-    """Local Bloch vectors and the 3x3 correlation matrix of a two-qubit state.
-
-    ``T[k, l]`` pairs signal axis ``k`` with meter axis ``l``; all three are real.
-    """
-
-    __slots__ = ("n", "m", "T")
-    __hash__ = None  # it holds arrays (see _Frozen)
-
-    def __init__(self, n: np.ndarray, m: np.ndarray, T: np.ndarray):
-        _set(self, "n", _frozen(_array(n, "Bloch vector n", (3,))))
-        _set(self, "m", _frozen(_array(m, "Bloch vector m", (3,))))
-        _set(self, "T", _frozen(_array(T, "correlation matrix T", (3, 3))))
-
-    @property
-    def R(self) -> np.ndarray:
-        """The 4x4 correlation matrix ``R = [[1, m^T], [n, T]]``, that is
-        ``R_ij = tr[rho (sigma_i x sigma_j)]`` with ``sigma_0 = 1``."""
-        return _frozen(np.block([[np.ones((1, 1)), self.m[None]], [self.n[:, None], self.T]]))
-
-
-class QubitMeasurement(_Frozen):
-    """Two-outcome projective measurement along a unit Bloch axis of 3 real entries.
-
-    Outcome "+" is the projector ``(1 + a.sigma)/2`` and "-" its complement.
-    ``degenerate`` marks an axis chosen arbitrarily because the discrimination
-    problem it was derived from had no preferred direction; equality ignores it.
-    """
-
-    __slots__ = ("axis", "degenerate")
-
-    def __init__(self, axis: np.ndarray, degenerate: bool = False):
-        _set(self, "axis", _frozen(_unit_axes(_array(axis, "measurement axis", (3,))[np.newaxis]))[0])
-        _set(self, "degenerate", degenerate)
-
-    def __eq__(self, other):
-        if type(other) is not QubitMeasurement:
-            return NotImplemented
-        return bool(np.array_equal(self.axis, other.axis))
-
-    # The axis is an array, so a measurement is not hashable.
-    __hash__ = None
-
-    def flipped(self) -> "QubitMeasurement":
-        """Same measurement with the outcome labels swapped."""
-        return QubitMeasurement._of(_frozen(-self.axis), self.degenerate)
-
-
-def validate_state(matrix) -> TwoQubitState:
-    """Validate a 4x4 matrix as a density matrix: ``TwoQubitState(matrix)``."""
-    return TwoQubitState(matrix)
-
-
 def _validate_stack(m: np.ndarray) -> np.ndarray:
     """The checks of :class:`TwoQubitState` on a stack of shape (N, 4, 4).
 
@@ -286,6 +240,83 @@ def _validate_stack(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _unit_axes(a: np.ndarray) -> np.ndarray:
+    """The axis stack ``a`` (N, 3) with each row divided by its norm, as
+    ``_normalized`` does, once every row is checked: the first row with
+    ``| |a| - 1 |`` above UNIT_AXIS_TOL raises ValueError.  This is the one
+    rule for a measurement axis; :class:`QubitMeasurement` is its 1-stack."""
+    # An overflow leaves an inf norm, and a NaN fails the test.
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(_row_dot(a, a))
+    deviation = np.abs(norm - 1.0)
+    bad = ~(deviation <= UNIT_AXIS_TOL)
+    if bad.any():
+        raise ValueError(f"measurement axis must be a unit vector: | |a| - 1 | ="
+                         f" {deviation[np.argmax(bad)]:.3e} (limit {UNIT_AXIS_TOL})")
+    return a / norm[:, None]
+
+
+class TwoQubitState(_Frozen):
+    """A complex 4x4 density matrix (read by :func:`_array`), validated when it is built.
+
+    The input is symmetrized to ``(A + A^dag)/2`` before the trace and
+    positivity checks, but only if its asymmetry is already below 1e-10;
+    otherwise :class:`NotHermitian` is raised.  Check order is shape,
+    finiteness, Hermiticity, trace, positivity.  :func:`validate_state` is
+    this same check.
+    """
+
+    __slots__ = ("matrix",)
+    _rules = {"matrix": _arrays((4, 4), complex, check=_validate_stack)}
+
+
+class BlochForm(_Frozen):
+    """Local Bloch vectors and the 3x3 correlation matrix of a two-qubit state.
+
+    ``T[k, l]`` pairs signal axis ``k`` with meter axis ``l``; all three are real.
+    """
+
+    __slots__ = ("n", "m", "T")
+    _rules = {
+        "n": _arrays((3,), label="Bloch vector n"),
+        "m": _arrays((3,), label="Bloch vector m"),
+        "T": _arrays((3, 3), label="correlation matrix T"),
+    }
+
+    @property
+    def R(self) -> np.ndarray:
+        """The 4x4 correlation matrix ``R = [[1, m^T], [n, T]]``, that is
+        ``R_ij = tr[rho (sigma_i x sigma_j)]`` with ``sigma_0 = 1``."""
+        return _frozen(np.block([[np.ones((1, 1)), self.m[None]], [self.n[:, None], self.T]]))
+
+
+class QubitMeasurement(_Frozen):
+    """Two-outcome projective measurement along a unit Bloch axis of 3 real entries.
+
+    Outcome "+" is the projector ``(1 + a.sigma)/2`` and "-" its complement.
+    ``degenerate`` marks an axis chosen arbitrarily because the discrimination
+    problem it was derived from had no preferred direction; equality ignores it.
+    """
+
+    __slots__ = ("axis", "degenerate")
+    _rules = {"axis": _arrays((3,), label="measurement axis", check=_unit_axes)}
+    _defaults = {"degenerate": False}
+
+    def __eq__(self, other):
+        if type(other) is not QubitMeasurement:
+            return NotImplemented
+        return bool(np.array_equal(self.axis, other.axis))
+
+    def flipped(self) -> "QubitMeasurement":
+        """Same measurement with the outcome labels swapped."""
+        return QubitMeasurement._of(_frozen(-self.axis), self.degenerate)
+
+
+def validate_state(matrix) -> TwoQubitState:
+    """Validate a 4x4 matrix as a density matrix: ``TwoQubitState(matrix)``."""
+    return TwoQubitState(matrix)
+
+
 def decompose(state: TwoQubitState) -> BlochForm:
     """Bloch expansion read off ``R_ij = tr[rho (sigma_i x sigma_j)]``
     (``sigma_0 = 1``, the table ``_PAULI_PAIRS``): n_k = R_k0, m_l = R_0l,
@@ -318,22 +349,6 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _normalized(v: np.ndarray) -> np.ndarray:
     """``row / np.linalg.norm(row)`` for each row of ``v``, bit for bit."""
     return v / np.sqrt(_row_dot(v, v))[:, None]
-
-
-def _unit_axes(a: np.ndarray) -> np.ndarray:
-    """The axis stack ``a`` (N, 3) with each row divided by its norm, as
-    ``_normalized`` does, once every row is checked: the first row with
-    ``| |a| - 1 |`` above UNIT_AXIS_TOL raises ValueError.  This is the one
-    rule for a measurement axis; :class:`QubitMeasurement` is its 1-stack."""
-    # An overflow leaves an inf norm, and a NaN fails the test.
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(_row_dot(a, a))
-    deviation = np.abs(norm - 1.0)
-    bad = ~(deviation <= UNIT_AXIS_TOL)
-    if bad.any():
-        raise ValueError(f"measurement axis must be a unit vector: | |a| - 1 | ="
-                         f" {deviation[np.argmax(bad)]:.3e} (limit {UNIT_AXIS_TOL})")
-    return a / norm[:, None]
 
 
 def recompose(form: BlochForm) -> TwoQubitState:

@@ -32,7 +32,6 @@ from .core import (
     _integer,
     _is_integer,
     _real,
-    _set,
     _unit_axes,
     measurement_from_polarization_angle,
 )
@@ -53,18 +52,27 @@ STREAM_LIMIT = 2**62
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
+def _count(value, name: str) -> int:
+    """A count as an int: an integer or integral float (3.0) >= 0; not a bool, an inf or a NaN."""
+    integral = isinstance(value, (float, np.floating)) and value.is_integer()
+    if not (_is_integer(value) or integral) or value < 0:
+        raise ValueError(f"count {name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _rate(value, name: str) -> float:
+    """A rate or a duration: a finite real number >= 0 by :func:`_real`; a NaN fails the check."""
+    value = _real(value, name)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+    return value
+
+
 class CountRecord(_Frozen):
     """Four coincidence counts; first index sign = meter outcome, second = signal."""
 
     __slots__ = ("c_pp", "c_pm", "c_mp", "c_mm")
-
-    def __init__(self, c_pp: int, c_pm: int, c_mp: int, c_mm: int):
-        for name, value in zip(self.__slots__, (c_pp, c_pm, c_mp, c_mm)):
-            # An integer or an integral float such as 3.0; not a bool, an inf or a NaN.
-            integral = isinstance(value, (float, np.floating)) and value.is_integer()
-            if not (_is_integer(value) or integral) or value < 0:
-                raise ValueError(f"count {name} must be a non-negative integer, got {value!r}")
-            _set(self, name, int(value))
+    _rules = dict.fromkeys(__slots__, _count)
 
     @property
     def total(self) -> int:
@@ -80,17 +88,8 @@ class ExperimentConfig(_Frozen):
     """
 
     __slots__ = ("pair_rate", "duration", "dark_coincidence_rate", "seed")
-
-    def __init__(
-        self, pair_rate: float, duration: float, dark_coincidence_rate: float = 0.0, seed: int = 0
-    ):
-        # Written so that a NaN fails each check.
-        for name, value in zip(self.__slots__, (pair_rate, duration, dark_coincidence_rate)):
-            value = _real(value, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
-            _set(self, name, value)
-        _set(self, "seed", _integer(seed, "seed"))
+    _rules = {**dict.fromkeys(__slots__[:3], _rate), "seed": _integer}
+    _defaults = {"dark_coincidence_rate": 0.0, "seed": 0}
 
 
 class SweepPoint(NamedTuple):
@@ -219,10 +218,11 @@ def exact_counts(
     return CountRecord(*(int(round(total * p)) for p in probs))
 
 
-def _require_counts(record: CountRecord, context: str = "") -> int:
+def _require_counts(record: CountRecord, context: str = "", *values) -> int:
+    """The record's total; at 0, EmptyRecord, its message ending in ``context.format(*values)``."""
     total = record.total
     if total <= 0:
-        raise EmptyRecord(f"count record has zero total{context}")
+        raise EmptyRecord("count record has zero total" + context.format(*values))
     return total
 
 
@@ -250,7 +250,7 @@ def _bell_records(records) -> tuple[CountRecord, ...]:
     if len(records) != 4:
         raise ValueError(f"expected 4 count records, got {len(records)}")
     for index, (record, angles) in enumerate(zip(records, BELL_ANGLE_PAIRS)):
-        _require_counts(record, context=f" (record {index} at meter/signal angles {angles})")
+        _require_counts(record, " (record {} at meter/signal angles {})", index, angles)
     return records
 
 
@@ -288,6 +288,8 @@ def run_sweep_experiment(
     else:
         streams = range(len(angles)) if streams is None else streams
         records = _simulate_stack(state, meters, signals, config, streams)
+        for index, (angle, record) in enumerate(zip(angles, records)):
+            _require_counts(record, " (sweep point {} at meter angle/basis {})", index, angle)
         estimates = [(estimate_knowledge(c), estimate_apriori(c)) for c in records]
     points = []
     for (theta_deg, basis), counts, (k_hat, p_hat) in zip(angles, records, estimates):

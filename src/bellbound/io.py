@@ -9,7 +9,6 @@ seeded output byte-reproducible.
 from __future__ import annotations
 
 import json
-import time
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -29,35 +28,26 @@ def format_float(x: float) -> str:
 def _render_json(obj, indent: int) -> str:
     """``obj`` as pretty JSON at ``indent``.  numpy integers, floats and
     arrays render as their Python values; a dict, list or tuple subclass (a
-    NamedTuple) renders as its items.  A float, int, str, dict, list or
-    tuple, the bulk of a report, is told by its exact type before the
-    isinstance chain.  The dicts of a list that have the shape of its first
-    are filled into one template of that shape (:func:`_plan`)."""
-    kind = type(obj)
-    if kind is float:
-        return format(obj, ".17g")
-    if kind is int:
-        return str(obj)
-    if kind is str:
-        return _quote(obj)
-    pad = "  " * indent
-    if kind is dict:
-        items = [f"{_quote(str(k))}: {_render_json(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "}" if obj else "{}"
-    if kind is list or kind is tuple:
-        plan = _plan(obj[0], indent + 1) if len(obj) > 1 and type(obj[0]) is dict else None
-        items = [plan and _fill(plan, v) or _render_json(v, indent + 1) for v in obj]
-        return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]" if obj else "[]"
-    if isinstance(obj, (bool, str)) or obj is None:
+    NamedTuple) renders as its items.  The dicts of a list that have the shape
+    of its first are filled into one template of that shape (:func:`_plan`)."""
+    if obj is None or isinstance(obj, bool):
         return json.dumps(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_float(obj)
     if isinstance(obj, np.ndarray):
         return _render_json(obj.tolist(), indent)
-    if isinstance(obj, (dict, list, tuple)):
-        return _render_json(dict(obj) if isinstance(obj, dict) else list(obj), indent)
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        items = [f"{_quote(str(k))}: {_render_json(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "}" if obj else "{}"
+    if isinstance(obj, (list, tuple)):
+        plan = _plan(obj[0], indent + 1) if len(obj) > 1 and type(obj[0]) is dict else None
+        items = [plan and _fill(plan, v) or _render_json(v, indent + 1) for v in obj]
+        return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]" if obj else "[]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -143,22 +133,3 @@ def filter_result_to_json(result: FilterResult) -> dict:
 def manifest_path(output_path) -> Path:
     path = Path(output_path)
     return path.with_name(path.name + ".manifest.json")
-
-
-class StageClock:
-    """Wall-clock seconds of a run's stages, in the order they end.
-
-    Each :meth:`mark` ends a stage that began at the previous mark, or when
-    the clock was made; ``stages`` maps ``"<stage>_s"`` to its seconds, so
-    their sum is the run's duration so far.  It reads ``time.perf_counter``,
-    the clock of ``verify.fuzz_bounds``'s own stage times.
-    """
-
-    def __init__(self):
-        self.stages: dict[str, float] = {}
-        self._last = time.perf_counter()
-
-    def mark(self, stage: str) -> None:
-        now = time.perf_counter()
-        self.stages[f"{stage}_s"] = now - self._last
-        self._last = now

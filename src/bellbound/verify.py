@@ -27,14 +27,13 @@ import numpy as np
 from .core import (
     QubitMeasurement,
     TwoQubitState,
-    _array,
+    _arrays,
     _bloch_split,
     _Frozen,
     _frozen,
     _integer,
     _normalized,
     _rotation_stack,
-    _set,
     _unit_axes,
     _validate_stack,
 )
@@ -56,19 +55,7 @@ class FuzzInstance(_Frozen):
         "trial", "state", "s_axis", "s_prime_axis", "m_axis", "m_prime_axis", "check",
         "same_meter_check",
     )
-    __hash__ = None  # it holds arrays (see _Frozen)
-
-    def __init__(
-        self, trial: int, state: TwoQubitState, s_axis: np.ndarray, s_prime_axis: np.ndarray,
-        m_axis: np.ndarray, m_prime_axis: np.ndarray, check: BoundCheck,
-        same_meter_check: BoundCheck,
-    ):
-        _set(self, "trial", trial)
-        _set(self, "state", state)
-        for name, axis in zip(self.__slots__[2:6], (s_axis, s_prime_axis, m_axis, m_prime_axis)):
-            _set(self, name, _frozen(_array(axis, name, (3,))))
-        _set(self, "check", check)
-        _set(self, "same_meter_check", same_meter_check)
+    _rules = dict.fromkeys(("s_axis", "s_prime_axis", "m_axis", "m_prime_axis"), _arrays((3,)))
 
 
 class FuzzSummary(NamedTuple):

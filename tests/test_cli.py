@@ -883,10 +883,8 @@ class TestManifestStats:
     def test_verify_throughput_is_null_when_the_clock_does_not_tick(
         self, tmp_path, capsys, monkeypatch
     ):
-        import bellbound.io
-
         # a coarse clock (about 16 ms a tick on Windows) can read 0 s for a run
-        monkeypatch.setattr(bellbound.io.time, "perf_counter", lambda: 100.0)
+        monkeypatch.setattr(bellbound.cli.time, "perf_counter", lambda: 100.0)
         out_file = tmp_path / "verify.json"
         assert run_cli(["verify", "--trials", 3, "--out", out_file], capsys)[0] == 0
         stats = json.loads((tmp_path / "verify.json.manifest.json").read_text())["stats"]
@@ -1100,6 +1098,18 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--p", 0.82, "--duration", 0], capsys)
         assert code == 1
         assert "zero total" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["simulate", "--duration", 0], ["sweep", "--noise", "--pair-rate", 0]],
+        ids=["simulate-zero-duration", "noisy-sweep-zero-pair-rate"],
+    )
+    def test_a_sweep_point_with_no_counts_names_itself(self, capsys, args):
+        code, out, err = run_cli([*args, "--theta-step", 30], capsys)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: count record has zero total (sweep point 0 at meter angle/basis (0.0, 'hv'))\n"
+        )
 
     def test_grid_reaching_bell_streams_exits_1_before_drawing(
         self, tmp_path, capsys, monkeypatch

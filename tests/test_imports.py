@@ -72,25 +72,25 @@ def test_version_help_and_usage_errors_load_no_numpy(tmp_path, args):
 @pytest.mark.parametrize(
     "args, modules, lines",
     [
-        (["sweep", "--noise", "--theta-step", 30], BASE | {"_cli_experiment", "expsim"}, 1818),
-        (["simulate", "--theta-step", 30], BASE | {"_cli_experiment", "expsim"}, 1818),
-        (["sweep", "--theta-step", 30], BASE | {"_cli_experiment", "expsim", "knowledge"}, 2080),
+        (["sweep", "--noise", "--theta-step", 30], BASE | {"_cli_experiment", "expsim"}, 1813),
+        (["simulate", "--theta-step", 30], BASE | {"_cli_experiment", "expsim"}, 1813),
+        (["sweep", "--theta-step", 30], BASE | {"_cli_experiment", "expsim", "knowledge"}, 2075),
         (
             ["surface", "--theta-step", 30, "--theta-prime-step", 30],
             BASE | {"_cli_experiment", "expsim", "knowledge"},
-            2080,
+            2075,
         ),
-        (["verify", "--trials", 10], BASE | {"_cli_verify", "knowledge", "verify"}, 1799),
+        (["verify", "--trials", 10], BASE | {"_cli_verify", "knowledge", "verify"}, 1792),
         (
             ["analyze", "state.json"],
             BASE | {"_cli_state", "_readers", "knowledge", "canonical", "_local"},
-            2238,
+            2210,
         ),
         # the filtered state is certified optimal, so no search loads _ridge
         (
             ["filter", "state.json"],
             BASE | {"_cli_state", "_readers", "knowledge", "canonical", "_local", "_optimum"},
-            2372,
+            2344,
         ),
     ],
 )

@@ -14,9 +14,8 @@ import bellbound as bb
 import bellbound.io
 from bellbound._cli_experiment import _csv_chunks
 from bellbound._readers import complex_matrix_from_json, load_state, read_json
-from bellbound.cli import main
+from bellbound.cli import StageClock, main
 from bellbound.io import (
-    StageClock,
     bloch_to_json,
     complex_matrix_to_json,
     dumps_json,

@@ -13,7 +13,11 @@ only its own command's handlers.  Only the program's exit path, ``cli.run``,
 imports ``gc``, so a library call and ``cli.main`` leave the collector alone.
 A local unitary or filter acts on the correlation matrix R, never on the 4x4
 density matrix by a Kronecker product: ``_local._rotated`` is the one rotation
-of R's blocks.
+of R's blocks.  A value type reads its caller's fields by its ``_rules``
+table in ``_Frozen.__init__``, and only ``MixingModel`` adds an ``__init__``,
+for the checks across its fields.  ``cli.main`` builds each run's clock and
+resolves its parameters, so no command handler does.  ``src/`` stays within
+a line budget that a change to its size updates on purpose.
 """
 
 import ast
@@ -46,25 +50,29 @@ def test_src_has_no_assert_statements_or_dataclasses():
     assert not hits, "\n".join(hits)
 
 
-# The functions that take an array from a caller; each reads it through
-# core._array, the one rule for an array input, and converts none itself.
+# The functions that take an array from a caller, and the rule tables of the
+# value types that hold arrays (``Class._rules``, whose array fields
+# tests/test_frozen.py pins); each reads the array through core._array, the
+# one rule for an array input, or through core._arrays, the rule of an array
+# field, which reads it by _array.  None converts an array itself.
 ARRAY_SITES = {
     "bellbound/core.py": (
-        "TwoQubitState.__init__", "BlochForm.__init__", "QubitMeasurement.__init__",
+        "_arrays", "TwoQubitState._rules", "BlochForm._rules", "QubitMeasurement._rules",
     ),
     "bellbound/_local.py": (
-        "ConditionalDecomposition.__init__", "_check_unitary", "rotation_from_quaternion",
+        "ConditionalDecomposition._rules", "_check_unitary", "rotation_from_quaternion",
         "unitary_from_rotation",
     ),
     "bellbound/factories.py": ("bell_diagonal",),
     "bellbound/_mixing.py": ("mixing_model_from_schedule",),
-    "bellbound/canonical.py": ("CanonicalForm.__init__", "FilterResult.__init__"),
-    "bellbound/verify.py": ("FuzzInstance.__init__",),
+    "bellbound/canonical.py": ("CanonicalForm._rules", "FilterResult._rules"),
+    "bellbound/verify.py": ("FuzzInstance._rules",),
 }
 
 
 def functions(tree: ast.Module):
-    """Each function of a module by qualified name (a method as ``Class.name``)."""
+    """Each function of a module by qualified name (a method as ``Class.name``),
+    and each class's rule table, its ``_rules`` assignment, as ``Class._rules``."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, node
@@ -72,6 +80,8 @@ def functions(tree: ast.Module):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     yield f"{node.name}.{item.name}", item
+                elif isinstance(item, ast.Assign) and "_rules" in map(ast.unparse, item.targets):
+                    yield f"{node.name}._rules", item
 
 
 def test_each_array_site_reads_its_array_by_the_one_rule():
@@ -82,19 +92,79 @@ def test_each_array_site_reads_its_array_by_the_one_rule():
                 ast.unparse(node.func) for node in ast.walk(defined[name])
                 if isinstance(node, ast.Call)
             ]
-            assert "_array" in calls, f"{path}: {name}"
+            rule = "_arrays" if name.endswith("._rules") else "_array"
+            assert rule in calls, f"{path}: {name}"
             assert not {"np.asarray", "np.array"} & set(calls), f"{path}: {name}"
+
+
+def value_types(trees: dict) -> dict:
+    """Each class that derives from ``_Frozen``, by name, with its module's path."""
+    return {
+        node.name: (path, node) for path, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and "_Frozen" in map(ast.unparse, node.bases)
+    }
+
+
+def test_only_the_mixing_model_writes_its_own_constructor():
+    # _Frozen.__init__ reads every field by its type's _rules table; a
+    # MixingModel then checks its weights against each other
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))}
+    types = value_types(trees)
+    assert len(types) == 10
+    hits = [
+        f"{path.name}: {name}"
+        for name, (path, node) in types.items()
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    ]
+    assert hits == ["_mixing.py: MixingModel"]
+    # nor does any set __hash__: hashing a value's fields reaches its arrays
+    assert not [
+        name for name, (_, node) in types.items() for item in node.body
+        if isinstance(item, ast.Assign) and "__hash__" in map(ast.unparse, item.targets)
+    ]
+
+
+def test_no_handler_builds_a_clock_or_resolves_its_parameters():
+    # cli.main builds the run's StageClock and resolves the parameters once,
+    # then calls cmd_<command>(ns, clock, params)
+    handlers = []
+    for path in sorted((SRC / "bellbound").glob("_cli_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, function in functions(tree):
+            if name.startswith("cmd_"):
+                handlers.append(name)
+                assert [arg.arg for arg in function.args.args] == ["ns", "clock", "params"], name
+                names = {
+                    node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(function) if isinstance(node, (ast.Name, ast.Attribute))
+                }
+                assert not {"StageClock", "_resolve"} & names, f"{path.name}: {name}"
+                # _import_stage ends the load stage; a handler marks only its own compute
+                marks = [
+                    ast.literal_eval(node.args[0]) for node in ast.walk(function)
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "clock.mark"
+                ]
+                assert marks == ["compute"], f"{path.name}: {name}"
+    assert len(handlers) == 6
+
+
+# src/'s lines at the last change to its size.  A change that grows src/ raises
+# this on purpose, and one that shrinks it lowers it.
+SRC_LINES = 3512
+
+
+def test_src_stays_within_its_line_budget():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.rglob("*.py"))
+    assert lines <= SRC_LINES
 
 
 def test_no_private_function_builds_a_value_through_the_callers_door():
     # A private function holds what the library made, so it builds a value
     # type by _of; the command line builds values from what the user typed.
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))}
-    value_types = {
-        node.name for tree in trees.values() for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and "_Frozen" in map(ast.unparse, node.bases)
-    }
-    assert {"TwoQubitState", "QubitMeasurement", "CountRecord", "FuzzInstance"} <= value_types
+    types = set(value_types(trees))
+    assert {"TwoQubitState", "QubitMeasurement", "CountRecord", "FuzzInstance"} <= types
     hits = [
         f"{path.name}: {name} calls {node.func.id}"
         for path, tree in trees.items()
@@ -102,7 +172,7 @@ def test_no_private_function_builds_a_value_through_the_callers_door():
         for name, function in functions(tree) if name.rsplit(".", 1)[-1].startswith("_")
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id in value_types
+        and node.func.id in types
     ]
     assert not hits, "\n".join(hits)
 
